@@ -1,10 +1,15 @@
-"""Dense momentum-grid operators and the measurement layer.
+"""Banded momentum-grid operators and the measurement layer.
 
 Everything downstream builds on four ingredients defined here:
 
 * ``Grid`` — a symmetric, uniformly spaced momentum window with an interior
   mask that excludes boundary-contaminated rows from all norms.
-* ``Operator`` — a dense complex matrix bound to its grid.
+* ``Operator`` — a complex matrix bound to its grid, stored as its diagonals.
+  The model operators are banded (P and ρ are diagonal, X spans offsets
+  −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
+  O(n · bandwidth).  The dense matrix is materialized only for the dense
+  eigensolvers (``np.linalg.eig`` in ``spectrum``, ``np.linalg.eigh`` in
+  ``hermitian_matrix_function``).
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).
 * residual measurements.  Identities between band matrices hold *in action*
@@ -38,9 +43,11 @@ __all__ = [
     "commutator",
     "anticommutator",
     "hermitian_matrix_function",
+    "interior_block_entries",
     "masked_norm",
     "stencil_probes",
     "smooth_probes",
+    "interior_action",
     "action_residual",
 ]
 
@@ -94,31 +101,119 @@ class Grid:
         return slice(k, self.n_points - k)
 
 
-@dataclass
 class Operator:
-    """Dense complex matrix living on a grid."""
+    """Complex matrix on a grid, stored as row-aligned diagonals.
 
-    entries: np.ndarray
-    grid: Grid
+    ``bands[k, i] = A[i, i + lo + k]``.  Band slots whose column falls
+    outside the matrix hold zero, and all-zero outer diagonals are trimmed,
+    so a diagonal operator has one band and the zero operator none.
+    ``Operator(entries, grid)`` converts a dense square array; ``entries``
+    materializes the dense matrix again, for the dense eigensolvers.
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=complex)
+    __slots__ = ("lo", "bands", "grid")
+
+    def __init__(self, entries, grid: Grid) -> None:
+        arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
-        if arr.shape[0] != self.grid.n_points:
-            raise ValueError(
-                f"operator dimension {arr.shape[0]} does not match grid "
-                f"n_points {self.grid.n_points}"
-            )
-        self.entries = arr
+        _check_dimension(arr.shape[0], grid)
+        self.lo, self.bands = _dense_to_bands(arr)
+        self.grid = grid
+
+    @classmethod
+    def from_bands(cls, lo: int, bands, grid: Grid) -> Operator:
+        """Operator with ``bands[k, i] = A[i, i + lo + k]`` (copied)."""
+        bands = np.array(bands, dtype=complex)
+        if bands.ndim != 2:
+            raise ValueError(f"bands must be 2-D, got shape {bands.shape}")
+        _check_dimension(bands.shape[1], grid)
+        _, cols = _slot_indices(lo, bands.shape)
+        if np.any(bands[(cols < 0) | (cols >= bands.shape[1])]):
+            raise ValueError("band slots outside the matrix must be zero")
+        return cls._trimmed(int(lo), bands, grid)
+
+    @classmethod
+    def _trimmed(cls, lo: int, bands: np.ndarray, grid: Grid) -> Operator:
+        """Wrap valid bands without copying or checking them."""
+        op = cls.__new__(cls)
+        op.lo, op.bands = _trim(lo, bands)
+        op.grid = grid
+        return op
+
+    @classmethod
+    def diag(cls, values, grid: Grid) -> Operator:
+        """Diagonal operator with the given main diagonal."""
+        return cls.from_bands(0, np.asarray(values)[np.newaxis, :], grid)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.bands.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix."""
+        return _bands_to_dense(self.lo, self.bands)
+
+    def diagonal(self) -> np.ndarray:
+        """Main diagonal (a copy)."""
+        k = -self.lo
+        if 0 <= k < len(self.bands):
+            return self.bands[k].copy()
+        return np.zeros(self.dim, dtype=complex)
 
 
-def _raw(x) -> np.ndarray:
-    return x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
+def _check_dimension(n: int, grid: Grid) -> None:
+    if n != grid.n_points:
+        raise ValueError(
+            f"operator dimension {n} does not match grid n_points {grid.n_points}"
+        )
+
+
+def _slot_indices(lo: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every band slot."""
+    k, rows = np.indices(shape)
+    return rows, rows + lo + k
+
+
+def _dense_to_bands(arr: np.ndarray) -> tuple[int, np.ndarray]:
+    n = arr.shape[0]
+    rows, cols = np.nonzero(arr)
+    if rows.size == 0:
+        return 0, np.zeros((0, n), dtype=complex)
+    offsets = cols - rows
+    lo = int(offsets.min())
+    bands = np.zeros((int(offsets.max()) - lo + 1, n), dtype=complex)
+    bands[offsets - lo, rows] = arr[rows, cols]
+    return lo, bands
+
+
+def _bands_to_dense(lo: int, bands: np.ndarray) -> np.ndarray:
+    n = bands.shape[1]
+    rows, cols = _slot_indices(lo, bands.shape)
+    inside = (cols >= 0) & (cols < n)
+    out = np.zeros((n, n), dtype=complex)
+    out[rows[inside], cols[inside]] = bands[inside]
+    return out
+
+
+def _trim(lo: int, bands: np.ndarray) -> tuple[int, np.ndarray]:
+    """Drop all-zero outer diagonals."""
+    nonzero = np.flatnonzero(bands.any(axis=1))
+    if nonzero.size == 0:
+        return 0, bands[:0]
+    return lo + int(nonzero[0]), bands[nonzero[0] : nonzero[-1] + 1]
+
+
+def _shifted(rows: np.ndarray, s: int) -> np.ndarray:
+    """``out[..., i] = rows[..., i + s]``, zero where ``i + s`` leaves the row."""
+    out = np.zeros_like(rows)
+    n = rows.shape[-1]
+    if s >= 0:
+        out[..., : max(n - s, 0)] = rows[..., s:]
+    else:
+        out[..., min(-s, n) :] = rows[..., : max(n + s, 0)]
+    return out
 
 
 def _grid_of(*xs) -> Grid | None:
@@ -128,69 +223,122 @@ def _grid_of(*xs) -> Grid | None:
     return None
 
 
-def _check_compatible(a, b) -> None:
-    ra, rb = _raw(a), _raw(b)
-    if ra.shape != rb.shape:
-        raise ValueError(f"dimension mismatch: {ra.shape} vs {rb.shape}")
-    ga, gb = _grid_of(a), _grid_of(b)
-    if ga is not None and gb is not None and ga != gb:
+def _dim(x) -> int:
+    if isinstance(x, Operator):
+        return x.dim
+    shape = np.shape(x)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"operands must be square matrices, got shape {shape}")
+    return shape[0]
+
+
+def _check_compatible(*xs) -> int:
+    """Common dimension of the operands; they must share it and their grid."""
+    dims = {_dim(x) for x in xs}
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch: {sorted(dims)}")
+    grids = {x.grid for x in xs if isinstance(x, Operator)}
+    if len(grids) > 1:
         raise ValueError("operators live on different grids")
+    return dims.pop()
 
 
-def _wrap(arr: np.ndarray, *sources):
+def _bands(x) -> tuple[int, np.ndarray]:
+    if isinstance(x, Operator):
+        return x.lo, x.bands
+    return _dense_to_bands(np.asarray(x, dtype=complex))
+
+
+def _aligned(ops, n: int) -> tuple[int, list[np.ndarray]]:
+    """Each operand's bands, zero-padded to the union of their offsets."""
+    parts = [_bands(x) for x in ops]
+    nonempty = [(lp, bands) for lp, bands in parts if len(bands)]
+    lo = min((lp for lp, _ in nonempty), default=0)
+    hi = max((lp + len(bands) for lp, bands in nonempty), default=0)
+    aligned = []
+    for lp, bands in parts:
+        union = np.zeros((hi - lo, n), dtype=complex)
+        union[lp - lo : lp - lo + len(bands)] = bands
+        aligned.append(union)
+    return lo, aligned
+
+
+def _result(lo: int, bands: np.ndarray, *sources):
+    """An Operator on the sources' grid, or a dense array when none has one."""
     grid = _grid_of(*sources)
-    return Operator(arr, grid) if grid is not None else arr
+    if grid is None:
+        return _bands_to_dense(lo, bands)
+    return Operator._trimmed(lo, bands, grid)
 
 
 def op_product(a, b):
-    """Matrix product; accepts ``Operator`` or raw arrays."""
-    _check_compatible(a, b)
-    return _wrap(_raw(a) @ _raw(b), a, b)
+    """Matrix product; accepts ``Operator`` or raw arrays.
+
+    Each entry is accumulated over the bands in extended precision and
+    rounded once to complex128, so it depends on no BLAS kernel or thread
+    count.
+    """
+    n = _check_compatible(a, b)
+    (la, ba), (lb, bb) = _bands(a), _bands(b)
+    if not (len(ba) and len(bb)):
+        return _result(0, np.zeros((0, n), dtype=complex), a, b)
+    acc = np.zeros((len(ba) + len(bb) - 1, n), dtype=np.clongdouble)
+    bb = bb.astype(np.clongdouble)
+    for k, row in enumerate(ba.astype(np.clongdouble)):
+        # A[i, i+la+k] * B[i+la+k, i+la+k+lb+kb] lands on offset la+k+lb+kb
+        acc[k : k + len(bb)] += row * _shifted(bb, la + k)
+    return _result(la + lb, acc.astype(complex), a, b)
 
 
-def op_sum(a, b):
-    _check_compatible(a, b)
-    return _wrap(_raw(a) + _raw(b), a, b)
+def op_sum(a, b, *more):
+    """Sum of two or more operators, added left to right."""
+    ops = (a, b, *more)
+    lo, aligned = _aligned(ops, _check_compatible(*ops))
+    out = aligned[0]
+    for bands in aligned[1:]:
+        out += bands
+    return _result(lo, out, *ops)
 
 
 def op_scale(c: complex, a):
-    return _wrap(c * _raw(a), a)
+    lo, bands = _bands(a)
+    return _result(lo, c * bands, a)
 
 
 def adjoint(a):
     """Conjugate transpose."""
-    return _wrap(_raw(a).conj().T, a)
+    lo, bands = _bands(a)
+    nd = len(bands)
+    out = np.empty_like(bands)
+    for k in range(nd):
+        # entry (i, i + lo + k) moves to (i + lo + k, i)
+        out[nd - 1 - k] = _shifted(bands[k], -(lo + k)).conj()
+    return _result(-(lo + nd - 1), out, a)
 
 
 def commutator(a, b):
-    _check_compatible(a, b)
-    ra, rb = _raw(a), _raw(b)
-    return _wrap(ra @ rb - rb @ ra, a, b)
+    return op_sum(op_product(a, b), op_scale(-1.0, op_product(b, a)))
 
 
 def anticommutator(a, b):
-    _check_compatible(a, b)
-    ra, rb = _raw(a), _raw(b)
-    return _wrap(ra @ rb + rb @ ra, a, b)
+    return op_sum(op_product(a, b), op_product(b, a))
 
 
 def derivative_matrix(grid: Grid) -> Operator:
     """Second-order differentiation matrix.
 
     Central differences on interior rows, one-sided second-order stencils on
-    the two boundary rows.  Real-valued.
+    the two boundary rows.  Real-valued; offsets -2..2.
     """
     n = grid.n_points
     if n < 5:
         raise ValueError(f"derivative_matrix requires n_points >= 5, got {n}")
     c = 1.0 / (2.0 * grid.spacing)
-    d = np.zeros((n, n))
-    for j in range(1, n - 1):
-        d[j, j - 1] = -c
-        d[j, j + 1] = c
-    d[0, 0], d[0, 1], d[0, 2] = -3.0 * c, 4.0 * c, -c
-    d[-1, -1], d[-1, -2], d[-1, -3] = 3.0 * c, -4.0 * c, c
-    return Operator(d, grid)
+    bands = np.zeros((5, n))  # offsets -2, -1, 0, 1, 2
+    bands[1, 1:-1], bands[3, 1:-1] = -c, c
+    bands[2:, 0] = -3.0 * c, 4.0 * c, -c
+    bands[:3, -1] = c, -4.0 * c, 3.0 * c
+    return Operator.from_bands(-2, bands, grid)
 
 
 def hermitian_matrix_function(
@@ -207,7 +355,7 @@ def hermitian_matrix_function(
     must be strictly positive; and the dynamic range max|f|/min|f| of the
     transformed spectrum must stay below 1e14.
     """
-    arr = _raw(a)
+    arr = a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
     scale = np.linalg.norm(arr)
     if scale > 0 and np.linalg.norm(arr - arr.conj().T) / scale > tol_herm:
         raise ValueError("input is not Hermitian within tolerance")
@@ -225,7 +373,21 @@ def hermitian_matrix_function(
             f"(max|f|/min|f| > {OVERFLOW_RATIO:.0e})"
         )
     out = (u * fw) @ u.conj().T
-    return _wrap(out, a)
+    return _result(*_dense_to_bands(out), a)
+
+
+def interior_block_entries(ops: Sequence, grid: Grid) -> np.ndarray:
+    """Entries of each operator's interior-by-interior block, one column each.
+
+    Only slots of the union of the operators' bands are listed, in the same
+    order for every column; every entry outside that band is zero in all of
+    them.  Accepts ``Operator`` or raw arrays.
+    """
+    lo, aligned = _aligned(ops, grid.n_points)
+    rows, cols = _slot_indices(lo, aligned[0].shape)
+    sl = grid.interior()
+    inside = (rows >= sl.start) & (rows < sl.stop) & (cols >= sl.start) & (cols < sl.stop)
+    return np.stack([bands[inside] for bands in aligned], axis=1)
 
 
 def masked_norm(a, relative_to: Sequence | None = None) -> float:
@@ -237,12 +399,11 @@ def masked_norm(a, relative_to: Sequence | None = None) -> float:
     grid = _grid_of(a, *(relative_to or ()))
     if grid is None:
         raise ValueError("masked_norm needs at least one grid-bound Operator")
-    sl = grid.interior()
-    val = float(np.linalg.norm(_raw(a)[sl, sl]))
+    val = float(np.linalg.norm(interior_block_entries([a], grid)))
     if relative_to is not None:
         denom = 1.0
         for b in relative_to:
-            nb = float(np.linalg.norm(_raw(b)[sl, sl]))
+            nb = float(np.linalg.norm(interior_block_entries([b], grid)))
             if nb == 0.0:
                 raise ValueError("relative normalization against a zero block")
             denom *= nb
@@ -285,6 +446,25 @@ def smooth_probes(grid: Grid, count: int = 8, width: float = 1.0) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def interior_action(a, vectors: np.ndarray, grid: Grid) -> np.ndarray:
+    """Interior rows of ``A @ vectors`` (vectors as columns), from the bands."""
+    v = np.asarray(vectors)
+    n = grid.n_points
+    if _dim(a) != n or v.shape[0] != n:
+        raise ValueError(
+            f"dimension mismatch: operator {_dim(a)}, vectors {v.shape[0]}, grid {n}"
+        )
+    lo, bands = _bands(a)
+    sl = grid.interior()
+    out = np.zeros((sl.stop - sl.start, v.shape[1]), dtype=complex)
+    for k, band in enumerate(bands):
+        o = lo + k
+        r0, r1 = max(sl.start, -o), min(sl.stop, n - o)
+        if r0 < r1:
+            out[r0 - sl.start : r1 - sl.start] += band[r0:r1, np.newaxis] * v[r0 + o : r1 + o]
+    return out
+
+
 def action_residual(lhs, rhs, probes: np.ndarray, grid: Grid | None = None) -> float:
     """Relative disagreement of two operators in action on probe vectors.
 
@@ -295,9 +475,8 @@ def action_residual(lhs, rhs, probes: np.ndarray, grid: Grid | None = None) -> f
         grid = _grid_of(lhs, rhs)
     if grid is None:
         raise ValueError("action_residual needs a grid")
-    sl = grid.interior()
-    la = (_raw(lhs) @ probes)[sl, :]
-    ra = (_raw(rhs) @ probes)[sl, :]
+    la = interior_action(lhs, probes, grid)
+    ra = interior_action(rhs, probes, grid)
     denom = max(float(np.linalg.norm(la)), float(np.linalg.norm(ra)))
     if denom == 0.0:
         return 0.0

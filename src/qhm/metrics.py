@@ -79,7 +79,7 @@ def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
 
 def metric_condition(profile: np.ndarray | Operator) -> float:
     """Ratio of largest to smallest diagonal entry."""
-    g = np.real(np.diag(profile.entries)) if isinstance(profile, Operator) else profile
+    g = np.real(profile.diagonal()) if isinstance(profile, Operator) else profile
     return float(g.max() / g.min())
 
 
@@ -94,7 +94,7 @@ def build_metric(spec: MetricSpec, grid: Grid, pp: PhysParams) -> Operator:
             f"metric condition number {cond:.3e} exceeds the overflow bound"
         )
     logger.info("built %s metric: condition number %.6e", spec.kind, cond)
-    return Operator(np.diag(g).astype(complex), grid)
+    return Operator.diag(g, grid)
 
 
 def profile_distance(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:

@@ -27,6 +27,9 @@ from .gridops import (
     derivative_matrix,
     hermitian_matrix_function,
     masked_norm,
+    op_product,
+    op_scale,
+    op_sum,
     stencil_probes,
 )
 
@@ -120,25 +123,25 @@ class LadderOps:
 
 def build_canonical_pair(grid: Grid, pp: PhysParams) -> tuple[Operator, Operator]:
     """Undeformed pair: momentum is diagonal, position is i*hbar*D."""
-    p0 = Operator(np.diag(grid.points).astype(complex), grid)
-    x0 = Operator(1j * pp.hbar * derivative_matrix(grid).entries, grid)
+    p0 = Operator.diag(grid.points, grid)
+    x0 = op_scale(1j * pp.hbar, derivative_matrix(grid))
     return x0, p0
 
 
 def build_deformed_pair(grid: Grid, pp: PhysParams) -> tuple[Operator, Operator]:
     """Deformed pair: X = (1 + tau*p^2) x0 + i*hbar*gamma_t*p, P = diag(p)."""
     x0, p0 = build_canonical_pair(grid, pp)
-    g = 1.0 + pp.tau * grid.points**2
-    x = np.diag(g) @ x0.entries + 1j * pp.hbar * pp.gamma_t * np.diag(grid.points)
-    return Operator(x, grid), p0
+    g = Operator.diag(1.0 + pp.tau * grid.points**2, grid)
+    shift = Operator.diag(1j * pp.hbar * pp.gamma_t * grid.points, grid)
+    return op_sum(op_product(g, x0), shift), p0
 
 
 def build_ladder(x: Operator, p: Operator, pp: PhysParams) -> LadderOps:
     """Ladder pair a = (P - i*omega*X)/sqrt(2*m*hbar*omega), a_dag likewise."""
     scale = 1.0 / np.sqrt(2.0 * pp.mass * pp.hbar * pp.omega)
-    a = Operator(scale * (p.entries - 1j * pp.omega * x.entries), x.grid)
-    a_dag = Operator(scale * (p.entries + 1j * pp.omega * x.entries), x.grid)
-    diff = Operator(adjoint(a).entries - a_dag.entries, x.grid)
+    a = op_scale(scale, op_sum(p, op_scale(-1j * pp.omega, x)))
+    a_dag = op_scale(scale, op_sum(p, op_scale(1j * pp.omega, x)))
+    diff = op_sum(adjoint(a), op_scale(-1.0, a_dag))
     denom = masked_norm(a_dag)
     defect = masked_norm(diff) / denom if denom > 0 else 0.0
     return LadderOps(a, a_dag, defect)
@@ -146,12 +149,11 @@ def build_ladder(x: Operator, p: Operator, pp: PhysParams) -> LadderOps:
 
 def build_swanson_bf(x: Operator, p: Operator, pp: PhysParams) -> Operator:
     """H = P^2/(2m) + (m*omega^2/2) X^2 + i*mu*{X, P}."""
-    h = (
-        p.entries @ p.entries / (2.0 * pp.mass)
-        + 0.5 * pp.mass * pp.omega**2 * (x.entries @ x.entries)
-        + 1j * pp.mu * anticommutator(x, p).entries
+    return op_sum(
+        op_scale(1.0 / (2.0 * pp.mass), op_product(p, p)),
+        op_scale(0.5 * pp.mass * pp.omega**2, op_product(x, x)),
+        op_scale(1j * pp.mu, anticommutator(x, p)),
     )
-    return Operator(h, x.grid)
 
 
 def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
@@ -165,26 +167,24 @@ def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
             "lam == delta_t: the ladder Hamiltonian is Hermitian",
             stacklevel=2,
         )
-    n = a.dim
-    h = (
-        pp.omega * (a_dag.entries @ a.entries)
-        + pp.lam * (a.entries @ a.entries)
-        + pp.delta_t * (a_dag.entries @ a_dag.entries)
-        + 0.5 * pp.omega * np.eye(n)
+    return op_sum(
+        op_scale(pp.omega, op_product(a_dag, a)),
+        op_scale(pp.lam, op_product(a, a)),
+        op_scale(pp.delta_t, op_product(a_dag, a_dag)),
+        Operator.diag(np.full(a.dim, 0.5 * pp.omega), a.grid),
     )
-    return Operator(h, a.grid)
 
 
 def default_number_operator(a: Operator, a_dag: Operator) -> Operator:
     """Hermitian part of a_dag*a — the default N for the algebra check."""
-    nd = a_dag.entries @ a.entries
-    return Operator(0.5 * (nd + nd.conj().T), a.grid)
+    nd = op_product(a_dag, a)
+    return op_scale(0.5, op_sum(nd, adjoint(nd)))
 
 
 def canonical_commutator_residual(x0: Operator, p0: Operator, pp: PhysParams) -> float:
     """Action residual of [x0, p0] = i*hbar on stencil probes."""
     grid = x0.grid
-    target = 1j * pp.hbar * np.eye(grid.n_points)
+    target = Operator.diag(np.full(grid.n_points, 1j * pp.hbar), grid)
     return action_residual(commutator(x0, p0), target, stencil_probes(grid), grid)
 
 
@@ -206,15 +206,15 @@ def deformed_algebra_residual(
     combo = qp.alpha * qp.delta + qp.beta * qp.gamma
     grid = x.grid
     qf = hermitian_matrix_function(n_op, lambda t: qp.q ** np.asarray(qp.f(t)))
-    rhs = 1j * pp.hbar * combo * qf.entries
+    rhs = op_scale(1j * pp.hbar * combo, qf)
     if qp.q != 1.0:
-        xe, pe = x.entries, p.entries
-        rhs = rhs + (1j * pp.hbar * (qp.q**2 - 1.0) / combo) * (
-            qp.delta * qp.gamma * (xe @ xe)
-            + qp.alpha * qp.beta * (pe @ pe)
-            + 1j * qp.alpha * qp.delta * (xe @ pe)
-            - 1j * qp.beta * qp.gamma * (pe @ xe)
+        quadratic = op_sum(
+            op_scale(qp.delta * qp.gamma, op_product(x, x)),
+            op_scale(qp.alpha * qp.beta, op_product(p, p)),
+            op_scale(1j * qp.alpha * qp.delta, op_product(x, p)),
+            op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
         )
+        rhs = op_sum(rhs, op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic))
     return action_residual(commutator(x, p), rhs, stencil_probes(grid), grid)
 
 
@@ -237,10 +237,7 @@ def gauge_transform(pp: PhysParams, grid: Grid) -> tuple[Operator, Operator]:
             "gauge factor dynamic range exceeds the supported overflow bound"
         )
     s = np.exp(log_s)
-    return (
-        Operator(np.diag(s).astype(complex), grid),
-        Operator(np.diag(1.0 / s).astype(complex), grid),
-    )
+    return Operator.diag(s, grid), Operator.diag(1.0 / s, grid)
 
 
 def gauge_conjugation_residual(pp: PhysParams, grid: Grid) -> float:
@@ -255,5 +252,5 @@ def gauge_conjugation_residual(pp: PhysParams, grid: Grid) -> float:
     x_g, _ = build_deformed_pair(grid, pp)
     x_0, _ = build_deformed_pair(grid, dataclasses.replace(pp, gamma_t=0.0))
     s, s_inv = gauge_transform(pp, grid)
-    conj = s_inv.entries @ x_g.entries @ s.entries
-    return action_residual(conj, x_0.entries, stencil_probes(grid), grid)
+    conj = op_product(op_product(s_inv, x_g), s)
+    return action_residual(conj, x_0, stencil_probes(grid), grid)

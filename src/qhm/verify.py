@@ -28,7 +28,12 @@ from .gridops import (
     action_residual,
     adjoint,
     hermitian_matrix_function,
+    interior_action,
+    interior_block_entries,
     masked_norm,
+    op_product,
+    op_scale,
+    op_sum,
     smooth_probes,
     stencil_probes,
 )
@@ -50,15 +55,8 @@ __all__ = [
 ]
 
 
-def _entries_and_grid(op, grid: Grid | None) -> tuple[np.ndarray, Grid | None]:
-    if isinstance(op, Operator):
-        return op.entries, op.grid
-    return np.asarray(op, dtype=complex), grid
-
-
-def _warn_if_not_positive(rho: np.ndarray) -> None:
-    d = np.real(np.diag(rho))
-    if d.min() <= 0:
+def _warn_if_not_positive(rho: Operator) -> None:
+    if np.real(rho.diagonal()).min() <= 0:
         warnings.warn(
             "metric has non-positive diagonal entries; residual computed anyway",
             stacklevel=3,
@@ -76,11 +74,11 @@ def dieudonne_residual(
     grid = H.grid
     if rho.dim != H.dim:
         raise ValueError("operator dimensions differ")
-    _warn_if_not_positive(rho.entries)
+    _warn_if_not_positive(rho)
     if probes is None:
         probes = smooth_probes(grid)
-    lhs = adjoint(H).entries @ rho.entries
-    rhs = rho.entries @ H.entries
+    lhs = op_product(adjoint(H), rho)
+    rhs = op_product(rho, H)
     return action_residual(lhs, rhs, probes, grid)
 
 
@@ -92,8 +90,8 @@ def dieudonne_details(H: Operator, rho: Operator) -> dict:
     masked norms of H and ρ (kept as a truncation-visible diagnostic).
     """
     act = dieudonne_residual(H, rho)
-    diff = adjoint(H).entries @ rho.entries - rho.entries @ H.entries
-    mat = masked_norm(Operator(diff, H.grid), relative_to=[H, rho])
+    diff = op_sum(op_product(adjoint(H), rho), op_scale(-1.0, op_product(rho, H)))
+    mat = masked_norm(diff, relative_to=[H, rho])
     return {"action": act, "matrix": mat, "masked": True}
 
 
@@ -104,17 +102,15 @@ def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
     (1+τp²)^{-1}, so the residual is machine-small when eta solves it.
     """
     grid = X.grid
-    lhs = adjoint(X).entries @ eta.entries
-    rhs = eta.entries @ X.entries
+    lhs = op_product(adjoint(X), eta)
+    rhs = op_product(eta, X)
     return action_residual(lhs, rhs, stencil_probes(grid), grid)
 
 
-def _sqrt_pair(rho: Operator) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
     """(ρ^{1/2}, ρ^{-1/2}) with positivity and overflow guards."""
-    e = rho.entries
-    off = e - np.diag(np.diag(e))
-    if np.all(off == 0):
-        d = np.real(np.diag(e))
+    if rho.lo == 0 and len(rho.bands) <= 1:
+        d = np.real(rho.diagonal())
         if d.min() <= 0:
             raise NumericGuardError("metric must be strictly positive")
         if d.max() / d.min() > OVERFLOW_RATIO:
@@ -122,14 +118,14 @@ def _sqrt_pair(rho: Operator) -> tuple[np.ndarray, np.ndarray]:
                 "metric condition number exceeds the overflow bound"
             )
         r = np.sqrt(d)
-        return np.diag(r).astype(complex), np.diag(1.0 / r).astype(complex)
+        return Operator.diag(r, rho.grid), Operator.diag(1.0 / r, rho.grid)
     half = hermitian_matrix_function(
         rho, lambda t: np.sqrt(t), require_positive_spectrum=True
     )
     half_inv = hermitian_matrix_function(
         rho, lambda t: 1.0 / np.sqrt(t), require_positive_spectrum=True
     )
-    return half.entries, half_inv.entries
+    return half, half_inv
 
 
 def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
@@ -139,8 +135,8 @@ def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
     """
     grid = H.grid
     half, half_inv = _sqrt_pair(rho)
-    h = Operator(half @ H.entries @ half_inv, grid)
-    res = action_residual(h.entries, h.entries.conj().T, smooth_probes(grid), grid)
+    h = op_product(op_product(half, H), half_inv)
+    res = action_residual(h, adjoint(h), smooth_probes(grid), grid)
     return h, res
 
 
@@ -172,7 +168,10 @@ def spectrum(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    entries, g = _entries_and_grid(op, grid)
+    if isinstance(op, Operator):
+        entries, g = op.entries, op.grid
+    else:
+        entries, g = np.asarray(op, dtype=complex), grid
     vals, vecs = np.linalg.eig(entries)
     if g is not None:
         sl = g.interior()
@@ -253,13 +252,12 @@ def fit_diagonal_metric(
         probes = smooth_probes(grid)
     p_edge = float(np.abs(p[sl]).max() + 2.0 * grid.spacing)
     basis = _even_cheb_basis(p, p_edge, basis_size)
-    hd = H.entries.conj().T
-    he = H.entries
+    hd = adjoint(H)
     cols = []
     for k in range(basis_size):
-        gdiag = basis[:, k].astype(complex)
-        m = ((hd * gdiag[np.newaxis, :]) - (gdiag[:, np.newaxis] * he)) @ probes
-        cols.append(m[sl, :].ravel())
+        gdiag = Operator.diag(basis[:, k], grid)
+        m = op_sum(op_product(hd, gdiag), op_scale(-1.0, op_product(gdiag, H)))
+        cols.append(interior_action(m, probes, grid).ravel())
     a = np.stack(cols, axis=1)
     scale = np.linalg.norm(a, axis=0)
     scale[scale == 0] = 1.0
@@ -317,27 +315,26 @@ def model_equality_report(
     g = H1.grid if isinstance(H1, Operator) else grid
     if g is None:
         raise ValueError("a grid is required")
-    h1, _ = _entries_and_grid(H1, g)
-    h2, _ = _entries_and_grid(H2, g)
-    xe, _ = _entries_and_grid(X, g)
-    pe, _ = _entries_and_grid(P, g)
-    sl = g.interior()
-    eye = np.eye(g.n_points, dtype=complex)
-    p2 = pe @ pe
-    x2 = xe @ xe
+    h1, h2, xe, pe = (
+        op if isinstance(op, Operator) else Operator(op, g) for op in (H1, H2, X, P)
+    )
+    p2 = op_product(pe, pe)
+    x2 = op_product(xe, xe)
     dictionary = {
-        "I": eye,
+        "I": Operator.diag(np.ones(g.n_points), g),
         "P": pe,
         "P2": p2,
-        "P4": p2 @ p2,
+        "P4": op_product(p2, p2),
         "X2": x2,
-        "XP": xe @ pe,
-        "PX": pe @ xe,
-        "sym_X2P2": 0.5 * (x2 @ p2 + p2 @ x2),
+        "XP": op_product(xe, pe),
+        "PX": op_product(pe, xe),
+        "sym_X2P2": op_scale(0.5, op_sum(op_product(x2, p2), op_product(p2, x2))),
     }
     labels = list(dictionary)
-    a = np.stack([dictionary[k][sl, sl].ravel() for k in labels], axis=1)
-    b = (h1 - h2)[sl, sl].ravel()
+    # Entries outside the union band are zero in every column and in b, so
+    # leaving those rows out changes neither the solution nor the residual.
+    cols = interior_block_entries([*dictionary.values(), op_sum(h1, op_scale(-1.0, h2))], g)
+    a, b = cols[:, :-1], cols[:, -1]
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         coeffs = {k: 0j for k in labels}

@@ -1,0 +1,158 @@
+"""Banded operator storage: the band algebra against dense numpy references,
+and the band structure of the model operators."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhm import (
+    Grid,
+    MetricSpec,
+    Operator,
+    PhysParams,
+    action_residual,
+    adjoint,
+    anticommutator,
+    build_deformed_pair,
+    build_ladder,
+    build_metric,
+    build_swanson_bf,
+    build_swanson_jr,
+    commutator,
+    derivative_matrix,
+    masked_norm,
+    op_product,
+    op_scale,
+    op_sum,
+)
+
+REL = 1e-13
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def banded(draw, n):
+    """A complex n x n matrix: a random band, the full band, the zero
+    matrix, or a band plus one-sided boundary rows (as in the derivative)."""
+    kind = draw(st.sampled_from(["band", "full", "zero", "boundary"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "full":
+        return dense
+    offsets = np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]
+    lo = draw(st.integers(-(n - 1), n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    keep = (offsets >= lo) & (offsets <= hi)
+    if kind == "boundary":
+        width = draw(st.integers(1, 3))
+        keep[0, : width + 1] = True
+        keep[-1, -(width + 1) :] = True
+    return np.where(keep, dense, 0.0)
+
+
+@st.composite
+def operands(draw, count=2):
+    n = draw(st.sampled_from(range(5, 41, 2)))
+    grid = Grid(n, 3.0, 0.25)
+    return (grid, *(draw(banded(n)) for _ in range(count)))
+
+
+def _close(got, expect, scale):
+    assert np.abs(got - expect).max() <= REL * max(scale, 1e-300)
+
+
+def _size(a):
+    return np.linalg.norm(a)
+
+
+@PROPERTY
+@given(operands(count=1))
+def test_dense_round_trip_is_exact(case):
+    grid, a = case
+    op = Operator(a, grid)
+    assert np.array_equal(op.entries, a)
+    if np.any(a):
+        assert np.any(op.bands[0]) and np.any(op.bands[-1])
+    else:
+        assert op.bands.shape == (0, grid.n_points)
+
+
+@PROPERTY
+@given(operands())
+def test_product_matches_dense(case):
+    grid, a, b = case
+    got = op_product(Operator(a, grid), Operator(b, grid)).entries
+    _close(got, a @ b, _size(a) * _size(b))
+    assert np.array_equal(op_product(a, b), got)  # raw arrays: same path
+
+
+@PROPERTY
+@given(operands())
+def test_sum_scale_adjoint_are_exact(case):
+    grid, a, b = case
+    oa, ob = Operator(a, grid), Operator(b, grid)
+    assert np.array_equal(op_sum(oa, ob).entries, a + b)
+    assert np.array_equal(op_scale(0.3 - 1.7j, oa).entries, (0.3 - 1.7j) * a)
+    assert np.array_equal(adjoint(oa).entries, a.conj().T)
+
+
+@PROPERTY
+@given(operands())
+def test_commutators_match_dense(case):
+    grid, a, b = case
+    oa, ob = Operator(a, grid), Operator(b, grid)
+    scale = 2.0 * _size(a) * _size(b)
+    _close(commutator(oa, ob).entries, a @ b - b @ a, scale)
+    _close(anticommutator(oa, ob).entries, a @ b + b @ a, scale)
+
+
+@PROPERTY
+@given(operands())
+def test_masked_norm_matches_dense_block(case):
+    grid, a, b = case
+    sl = grid.interior()
+    na, nb = np.linalg.norm(a[sl, sl]), np.linalg.norm(b[sl, sl])
+    oa, ob = Operator(a, grid), Operator(b, grid)
+    assert masked_norm(oa) == pytest.approx(na, rel=REL, abs=0.0)
+    if nb == 0.0:
+        with pytest.raises(ValueError, match="zero"):
+            masked_norm(oa, relative_to=[ob])
+    else:
+        got = masked_norm(oa, relative_to=[ob])
+        assert got == pytest.approx(na / nb, rel=REL, abs=0.0)
+
+
+@PROPERTY
+@given(operands(), st.integers(0, 2**32 - 1))
+def test_action_residual_matches_dense(case, seed):
+    grid, a, b = case
+    probes = np.random.default_rng(seed).normal(size=(grid.n_points, 3))
+    sl = grid.interior()
+    la, ra = (a @ probes)[sl], (b @ probes)[sl]
+    denom = max(np.linalg.norm(la), np.linalg.norm(ra))
+    expect = np.linalg.norm(la - ra) / denom if denom else 0.0
+    got = action_residual(Operator(a, grid), Operator(b, grid), probes)
+    assert got == pytest.approx(expect, rel=REL, abs=1e-15)
+    assert action_residual(Operator(a, grid), a, probes, grid) == 0.0
+
+
+def test_from_bands_rejects_slots_outside_the_matrix():
+    grid = Grid(5, 1.0, 0.0)
+    with pytest.raises(ValueError, match="outside"):
+        Operator.from_bands(1, np.ones((1, 5)), grid)
+
+
+def test_model_operators_stay_banded_at_1025_points():
+    # No n x n array on the adjudication path: every operator it builds is
+    # stored as a handful of diagonals.
+    grid = Grid(1025, 10.0, 0.25)
+    pp = PhysParams(mu=0.1, tau=0.01, gamma_t=0.05, lam=-0.05, delta_t=0.05)
+    x, p = build_deformed_pair(grid, pp)
+    ladder = build_ladder(x, p, pp)
+    assert len(derivative_matrix(grid).bands) <= 5
+    assert len(build_swanson_bf(x, p, pp).bands) <= 9
+    assert len(build_swanson_jr(ladder.a, ladder.a_dag, pp).bands) <= 9
+    assert len(build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp).bands) == 1
+    assert len(p.bands) == 1
