@@ -9,7 +9,12 @@ Everything downstream builds on four ingredients defined here:
   −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
   O(n · bandwidth).  The dense matrix is materialized only for the dense
   eigensolvers (``np.linalg.eig`` in ``spectrum``, ``np.linalg.eigh`` in
-  ``hermitian_matrix_function``).
+  ``hermitian_matrix_function``).  A matrix whose imaginary parts are all
+  exactly zero reaches them as a real array, so LAPACK runs the real
+  routines (``dgeev``/``dsyevd``, about 2.5x cheaper than ``zgeev``/
+  ``zheevd``).  The model Hamiltonians are such matrices: with P real and
+  X = iħ(1+τp²)D + iħγ_t p purely imaginary, X², iμ{X,P} and the ladder
+  (P − iωX)/√(2mħω) are real.
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).
 * residual measurements.  Identities between band matrices hold *in action*
@@ -52,6 +57,7 @@ __all__ = [
 ]
 
 OVERFLOW_RATIO = 1e14
+HERMITIAN_TOL = 1e-10
 
 
 class NumericGuardError(RuntimeError):
@@ -195,6 +201,17 @@ def _bands_to_dense(lo: int, bands: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n), dtype=complex)
     out[rows[inside], cols[inside]] = bands[inside]
     return out
+
+
+def _real_if_exact(arr: np.ndarray) -> np.ndarray:
+    """``arr.real`` when every imaginary part is exactly zero, else ``arr``.
+
+    No tolerance: the narrowed array holds the same matrix, and numpy's
+    eigensolvers then call the real LAPACK routines instead of the complex ones.
+    """
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        return arr.real
+    return arr
 
 
 def _trim(lo: int, bands: np.ndarray) -> tuple[int, np.ndarray]:
@@ -346,7 +363,7 @@ def hermitian_matrix_function(
     f: Callable[[np.ndarray], np.ndarray],
     *,
     require_positive_spectrum: bool = False,
-    tol_herm: float = 1e-10,
+    tol_herm: float = HERMITIAN_TOL,
 ) -> Operator | np.ndarray:
     """Apply a real scalar function to a Hermitian matrix by eigendecomposition.
 
@@ -354,8 +371,14 @@ def hermitian_matrix_function(
     with ``require_positive_spectrum`` (fractional powers) every eigenvalue
     must be strictly positive; and the dynamic range max|f|/min|f| of the
     transformed spectrum must stay below 1e14.
+
+    An input with no nonzero imaginary part (a real symmetric matrix, such as
+    the number operator a†a of the model ladder) is decomposed by the real
+    ``eigh`` routine and rebuilt as (u·f(w))·uᵀ by a real matrix product, so
+    the result's imaginary parts are exactly zero.
     """
     arr = a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
+    arr = _real_if_exact(arr)
     scale = np.linalg.norm(arr)
     if scale > 0 and np.linalg.norm(arr - arr.conj().T) / scale > tol_herm:
         raise ValueError("input is not Hermitian within tolerance")

@@ -21,10 +21,12 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .gridops import (
+    HERMITIAN_TOL,
     Grid,
     NumericGuardError,
     OVERFLOW_RATIO,
     Operator,
+    _real_if_exact,
     action_residual,
     adjoint,
     hermitian_matrix_function,
@@ -108,9 +110,12 @@ def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
 
 
 def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
-    """(ρ^{1/2}, ρ^{-1/2}) with positivity and overflow guards."""
+    """(ρ^{1/2}, ρ^{-1/2}) with Hermiticity, positivity and overflow guards."""
     if rho.lo == 0 and len(rho.bands) <= 1:
-        d = np.real(rho.diagonal())
+        d = rho.diagonal()
+        if np.linalg.norm(d.imag) > HERMITIAN_TOL * np.linalg.norm(d):
+            raise ValueError("input is not Hermitian within tolerance")
+        d = d.real
         if d.min() <= 0:
             raise NumericGuardError("metric must be strictly positive")
         if d.max() / d.min() > OVERFLOW_RATIO:
@@ -165,6 +170,11 @@ def spectrum(
     within ``dedup_rel`` (relative) are therefore merged before counting.
     Raw square arrays are accepted; without a grid every state qualifies and
     no merging is applied.
+
+    A matrix with no nonzero imaginary part, such as the BF and JR
+    Hamiltonians (built from the purely imaginary X and the real P), goes to
+    the real ``eig`` routine; its eigenvalues are returned as complex numbers
+    all the same.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -172,7 +182,8 @@ def spectrum(
         entries, g = op.entries, op.grid
     else:
         entries, g = np.asarray(op, dtype=complex), grid
-    vals, vecs = np.linalg.eig(entries)
+    vals, vecs = np.linalg.eig(_real_if_exact(entries))
+    vals = vals.astype(complex)
     if g is not None:
         sl = g.interior()
         norms = np.linalg.norm(vecs, axis=0)

@@ -1,0 +1,127 @@
+"""Which LAPACK routine the dense eigensolvers reach: an operator whose
+imaginary parts are all exactly zero goes to the real ``eig``/``eigh``,
+anything else to the complex ones, and the real path gives the complex
+path's results."""
+import json
+
+import numpy as np
+import pytest
+
+from qhm import (
+    Grid,
+    MetricSpec,
+    Operator,
+    PhysParams,
+    build_deformed_pair,
+    build_metric,
+    build_swanson_bf,
+    hermitian_counterpart,
+    hermitian_matrix_function,
+    parse_config,
+    run_job,
+    spectrum,
+)
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """Records ``(solver, dtype)`` of every ``np.linalg.eig``/``eigh`` call."""
+    calls = []
+    for name in ("eig", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, np.asarray(a).dtype))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def _bf(n=129, p_max=8.0, mu=0.1):
+    grid = Grid(n, p_max, 0.25)
+    pp = PhysParams(mu=mu)
+    x, p = build_deformed_pair(grid, pp)
+    return grid, pp, build_swanson_bf(x, p, pp)
+
+
+def test_spectrum_job_takes_the_real_eig_for_h_and_its_counterpart(seen):
+    cfg = {
+        "job": "spectrum",
+        "grid": {"n_points": 129},
+        "params": {"mu": 0.1},
+        "metric": "ExpTheta(0.2)",
+    }
+    run_job(parse_config(json.dumps(cfg)))
+    assert seen == [("eig", np.float64), ("eig", np.float64)]
+
+
+def test_algebra_check_takes_the_real_eigh_for_the_number_operator(seen):
+    cfg = {"job": "algebra-check", "grid": {"n_points": 129}}
+    run_job(parse_config(json.dumps(cfg)))
+    assert seen == [("eigh", np.float64)]
+
+
+def test_complex_hermitian_input_takes_the_complex_eigh(seen):
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    hermitian_matrix_function(0.5 * (m + m.conj().T), np.exp)
+    assert seen == [("eigh", np.complex128)]
+
+
+def test_narrowing_has_no_tolerance(seen):
+    # A single imaginary part of 1e-300 keeps the matrix complex.
+    grid, _, ham = _bf()
+    tiny = ham.entries
+    tiny[3, 4] += 1e-300j
+    spectrum(Operator(tiny, grid), 4)
+    herm = np.eye(9, dtype=complex)
+    herm[0, 1], herm[1, 0] = 1e-300j, -1e-300j
+    hermitian_matrix_function(herm, np.exp)
+    assert seen == [("eig", np.complex128), ("eigh", np.complex128)]
+
+
+def test_real_eig_levels_match_the_complex_eigenvalues():
+    grid, pp, ham = _bf()
+    rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
+    counterpart, _ = hermitian_counterpart(ham, rho)
+    for op in (ham, counterpart):
+        assert not op.bands.imag.any()
+        reference = np.linalg.eigvals(op.entries.astype(np.complex128))
+        levels = spectrum(op, 6).values
+        assert len(levels) == 6
+        for z in levels:
+            assert isinstance(z, complex)
+            assert np.abs(reference - z).min() <= 1e-10 * max(1.0, abs(z))
+
+
+MOMENTA = Grid(9, 2.0, 0.25).points
+
+
+def _symmetric(n, seed):
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize(
+    "a, f",
+    [
+        (np.diag([0.0, np.log(2.0)]), np.exp),
+        (_symmetric(12, 3), lambda t: t**2),
+        (np.diag(MOMENTA), lambda t: 1.0 / (1.0 + 0.1 * t**2)),
+        (_symmetric(10, 5), lambda t: t),
+    ],
+)
+def test_real_symmetric_matrix_function_matches_the_complex_path(a, f):
+    got = hermitian_matrix_function(a, f)
+    assert not np.imag(got).any()
+    w, u = np.linalg.eigh(a.astype(np.complex128))
+    expect = (u * f(w)) @ u.conj().T
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_real_symmetric_operator_keeps_real_bands():
+    grid = Grid(9, 2.0, 0.25)
+    got = hermitian_matrix_function(Operator(_symmetric(9, 7), grid), np.exp)
+    assert isinstance(got, Operator)
+    assert not got.bands.imag.any()

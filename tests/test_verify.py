@@ -18,6 +18,7 @@ from qhm import (
     dieudonne_residual,
     fit_diagonal_metric,
     hermitian_counterpart,
+    hermitian_matrix_function,
     log_quadratic_coefficient,
     model_equality_report,
     smooth_probes,
@@ -170,6 +171,16 @@ class TestHermitianCounterpart:
         bad = Operator(np.diag(np.linspace(-1, 1, 9)).astype(complex), grid)
         with pytest.raises(NumericGuardError):
             _sqrt_pair(bad)
+
+    def test_complex_diagonal_metric_is_rejected_like_a_dense_one(self):
+        # A diagonal with imaginary parts is not Hermitian; its imaginary part
+        # must not be dropped on the way to the square roots.
+        grid, pp, ham = _bf_setup(n=129, p_max=8.0)
+        bad = Operator.diag((1 + 1e-3j) * np.ones(grid.n_points), grid)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_counterpart(ham, bad)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_matrix_function(bad.entries, np.sqrt)
 
 
 class TestSpectrum:
