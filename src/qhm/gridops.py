@@ -3,18 +3,33 @@
 Everything downstream builds on four ingredients defined here:
 
 * ``Grid`` — a symmetric, uniformly spaced momentum window with an interior
-  mask that excludes boundary-contaminated rows from all norms.
+  mask that excludes boundary-contaminated rows from all norms.  Its points
+  are exactly antisymmetric (p[n-1-i] == −p[i], p = 0 at the centre).
 * ``Operator`` — a complex matrix bound to its grid, stored as its diagonals.
   The model operators are banded (P and ρ are diagonal, X spans offsets
   −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
   O(n · bandwidth).  The dense matrix is materialized only for the dense
   eigensolvers (``np.linalg.eig`` in ``spectrum``, ``np.linalg.eigh`` in
-  ``hermitian_matrix_function``).  A matrix whose imaginary parts are all
-  exactly zero reaches them as a real array, so LAPACK runs the real
-  routines (``dgeev``/``dsyevd``, about 2.5x cheaper than ``zgeev``/
-  ``zheevd``).  The model Hamiltonians are such matrices: with P real and
-  X = iħ(1+τp²)D + iħγ_t p purely imaginary, X², iμ{X,P} and the ladder
-  (P − iωX)/√(2mħω) are real.
+  ``hermitian_matrix_function``), and two exact properties of the model
+  operators make those solves cheaper:
+
+  - *Real.*  A matrix whose imaginary parts are all exactly zero reaches the
+    solvers as a real array, so LAPACK runs the real routines (``dgeev``/
+    ``dsyevd``, about 2.5x cheaper than ``zgeev``/``zheevd``).  With P real
+    and X = iħ(1+τp²)D + iħγ_t p purely imaginary, X², iμ{X,P} and the
+    ladder (P − iωX)/√(2mħω) are real.
+  - *Even.*  A matrix that commutes exactly with the reflection p → −p is
+    solved as its even and odd blocks of sizes n//2 + 1 and n//2, about a
+    quarter of the full cost (``_parity_blocks``).  On the antisymmetric
+    grid, P and the derivative D (its one-sided boundary rows included) are
+    exactly odd and every even function of p is exactly even, so X is odd
+    and the Hamiltonians, the Gaussian metrics, the counterparts
+    ρ^{1/2}Hρ^{-1/2} and the number operator are even.
+
+  Both tests are exact, with no tolerance; a matrix that fails one takes the
+  general solver.  (``op_product`` sums the bands of an entry in an order
+  that the reflection reverses, so a product whose entries sum three or more
+  nonzero terms, such as a†a, can miss exact parity by an ulp on rare grids.)
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).
 * residual measurements.  Identities between band matrices hold *in action*
@@ -70,7 +85,10 @@ class Grid:
 
     ``n_points`` must be odd so that p = 0 is a sample point; ``mask_fraction``
     of the points is excluded at each end whenever a masked norm or an
-    interior row-block is taken.
+    interior row-block is taken.  ``points`` mirrors the non-negative half
+    ``linspace(0, p_max, n_points // 2 + 1)``, so p = 0 exactly and
+    p[n-1-i] == −p[i] exactly (``np.linspace(-p_max, p_max, n)`` misses
+    both on some grids); it agrees with that linspace to 2 ulp of p_max.
     """
 
     n_points: int
@@ -97,7 +115,8 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(-self.p_max, self.p_max, self.n_points)
+        half = np.linspace(0.0, self.p_max, self.n_points // 2 + 1)
+        return np.concatenate([-half[:0:-1], half])
 
     def mask_offset(self) -> int:
         return int(np.floor(self.mask_fraction * self.n_points))
@@ -212,6 +231,53 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(arr) and not arr.imag.any():
         return arr.real
     return arr
+
+
+def _parity_blocks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Even and odd blocks of a matrix that commutes exactly with the
+    reflection p → −p, else ``None``.
+
+    ``arr`` is even when ``arr[i, j] == arr[n-1-i, n-1-j]`` for every entry
+    (no tolerance) and n = 2m+1 is odd.  It then maps the even vectors,
+    spanned by the orthonormal basis (e_j + e_{n-1-j})/√2 (j < m) and e_m,
+    to themselves, and likewise the odd vectors, spanned by
+    (e_j − e_{n-1-j})/√2.  The blocks are ``arr`` in these two bases:
+
+    * even, (m+1) x (m+1): ``arr[i, j] + arr[i, n-1-j]`` for i, j < m, the
+      centre column ``√2·arr[i, m]`` and the centre row ``√2·arr[m, j]``
+      (``(arr[m, j] + arr[m, n-1-j]) / √2``), and ``arr[m, m]``;
+    * odd, m x m: ``arr[i, j] − arr[i, n-1-j]``.
+
+    The spectrum of ``arr`` is the union of theirs, and a Hermitian ``arr``
+    gives Hermitian blocks.  Component j < m of a block eigenvector stands
+    for the mirrored pair (j, n-1-j) of the full one, with the same total
+    squared modulus.
+    """
+    n = arr.shape[0]
+    if n % 2 == 0 or not np.array_equal(arr, arr[::-1, ::-1]):
+        return None
+    m = n // 2
+    top = arr[: m + 1]
+    left, mirror = top[:, :m], top[:, :m:-1]  # columns j and n-1-j, j < m
+    even = np.concatenate([left + mirror, top[:, m : m + 1]], axis=1)
+    even[:m, m] *= np.sqrt(2.0)
+    even[m, :m] *= np.sqrt(0.5)
+    return even, left[:m] - mirror[:m]
+
+
+def _parity_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The even n x n matrix whose parity blocks (``_parity_blocks``) are given."""
+    m = len(odd)
+    r = np.sqrt(0.5)
+    out = np.empty((2 * m + 1, 2 * m + 1), dtype=np.result_type(even, odd))
+    out[:m, :m] = 0.5 * (even[:m, :m] + odd)
+    out[:m, :m:-1] = 0.5 * (even[:m, :m] - odd)
+    out[:m, m] = r * even[:m, m]
+    out[m, :m] = r * even[m, :m]
+    out[m, :m:-1] = out[m, :m]
+    out[m, m] = even[m, m]
+    out[m + 1 :] = out[m - 1 :: -1, ::-1]
+    return out
 
 
 def _trim(lo: int, bands: np.ndarray) -> tuple[int, np.ndarray]:
@@ -376,13 +442,22 @@ def hermitian_matrix_function(
     the number operator a†a of the model ladder) is decomposed by the real
     ``eigh`` routine and rebuilt as (u·f(w))·uᵀ by a real matrix product, so
     the result's imaginary parts are exactly zero.
+
+    An ``Operator`` that is exactly even under p → −p (the number operator
+    again) is decomposed as its two parity blocks, each rebuilt as above and
+    unfolded into an exactly even result.  Raw arrays, which
+    carry no grid and so no reflection, and operators without exact parity
+    take one ``eigh`` of the full matrix.
     """
     arr = a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
     arr = _real_if_exact(arr)
     scale = np.linalg.norm(arr)
     if scale > 0 and np.linalg.norm(arr - arr.conj().T) / scale > tol_herm:
         raise ValueError("input is not Hermitian within tolerance")
-    w, u = np.linalg.eigh(arr)
+    blocks = _parity_blocks(arr) if isinstance(a, Operator) else None
+    parts = [arr] if blocks is None else blocks
+    decomps = [np.linalg.eigh(part) for part in parts]
+    w = np.concatenate([wp for wp, _ in decomps])
     if require_positive_spectrum and w.min() <= 0:
         raise NumericGuardError(
             f"non-positive eigenvalue {w.min():.3e} under a fractional power"
@@ -395,7 +470,9 @@ def hermitian_matrix_function(
             "matrix function overflows the supported dynamic range "
             f"(max|f|/min|f| > {OVERFLOW_RATIO:.0e})"
         )
-    out = (u * fw) @ u.conj().T
+    fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
+    rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
+    out = rebuilt[0] if blocks is None else _parity_unfold(*rebuilt)
     return _result(*_dense_to_bands(out), a)
 
 

@@ -26,6 +26,7 @@ from .gridops import (
     NumericGuardError,
     OVERFLOW_RATIO,
     Operator,
+    _parity_blocks,
     _real_if_exact,
     action_residual,
     adjoint,
@@ -145,6 +146,25 @@ def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
     return h, res
 
 
+def _block_eig_with_mass(
+    blocks: tuple[np.ndarray, np.ndarray], start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the parity blocks and the interior mass of each state.
+
+    Row j < m of a block eigenvector u carries the squared modulus of the
+    full vector's mirrored rows j and n-1-j (see ``gridops._parity_blocks``),
+    and row m of the even block the centre row, so the interior mass is the
+    share of ‖u‖² on rows ``start`` onwards.
+    """
+    vals, mass = [], []
+    for block in blocks:
+        w, u = np.linalg.eig(block)
+        sq = np.abs(u) ** 2
+        vals.append(w.astype(complex))
+        mass.append(sq[start:].sum(axis=0) / sq.sum(axis=0))
+    return np.concatenate(vals), np.concatenate(mass)
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Low-lying interior-localized eigenvalues, sorted by real part."""
@@ -175,6 +195,14 @@ def spectrum(
     Hamiltonians (built from the purely imaginary X and the real P), goes to
     the real ``eig`` routine; its eigenvalues are returned as complex numbers
     all the same.
+
+    On a grid, a matrix that is exactly even under p → −p (the model
+    Hamiltonians and their counterparts) is solved as its even and odd
+    parity blocks (``gridops._parity_blocks``); each state's interior mass
+    comes from its block vector, whose mirrored half is implied, so no n x n
+    eigenvector matrix is formed.  The sorting, the filter and the merging
+    are the same.  Without a grid, or without exact parity, ``eig`` runs on
+    the full matrix.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -182,15 +210,18 @@ def spectrum(
         entries, g = op.entries, op.grid
     else:
         entries, g = np.asarray(op, dtype=complex), grid
-    vals, vecs = np.linalg.eig(_real_if_exact(entries))
-    vals = vals.astype(complex)
-    if g is not None:
-        sl = g.interior()
-        norms = np.linalg.norm(vecs, axis=0)
-        mass = np.linalg.norm(vecs[sl, :], axis=0) ** 2 / norms**2
-        idx = np.nonzero(mass >= mass_min)[0]
+    entries = _real_if_exact(entries)
+    blocks = _parity_blocks(entries) if g is not None else None
+    if blocks is not None:
+        vals, mass = _block_eig_with_mass(blocks, g.interior().start)
     else:
-        idx = np.arange(len(vals))
+        vals, vecs = np.linalg.eig(entries)
+        vals = vals.astype(complex)
+        if g is not None:
+            sl = g.interior()
+            norms = np.linalg.norm(vecs, axis=0)
+            mass = np.linalg.norm(vecs[sl, :], axis=0) ** 2 / norms**2
+    idx = np.nonzero(mass >= mass_min)[0] if g is not None else np.arange(len(vals))
     cand = sorted(vals[idx], key=lambda z: (z.real, z.imag))
     out: list[complex] = []
     for z in cand:

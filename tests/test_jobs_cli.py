@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import qhm
 from qhm.jobs import (
     ConfigError,
     parse_config,
@@ -191,7 +192,10 @@ class TestRunJob:
 
 
 def _run_cli(*args, env_extra=None, cwd=None):
+    # the child imports the same qhm as this process, installed or not
+    src = os.path.dirname(os.path.dirname(qhm.__file__))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -1,7 +1,8 @@
 """Which LAPACK routine the dense eigensolvers reach: an operator whose
 imaginary parts are all exactly zero goes to the real ``eig``/``eigh``,
 anything else to the complex ones, and the real path gives the complex
-path's results."""
+path's results.  Model operators are also exactly even under p → −p, so
+each solve runs on the two parity blocks (tests/test_parity.py)."""
 import json
 
 import numpy as np
@@ -25,13 +26,14 @@ from qhm import (
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Records ``(solver, dtype)`` of every ``np.linalg.eig``/``eigh`` call."""
+    """Records ``(solver, dtype, shape)`` of every ``np.linalg.eig``/``eigh`` call."""
     calls = []
     for name in ("eig", "eigh"):
         solver = getattr(np.linalg, name)
 
         def recording(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, np.asarray(a).dtype))
+            arr = np.asarray(a)
+            calls.append((_name, arr.dtype, arr.shape))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
@@ -53,20 +55,21 @@ def test_spectrum_job_takes_the_real_eig_for_h_and_its_counterpart(seen):
         "metric": "ExpTheta(0.2)",
     }
     run_job(parse_config(json.dumps(cfg)))
-    assert seen == [("eig", np.float64), ("eig", np.float64)]
+    blocks = [("eig", np.float64, (65, 65)), ("eig", np.float64, (64, 64))]
+    assert seen == blocks + blocks
 
 
 def test_algebra_check_takes_the_real_eigh_for_the_number_operator(seen):
     cfg = {"job": "algebra-check", "grid": {"n_points": 129}}
     run_job(parse_config(json.dumps(cfg)))
-    assert seen == [("eigh", np.float64)]
+    assert seen == [("eigh", np.float64, (65, 65)), ("eigh", np.float64, (64, 64))]
 
 
 def test_complex_hermitian_input_takes_the_complex_eigh(seen):
     rng = np.random.default_rng(3)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     hermitian_matrix_function(0.5 * (m + m.conj().T), np.exp)
-    assert seen == [("eigh", np.complex128)]
+    assert seen == [("eigh", np.complex128, (9, 9))]
 
 
 def test_narrowing_has_no_tolerance(seen):
@@ -78,7 +81,7 @@ def test_narrowing_has_no_tolerance(seen):
     herm = np.eye(9, dtype=complex)
     herm[0, 1], herm[1, 0] = 1e-300j, -1e-300j
     hermitian_matrix_function(herm, np.exp)
-    assert seen == [("eig", np.complex128), ("eigh", np.complex128)]
+    assert seen == [("eig", np.complex128, (129, 129)), ("eigh", np.complex128, (9, 9))]
 
 
 def test_real_eig_levels_match_the_complex_eigenvalues():
