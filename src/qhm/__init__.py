@@ -1,123 +1,22 @@
 """Banded momentum-grid toolkit for metric operators of deformed non-Hermitian
 oscillator models: operator algebra on truncated momentum grids, candidate
 metric construction, quasi-Hermiticity verification, and a job-file CLI.
+
+The package exports exactly the public names (``__all__``) of its modules.
 """
+from . import gridops, jobs, metrics, models, verify
 from ._version import __version__
-from .gridops import (
-    Grid,
-    NumericGuardError,
-    Operator,
-    action_residual,
-    adjoint,
-    anticommutator,
-    commutator,
-    derivative_matrix,
-    hermitian_matrix_function,
-    interior_action,
-    interior_block_entries,
-    masked_norm,
-    op_product,
-    op_scale,
-    op_sum,
-    smooth_probes,
-    stencil_probes,
-)
-from .jobs import ConfigError, JobConfig, parse_config, run_job, serialize_report
-from .metrics import (
-    MetricSpec,
-    bf_composite,
-    build_metric,
-    jr_composite,
-    limit_sweep,
-    metric_condition,
-    metric_profile,
-    profile_distance,
-    spec_from_label,
-)
-from .models import (
-    LadderOps,
-    PhysParams,
-    QDeformParams,
-    build_canonical_pair,
-    build_deformed_pair,
-    build_ladder,
-    build_swanson_bf,
-    build_swanson_jr,
-    canonical_commutator_residual,
-    default_number_operator,
-    deformed_algebra_residual,
-    gauge_conjugation_residual,
-    gauge_transform,
-)
-from .verify import (
-    EqualityReport,
-    FitResult,
-    SpectrumResult,
-    check_X_quasi_hermiticity,
-    dieudonne_details,
-    dieudonne_residual,
-    fit_diagonal_metric,
-    hermitian_counterpart,
-    log_quadratic_coefficient,
-    model_equality_report,
-    spectrum,
-)
+from .gridops import *  # noqa: F401,F403
+from .jobs import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "Grid",
-    "NumericGuardError",
-    "Operator",
-    "action_residual",
-    "adjoint",
-    "anticommutator",
-    "commutator",
-    "derivative_matrix",
-    "hermitian_matrix_function",
-    "interior_action",
-    "interior_block_entries",
-    "masked_norm",
-    "op_product",
-    "op_scale",
-    "op_sum",
-    "smooth_probes",
-    "stencil_probes",
-    "ConfigError",
-    "JobConfig",
-    "parse_config",
-    "run_job",
-    "serialize_report",
-    "MetricSpec",
-    "bf_composite",
-    "build_metric",
-    "jr_composite",
-    "limit_sweep",
-    "metric_condition",
-    "metric_profile",
-    "profile_distance",
-    "spec_from_label",
-    "LadderOps",
-    "PhysParams",
-    "QDeformParams",
-    "build_canonical_pair",
-    "build_deformed_pair",
-    "build_ladder",
-    "build_swanson_bf",
-    "build_swanson_jr",
-    "canonical_commutator_residual",
-    "default_number_operator",
-    "deformed_algebra_residual",
-    "gauge_conjugation_residual",
-    "gauge_transform",
-    "EqualityReport",
-    "FitResult",
-    "SpectrumResult",
-    "check_X_quasi_hermiticity",
-    "dieudonne_details",
-    "dieudonne_residual",
-    "fit_diagonal_metric",
-    "hermitian_counterpart",
-    "log_quadratic_coefficient",
-    "model_equality_report",
-    "spectrum",
+    *gridops.__all__,
+    *jobs.__all__,
+    *metrics.__all__,
+    *models.__all__,
+    *verify.__all__,
 ]

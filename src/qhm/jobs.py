@@ -6,17 +6,26 @@ pipeline on every grid in the refinement list (default: just the configured
 grid) and aggregates a report document whose payload is deterministic for a
 fixed config; ``serialize_report`` writes ``report.json`` plus a flat
 ``tables.csv``.
+
+Each job kind is one entry of ``_JOBS``: the key its entries go under in
+``results``, its default threshold, and a runner.  A runner is a generator
+that does its once-per-job setup, then yields one ``(entry, rows)`` pair per
+grid; the entry carries its own ``"verdict"`` and the rows are
+``(metric, tau, residual)`` tuples for ``tables.csv``.  ``run_job`` is the
+one loop around them.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 from ._version import __version__
 from .gridops import Grid, Operator
@@ -49,44 +58,6 @@ __all__ = ["ConfigError", "JobConfig", "parse_config", "run_job", "serialize_rep
 
 logger = logging.getLogger("qhm.jobs")
 
-JOB_KINDS = (
-    "verify-metric",
-    "compare-metrics",
-    "limit-sweep",
-    "model-equality",
-    "algebra-check",
-    "spectrum",
-    "fit-metric",
-)
-
-_DEFAULT_THRESHOLDS = {
-    "verify-metric": 1e-3,
-    "compare-metrics": 10.0,
-    "limit-sweep": 1e-2,
-    "model-equality": 1e-8,
-    "algebra-check": 1e-12,
-    "spectrum": 1e-6,
-    "fit-metric": 0.0,
-}
-
-_TOP_KEYS = {
-    "job",
-    "grid",
-    "params",
-    "metric",
-    "metrics",
-    "reference",
-    "tau_values",
-    "threshold",
-    "q_params",
-    "k",
-    "model",
-    "out_dir",
-}
-_GRID_KEYS = {"n_points", "p_max", "mask_fraction", "refinement"}
-_PARAM_KEYS = {"hbar", "mass", "omega", "mu", "lambda", "delta_t", "tau", "gamma_t"}
-_QPARAM_KEYS = {"q", "alpha", "beta", "gamma", "delta"}
-
 
 class ConfigError(ValueError):
     """The job configuration is malformed or violates a validation rule."""
@@ -109,8 +80,33 @@ class JobConfig:
     out_dir: str | None
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(block) - allowed)
+# ---------------------------------------------------------------- config keys
+
+# Dataclass field -> job-file key, for parsing and for the echo alike.
+_RENAMES = {"lam": "lambda"}
+# Fields that are not job-file keys: the q-exponent map is code, and the
+# refinement list lives in the grid block.
+_NOT_KEYS = {"f", "refinement"}
+
+
+@functools.cache
+def _config_keys(cls) -> dict[str, str]:
+    """Job-file key -> field name, in field order."""
+    return {
+        _RENAMES.get(f.name, f.name): f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in _NOT_KEYS
+    }
+
+
+_TOP_KEYS = _config_keys(JobConfig)
+_GRID_KEYS = {*_config_keys(Grid), "refinement"}
+_PARAM_KEYS = _config_keys(PhysParams)
+_QPARAM_KEYS = _config_keys(QDeformParams)
+
+
+def _reject_unknown(block: dict, allowed, where: str) -> None:
+    unknown = sorted(set(block).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
@@ -118,9 +114,13 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
 def _finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{where} must be finite")
-    return float(value)
+    return value
 
 
 def _plain_int(value, where: str) -> int:
@@ -184,18 +184,18 @@ def parse_config(text: str) -> JobConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     refinement = None
-    if "refinement" in grid_block:
+    if grid_block.get("refinement") is not None:
         refinement = validate_refinement(grid_block["refinement"])
 
     params_block = data.get("params", {})
     if not isinstance(params_block, dict):
         raise ConfigError("params must be an object")
     _reject_unknown(params_block, _PARAM_KEYS, "params")
-    kwargs = {}
-    for key in _PARAM_KEYS:
-        if key in params_block:
-            field = "lam" if key == "lambda" else key
-            kwargs[field] = _finite_number(params_block[key], f"params.{key}")
+    kwargs = {
+        field: _finite_number(params_block[key], f"params.{key}")
+        for key, field in _PARAM_KEYS.items()
+        if key in params_block
+    }
     try:
         params = PhysParams(**kwargs)
     except ValueError as exc:
@@ -233,7 +233,7 @@ def parse_config(text: str) -> JobConfig:
     taus = tuple(_finite_number(t, "tau_values entry") for t in tau_values)
 
     threshold = _finite_number(
-        data.get("threshold", _DEFAULT_THRESHOLDS[job]), "threshold"
+        data.get("threshold", _JOBS[job].threshold), "threshold"
     )
 
     q_block = data.get("q_params", {})
@@ -241,6 +241,8 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError("q_params must be an object")
     _reject_unknown(q_block, _QPARAM_KEYS, "q_params")
     q = _finite_number(q_block.get("q", 1.0), "q_params.q")
+    if not math.isfinite(q * q):
+        raise ConfigError("q_params.q is too large: q**2 overflows")
     q_kwargs = {
         "q": q,
         "alpha": _finite_number(q_block.get("alpha", 1.0), "q_params.alpha"),
@@ -284,46 +286,35 @@ def parse_config(text: str) -> JobConfig:
     )
 
 
+def _echo(obj) -> dict:
+    """Job-file keys -> values of a config dataclass, nested blocks included."""
+    out = {}
+    for key, field in _config_keys(type(obj)).items():
+        value = getattr(obj, field)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, (Grid, PhysParams, QDeformParams)):
+            value = _echo(value)
+        out[key] = value
+    return out
+
+
 def _config_echo(cfg: JobConfig) -> dict:
-    return {
-        "job": cfg.job,
-        "grid": {
-            "n_points": cfg.grid.n_points,
-            "p_max": cfg.grid.p_max,
-            "mask_fraction": cfg.grid.mask_fraction,
-            "refinement": list(cfg.refinement) if cfg.refinement else None,
-        },
-        "params": {
-            "hbar": cfg.params.hbar,
-            "mass": cfg.params.mass,
-            "omega": cfg.params.omega,
-            "mu": cfg.params.mu,
-            "lambda": cfg.params.lam,
-            "delta_t": cfg.params.delta_t,
-            "tau": cfg.params.tau,
-            "gamma_t": cfg.params.gamma_t,
-        },
-        "metric": cfg.metric,
-        "metrics": list(cfg.metrics),
-        "reference": cfg.reference,
-        "tau_values": list(cfg.tau_values),
-        "threshold": cfg.threshold,
-        "q_params": {
-            "q": cfg.q_params.q,
-            "alpha": cfg.q_params.alpha,
-            "beta": cfg.q_params.beta,
-            "gamma": cfg.q_params.gamma,
-            "delta": cfg.q_params.delta,
-        },
-        "k": cfg.k,
-        "model": cfg.model,
-    }
+    """The config as a job file that parses back to it (``out_dir`` aside)."""
+    echo = _echo(cfg)
+    del echo["out_dir"]
+    echo["grid"]["refinement"] = list(cfg.refinement) if cfg.refinement else None
+    return echo
 
 
 def _grids(cfg: JobConfig) -> list[Grid]:
     ns = cfg.refinement if cfg.refinement else (cfg.grid.n_points,)
     return [Grid(n, cfg.grid.p_max, cfg.grid.mask_fraction) for n in ns]
 
+
+# ---------------------------------------------------------------- runners
+# Runners call the library through this module's globals at call time, so
+# anything that patches those attributes (a tracer, a test) sees every call.
 
 def _build_model(grid: Grid, pp: PhysParams, which: str) -> Operator:
     x, p = build_deformed_pair(grid, pp)
@@ -338,163 +329,108 @@ def _verdict(value: float, threshold: float, *, at_least: bool = False) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _row(job, metric, n_points, tau, residual, verdict) -> dict:
-    return {
-        "job": job,
-        "metric": metric,
-        "n_points": n_points,
-        "tau": tau,
-        "residual": residual,
-        "verdict": verdict,
-    }
-
-
-def _run_verify_metric(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
+def _verify_metric(cfg: JobConfig, grids: list[Grid]):
     spec = spec_from_label(cfg.metric, cfg.params)
-    for grid in _grids(cfg):
+    for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         rho = build_metric(spec, grid, cfg.params)
         details = dieudonne_details(h, rho)
-        verdict = _verdict(details["action"], cfg.threshold)
-        entries.append(
-            {
-                "metric": cfg.metric,
-                "n_points": grid.n_points,
-                "residual_action": details["action"],
-                "residual_matrix": details["matrix"],
-                "masked": details["masked"],
-                "condition_number": metric_condition(rho),
-                "verdict": verdict,
-            }
-        )
-        rows.append(
-            _row(cfg.job, cfg.metric, grid.n_points, cfg.params.tau,
-                 details["action"], verdict)
-        )
-    return {"residuals": entries}, rows, entries[-1]["verdict"]
+        yield {
+            "metric": cfg.metric,
+            "n_points": grid.n_points,
+            "residual_action": details["action"],
+            "residual_matrix": details["matrix"],
+            "masked": details["masked"],
+            "condition_number": metric_condition(rho),
+            "verdict": _verdict(details["action"], cfg.threshold),
+        }, [(cfg.metric, cfg.params.tau, details["action"])]
 
 
-def _run_compare_metrics(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
+def _compare_metrics(cfg: JobConfig, grids: list[Grid]):
     first, second = cfg.metrics
-    for grid in _grids(cfg):
+    specs = {label: spec_from_label(label, cfg.params) for label in cfg.metrics}
+    for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         residuals = {}
-        for label in (first, second):
-            rho = build_metric(spec_from_label(label, cfg.params), grid, cfg.params)
+        for label in cfg.metrics:
+            rho = build_metric(specs[label], grid, cfg.params)
             residuals[label] = dieudonne_details(h, rho)["action"]
         ratio = (
             residuals[second] / residuals[first]
             if residuals[first] > 0
             else float("inf")
         )
-        verdict = _verdict(ratio, cfg.threshold, at_least=True)
-        entries.append(
-            {
-                "n_points": grid.n_points,
-                "residuals": residuals,
-                "ratio": ratio,
-                "favored": first if residuals[first] <= residuals[second] else second,
-                "verdict": verdict,
-            }
-        )
-        for label in (first, second):
-            rows.append(
-                _row(cfg.job, label, grid.n_points, cfg.params.tau,
-                     residuals[label], verdict)
-            )
-    return {"comparisons": entries}, rows, entries[-1]["verdict"]
+        yield {
+            "n_points": grid.n_points,
+            "residuals": residuals,
+            "ratio": ratio,
+            "favored": first if residuals[first] <= residuals[second] else second,
+            "verdict": _verdict(ratio, cfg.threshold, at_least=True),
+        }, [(label, cfg.params.tau, residuals[label]) for label in cfg.metrics]
 
 
-def _run_limit_sweep(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
-    metric_label = cfg.metric or "JR"
-    spec = spec_from_label(metric_label, cfg.params)
+def _limit_sweep(cfg: JobConfig, grids: list[Grid]):
+    label = cfg.metric or "JR"
+    spec = spec_from_label(label, cfg.params)
     ref = spec_from_label(cfg.reference, cfg.params)
-    for grid in _grids(cfg):
+    for grid in grids:
         table = limit_sweep(spec, cfg.tau_values, ref, grid, cfg.params)
         final = table[-1][1]
-        verdict = _verdict(final, cfg.threshold)
-        entries.append(
-            {
-                "metric": metric_label,
-                "reference": cfg.reference,
-                "n_points": grid.n_points,
-                "table": [[t, d] for t, d in table],
-                "final_distance": final,
-                "verdict": verdict,
-            }
-        )
-        for t, d in table:
-            rows.append(_row(cfg.job, metric_label, grid.n_points, t, d, verdict))
-    return {"sweeps": entries}, rows, entries[-1]["verdict"]
+        yield {
+            "metric": label,
+            "reference": cfg.reference,
+            "n_points": grid.n_points,
+            "table": [[t, d] for t, d in table],
+            "final_distance": final,
+            "verdict": _verdict(final, cfg.threshold),
+        }, [(label, t, d) for t, d in table]
 
 
-def _run_model_equality(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
+def _model_equality(cfg: JobConfig, grids: list[Grid]):
     pp = cfg.params
     mu_nominal = pp.delta_t - pp.lam
     mu_in = pp.mu if pp.mu != 0.0 else mu_nominal
     pp_bf = dataclasses.replace(pp, mu=mu_in)
-    for grid in _grids(cfg):
+    for grid in grids:
         x, p = build_deformed_pair(grid, pp)
         ladder = build_ladder(x, p, pp)
         h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
         h_bf = build_swanson_bf(x, p, pp_bf)
         report = model_equality_report(h_jr, h_bf, x, p, grid)
         mu_fitted = mu_in + report.anticommutator_coefficient.imag
-        verdict = _verdict(report.unexplained, cfg.threshold)
-        entries.append(
-            {
-                "n_points": grid.n_points,
-                "coefficients": {
-                    k: [v.real, v.imag] for k, v in report.coefficients.items()
-                },
-                "unexplained": report.unexplained,
-                "mu_input": mu_in,
-                "mu_nominal": mu_nominal,
-                "mu_fitted": mu_fitted,
-                "mapping_matches_nominal": bool(
-                    abs(mu_fitted - mu_nominal) < 1e-8
-                ),
-                "verdict": verdict,
-            }
-        )
-        rows.append(
-            _row(cfg.job, "JR-vs-BF", grid.n_points, pp.tau,
-                 report.unexplained, verdict)
-        )
-    return {"equalities": entries}, rows, entries[-1]["verdict"]
+        yield {
+            "n_points": grid.n_points,
+            "coefficients": {
+                k: [v.real, v.imag] for k, v in report.coefficients.items()
+            },
+            "unexplained": report.unexplained,
+            "mu_input": mu_in,
+            "mu_nominal": mu_nominal,
+            "mu_fitted": mu_fitted,
+            "mapping_matches_nominal": bool(abs(mu_fitted - mu_nominal) < 1e-8),
+            "verdict": _verdict(report.unexplained, cfg.threshold),
+        }, [("JR-vs-BF", pp.tau, report.unexplained)]
 
 
-def _run_algebra_check(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
+def _algebra_check(cfg: JobConfig, grids: list[Grid]):
     pp, qp = cfg.params, cfg.q_params
-    for grid in _grids(cfg):
+    for grid in grids:
         x, p = build_deformed_pair(grid, pp)
         ladder = build_ladder(x, p, pp)
         n_op = default_number_operator(ladder.a, ladder.a_dag)
         residual = deformed_algebra_residual(x, p, n_op, qp, pp)
-        verdict = _verdict(residual, cfg.threshold)
-        entries.append(
-            {
-                "q": qp.q,
-                "n_points": grid.n_points,
-                "residual": residual,
-                "adjoint_defect": ladder.adjoint_defect,
-                "verdict": verdict,
-            }
-        )
-        rows.append(
-            _row(cfg.job, f"q={qp.q}", grid.n_points, pp.tau, residual, verdict)
-        )
-    return {"algebra": entries}, rows, entries[-1]["verdict"]
+        yield {
+            "q": qp.q,
+            "n_points": grid.n_points,
+            "residual": residual,
+            "adjoint_defect": ladder.adjoint_defect,
+            "verdict": _verdict(residual, cfg.threshold),
+        }, [(f"q={qp.q}", pp.tau, residual)]
 
 
-def _run_spectrum(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
-    for grid in _grids(cfg):
+def _spectrum(cfg: JobConfig, grids: list[Grid]):
+    spec = None if cfg.metric is None else spec_from_label(cfg.metric, cfg.params)
+    for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         direct = spectrum(h, cfg.k)
         entry = {
@@ -503,8 +439,8 @@ def _run_spectrum(cfg: JobConfig) -> tuple[dict, list[dict], str]:
             "values": [[z.real, z.imag] for z in direct.values],
             "reality_measure": direct.reality_measure,
         }
-        if cfg.metric is not None:
-            rho = build_metric(spec_from_label(cfg.metric, cfg.params), grid, cfg.params)
+        if spec is not None:
+            rho = build_metric(spec, grid, cfg.params)
             counterpart, herm_res = hermitian_counterpart(h, rho)
             cp = spectrum(counterpart, cfg.k)
             pairs = zip(direct.values, cp.values)
@@ -515,19 +451,12 @@ def _run_spectrum(cfg: JobConfig) -> tuple[dict, list[dict], str]:
             entry["counterpart_herm_residual"] = herm_res
             entry["cross_check_discrepancy"] = discrepancy
             entry["direct_spectrum_untrusted"] = bool(discrepancy > 1e-3)
-        verdict = _verdict(direct.reality_measure, cfg.threshold)
-        entry["verdict"] = verdict
-        entries.append(entry)
-        rows.append(
-            _row(cfg.job, cfg.model, grid.n_points, cfg.params.tau,
-                 direct.reality_measure, verdict)
-        )
-    return {"spectra": entries}, rows, entries[-1]["verdict"]
+        entry["verdict"] = _verdict(direct.reality_measure, cfg.threshold)
+        yield entry, [(cfg.model, cfg.params.tau, direct.reality_measure)]
 
 
-def _run_fit_metric(cfg: JobConfig) -> tuple[dict, list[dict], str]:
-    rows, entries = [], []
-    for grid in _grids(cfg):
+def _fit_metric(cfg: JobConfig, grids: list[Grid]):
+    for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         fit = fit_diagonal_metric(h, grid, cfg.params)
         entry = {
@@ -541,39 +470,51 @@ def _run_fit_metric(cfg: JobConfig) -> tuple[dict, list[dict], str]:
         }
         if fit.status == "OK":
             entry["log_quadratic_coefficient"] = log_quadratic_coefficient(fit)
-        verdict = "PASS" if fit.status == "OK" else "FAIL"
-        entry["verdict"] = verdict
-        entries.append(entry)
-        rows.append(
-            _row(cfg.job, fit.nearest or fit.status, grid.n_points,
-                 cfg.params.tau, fit.fit_residual, verdict)
-        )
-    return {"fits": entries}, rows, entries[-1]["verdict"]
+        # The verdict is the fit status; the threshold is echoed, not used.
+        entry["verdict"] = "PASS" if fit.status == "OK" else "FAIL"
+        yield entry, [(fit.nearest or fit.status, cfg.params.tau, fit.fit_residual)]
 
 
-_RUNNERS = {
-    "verify-metric": _run_verify_metric,
-    "compare-metrics": _run_compare_metrics,
-    "limit-sweep": _run_limit_sweep,
-    "model-equality": _run_model_equality,
-    "algebra-check": _run_algebra_check,
-    "spectrum": _run_spectrum,
-    "fit-metric": _run_fit_metric,
+class _Kind(NamedTuple):
+    results_key: str
+    threshold: float
+    run: Callable[[JobConfig, list[Grid]], Iterator[tuple[dict, list[tuple]]]]
+
+
+_JOBS = {
+    "verify-metric": _Kind("residuals", 1e-3, _verify_metric),
+    "compare-metrics": _Kind("comparisons", 10.0, _compare_metrics),
+    "limit-sweep": _Kind("sweeps", 1e-2, _limit_sweep),
+    "model-equality": _Kind("equalities", 1e-8, _model_equality),
+    "algebra-check": _Kind("algebra", 1e-12, _algebra_check),
+    "spectrum": _Kind("spectra", 1e-6, _spectrum),
+    "fit-metric": _Kind("fits", 0.0, _fit_metric),
 }
+JOB_KINDS = tuple(_JOBS)
+
+_ROW_FIELDS = ("job", "metric", "n_points", "tau", "residual", "verdict")
 
 
 def run_job(cfg: JobConfig) -> dict:
     """Execute the configured job on every grid; aggregate the report."""
     t0 = time.perf_counter()
     logger.info("running %s job", cfg.job)
-    results, rows, overall = _RUNNERS[cfg.job](cfg)
-    results["rows"] = rows
+    kind = _JOBS[cfg.job]
+    entries, rows = [], []
+    for entry, entry_rows in kind.run(cfg, _grids(cfg)):
+        entries.append(entry)
+        rows += [
+            dict(zip(_ROW_FIELDS, (cfg.job, metric, entry["n_points"], tau,
+                                   residual, entry["verdict"])))
+            for metric, tau, residual in entry_rows
+        ]
+    overall = entries[-1]["verdict"]
     elapsed = time.perf_counter() - t0
     logger.info("%s finished in %.3fs: %s", cfg.job, elapsed, overall)
     return {
         "version": __version__,
         "config": _config_echo(cfg),
-        "results": results,
+        "results": {kind.results_key: entries, "rows": rows},
         "verdicts": {"overall": overall},
         "timings": {"total_s": elapsed},
     }
@@ -590,9 +531,7 @@ def serialize_report(doc: dict, out_dir) -> tuple[Path, Path]:
         fh.write("\n")
     rows = doc.get("results", {}).get("rows", [])
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["job", "metric", "n_points", "tau", "residual", "verdict"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=_ROW_FIELDS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

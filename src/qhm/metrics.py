@@ -8,6 +8,7 @@ scalar factor.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,6 +52,8 @@ class MetricSpec:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind == "ExpTheta" and self.theta is None:
             raise ValueError("ExpTheta requires a theta value")
+        if self.kind == "ExpTheta" and not math.isfinite(self.theta):
+            raise ValueError(f"ExpTheta requires a finite theta, got {self.theta!r}")
         if self.kind == "Product" and not all(
             isinstance(f, MetricSpec) for f in self.factors
         ):

@@ -10,6 +10,7 @@ couplings ``(lambda, delta_t)``.  A diagonal gauge map removes the
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -72,6 +73,8 @@ class PhysParams:
         for name in ("hbar", "mass", "omega"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.omega * self.omega < math.inf:
+            raise ValueError("omega**2 must be a positive finite number")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
 
@@ -99,7 +102,9 @@ class QDeformParams:
     def __post_init__(self) -> None:
         if not self.q > 0:
             raise ValueError("q must be positive")
-        if abs(4.0 * self.alpha * self.gamma - (self.q**2 + 1.0)) > 1e-12:
+        # q * q: a float power raises OverflowError where a product gives inf;
+        # "not <=" also refuses the NaN of inf - inf.
+        if not abs(4.0 * self.alpha * self.gamma - (self.q * self.q + 1.0)) <= 1e-12:
             raise ValueError(
                 "constraint violated: 4*alpha*gamma must equal q^2 + 1 within 1e-12"
             )

@@ -98,6 +98,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"job": "limit-sweep", "metric": "JR-composite"}))
 
+    def test_null_refinement_means_no_refinement(self):
+        cfg = parse_config(_cfg(grid={"n_points": 129, "refinement": None}))
+        assert cfg.refinement is None
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_exp_theta_label_rejected(self, theta):
+        with pytest.raises(ConfigError, match="finite theta"):
+            parse_config(_cfg(metric=f"ExpTheta({theta})"))
+
+    def test_overflowing_q_rejected(self):
+        for q_params in ({"q": 1e200}, {"q": 1e200, "gamma": 1.0}):
+            with pytest.raises(ConfigError, match="q"):
+                parse_config(
+                    _cfg(job="algebra-check", metric=None, q_params=q_params)
+                )
+
     def test_refinement_must_be_increasing_odd(self):
         with pytest.raises(ConfigError, match="odd"):
             validate_refinement([129, 256])
@@ -250,6 +266,22 @@ class TestCommandLine:
         proc = _run_cli(str(job))
         assert proc.returncode == 2
         assert "odd" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"job": "algebra-check", "q_params": {"q": 1e200}},
+            {"job": "verify-metric", "metric": "ExpTheta(nan)"},
+            {"job": "verify-metric", "metric": "ExpTheta(inf)"},
+            {"job": "verify-metric", "metric": "ExpTheta(-inf)"},
+        ],
+    )
+    def test_overflowing_or_non_finite_value_exits_two(self, tmp_path, doc):
+        job = _write_job(tmp_path, "bad.json", doc)
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_key_exits_two(self, tmp_path):
         job = _write_job(

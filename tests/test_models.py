@@ -44,7 +44,7 @@ def test_phys_params_defaults():
 
 
 @pytest.mark.parametrize("bad", [{"hbar": 0.0}, {"mass": -1.0}, {"omega": 0.0},
-                                 {"tau": -0.01}])
+                                 {"tau": -0.01}, {"omega": 1e200}, {"omega": 1e-200}])
 def test_phys_params_validation(bad):
     with pytest.raises(ValueError):
         PhysParams(**bad)
@@ -54,6 +54,10 @@ def test_qdeform_params_constraint_enforced():
     QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.5, delta=1.0)  # 4αγ = 2 = q²+1
     with pytest.raises(ValueError, match="constraint"):
         QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.6, delta=1.0)
+    # q² overflows; then 4αγ and q² + 1 both overflow (inf − inf is NaN).
+    for alpha, gamma in ((1.0, 1.0), (1e200, 1e200)):
+        with pytest.raises(ValueError, match="constraint"):
+            QDeformParams(q=1e200, alpha=alpha, beta=0.0, gamma=gamma, delta=1.0)
 
 
 def test_qdeform_params_denominator_nonzero():

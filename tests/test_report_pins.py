@@ -31,6 +31,8 @@ CONFIGS = {
         "grid": {"n_points": 129, "p_max": 10.0, "refinement": [65, 129]},
         "params": {"mu": 0.1},
         "metric": "ExpTheta(0.2)",
+        # FAIL at 65 points, PASS at 129: the overall verdict is the last one.
+        "threshold": 2e-2,
     },
     "compare-metrics": {
         "job": "compare-metrics",
@@ -118,6 +120,12 @@ def test_report_payload_matches_pin(name, goldens):
     # The round trip through JSON turns tuples into lists, as in report.json.
     got = json.loads(json.dumps(payload(CONFIGS[name])))
     assert _diff(got, goldens[name]) == []
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_config_block_is_a_job_file_for_the_same_payload(name):
+    doc = payload(CONFIGS[name])
+    assert payload(doc["config"]) == doc
 
 
 def test_package_exports_are_the_module_exports():
