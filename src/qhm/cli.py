@@ -74,7 +74,9 @@ def main(argv: list[str] | None = None) -> int:
                 sizes = [int(tok) for tok in args.refine.split(",") if tok.strip()]
             except ValueError as exc:
                 raise ConfigError(f"--refine entries must be integers: {exc}") from exc
-            cfg = dataclasses.replace(cfg, refinement=validate_refinement(sizes))
+            cfg = dataclasses.replace(
+                cfg, refinement=validate_refinement(sizes, cfg.grid)
+            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

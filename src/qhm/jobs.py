@@ -47,6 +47,7 @@ from .models import (
 )
 from .verify import (
     dieudonne_details,
+    dieudonne_residual,
     fit_diagonal_metric,
     hermitian_counterpart,
     log_quadratic_coefficient,
@@ -129,8 +130,18 @@ def _plain_int(value, where: str) -> int:
     return value
 
 
-def validate_refinement(values) -> tuple[int, ...]:
-    """Strictly increasing odd integers; raises ConfigError otherwise."""
+def _build_grid(
+    n_points: int, p_max: float, mask_fraction: float, prefix: str = ""
+) -> Grid:
+    try:
+        return Grid(n_points, p_max, mask_fraction)
+    except (ValueError, OverflowError) as exc:  # OverflowError: n beyond float
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def validate_refinement(values, grid: Grid) -> tuple[int, ...]:
+    """Strictly increasing odd integers, each a valid ``Grid`` size with the
+    p_max and mask fraction of ``grid``; raises ConfigError otherwise."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("refinement must be a non-empty list of integers")
     out = []
@@ -144,6 +155,8 @@ def validate_refinement(values) -> tuple[int, ...]:
         out.append(n)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError("refinement list must be strictly increasing")
+    for n in out:
+        _build_grid(n, grid.p_max, grid.mask_fraction, f"refinement entry {n}: ")
     return tuple(out)
 
 
@@ -179,13 +192,10 @@ def parse_config(text: str) -> JobConfig:
         )
     p_max = _finite_number(grid_block.get("p_max", 8.0), "grid.p_max")
     mask = _finite_number(grid_block.get("mask_fraction", 0.25), "grid.mask_fraction")
-    try:
-        grid = Grid(n_points, p_max, mask)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = _build_grid(n_points, p_max, mask)
     refinement = None
     if grid_block.get("refinement") is not None:
-        refinement = validate_refinement(grid_block["refinement"])
+        refinement = validate_refinement(grid_block["refinement"], grid)
 
     params_block = data.get("params", {})
     if not isinstance(params_block, dict):
@@ -354,7 +364,7 @@ def _compare_metrics(cfg: JobConfig, grids: list[Grid]):
         residuals = {}
         for label in cfg.metrics:
             rho = build_metric(specs[label], grid, cfg.params)
-            residuals[label] = dieudonne_details(h, rho)["action"]
+            residuals[label] = dieudonne_residual(h, rho)
         ratio = (
             residuals[second] / residuals[first]
             if residuals[first] > 0

@@ -14,6 +14,7 @@ still computed and reported as diagnostics, never as the headline number.
 """
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from .gridops import (
     Operator,
     _parity_blocks,
     _real_if_exact,
+    _sparse_blocks,
     action_residual,
     adjoint,
     hermitian_matrix_function,
@@ -57,13 +59,19 @@ __all__ = [
     "model_equality_report",
 ]
 
+logger = logging.getLogger("qhm.verify")
 
-def _warn_if_not_positive(rho: Operator) -> None:
+
+def _intertwining_sides(H: Operator, rho: Operator) -> tuple[Operator, Operator]:
+    """H†ρ and ρH, warning when ρ has a non-positive diagonal entry."""
+    if rho.dim != H.dim:
+        raise ValueError("operator dimensions differ")
     if np.real(rho.diagonal()).min() <= 0:
         warnings.warn(
             "metric has non-positive diagonal entries; residual computed anyway",
             stacklevel=3,
         )
+    return op_product(adjoint(H), rho), op_product(rho, H)
 
 
 def dieudonne_residual(
@@ -74,27 +82,23 @@ def dieudonne_residual(
     Applies H†ρ and ρH to smooth probes (default eight localized states),
     masks boundary rows, and returns the relative Frobenius mismatch.
     """
-    grid = H.grid
-    if rho.dim != H.dim:
-        raise ValueError("operator dimensions differ")
-    _warn_if_not_positive(rho)
+    lhs, rhs = _intertwining_sides(H, rho)
     if probes is None:
-        probes = smooth_probes(grid)
-    lhs = op_product(adjoint(H), rho)
-    rhs = op_product(rho, H)
-    return action_residual(lhs, rhs, probes, grid)
+        probes = smooth_probes(H.grid)
+    return action_residual(lhs, rhs, probes, H.grid)
 
 
 def dieudonne_details(H: Operator, rho: Operator) -> dict:
     """Both senses of the quasi-Hermiticity residual, with masking flag.
 
-    ``action`` is the headline probe measurement; ``matrix`` is the masked
-    entrywise Frobenius norm of H†ρ − ρH normalized by the product of the
-    masked norms of H and ρ (kept as a truncation-visible diagnostic).
+    ``action`` is the headline probe measurement (``dieudonne_residual``);
+    ``matrix`` is the masked entrywise Frobenius norm of H†ρ − ρH normalized
+    by the product of the masked norms of H and ρ (kept as a
+    truncation-visible diagnostic).  Both come from one pair of products.
     """
-    act = dieudonne_residual(H, rho)
-    diff = op_sum(op_product(adjoint(H), rho), op_scale(-1.0, op_product(rho, H)))
-    mat = masked_norm(diff, relative_to=[H, rho])
+    lhs, rhs = _intertwining_sides(H, rho)
+    act = action_residual(lhs, rhs, smooth_probes(H.grid), H.grid)
+    mat = masked_norm(op_sum(lhs, op_scale(-1.0, rhs)), relative_to=[H, rho])
     return {"action": act, "matrix": mat, "masked": True}
 
 
@@ -159,18 +163,125 @@ def _block_eig_with_mass(
     vals, mass = [], []
     for block in blocks:
         w, u = np.linalg.eig(block)
-        sq = np.abs(u) ** 2
         vals.append(w.astype(complex))
-        mass.append(sq[start:].sum(axis=0) / sq.sum(axis=0))
+        mass.append(_mass(u, slice(start, None)))
     return np.concatenate(vals), np.concatenate(mass)
+
+
+def _mass(vecs: np.ndarray, rows: slice) -> np.ndarray:
+    """Share of each column's squared norm on ``rows``."""
+    sq = np.abs(vecs) ** 2
+    return sq[rows].sum(axis=0) / sq.sum(axis=0)
+
+
+def _lowest_levels(
+    vals: np.ndarray,
+    mass: np.ndarray | None,
+    k: int,
+    mass_min: float,
+    dedup_rel: float,
+) -> list[complex]:
+    """Up to k levels by ascending real part: states with interior mass at
+    least ``mass_min``, near-duplicates merged.  ``mass=None`` (no grid)
+    keeps every state and merges none."""
+    if mass is not None:
+        vals = vals[mass >= mass_min]
+    out: list[complex] = []
+    for z in sorted(vals, key=lambda z: (z.real, z.imag)):
+        if mass is not None and out and abs(z.real - out[-1].real) <= dedup_rel * max(
+            1.0, abs(z.real)
+        ):
+            continue
+        out.append(complex(z))
+        if len(out) == k:
+            break
+    return out
+
+
+# Shift-invert gate, ARPACK sizes and guard tolerances (see ``spectrum``).
+SHIFT_INVERT_MIN_POINTS = 257
+ARPACK_K = 16
+ARPACK_K_MAX = 128
+RESIDUAL_TOL = 1e-8
+SHIFT_AGREEMENT_TOL = 1e-9
+
+
+class _Fallback(Exception):
+    """The shift-invert solve is not trusted; the message names why."""
+
+
+def _arpack_pairs(
+    blocks: list, rows: slice, sigma: float, nev: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The nev eigenvalues of each block nearest ``sigma``, their states'
+    interior masses, and the smallest over the blocks of the distance from
+    ``sigma`` to the farthest of them."""
+    from scipy.sparse.linalg import eigs
+
+    vals, mass, radius = [], [], np.inf
+    for block in blocks:
+        size = block.shape[0]
+        # A fixed start vector keeps the levels the same from run to run.
+        v0 = np.random.default_rng(0).standard_normal(size)
+        try:
+            w, u = eigs(block, k=min(nev, size - 2), sigma=sigma, v0=v0)
+        except RuntimeError as exc:  # ArpackError, or a singular shifted LU
+            raise _Fallback(f"ARPACK error: {exc}") from exc
+        norm1 = abs(block).sum(axis=0).max()
+        if np.linalg.norm(block @ u - u * w, axis=0).max() > RESIDUAL_TOL * norm1:
+            raise _Fallback("residual above the bound")
+        vals.append(w)
+        mass.append(_mass(u, rows))
+        radius = min(radius, np.abs(w - sigma).max())
+    return np.concatenate(vals), np.concatenate(mass), radius
+
+
+def _shift_invert_levels(
+    op: Operator, k: int, mass_min: float, dedup_rel: float
+) -> list[complex]:
+    """``spectrum``'s levels from shift-invert ARPACK on the sparse parity
+    blocks; raises ``_Fallback`` when a guard fails."""
+    blocks, even = _sparse_blocks(op)
+    start = op.grid.interior().start
+    rows = slice(start, None) if even else slice(start, op.dim - start)
+    cap = min(ARPACK_K_MAX, max(b.shape[0] for b in blocks) - 2)
+    nev = ARPACK_K
+    while True:
+        vals, mass, radius = _arpack_pairs(blocks, rows, 0.0, nev)
+        levels = _lowest_levels(vals, mass, k, mass_min, dedup_rel)
+        if any(z.real < 0 for z in levels):
+            raise _Fallback("negative level")
+        if len(levels) == k and all(abs(z) < radius for z in levels):
+            break
+        if nev >= cap:
+            raise _Fallback("too few levels")
+        nev = min(2 * nev, cap)
+    sigma = -min(abs(z) for z in levels)
+    vals, mass, _ = _arpack_pairs(blocks, rows, sigma, nev)
+    again = _lowest_levels(vals, mass, k, mass_min, dedup_rel)
+    if len(again) < k or any(
+        abs(z - w) > SHIFT_AGREEMENT_TOL * abs(z) for z, w in zip(levels, again)
+    ):
+        raise _Fallback("shift disagreement")
+    return levels
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Low-lying interior-localized eigenvalues, sorted by real part."""
+    """Low-lying interior-localized eigenvalues, sorted by real part.
+
+    ``solver`` names the path that found them: ``"shift-invert"`` or
+    ``"dense"``.
+    """
 
     values: tuple[complex, ...]
     reality_measure: float
+    solver: str = "dense"
+
+
+def _spectrum_result(levels: list[complex], solver: str) -> SpectrumResult:
+    reality = max((abs(z.imag) for z in levels), default=0.0)
+    return SpectrumResult(tuple(levels), float(reality), solver)
 
 
 def spectrum(
@@ -191,49 +302,71 @@ def spectrum(
     Raw square arrays are accepted; without a grid every state qualifies and
     no merging is applied.
 
-    A matrix with no nonzero imaginary part, such as the BF and JR
-    Hamiltonians (built from the purely imaginary X and the real P), goes to
-    the real ``eig`` routine; its eigenvalues are returned as complex numbers
-    all the same.
+    *Shift-invert* (an ``Operator`` on at least ``SHIFT_INVERT_MIN_POINTS``
+    = 257 points).  The parity blocks are folded straight from the bands
+    into sparse matrices (``gridops._sparse_blocks``; an operator that is not
+    exactly even is one n x n block), and ARPACK in shift-invert mode
+    (``scipy.sparse.linalg.eigs`` with σ = 0, ``ARPACK_K`` = 16 per block)
+    finds the eigenvalues of each block nearest 0.  The interior masses come
+    from the block vectors, and the filter and merge are the dense path's.
+    Levels nearest σ = 0 are the smallest-real-part ones only when no
+    interior level has negative real part; that is the assumption of this
+    path, and a kept negative level sends the solve to the dense path.
+    ARPACK's residuals stay small on strongly non-normal matrices even when
+    a level is wrong, so the result is guarded, and the dense path runs
+    instead when any guard fails:
 
+    - ARPACK raises, or the LU of the shifted block fails;
+    - a pair has ‖Bu − λu‖ > ``RESIDUAL_TOL``·‖B‖₁ (1e-8);
+    - fewer than k levels survive, or a kept level is not strictly nearer
+      σ than the farthest Ritz value of every block (so an unfound
+      eigenvalue could sit below it).  The count is doubled first, up to
+      ``ARPACK_K_MAX`` = 128 and the block size − 2;
+    - a second solve at σ₂ = −min|λ| over the kept levels does not
+      reproduce them to ``SHIFT_AGREEMENT_TOL`` = 1e-9 relative.
+
+    The fallback reason is logged at debug level on ``qhm.verify``.  scipy
+    is imported only on this path, so small grids never load it.
+
+    *Dense* (smaller grids, raw arrays and fallbacks).  A matrix with no
+    nonzero imaginary part, such as the BF and JR Hamiltonians (built from
+    the purely imaginary X and the real P), goes to the real ``eig``
+    routine; its eigenvalues are returned as complex numbers all the same.
     On a grid, a matrix that is exactly even under p → −p (the model
     Hamiltonians and their counterparts) is solved as its even and odd
     parity blocks (``gridops._parity_blocks``); each state's interior mass
     comes from its block vector, whose mirrored half is implied, so no n x n
-    eigenvector matrix is formed.  The sorting, the filter and the merging
-    are the same.  Without a grid, or without exact parity, ``eig`` runs on
-    the full matrix.
+    eigenvector matrix is formed.  Without a grid, or without exact parity,
+    ``eig`` runs on the full matrix.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if isinstance(op, Operator) and op.dim >= SHIFT_INVERT_MIN_POINTS:
+        try:
+            return _spectrum_result(
+                _shift_invert_levels(op, k, mass_min, dedup_rel), "shift-invert"
+            )
+        except _Fallback as exc:
+            logger.debug(
+                "spectrum at %d points falls back to the dense solve: %s", op.dim, exc
+            )
     if isinstance(op, Operator):
         entries, g = op.entries, op.grid
     else:
         entries, g = np.asarray(op, dtype=complex), grid
     entries = _real_if_exact(entries)
     blocks = _parity_blocks(entries) if g is not None else None
+    mass = None
     if blocks is not None:
         vals, mass = _block_eig_with_mass(blocks, g.interior().start)
     else:
         vals, vecs = np.linalg.eig(entries)
         vals = vals.astype(complex)
         if g is not None:
-            sl = g.interior()
-            norms = np.linalg.norm(vecs, axis=0)
-            mass = np.linalg.norm(vecs[sl, :], axis=0) ** 2 / norms**2
-    idx = np.nonzero(mass >= mass_min)[0] if g is not None else np.arange(len(vals))
-    cand = sorted(vals[idx], key=lambda z: (z.real, z.imag))
-    out: list[complex] = []
-    for z in cand:
-        if g is not None and out and abs(z.real - out[-1].real) <= dedup_rel * max(
-            1.0, abs(z.real)
-        ):
-            continue
-        out.append(complex(z))
-        if len(out) == k:
-            break
-    reality = max((abs(z.imag) for z in out), default=0.0)
-    return SpectrumResult(tuple(out), float(reality))
+            mass = _mass(vecs, g.interior())
+    return _spectrum_result(
+        _lowest_levels(vals, mass, k, mass_min, dedup_rel), "dense"
+    )
 
 
 @dataclass(frozen=True)

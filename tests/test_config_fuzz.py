@@ -1,6 +1,6 @@
 """Generated job files: ``parse_config`` returns a JobConfig or raises
 ConfigError (exit 2), whatever the input, and an accepted config holds only
-finite numbers."""
+finite numbers and refinement sizes that each make a valid grid."""
 import dataclasses
 import json
 import math
@@ -8,6 +8,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhm import Grid
 from qhm.jobs import JOB_KINDS, ConfigError, JobConfig, parse_config
 from qhm.metrics import spec_from_label
 
@@ -37,13 +38,23 @@ def _block(keys, values=NUMBERS):
     return st.fixed_dictionaries({}, optional={k: values for k in keys})
 
 
+# Odd sizes, some too small for the mask, sizes beyond the float range, and
+# sorted lists of them, which pass the order check.
+REFINEMENT_SIZE = st.one_of(
+    st.integers(-2, 150).map(lambda m: 2 * m + 1),
+    st.integers(-3, 301),
+    st.sampled_from([10**400 + 1, 2**1100 + 1, -(10**400) - 1]),
+)
+REFINEMENT = st.lists(REFINEMENT_SIZE, max_size=3).flatmap(
+    lambda xs: st.sampled_from([xs, sorted(set(xs))])
+)
 GRID = st.fixed_dictionaries(
     {},
     optional={
         "n_points": st.one_of(st.integers(-3, 301), HUGE),
         "p_max": NUMBERS,
         "mask_fraction": NUMBERS,
-        "refinement": st.one_of(st.none(), st.lists(st.integers(-3, 301), max_size=3)),
+        "refinement": st.one_of(st.none(), REFINEMENT),
     },
 )
 PARAMS = _block(["hbar", "mass", "omega", "mu", "lambda", "delta_t", "tau", "gamma_t"])
@@ -114,5 +125,19 @@ def test_parse_config_gives_a_config_or_a_config_error(text):
         return
     assert isinstance(cfg, JobConfig)
     assert _finite_numbers(cfg)
+    for n in cfg.refinement or ():
+        Grid(n, cfg.grid.p_max, cfg.grid.mask_fraction)
     for label in filter(None, (cfg.metric, cfg.reference, *cfg.metrics)):
         assert _finite_numbers(spec_from_label(label, cfg.params))
+
+
+@settings(max_examples=200, deadline=None)
+@given(refinement=REFINEMENT, mask_fraction=st.floats(0.0, 0.49))
+def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction):
+    grid = {"n_points": 129, "mask_fraction": mask_fraction, "refinement": refinement}
+    try:
+        cfg = parse_config(json.dumps({"job": "algebra-check", "grid": grid}))
+    except ConfigError:
+        return
+    for n in cfg.refinement:
+        Grid(n, cfg.grid.p_max, cfg.grid.mask_fraction)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import qhm
+from qhm import Grid
 from qhm.jobs import (
     ConfigError,
     parse_config,
@@ -115,11 +116,25 @@ class TestParseConfig:
                 )
 
     def test_refinement_must_be_increasing_odd(self):
+        grid = Grid(129, 8.0)
         with pytest.raises(ConfigError, match="odd"):
-            validate_refinement([129, 256])
+            validate_refinement([129, 256], grid)
         with pytest.raises(ConfigError):
-            validate_refinement([257, 129])
-        assert validate_refinement([129, 257]) == (129, 257)
+            validate_refinement([257, 129], grid)
+        assert validate_refinement([129, 257], grid) == (129, 257)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n_points": 129, "refinement": [1]},
+            {"n_points": 129, "mask_fraction": 0.4, "refinement": [5, 129]},
+            {"n_points": 129, "refinement": [129, 10**400 + 1]},
+            {"n_points": 10**400 + 1},
+        ],
+    )
+    def test_refinement_grids_are_built_at_parse_time(self, grid):
+        with pytest.raises(ConfigError):
+            parse_config(_cfg(grid=grid))
 
 
 class TestRunJob:
@@ -281,6 +296,29 @@ class TestCommandLine:
         proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n_points": 129, "refinement": [1]},
+            {"n_points": 129, "mask_fraction": 0.4, "refinement": [5, 129]},
+            {"n_points": 129, "refinement": [129, 10**400 + 1]},
+        ],
+    )
+    def test_invalid_refinement_grid_exits_two(self, tmp_path, grid):
+        doc = {"job": "algebra-check", "grid": grid}
+        job = _write_job(tmp_path, "bad.json", doc)
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: refinement entry")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sizes", ["1,129", str(10**400 + 1)], ids=["one", "huge"])
+    def test_invalid_refine_flag_grid_exits_two(self, tmp_path, sizes):
+        job = _write_job(tmp_path, "job.json", {"job": "algebra-check"})
+        proc = _run_cli(str(job), "--refine", sizes, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
     def test_unknown_key_exits_two(self, tmp_path):

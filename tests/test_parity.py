@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,17 +41,20 @@ def _even(a: np.ndarray) -> bool:
 
 @contextmanager
 def recording_solvers():
-    """Records ``(solver, shape)`` of every ``np.linalg.eig``/``eigh`` call."""
+    """Records ``(solver, shape)`` of every ``np.linalg.eig``/``eigh`` and
+    ``scipy.sparse.linalg.eigs`` call."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("eig", "eigh"):
-            solver = getattr(np.linalg, name)
+        for module, name in (
+            (np.linalg, "eig"), (np.linalg, "eigh"), (scipy.sparse.linalg, "eigs")
+        ):
+            solver = getattr(module, name)
 
             def recording(a, *args, _name=name, _solver=solver, **kwargs):
-                calls.append((_name, np.shape(a)))
+                calls.append((_name, a.shape))
                 return _solver(a, *args, **kwargs)
 
-            patch.setattr(np.linalg, name, recording)
+            patch.setattr(module, name, recording)
         yield calls
 
 
