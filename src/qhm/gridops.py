@@ -9,7 +9,11 @@ Everything downstream builds on four ingredients defined here:
   The model operators are banded (P and ρ are diagonal, X spans offsets
   −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
   O(n · bandwidth).  The dense matrix is materialized only for the dense
-  eigensolvers: ``np.linalg.eigh`` in ``hermitian_matrix_function``, and
+  eigensolvers: ``np.linalg.eigvalsh`` then ``np.linalg.eigh`` in
+  ``hermitian_matrix_function``, which decides its positivity and
+  dynamic-range guards from the eigenvalues before it computes any
+  eigenvector (the q-algebra check at q = 1 needs no matrix function at
+  all: q^{f(N)} is exactly the identity there), and
   ``np.linalg.eig`` in ``spectrum`` for grids of fewer than 257 points, raw
   arrays, and the fallback of its shift-invert path.  On larger grids
   ``spectrum`` hands ARPACK sparse blocks folded straight from the bands
@@ -77,6 +81,7 @@ __all__ = [
 
 OVERFLOW_RATIO = 1e14
 HERMITIAN_TOL = 1e-10
+DERIVATIVE_MIN_POINTS = 5
 
 
 class NumericGuardError(RuntimeError):
@@ -456,14 +461,51 @@ def derivative_matrix(grid: Grid) -> Operator:
     the two boundary rows.  Real-valued; offsets -2..2.
     """
     n = grid.n_points
-    if n < 5:
-        raise ValueError(f"derivative_matrix requires n_points >= 5, got {n}")
+    if n < DERIVATIVE_MIN_POINTS:
+        raise ValueError(
+            f"derivative_matrix requires n_points >= {DERIVATIVE_MIN_POINTS}, got {n}"
+        )
     c = 1.0 / (2.0 * grid.spacing)
     bands = np.zeros((5, n))  # offsets -2, -1, 0, 1, 2
     bands[1, 1:-1], bands[3, 1:-1] = -c, c
     bands[2:, 0] = -3.0 * c, 4.0 * c, -c
     bands[:3, -1] = c, -4.0 * c, 3.0 * c
     return Operator.from_bands(-2, bands, grid)
+
+
+def _check_hermitian(a, tol: float = HERMITIAN_TOL) -> None:
+    """Raise ``ValueError`` when ‖A − A†‖_F > tol·‖A‖_F.
+
+    An ``Operator`` is checked on its bands, at O(n · bandwidth); a raw array
+    on its entries.  The zero matrix passes.
+    """
+    if isinstance(a, Operator):
+        entries, diff = a.bands, op_sum(a, op_scale(-1.0, adjoint(a))).bands
+    else:
+        entries, diff = a, a - a.conj().T
+    scale = np.linalg.norm(entries)
+    if scale > 0 and np.linalg.norm(diff) / scale > tol:
+        raise ValueError("input is not Hermitian within tolerance")
+
+
+def _guarded(
+    w: np.ndarray, f: Callable[[np.ndarray], np.ndarray], require_positive: bool
+) -> np.ndarray:
+    """``f(w)`` for the spectrum ``w``, after the positivity and dynamic-range
+    guards of ``hermitian_matrix_function``."""
+    if require_positive and w.min() <= 0:
+        raise NumericGuardError(
+            f"non-positive eigenvalue {w.min():.3e} under a fractional power"
+        )
+    fw = np.asarray(f(w), dtype=float)
+    fmax = np.abs(fw).max() if fw.size else 0.0
+    fmin = np.abs(fw).min() if fw.size else 0.0
+    if fmax > 0 and (fmin == 0 or fmax / fmin > OVERFLOW_RATIO):
+        raise NumericGuardError(
+            "matrix function overflows the supported dynamic range "
+            f"(max|f|/min|f| > {OVERFLOW_RATIO:.0e})"
+        )
+    return fw
 
 
 def hermitian_matrix_function(
@@ -475,10 +517,14 @@ def hermitian_matrix_function(
 ) -> Operator | np.ndarray:
     """Apply a real scalar function to a Hermitian matrix by eigendecomposition.
 
-    Guards: the input must be Hermitian to ``tol_herm`` (relative Frobenius);
-    with ``require_positive_spectrum`` (fractional powers) every eigenvalue
-    must be strictly positive; and the dynamic range max|f|/min|f| of the
-    transformed spectrum must stay below 1e14.
+    Guards: the input must be Hermitian to ``tol_herm`` (relative Frobenius,
+    from the bands of an ``Operator``); with ``require_positive_spectrum``
+    (fractional powers) every eigenvalue must be strictly positive; and the
+    dynamic range max|f|/min|f| of the transformed spectrum must stay below
+    1e14.  The last two are decided from ``eigvalsh`` before any eigenvector
+    is computed, so a tripped guard costs no ``eigh``; the eigenvalues of the
+    ``eigh`` that follows a pass are checked again, so the result is built
+    only from guarded values.
 
     An input with no nonzero imaginary part (a real symmetric matrix, such as
     the number operator a†a of the model ladder) is decomposed by the real
@@ -491,27 +537,16 @@ def hermitian_matrix_function(
     carry no grid and so no reflection, and operators without exact parity
     take one ``eigh`` of the full matrix.
     """
-    arr = a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-    arr = _real_if_exact(arr)
-    scale = np.linalg.norm(arr)
-    if scale > 0 and np.linalg.norm(arr - arr.conj().T) / scale > tol_herm:
-        raise ValueError("input is not Hermitian within tolerance")
-    blocks = _parity_blocks(arr) if isinstance(a, Operator) else None
+    is_op = isinstance(a, Operator)
+    arr = _real_if_exact(a.entries if is_op else np.asarray(a, dtype=complex))
+    _check_hermitian(a if is_op else arr, tol_herm)
+    blocks = _parity_blocks(arr) if is_op else None
     parts = [arr] if blocks is None else blocks
+    w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
+    _guarded(w, f, require_positive_spectrum)
     decomps = [np.linalg.eigh(part) for part in parts]
     w = np.concatenate([wp for wp, _ in decomps])
-    if require_positive_spectrum and w.min() <= 0:
-        raise NumericGuardError(
-            f"non-positive eigenvalue {w.min():.3e} under a fractional power"
-        )
-    fw = np.asarray(f(w), dtype=float)
-    fmax = np.abs(fw).max() if fw.size else 0.0
-    fmin = np.abs(fw).min() if fw.size else 0.0
-    if fmax > 0 and (fmin == 0 or fmax / fmin > OVERFLOW_RATIO):
-        raise NumericGuardError(
-            "matrix function overflows the supported dynamic range "
-            f"(max|f|/min|f| > {OVERFLOW_RATIO:.0e})"
-        )
+    fw = _guarded(w, f, require_positive_spectrum)
     fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
     rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
     out = rebuilt[0] if blocks is None else _parity_unfold(*rebuilt)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from ._version import __version__
-from .gridops import Grid, Operator
+from .gridops import DERIVATIVE_MIN_POINTS, Grid, Operator
 from .metrics import (
     build_metric,
     limit_sweep,
@@ -46,6 +46,7 @@ from .models import (
     deformed_algebra_residual,
 )
 from .verify import (
+    FIT_MIN_INTERIOR,
     dieudonne_details,
     dieudonne_residual,
     fit_diagonal_metric,
@@ -79,6 +80,21 @@ class JobConfig:
     k: int
     model: str
     out_dir: str | None
+
+    def __post_init__(self) -> None:
+        # Checked here rather than in parse_config so that a refinement set
+        # later by dataclasses.replace (the CLI's --refine) is checked too.
+        if self.job != "fit-metric":
+            return
+        sizes = {f"grid.n_points {self.grid.n_points}": self.grid.n_points}
+        sizes.update((f"refinement entry {n}", n) for n in self.refinement or ())
+        for where, n in sizes.items():
+            sl = Grid(n, self.grid.p_max, self.grid.mask_fraction).interior()
+            if sl.stop - sl.start < FIT_MIN_INTERIOR:
+                raise ConfigError(
+                    f"{where}: fit-metric needs at least {FIT_MIN_INTERIOR} "
+                    f"interior points, got {sl.stop - sl.start}"
+                )
 
 
 # ---------------------------------------------------------------- config keys
@@ -134,14 +150,23 @@ def _build_grid(
     n_points: int, p_max: float, mask_fraction: float, prefix: str = ""
 ) -> Grid:
     try:
-        return Grid(n_points, p_max, mask_fraction)
+        grid = Grid(n_points, p_max, mask_fraction)
     except (ValueError, OverflowError) as exc:  # OverflowError: n beyond float
         raise ConfigError(f"{prefix}{exc}") from exc
+    # Every job but limit-sweep builds the derivative matrix; a limit sweep
+    # on 3 points has a 3-point interior and is refused with the rest.
+    if n_points < DERIVATIVE_MIN_POINTS:
+        raise ConfigError(
+            f"{prefix}n_points must be at least {DERIVATIVE_MIN_POINTS} for the "
+            f"derivative stencil, got {n_points}"
+        )
+    return grid
 
 
 def validate_refinement(values, grid: Grid) -> tuple[int, ...]:
-    """Strictly increasing odd integers, each a valid ``Grid`` size with the
-    p_max and mask fraction of ``grid``; raises ConfigError otherwise."""
+    """Strictly increasing odd integers of at least 5, each a valid ``Grid``
+    size with the p_max and mask fraction of ``grid``; raises ConfigError
+    otherwise."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("refinement must be a non-empty list of integers")
     out = []

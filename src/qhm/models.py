@@ -21,6 +21,7 @@ from .gridops import (
     Grid,
     NumericGuardError,
     Operator,
+    _check_hermitian,
     action_residual,
     adjoint,
     anticommutator,
@@ -207,12 +208,22 @@ def deformed_algebra_residual(
     i*hbar*(q^2-1)/(alpha*delta + beta*gamma) *
     (delta*gamma*X^2 + alpha*beta*P^2 + i*alpha*delta*XP - i*beta*gamma*PX)``
     on stencil probes.
+
+    At q = 1 the matrix function is exactly the identity (``1.0 ** x == 1.0``
+    for every x, inf and nan included) and the quadratic term vanishes, so
+    the right-hand side is the diagonal ``i*hbar*(alpha*delta + beta*gamma)``
+    and N is only checked for Hermiticity, on its bands; no eigensolver runs.
+    Otherwise ``hermitian_matrix_function`` decides its guards from N's
+    eigenvalues before it computes any eigenvector.
     """
     combo = qp.alpha * qp.delta + qp.beta * qp.gamma
     grid = x.grid
-    qf = hermitian_matrix_function(n_op, lambda t: qp.q ** np.asarray(qp.f(t)))
-    rhs = op_scale(1j * pp.hbar * combo, qf)
-    if qp.q != 1.0:
+    if qp.q == 1.0:
+        _check_hermitian(n_op)
+        rhs = Operator.diag(np.full(grid.n_points, 1j * pp.hbar * combo), grid)
+    else:
+        qf = hermitian_matrix_function(n_op, lambda t: qp.q ** np.asarray(qp.f(t)))
+        rhs = op_scale(1j * pp.hbar * combo, qf)
         quadratic = op_sum(
             op_scale(qp.delta * qp.gamma, op_product(x, x)),
             op_scale(qp.alpha * qp.beta, op_product(p, p)),

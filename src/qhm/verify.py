@@ -402,6 +402,9 @@ def _even_cheb_basis(p: np.ndarray, p_edge: float, size: int) -> np.ndarray:
     return basis
 
 
+FIT_MIN_INTERIOR = 8
+
+
 def fit_diagonal_metric(
     H: Operator,
     grid: Grid,
@@ -421,8 +424,8 @@ def fit_diagonal_metric(
     sl = grid.interior()
     p = grid.points
     n_int = sl.stop - sl.start
-    if n_int < 8:
-        raise ValueError("interior must contain at least 8 points")
+    if n_int < FIT_MIN_INTERIOR:
+        raise ValueError(f"interior must contain at least {FIT_MIN_INTERIOR} points")
     if probes is None:
         probes = smooth_probes(grid)
     p_edge = float(np.abs(p[sl]).max() + 2.0 * grid.spacing)

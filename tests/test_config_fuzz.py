@@ -1,6 +1,6 @@
 """Generated job files: ``parse_config`` returns a JobConfig or raises
 ConfigError (exit 2), whatever the input, and an accepted config holds only
-finite numbers and refinement sizes that each make a valid grid."""
+finite numbers and grid sizes that each make a grid the job can run on."""
 import dataclasses
 import json
 import math
@@ -8,7 +8,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhm import Grid
+from qhm import Grid, derivative_matrix
 from qhm.jobs import JOB_KINDS, ConfigError, JobConfig, parse_config
 from qhm.metrics import spec_from_label
 
@@ -116,6 +116,17 @@ def _finite_numbers(value) -> bool:
     return True
 
 
+def _assert_grids_fit_the_job(cfg):
+    """Every grid the config names builds, with a derivative matrix, and
+    holds the fit's 8 interior points when the job is a fit."""
+    for n in (cfg.grid.n_points, *(cfg.refinement or ())):
+        grid = Grid(n, cfg.grid.p_max, cfg.grid.mask_fraction)
+        derivative_matrix(grid)
+        interior = grid.interior()
+        if cfg.job == "fit-metric":
+            assert interior.stop - interior.start >= 8
+
+
 @settings(max_examples=400, deadline=None)
 @given(job_texts())
 def test_parse_config_gives_a_config_or_a_config_error(text):
@@ -125,19 +136,21 @@ def test_parse_config_gives_a_config_or_a_config_error(text):
         return
     assert isinstance(cfg, JobConfig)
     assert _finite_numbers(cfg)
-    for n in cfg.refinement or ():
-        Grid(n, cfg.grid.p_max, cfg.grid.mask_fraction)
+    _assert_grids_fit_the_job(cfg)
     for label in filter(None, (cfg.metric, cfg.reference, *cfg.metrics)):
         assert _finite_numbers(spec_from_label(label, cfg.params))
 
 
 @settings(max_examples=200, deadline=None)
-@given(refinement=REFINEMENT, mask_fraction=st.floats(0.0, 0.49))
-def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction):
+@given(
+    refinement=REFINEMENT,
+    mask_fraction=st.floats(0.0, 0.49),
+    job=st.sampled_from(["algebra-check", "fit-metric"]),
+)
+def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
     grid = {"n_points": 129, "mask_fraction": mask_fraction, "refinement": refinement}
     try:
-        cfg = parse_config(json.dumps({"job": "algebra-check", "grid": grid}))
+        cfg = parse_config(json.dumps({"job": job, "grid": grid}))
     except ConfigError:
         return
-    for n in cfg.refinement:
-        Grid(n, cfg.grid.p_max, cfg.grid.mask_fraction)
+    _assert_grids_fit_the_job(cfg)

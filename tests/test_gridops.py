@@ -247,6 +247,45 @@ def test_matrix_function_overflow_guard():
         hermitian_matrix_function(a, np.exp)
 
 
+def _raw_and_even(d):
+    """diag(d) as a raw array, and as an exactly even Operator on 2·len(d)−1
+    points (d mirrored about the centre), which takes the parity blocks."""
+    d = np.asarray(d, dtype=float)
+    mirrored = np.concatenate([d[:0:-1], d])
+    return [np.diag(d), Operator.diag(mirrored, Grid(len(mirrored), 2.0))]
+
+
+def _diag_of(a):
+    return np.diag(a.entries if isinstance(a, Operator) else a).real
+
+
+LOG_RANGE = np.log(1e14)
+
+
+@pytest.mark.parametrize("a", _raw_and_even([0.0, LOG_RANGE - 1e-6]))
+def test_matrix_function_dynamic_range_just_inside_passes(a):
+    got = hermitian_matrix_function(a, np.exp)
+    assert _diag_of(got) == pytest.approx(np.exp(_diag_of(a)), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", _raw_and_even([0.0, LOG_RANGE + 1e-6]))
+def test_matrix_function_dynamic_range_just_outside_trips(a):
+    with pytest.raises(NumericGuardError, match="dynamic range"):
+        hermitian_matrix_function(a, np.exp)
+
+
+@pytest.mark.parametrize("a", _raw_and_even([1.0, 2.0]))
+def test_matrix_function_fractional_power_of_positive_input_passes(a):
+    got = hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
+    assert _diag_of(got) == pytest.approx(np.sqrt(_diag_of(a)), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", _raw_and_even([0.0, 1.0]))
+def test_matrix_function_fractional_power_of_singular_input_trips(a):
+    with pytest.raises(NumericGuardError, match="non-positive"):
+        hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
+
+
 # ---------------------------------------------------------------- masked norm
 
 

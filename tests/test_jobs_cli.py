@@ -11,6 +11,7 @@ import pytest
 import qhm
 from qhm import Grid
 from qhm.jobs import (
+    JOB_KINDS,
     ConfigError,
     parse_config,
     run_job,
@@ -135,6 +136,24 @@ class TestParseConfig:
     def test_refinement_grids_are_built_at_parse_time(self, grid):
         with pytest.raises(ConfigError):
             parse_config(_cfg(grid=grid))
+
+
+    @pytest.mark.parametrize("job", JOB_KINDS)
+    def test_three_point_grid_rejected_for_every_job(self, job):
+        with pytest.raises(ConfigError, match="at least 5"):
+            parse_config(json.dumps({"job": job, "grid": {"n_points": 3}}))
+
+    @pytest.mark.parametrize("n, accepted", [(13, False), (15, True)])
+    def test_fit_metric_needs_eight_interior_points(self, n, accepted):
+        # mask 0.25: 13 points keep 7 interior rows, 15 keep 9
+        doc = {"job": "fit-metric", "grid": {"n_points": 129, "refinement": [n, 129]}}
+        if accepted:
+            assert parse_config(json.dumps(doc)).refinement == (n, 129)
+        else:
+            with pytest.raises(ConfigError, match="8 interior points"):
+                parse_config(json.dumps(doc))
+        run = dict(doc, job="algebra-check")  # only the fit needs the rows
+        assert parse_config(json.dumps(run)).refinement == (n, 129)
 
 
 class TestRunJob:
@@ -304,6 +323,7 @@ class TestCommandLine:
             {"n_points": 129, "refinement": [1]},
             {"n_points": 129, "mask_fraction": 0.4, "refinement": [5, 129]},
             {"n_points": 129, "refinement": [129, 10**400 + 1]},
+            {"n_points": 129, "refinement": [3, 129]},
         ],
     )
     def test_invalid_refinement_grid_exits_two(self, tmp_path, grid):
@@ -319,6 +339,25 @@ class TestCommandLine:
         job = _write_job(tmp_path, "job.json", {"job": "algebra-check"})
         proc = _run_cli(str(job), "--refine", sizes, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc, refine",
+        [
+            ({"job": "algebra-check", "grid": {"n_points": 3}}, None),
+            ({"job": "algebra-check"}, "3,129"),
+            ({"job": "fit-metric", "grid": {"n_points": 13}}, None),
+            ({"job": "fit-metric", "grid": {"refinement": [13, 129]}}, None),
+            ({"job": "fit-metric"}, "13,129"),
+        ],
+        ids=["three", "refine-three", "fit-interior", "fit-refinement", "refine-fit"],
+    )
+    def test_grid_too_small_for_the_job_exits_two(self, tmp_path, doc, refine):
+        job = _write_job(tmp_path, "small.json", doc)
+        flags = ["--refine", refine] if refine else []
+        proc = _run_cli(str(job), *flags, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
 
     def test_unknown_key_exits_two(self, tmp_path):

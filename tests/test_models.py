@@ -13,6 +13,7 @@ from qhm.gridops import (
     anticommutator,
     commutator,
     masked_norm,
+    op_product,
     stencil_probes,
 )
 from qhm.models import (
@@ -296,6 +297,16 @@ def test_algebra_q_above_one_overflow_guard_on_wide_window():
     x, p = build_deformed_pair(GRID, pp)
     with pytest.raises(NumericGuardError):
         deformed_algebra_residual(x, p, _number_op(GRID, pp), qp, pp)
+
+
+def test_algebra_q1_still_rejects_a_non_hermitian_number_operator():
+    # No matrix function runs at q = 1, but N is still checked, on its bands.
+    pp = PhysParams()
+    qp = QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.5, delta=1.0)
+    x, p = build_deformed_pair(GRID, pp)
+    lad = build_ladder(x, p, pp)
+    with pytest.raises(ValueError, match="Hermitian"):
+        deformed_algebra_residual(x, p, op_product(lad.a_dag, x), qp, pp)
 
 
 def test_algebra_rescale_invariance_at_q1():

@@ -11,6 +11,7 @@ import pytest
 from qhm import (
     Grid,
     MetricSpec,
+    NumericGuardError,
     Operator,
     PhysParams,
     build_deformed_pair,
@@ -24,11 +25,9 @@ from qhm import (
 )
 
 
-@pytest.fixture
-def seen(monkeypatch):
-    """Records ``(solver, dtype, shape)`` of every ``np.linalg.eig``/``eigh`` call."""
+def _record(monkeypatch, names):
     calls = []
-    for name in ("eig", "eigh"):
+    for name in names:
         solver = getattr(np.linalg, name)
 
         def recording(a, *args, _name=name, _solver=solver, **kwargs):
@@ -38,6 +37,18 @@ def seen(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """Records ``(solver, dtype, shape)`` of every ``np.linalg.eig``/``eigh`` call."""
+    return _record(monkeypatch, ("eig", "eigh"))
+
+
+@pytest.fixture
+def seen_all(monkeypatch):
+    """Like ``seen``, for every dense eigensolver of ``np.linalg``."""
+    return _record(monkeypatch, ("eig", "eigh", "eigvals", "eigvalsh"))
 
 
 def _bf(n=129, p_max=8.0, mu=0.1):
@@ -60,9 +71,36 @@ def test_spectrum_job_takes_the_real_eig_for_h_and_its_counterpart(seen):
 
 
 def test_algebra_check_takes_the_real_eigh_for_the_number_operator(seen):
-    cfg = {"job": "algebra-check", "grid": {"n_points": 129}}
+    # q = 1.1 on the window of test_models.py::test_algebra_q_above_one_golden,
+    # where q^N stays inside the overflow guard.
+    cfg = {"job": "algebra-check", "grid": {"n_points": 65, "p_max": 4.0},
+           "q_params": {"q": 1.1}}
     run_job(parse_config(json.dumps(cfg)))
-    assert seen == [("eigh", np.float64, (65, 65)), ("eigh", np.float64, (64, 64))]
+    assert seen == [("eigh", np.float64, (33, 33)), ("eigh", np.float64, (32, 32))]
+
+
+def test_algebra_check_at_q1_runs_no_eigensolver(seen_all):
+    # q^{f(N)} is exactly the identity at q = 1.
+    run_job(parse_config(json.dumps({"job": "algebra-check", "grid": {"n_points": 129}})))
+    assert seen_all == []
+
+
+def test_tripped_guard_computes_no_eigenvectors(seen_all):
+    cfg = {"job": "algebra-check", "grid": {"n_points": 257}, "q_params": {"q": 1.3}}
+    with pytest.raises(NumericGuardError, match="dynamic range"):
+        run_job(parse_config(json.dumps(cfg)))
+    assert seen_all == [("eigvalsh", np.float64, (129, 129)),
+                        ("eigvalsh", np.float64, (128, 128))]
+    seen_all.clear()
+    with pytest.raises(NumericGuardError, match="non-positive"):
+        hermitian_matrix_function(np.diag([0.0, 1.0]), np.sqrt,
+                                  require_positive_spectrum=True)
+    assert seen_all == [("eigvalsh", np.float64, (2, 2))]
+
+
+def test_passed_guard_decides_on_eigvalsh_before_eigh(seen_all):
+    hermitian_matrix_function(np.diag([1.0, 2.0]), np.sqrt, require_positive_spectrum=True)
+    assert seen_all == [("eigvalsh", np.float64, (2, 2)), ("eigh", np.float64, (2, 2))]
 
 
 def test_complex_hermitian_input_takes_the_complex_eigh(seen):
