@@ -405,6 +405,26 @@ def _even_cheb_basis(p: np.ndarray, p_edge: float, size: int) -> np.ndarray:
 FIT_MIN_INTERIOR = 8
 
 
+def _fit_matrix(
+    H: Operator, basis: np.ndarray, probes: np.ndarray, grid: Grid
+) -> np.ndarray:
+    """The linear map from basis coefficients to probe residuals.
+
+    Column k holds the interior rows of (H†G_k − G_kH)·V, G_k =
+    diag(basis[:, k]), flattened row by row.  It is computed from probe
+    actions as H†(b_k∘V) − b_k∘(HV): one action of H on V, and one of H† on
+    every basis-scaled probe set side by side, with no operator product.
+    Real H and probes give a real map.
+    """
+    n, size = basis.shape
+    count = probes.shape[1]
+    sl = grid.interior()
+    scaled = (basis[:, :, np.newaxis] * probes[:, np.newaxis, :]).reshape(n, -1)
+    left = interior_action(adjoint(H), scaled, grid).reshape(-1, size, count)
+    right = basis[sl, :, np.newaxis] * interior_action(H, probes, grid)[:, np.newaxis]
+    return (left - right).transpose(0, 2, 1).reshape(-1, size)
+
+
 def fit_diagonal_metric(
     H: Operator,
     grid: Grid,
@@ -419,7 +439,8 @@ def fit_diagonal_metric(
     construction, which excludes the alternating-sign lattice null vector
     that pointwise fits admit), the interior rows of the probe actions are
     stacked into a linear map over the coefficients, and the minimizer is
-    the smallest right singular vector after column scaling.
+    the smallest right singular vector after column scaling (``_fit_matrix``
+    builds the map from probe actions).
     """
     sl = grid.interior()
     p = grid.points
@@ -430,13 +451,7 @@ def fit_diagonal_metric(
         probes = smooth_probes(grid)
     p_edge = float(np.abs(p[sl]).max() + 2.0 * grid.spacing)
     basis = _even_cheb_basis(p, p_edge, basis_size)
-    hd = adjoint(H)
-    cols = []
-    for k in range(basis_size):
-        gdiag = Operator.diag(basis[:, k], grid)
-        m = op_sum(op_product(hd, gdiag), op_scale(-1.0, op_product(gdiag, H)))
-        cols.append(interior_action(m, probes, grid).ravel())
-    a = np.stack(cols, axis=1)
+    a = _fit_matrix(H, basis, probes, grid)
     scale = np.linalg.norm(a, axis=0)
     scale[scale == 0] = 1.0
     _, sing, vh = np.linalg.svd(a / scale, full_matrices=False)

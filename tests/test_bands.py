@@ -19,12 +19,18 @@ from qhm import (
     build_swanson_bf,
     build_swanson_jr,
     commutator,
+    default_number_operator,
     derivative_matrix,
+    hermitian_counterpart,
+    interior_action,
     masked_norm,
     op_product,
     op_scale,
     op_sum,
+    smooth_probes,
 )
+from qhm.gridops import _quarter_turns
+from qhm.verify import _sqrt_pair
 
 REL = 1e-13
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -32,11 +38,17 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 @st.composite
 def banded(draw, n):
-    """A complex n x n matrix: a random band, the full band, the zero
-    matrix, or a band plus one-sided boundary rows (as in the derivative)."""
+    """An n x n matrix, exactly real, exactly imaginary or complex: a random
+    band, the full band, the zero matrix, or a band plus one-sided boundary
+    rows (as in the derivative)."""
     kind = draw(st.sampled_from(["band", "full", "zero", "boundary"]))
+    phase = draw(st.sampled_from(["real", "imaginary", "complex"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense = np.zeros((n, n), dtype=complex)
+    if phase != "imaginary":
+        dense.real = rng.normal(size=(n, n))
+    if phase != "real":
+        dense.imag = rng.normal(size=(n, n))
     if kind == "zero":
         return np.zeros((n, n), dtype=complex)
     if kind == "full":
@@ -57,6 +69,23 @@ def operands(draw, count=2):
     n = draw(st.sampled_from(range(5, 41, 2)))
     grid = Grid(n, 3.0, 0.25)
     return (grid, *(draw(banded(n)) for _ in range(count)))
+
+
+def _complex_product(a: Operator, b: Operator) -> np.ndarray:
+    """Reference: a·b from the band loop with every term a ``np.clongdouble``
+    product, whatever the operands' phases; the dense result."""
+    n = a.dim
+    acc = np.zeros((max(len(a.bands) + len(b.bands) - 1, 0), n), dtype=np.clongdouble)
+    bb = b.bands.astype(np.clongdouble)
+    for k, row in enumerate(a.bands.astype(np.clongdouble)):
+        s = a.lo + k
+        shifted = np.zeros_like(bb)  # shifted[:, i] = bb[:, i + s]
+        if s >= 0:
+            shifted[:, : n - s] = bb[:, s:]
+        else:
+            shifted[:, -s:] = bb[:, : n + s]
+        acc[k : k + len(bb)] += row * shifted
+    return Operator.from_bands(a.lo + b.lo, acc.astype(complex), a.grid).entries
 
 
 def _close(got, expect, scale):
@@ -83,8 +112,12 @@ def test_dense_round_trip_is_exact(case):
 @given(operands())
 def test_product_matches_dense(case):
     grid, a, b = case
-    got = op_product(Operator(a, grid), Operator(b, grid)).entries
+    oa, ob = Operator(a, grid), Operator(b, grid)
+    got = op_product(oa, ob).entries
     _close(got, a @ b, _size(a) * _size(b))
+    # Real and imaginary operands take the real extended-precision path,
+    # which must give the all-complex sums bit for bit.
+    assert np.array_equal(got, _complex_product(oa, ob))
     assert np.array_equal(op_product(a, b), got)  # raw arrays: same path
 
 
@@ -156,3 +189,40 @@ def test_model_operators_stay_banded_at_1025_points():
     assert len(build_swanson_jr(ladder.a, ladder.a_dag, pp).bands) <= 9
     assert len(build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp).bands) == 1
     assert len(p.bands) == 1
+
+
+@pytest.mark.parametrize("n", [129, 1025])
+def test_model_operators_are_exactly_real_or_imaginary(n):
+    # Every product between these takes op_product's real path, and their
+    # probe actions are real.
+    grid = Grid(n, 10.0, 0.25)
+    pp = PhysParams(mu=0.1, tau=0.01, gamma_t=0.05, lam=-0.05, delta_t=0.05)
+    x, p = build_deformed_pair(grid, pp)
+    ladder = build_ladder(x, p, pp)
+    h_bf = build_swanson_bf(x, p, pp)
+    rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
+    half, half_inv = _sqrt_pair(rho)
+    counterpart, _ = hermitian_counterpart(h_bf, rho)
+    imaginary = {"X": x}
+    real = {
+        "P": p,
+        "D": derivative_matrix(grid),
+        "deformation": Operator.diag(1.0 + pp.tau * grid.points**2, grid),
+        "a": ladder.a,
+        "a_dag": ladder.a_dag,
+        "N": default_number_operator(ladder.a, ladder.a_dag),
+        "H_BF": h_bf,
+        "H_JR": build_swanson_jr(ladder.a, ladder.a_dag, pp),
+        "rho": rho,
+        "rho_half": half,
+        "rho_half_inv": half_inv,
+        "counterpart": counterpart,
+    }
+    for name, op in imaginary.items():
+        assert _quarter_turns(op.bands) == 1, name
+    probes = smooth_probes(grid)
+    for name, op in real.items():
+        assert _quarter_turns(op.bands) == 0, name
+        assert interior_action(op, probes, grid).dtype == np.float64, name
+    assert interior_action(x, probes, grid).dtype == np.complex128
+    assert interior_action(p, probes + 0j, grid).dtype == np.complex128

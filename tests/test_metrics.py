@@ -138,6 +138,12 @@ def test_condition_number_value():
 def test_build_overflow_guard():
     with pytest.raises(NumericGuardError, match="condition"):
         build_metric(MetricSpec("BF"), GRID, PhysParams(mu=0.3))
+    # The ExpTheta condition number is exp(theta * p_max²), against 1e14.
+    edge = np.log(1e14) / GRID.p_max**2
+    rho = build_metric(MetricSpec("ExpTheta", theta=edge * (1 - 1e-9)), GRID, PhysParams())
+    assert metric_condition(rho) == pytest.approx(1e14, rel=1e-6)
+    with pytest.raises(NumericGuardError, match="condition"):
+        build_metric(MetricSpec("ExpTheta", theta=edge * (1 + 1e-9)), GRID, PhysParams())
 
 
 # ---------------------------------------------------------------- distances

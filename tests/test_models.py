@@ -350,8 +350,15 @@ def test_gauge_scalar_limit_matches_exponential():
 
 
 def test_gauge_overflow_guard():
+    grid = Grid(257, 8.0, 0.25)
     with pytest.raises(NumericGuardError):
-        gauge_transform(PhysParams(tau=0.0, gamma_t=3.0), Grid(257, 8.0, 0.25))
+        gauge_transform(PhysParams(tau=0.0, gamma_t=3.0), grid)
+    # At tau = 0 the log-span is gamma_t * p_max² / 2, against ln 1e14.
+    edge = 2.0 * np.log(1e14) / grid.p_max**2
+    s, _ = gauge_transform(PhysParams(tau=0.0, gamma_t=edge * (1 - 1e-9)), grid)
+    assert s.diagonal()[0].real == pytest.approx(1e-14, rel=1e-6)
+    with pytest.raises(NumericGuardError, match="dynamic range"):
+        gauge_transform(PhysParams(tau=0.0, gamma_t=edge * (1 + 1e-9)), grid)
 
 
 def test_gauge_conjugation_removes_linear_term():

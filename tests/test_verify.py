@@ -11,8 +11,10 @@ from qhm import (
     Operator,
     PhysParams,
     build_deformed_pair,
+    build_ladder,
     build_metric,
     build_swanson_bf,
+    build_swanson_jr,
     check_X_quasi_hermiticity,
     dieudonne_details,
     dieudonne_residual,
@@ -24,7 +26,8 @@ from qhm import (
     smooth_probes,
     spectrum,
 )
-from qhm.verify import _sqrt_pair
+from qhm.gridops import adjoint, interior_action, op_product, op_scale, op_sum
+from qhm.verify import _even_cheb_basis, _fit_matrix, _sqrt_pair
 
 
 def _bf_setup(n=513, p_max=10.0, mu=0.1, tau=0.0, gamma_t=0.0):
@@ -172,6 +175,15 @@ class TestHermitianCounterpart:
         with pytest.raises(NumericGuardError):
             _sqrt_pair(bad)
 
+    def test_sqrt_pair_dynamic_range_guard_boundary(self):
+        # max/min of the diagonal may reach 1e14, not exceed it.
+        grid = Grid(9, 2.0, 0.25)
+        half, _ = _sqrt_pair(Operator.diag(np.linspace(1.0, 1e14, 9), grid))
+        assert half.diagonal()[-1].real == pytest.approx(1e7, rel=1e-15)
+        above = np.linspace(1.0, np.nextafter(1e14, np.inf), 9)
+        with pytest.raises(NumericGuardError, match="condition number"):
+            _sqrt_pair(Operator.diag(above, grid))
+
     def test_complex_diagonal_metric_is_rejected_like_a_dense_one(self):
         # A diagonal with imaginary parts is not Hermitian; its imaginary part
         # must not be dropped on the way to the square roots.
@@ -264,6 +276,30 @@ class TestFitDiagonalMetric:
         fit = fit_diagonal_metric(zero, grid, pp)
         assert fit.status == "AMBIGUOUS"
         assert fit.sigma_gap < 1e-8
+
+    @pytest.mark.parametrize("model", ["BF", "JR"])
+    def test_fit_matrix_matches_product_built_one(self, model):
+        grid = Grid(129, 8.0, 0.25)
+        pp = PhysParams(mu=0.1, tau=0.01, lam=-0.05, delta_t=0.05)
+        x, p = build_deformed_pair(grid, pp)
+        if model == "BF":
+            ham = build_swanson_bf(x, p, pp)
+        else:
+            ladder = build_ladder(x, p, pp)
+            ham = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        basis = _even_cheb_basis(grid.points, 7.0, 10)
+        probes = smooth_probes(grid)
+        hd = adjoint(ham)
+        cols = []
+        for k in range(basis.shape[1]):
+            g = Operator.diag(basis[:, k], grid)
+            m = op_sum(op_product(hd, g), op_scale(-1.0, op_product(g, ham)))
+            cols.append(interior_action(m, probes, grid).ravel())
+        expect = np.stack(cols, axis=1)
+        got = _fit_matrix(ham, basis, probes, grid)
+        assert got.dtype == np.float64
+        err = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
+        assert err.max() <= 1e-13
 
     def test_tiny_interior_rejected(self):
         grid = Grid(9, 2.0, 0.25)
