@@ -14,8 +14,8 @@ Everything downstream builds on four ingredients defined here:
   dynamic-range guards from the eigenvalues before it computes any
   eigenvector (the q-algebra check at q = 1 needs no matrix function at
   all: q^{f(N)} is exactly the identity there), and
-  ``np.linalg.eig`` in ``spectrum`` for grids of fewer than 257 points, raw
-  arrays, and the fallback of its shift-invert path.  On larger grids
+  ``np.linalg.eig`` in ``spectrum`` for grids of fewer than 257 points and
+  the fallback of its shift-invert path.  On larger grids
   ``spectrum`` hands ARPACK sparse blocks folded straight from the bands
   (``_sparse_blocks``).  Two exact properties of the model operators make
   all of these solves cheaper:
@@ -39,14 +39,15 @@ Everything downstream builds on four ingredients defined here:
   that the reflection reverses, so a product whose entries sum three or more
   nonzero terms, such as a†a, can miss exact parity by an ulp on rare grids.)
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
-  functions, masked norms).  Products sum each entry over the bands in
-  extended precision and round once.  Every model operator is exactly real
-  (P, D, ρ, H, the ladder, N) or exactly imaginary (X), and a product of
-  two such operators multiplies only their nonzero parts, as
-  ``np.longdouble`` reals, then applies the phase 1, i or −1: the same
-  terms as the ``np.clongdouble`` products, in the same order, so the
-  same values, at a quarter to a half of the cost.  Real bands act on
-  real probe vectors in ``float64``.
+  functions, masked norms).  Every operand is an ``Operator``, and each
+  function reads its grid from its operands, which must share it.  Products
+  sum each entry over the bands in extended precision and round once.  Every
+  model operator is exactly real (P, D, ρ, H, the ladder, N) or exactly
+  imaginary (X), and a product of two such operators multiplies only their
+  nonzero parts, as ``np.longdouble`` reals, then applies the phase 1, i or
+  −1: the same terms as the ``np.clongdouble`` products, in the same order,
+  so the same values, at a quarter to a half of the cost.  Real bands act
+  on real probe vectors in ``float64``.
 * residual measurements.  Identities between band matrices hold *in action*
   on smooth vectors, not entry-by-entry: a central-difference commutator
   ``[D, diag(p)]`` equals the neighbor-averaging stencil, whose action on
@@ -184,8 +185,12 @@ class Operator:
 
     @classmethod
     def diag(cls, values, grid: Grid) -> Operator:
-        """Diagonal operator with the given main diagonal."""
-        return cls.from_bands(0, np.asarray(values)[np.newaxis, :], grid)
+        """Diagonal operator with the given main diagonal (copied)."""
+        values = np.asarray(values)
+        if values.ndim != 1:
+            raise ValueError(f"values must be 1-D, got shape {values.shape}")
+        _check_dimension(len(values), grid)
+        return cls._trimmed(0, values.astype(complex)[np.newaxis, :], grid)
 
     @property
     def dim(self) -> int:
@@ -359,59 +364,34 @@ def _quarter_turns(bands: np.ndarray) -> int | None:
     return None
 
 
-def _grid_of(*xs) -> Grid | None:
-    for x in xs:
-        if isinstance(x, Operator):
-            return x.grid
-    return None
+def _check_compatible(*ops) -> Grid:
+    """The grid the operands share; each must be an ``Operator`` on it.
 
-
-def _dim(x) -> int:
-    if isinstance(x, Operator):
-        return x.dim
-    shape = np.shape(x)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"operands must be square matrices, got shape {shape}")
-    return shape[0]
-
-
-def _check_compatible(*xs) -> int:
-    """Common dimension of the operands; they must share it and their grid."""
-    dims = {_dim(x) for x in xs}
-    if len(dims) > 1:
-        raise ValueError(f"dimension mismatch: {sorted(dims)}")
-    grids = {x.grid for x in xs if isinstance(x, Operator)}
+    An operator's dimension is its grid's ``n_points``, so one grid means one
+    dimension.
+    """
+    for x in ops:
+        if not isinstance(x, Operator):
+            raise TypeError(
+                f"operands must be Operator(entries, grid), got {type(x).__name__}"
+            )
+    grids = {x.grid for x in ops}
     if len(grids) > 1:
         raise ValueError("operators live on different grids")
-    return dims.pop()
-
-
-def _bands(x) -> tuple[int, np.ndarray]:
-    if isinstance(x, Operator):
-        return x.lo, x.bands
-    return _dense_to_bands(np.asarray(x, dtype=complex))
+    return grids.pop()
 
 
 def _aligned(ops, n: int) -> tuple[int, list[np.ndarray]]:
-    """Each operand's bands, zero-padded to the union of their offsets."""
-    parts = [_bands(x) for x in ops]
-    nonempty = [(lp, bands) for lp, bands in parts if len(bands)]
-    lo = min((lp for lp, _ in nonempty), default=0)
-    hi = max((lp + len(bands) for lp, bands in nonempty), default=0)
+    """Each operator's bands, zero-padded to the union of their offsets."""
+    nonempty = [x for x in ops if len(x.bands)]
+    lo = min((x.lo for x in nonempty), default=0)
+    hi = max((x.lo + len(x.bands) for x in nonempty), default=0)
     aligned = []
-    for lp, bands in parts:
+    for x in ops:
         union = np.zeros((hi - lo, n), dtype=complex)
-        union[lp - lo : lp - lo + len(bands)] = bands
+        union[x.lo - lo : x.lo - lo + len(x.bands)] = x.bands
         aligned.append(union)
     return lo, aligned
-
-
-def _result(lo: int, bands: np.ndarray, *sources):
-    """An Operator on the sources' grid, or a dense array when none has one."""
-    grid = _grid_of(*sources)
-    if grid is None:
-        return _bands_to_dense(lo, bands)
-    return Operator._trimmed(lo, bands, grid)
 
 
 def _accumulate(la: int, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
@@ -428,8 +408,8 @@ def _accumulate(la: int, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
     return acc
 
 
-def op_product(a, b):
-    """Matrix product; accepts ``Operator`` or raw arrays.
+def op_product(a: Operator, b: Operator) -> Operator:
+    """Matrix product.
 
     Each entry is accumulated over the bands in extended precision and
     rounded once to complex128, so it depends on no BLAS kernel or thread
@@ -441,10 +421,10 @@ def op_product(a, b):
     order, so the values are identical (for finite entries; only the signs
     of exact zeros can differ), at a quarter to a half of the cost.
     """
-    n = _check_compatible(a, b)
-    (la, ba), (lb, bb) = _bands(a), _bands(b)
+    grid = _check_compatible(a, b)
+    (la, ba), (lb, bb) = (a.lo, a.bands), (b.lo, b.bands)
     if not (len(ba) and len(bb)):
-        return _result(0, np.zeros((0, n), dtype=complex), a, b)
+        return Operator._trimmed(0, np.zeros((0, grid.n_points), dtype=complex), grid)
     ta, tb = _quarter_turns(ba), _quarter_turns(bb)
     if ta is None or tb is None:
         wide = np.clongdouble
@@ -453,27 +433,29 @@ def op_product(a, b):
         ra = (ba.imag if ta else ba.real).astype(np.longdouble)
         rb = (bb.imag if tb else bb.real).astype(np.longdouble)
         bands = _accumulate(la, ra, rb).astype(float) * 1j ** (ta + tb)
-    return _result(la + lb, bands, a, b)
+    return Operator._trimmed(la + lb, bands, grid)
 
 
-def op_sum(a, b, *more):
+def op_sum(a: Operator, b: Operator, *more: Operator) -> Operator:
     """Sum of two or more operators, added left to right."""
     ops = (a, b, *more)
-    lo, aligned = _aligned(ops, _check_compatible(*ops))
+    grid = _check_compatible(*ops)
+    lo, aligned = _aligned(ops, grid.n_points)
     out = aligned[0]
     for bands in aligned[1:]:
         out += bands
-    return _result(lo, out, *ops)
+    return Operator._trimmed(lo, out, grid)
 
 
-def op_scale(c: complex, a):
-    lo, bands = _bands(a)
-    return _result(lo, c * bands, a)
+def op_scale(c: complex, a: Operator) -> Operator:
+    grid = _check_compatible(a)
+    return Operator._trimmed(a.lo, c * a.bands, grid)
 
 
-def adjoint(a):
+def adjoint(a: Operator) -> Operator:
     """Conjugate transpose."""
-    lo, bands = _bands(a)
+    grid = _check_compatible(a)
+    lo, bands = a.lo, a.bands
     nd, n = bands.shape
     out = np.zeros_like(bands)
     for k, row in enumerate(bands):
@@ -481,7 +463,7 @@ def adjoint(a):
         s = lo + k
         r0, r1 = _overlap(s, n)
         out[nd - 1 - k, r0 + s : r1 + s] = row[r0:r1].conj()
-    return _result(-(lo + nd - 1), out, a)
+    return Operator._trimmed(-(lo + nd - 1), out, grid)
 
 
 def commutator(a, b):
@@ -511,17 +493,11 @@ def derivative_matrix(grid: Grid) -> Operator:
     return Operator.from_bands(-2, bands, grid)
 
 
-def _check_hermitian(a, tol: float = HERMITIAN_TOL) -> None:
-    """Raise ``ValueError`` when ‖A − A†‖_F > tol·‖A‖_F.
-
-    An ``Operator`` is checked on its bands, at O(n · bandwidth); a raw array
-    on its entries.  The zero matrix passes.
-    """
-    if isinstance(a, Operator):
-        entries, diff = a.bands, op_sum(a, op_scale(-1.0, adjoint(a))).bands
-    else:
-        entries, diff = a, a - a.conj().T
-    scale = np.linalg.norm(entries)
+def _check_hermitian(a: Operator, tol: float = HERMITIAN_TOL) -> None:
+    """Raise ``ValueError`` when ‖A − A†‖_F > tol·‖A‖_F, from the bands, at
+    O(n · bandwidth).  The zero operator passes."""
+    diff = op_sum(a, op_scale(-1.0, adjoint(a))).bands
+    scale = np.linalg.norm(a.bands)
     if scale > 0 and np.linalg.norm(diff) / scale > tol:
         raise ValueError("input is not Hermitian within tolerance")
 
@@ -547,20 +523,20 @@ def _guarded(
 
 
 def hermitian_matrix_function(
-    a,
+    a: Operator,
     f: Callable[[np.ndarray], np.ndarray],
     *,
     require_positive_spectrum: bool = False,
     tol_herm: float = HERMITIAN_TOL,
-) -> Operator | np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix by eigendecomposition.
+) -> Operator:
+    """Apply a real scalar function to a Hermitian operator by eigendecomposition.
 
     Guards: the input must be Hermitian to ``tol_herm`` (relative Frobenius,
-    from the bands of an ``Operator``); with ``require_positive_spectrum``
-    (fractional powers) every eigenvalue must be strictly positive; and the
-    dynamic range max|f|/min|f| of the transformed spectrum must stay below
-    1e14.  The last two are decided from ``eigvalsh`` before any eigenvector
-    is computed, so a tripped guard costs no ``eigh``; the eigenvalues of the
+    from the bands); with ``require_positive_spectrum`` (fractional powers)
+    every eigenvalue must be strictly positive; and the dynamic range
+    max|f|/min|f| of the transformed spectrum must stay below 1e14.  The
+    last two are decided from ``eigvalsh`` before any eigenvector is
+    computed, so a tripped guard costs no ``eigh``; the eigenvalues of the
     ``eigh`` that follows a pass are checked again, so the result is built
     only from guarded values.
 
@@ -569,16 +545,14 @@ def hermitian_matrix_function(
     ``eigh`` routine and rebuilt as (u·f(w))·uᵀ by a real matrix product, so
     the result's imaginary parts are exactly zero.
 
-    An ``Operator`` that is exactly even under p → −p (the number operator
+    An operator that is exactly even under p → −p (the number operator
     again) is decomposed as its two parity blocks, each rebuilt as above and
-    unfolded into an exactly even result.  Raw arrays, which
-    carry no grid and so no reflection, and operators without exact parity
-    take one ``eigh`` of the full matrix.
+    unfolded into an exactly even result.  An operator without exact parity
+    takes one ``eigh`` of the full matrix.
     """
-    is_op = isinstance(a, Operator)
-    arr = _real_if_exact(a.entries if is_op else np.asarray(a, dtype=complex))
-    _check_hermitian(a if is_op else arr, tol_herm)
-    blocks = _parity_blocks(arr) if is_op else None
+    _check_hermitian(a, tol_herm)
+    arr = _real_if_exact(a.entries)
+    blocks = _parity_blocks(arr)
     parts = [arr] if blocks is None else blocks
     w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
     _guarded(w, f, require_positive_spectrum)
@@ -588,16 +562,17 @@ def hermitian_matrix_function(
     fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
     rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
     out = rebuilt[0] if blocks is None else _parity_unfold(*rebuilt)
-    return _result(*_dense_to_bands(out), a)
+    return Operator._trimmed(*_dense_to_bands(out), a.grid)
 
 
-def interior_block_entries(ops: Sequence, grid: Grid) -> np.ndarray:
+def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
     """Entries of each operator's interior-by-interior block, one column each.
 
-    Only slots of the union of the operators' bands are listed, in the same
-    order for every column; every entry outside that band is zero in all of
-    them.  Accepts ``Operator`` or raw arrays.
+    The operators must share their grid.  Only slots of the union of their
+    bands are listed, in the same order for every column; every entry
+    outside that band is zero in all of them.
     """
+    grid = _check_compatible(*ops)
     lo, aligned = _aligned(ops, grid.n_points)
     rows, cols = _slot_indices(lo, aligned[0].shape)
     sl = grid.interior()
@@ -605,20 +580,19 @@ def interior_block_entries(ops: Sequence, grid: Grid) -> np.ndarray:
     return np.stack([bands[inside] for bands in aligned], axis=1)
 
 
-def masked_norm(a, relative_to: Sequence | None = None) -> float:
+def masked_norm(a: Operator, relative_to: Sequence[Operator] | None = None) -> float:
     """Frobenius norm of the interior-by-interior block.
 
-    With ``relative_to`` (a list of operators), divides by the product of
-    their interior Frobenius norms, yielding a dimensionless value.
+    With ``relative_to`` (a list of operators on the same grid), divides by
+    the product of their interior Frobenius norms, yielding a dimensionless
+    value.
     """
-    grid = _grid_of(a, *(relative_to or ()))
-    if grid is None:
-        raise ValueError("masked_norm needs at least one grid-bound Operator")
-    val = float(np.linalg.norm(interior_block_entries([a], grid)))
+    _check_compatible(a, *(relative_to or ()))
+    val = float(np.linalg.norm(interior_block_entries([a])))
     if relative_to is not None:
         denom = 1.0
         for b in relative_to:
-            nb = float(np.linalg.norm(interior_block_entries([b], grid)))
+            nb = float(np.linalg.norm(interior_block_entries([b])))
             if nb == 0.0:
                 raise ValueError("relative normalization against a zero block")
             denom *= nb
@@ -661,20 +635,19 @@ def smooth_probes(grid: Grid, count: int = 8, width: float = 1.0) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def interior_action(a, vectors: np.ndarray, grid: Grid) -> np.ndarray:
+def interior_action(a: Operator, vectors: np.ndarray) -> np.ndarray:
     """Interior rows of ``A @ vectors`` (vectors as columns), from the bands.
 
     Exactly real bands (no tolerance) acting on real vectors are applied in
     ``float64`` and give a real array, with the values the complex product
     would give; anything else gives a complex array.
     """
+    grid = _check_compatible(a)
     v = np.asarray(vectors)
     n = grid.n_points
-    if _dim(a) != n or v.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: operator {_dim(a)}, vectors {v.shape[0]}, grid {n}"
-        )
-    lo, bands = _bands(a)
+    if v.shape[0] != n:
+        raise ValueError(f"dimension mismatch: vectors {v.shape[0]}, grid {n}")
+    lo, bands = a.lo, a.bands
     real = not np.iscomplexobj(v) and _quarter_turns(bands) == 0
     if real:
         bands = bands.real
@@ -688,18 +661,16 @@ def interior_action(a, vectors: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def action_residual(lhs, rhs, probes: np.ndarray, grid: Grid | None = None) -> float:
-    """Relative disagreement of two operators in action on probe vectors.
+def action_residual(lhs: Operator, rhs: Operator, probes: np.ndarray) -> float:
+    """Relative disagreement of two operators on one grid in action on probe
+    vectors.
 
     ``‖((L−R)·V)[interior]‖_F / max(‖(L·V)[interior]‖_F, ‖(R·V)[interior]‖_F)``;
     returns 0 when both actions vanish on the interior.
     """
-    if grid is None:
-        grid = _grid_of(lhs, rhs)
-    if grid is None:
-        raise ValueError("action_residual needs a grid")
-    la = interior_action(lhs, probes, grid)
-    ra = interior_action(rhs, probes, grid)
+    _check_compatible(lhs, rhs)
+    la = interior_action(lhs, probes)
+    ra = interior_action(rhs, probes)
     denom = max(float(np.linalg.norm(la)), float(np.linalg.norm(ra)))
     if denom == 0.0:
         return 0.0

@@ -431,7 +431,7 @@ def _model_equality(cfg: JobConfig, grids: list[Grid]):
         ladder = build_ladder(x, p, pp)
         h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
         h_bf = build_swanson_bf(x, p, pp_bf)
-        report = model_equality_report(h_jr, h_bf, x, p, grid)
+        report = model_equality_report(h_jr, h_bf, x, p)
         mu_fitted = mu_in + report.anticommutator_coefficient.imag
         yield {
             "n_points": grid.n_points,
@@ -493,7 +493,7 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
 def _fit_metric(cfg: JobConfig, grids: list[Grid]):
     for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
-        fit = fit_diagonal_metric(h, grid, cfg.params)
+        fit = fit_diagonal_metric(h, cfg.params)
         entry = {
             "n_points": grid.n_points,
             "status": fit.status,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gridops import Grid, NumericGuardError, OVERFLOW_RATIO, Operator
+from .gridops import Grid, NumericGuardError, OVERFLOW_RATIO, Operator, _check_compatible
 from .models import PhysParams
 
 __all__ = [
@@ -80,9 +80,10 @@ def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     return out
 
 
-def metric_condition(profile: np.ndarray | Operator) -> float:
-    """Ratio of largest to smallest diagonal entry."""
-    g = np.real(profile.diagonal()) if isinstance(profile, Operator) else profile
+def metric_condition(rho: Operator) -> float:
+    """Ratio of largest to smallest diagonal entry of a metric operator."""
+    _check_compatible(rho)
+    g = np.real(rho.diagonal())
     return float(g.max() / g.min())
 
 
@@ -91,13 +92,14 @@ def build_metric(spec: MetricSpec, grid: Grid, pp: PhysParams) -> Operator:
     g = metric_profile(spec, grid, pp)
     if not np.all(g > 0):
         raise NumericGuardError("metric profile must be strictly positive")
-    cond = metric_condition(g)
+    rho = Operator.diag(g, grid)
+    cond = metric_condition(rho)
     if not np.isfinite(cond) or cond > OVERFLOW_RATIO:
         raise NumericGuardError(
             f"metric condition number {cond:.3e} exceeds the overflow bound"
         )
     logger.info("built %s metric: condition number %.6e", spec.kind, cond)
-    return Operator.diag(g, grid)
+    return rho
 
 
 def profile_distance(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:

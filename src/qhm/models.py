@@ -191,7 +191,7 @@ def canonical_commutator_residual(x0: Operator, p0: Operator, pp: PhysParams) ->
     """Action residual of [x0, p0] = i*hbar on stencil probes."""
     grid = x0.grid
     target = Operator.diag(np.full(grid.n_points, 1j * pp.hbar), grid)
-    return action_residual(commutator(x0, p0), target, stencil_probes(grid), grid)
+    return action_residual(commutator(x0, p0), target, stencil_probes(grid))
 
 
 def deformed_algebra_residual(
@@ -231,7 +231,7 @@ def deformed_algebra_residual(
             op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
         )
         rhs = op_sum(rhs, op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic))
-    return action_residual(commutator(x, p), rhs, stencil_probes(grid), grid)
+    return action_residual(commutator(x, p), rhs, stencil_probes(grid))
 
 
 def gauge_transform(pp: PhysParams, grid: Grid) -> tuple[Operator, Operator]:
@@ -269,4 +269,4 @@ def gauge_conjugation_residual(pp: PhysParams, grid: Grid) -> float:
     x_0, _ = build_deformed_pair(grid, dataclasses.replace(pp, gamma_t=0.0))
     s, s_inv = gauge_transform(pp, grid)
     conj = op_product(op_product(s_inv, x_g), s)
-    return action_residual(conj, x_0, stencil_probes(grid), grid)
+    return action_residual(conj, x_0, stencil_probes(grid))

@@ -23,16 +23,15 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .gridops import (
     HERMITIAN_TOL,
-    Grid,
     NumericGuardError,
     OVERFLOW_RATIO,
     Operator,
+    _check_compatible,
     _parity_blocks,
     _real_if_exact,
     _sparse_blocks,
     action_residual,
     adjoint,
-    hermitian_matrix_function,
     interior_action,
     interior_block_entries,
     masked_norm,
@@ -64,8 +63,7 @@ logger = logging.getLogger("qhm.verify")
 
 def _intertwining_sides(H: Operator, rho: Operator) -> tuple[Operator, Operator]:
     """H†ρ and ρH, warning when ρ has a non-positive diagonal entry."""
-    if rho.dim != H.dim:
-        raise ValueError("operator dimensions differ")
+    _check_compatible(H, rho)
     if np.real(rho.diagonal()).min() <= 0:
         warnings.warn(
             "metric has non-positive diagonal entries; residual computed anyway",
@@ -85,7 +83,7 @@ def dieudonne_residual(
     lhs, rhs = _intertwining_sides(H, rho)
     if probes is None:
         probes = smooth_probes(H.grid)
-    return action_residual(lhs, rhs, probes, H.grid)
+    return action_residual(lhs, rhs, probes)
 
 
 def dieudonne_details(H: Operator, rho: Operator) -> dict:
@@ -97,7 +95,7 @@ def dieudonne_details(H: Operator, rho: Operator) -> dict:
     truncation-visible diagnostic).  Both come from one pair of products.
     """
     lhs, rhs = _intertwining_sides(H, rho)
-    act = action_residual(lhs, rhs, smooth_probes(H.grid), H.grid)
+    act = action_residual(lhs, rhs, smooth_probes(H.grid))
     mat = masked_norm(op_sum(lhs, op_scale(-1.0, rhs)), relative_to=[H, rho])
     return {"action": act, "matrix": mat, "masked": True}
 
@@ -108,45 +106,38 @@ def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
     This is an exactness-class identity for the compensating weight
     (1+τp²)^{-1}, so the residual is machine-small when eta solves it.
     """
-    grid = X.grid
     lhs = op_product(adjoint(X), eta)
     rhs = op_product(eta, X)
-    return action_residual(lhs, rhs, stencil_probes(grid), grid)
+    return action_residual(lhs, rhs, stencil_probes(X.grid))
 
 
 def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
-    """(ρ^{1/2}, ρ^{-1/2}) with Hermiticity, positivity and overflow guards."""
-    if rho.lo == 0 and len(rho.bands) <= 1:
-        d = rho.diagonal()
-        if np.linalg.norm(d.imag) > HERMITIAN_TOL * np.linalg.norm(d):
-            raise ValueError("input is not Hermitian within tolerance")
-        d = d.real
-        if d.min() <= 0:
-            raise NumericGuardError("metric must be strictly positive")
-        if d.max() / d.min() > OVERFLOW_RATIO:
-            raise NumericGuardError(
-                "metric condition number exceeds the overflow bound"
-            )
-        r = np.sqrt(d)
-        return Operator.diag(r, rho.grid), Operator.diag(1.0 / r, rho.grid)
-    half = hermitian_matrix_function(
-        rho, lambda t: np.sqrt(t), require_positive_spectrum=True
-    )
-    half_inv = hermitian_matrix_function(
-        rho, lambda t: 1.0 / np.sqrt(t), require_positive_spectrum=True
-    )
-    return half, half_inv
+    """(ρ^{1/2}, ρ^{-1/2}) of a diagonal ρ, with diagonality, Hermiticity,
+    positivity and overflow guards."""
+    if not (rho.lo == 0 and len(rho.bands) <= 1):
+        raise ValueError("metric must be diagonal")
+    d = rho.diagonal()
+    if np.linalg.norm(d.imag) > HERMITIAN_TOL * np.linalg.norm(d):
+        raise ValueError("input is not Hermitian within tolerance")
+    d = d.real
+    if d.min() <= 0:
+        raise NumericGuardError("metric must be strictly positive")
+    if d.max() / d.min() > OVERFLOW_RATIO:
+        raise NumericGuardError("metric condition number exceeds the overflow bound")
+    r = np.sqrt(d)
+    return Operator.diag(r, rho.grid), Operator.diag(1.0 / r, rho.grid)
 
 
 def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
     """Similarity transform h = ρ^{1/2} H ρ^{-1/2} and its Hermiticity defect.
 
-    The defect is the action residual of h against h† on smooth probes.
+    ρ must be diagonal (every metric ``build_metric`` makes is); any other ρ
+    raises ``ValueError``.  The defect is the action residual of h against
+    h† on smooth probes.
     """
-    grid = H.grid
     half, half_inv = _sqrt_pair(rho)
     h = op_product(op_product(half, H), half_inv)
-    res = action_residual(h, adjoint(h), smooth_probes(grid), grid)
+    res = action_residual(h, adjoint(h), smooth_probes(H.grid))
     return h, res
 
 
@@ -175,22 +166,13 @@ def _mass(vecs: np.ndarray, rows: slice) -> np.ndarray:
 
 
 def _lowest_levels(
-    vals: np.ndarray,
-    mass: np.ndarray | None,
-    k: int,
-    mass_min: float,
-    dedup_rel: float,
+    vals: np.ndarray, mass: np.ndarray, k: int, mass_min: float, dedup_rel: float
 ) -> list[complex]:
     """Up to k levels by ascending real part: states with interior mass at
-    least ``mass_min``, near-duplicates merged.  ``mass=None`` (no grid)
-    keeps every state and merges none."""
-    if mass is not None:
-        vals = vals[mass >= mass_min]
+    least ``mass_min``, near-duplicates merged."""
     out: list[complex] = []
-    for z in sorted(vals, key=lambda z: (z.real, z.imag)):
-        if mass is not None and out and abs(z.real - out[-1].real) <= dedup_rel * max(
-            1.0, abs(z.real)
-        ):
+    for z in sorted(vals[mass >= mass_min], key=lambda z: (z.real, z.imag)):
+        if out and abs(z.real - out[-1].real) <= dedup_rel * max(1.0, abs(z.real)):
             continue
         out.append(complex(z))
         if len(out) == k:
@@ -285,9 +267,8 @@ def _spectrum_result(levels: list[complex], solver: str) -> SpectrumResult:
 
 
 def spectrum(
-    op,
+    op: Operator,
     k: int,
-    grid: Grid | None = None,
     *,
     mass_min: float = 0.9,
     dedup_rel: float = 1e-3,
@@ -299,13 +280,11 @@ def spectrum(
     position operator produces spurious near-copies of low levels living on
     alternating sublattices; consecutive eigenvalues whose real parts agree
     within ``dedup_rel`` (relative) are therefore merged before counting.
-    Raw square arrays are accepted; without a grid every state qualifies and
-    no merging is applied.
 
-    *Shift-invert* (an ``Operator`` on at least ``SHIFT_INVERT_MIN_POINTS``
-    = 257 points).  The parity blocks are folded straight from the bands
-    into sparse matrices (``gridops._sparse_blocks``; an operator that is not
-    exactly even is one n x n block), and ARPACK in shift-invert mode
+    *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).  The
+    parity blocks are folded straight from the bands into sparse matrices
+    (``gridops._sparse_blocks``; an operator that is not exactly even is one
+    n x n block), and ARPACK in shift-invert mode
     (``scipy.sparse.linalg.eigs`` with σ = 0, ``ARPACK_K`` = 16 per block)
     finds the eigenvalues of each block nearest 0.  The interior masses come
     from the block vectors, and the filter and merge are the dense path's.
@@ -328,20 +307,21 @@ def spectrum(
     The fallback reason is logged at debug level on ``qhm.verify``.  scipy
     is imported only on this path, so small grids never load it.
 
-    *Dense* (smaller grids, raw arrays and fallbacks).  A matrix with no
-    nonzero imaginary part, such as the BF and JR Hamiltonians (built from
-    the purely imaginary X and the real P), goes to the real ``eig``
-    routine; its eigenvalues are returned as complex numbers all the same.
-    On a grid, a matrix that is exactly even under p → −p (the model
-    Hamiltonians and their counterparts) is solved as its even and odd
-    parity blocks (``gridops._parity_blocks``); each state's interior mass
-    comes from its block vector, whose mirrored half is implied, so no n x n
-    eigenvector matrix is formed.  Without a grid, or without exact parity,
-    ``eig`` runs on the full matrix.
+    *Dense* (smaller grids and fallbacks).  A matrix with no nonzero
+    imaginary part, such as the BF and JR Hamiltonians (built from the
+    purely imaginary X and the real P), goes to the real ``eig`` routine;
+    its eigenvalues are returned as complex numbers all the same.
+    A matrix that is exactly even under p → −p (the model Hamiltonians and
+    their counterparts) is solved as its even and odd parity blocks
+    (``gridops._parity_blocks``); each state's interior mass comes from its
+    block vector, whose mirrored half is implied, so no n x n eigenvector
+    matrix is formed.  Without exact parity, ``eig`` runs on the full
+    matrix.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if isinstance(op, Operator) and op.dim >= SHIFT_INVERT_MIN_POINTS:
+    _check_compatible(op)
+    if op.dim >= SHIFT_INVERT_MIN_POINTS:
         try:
             return _spectrum_result(
                 _shift_invert_levels(op, k, mass_min, dedup_rel), "shift-invert"
@@ -350,20 +330,13 @@ def spectrum(
             logger.debug(
                 "spectrum at %d points falls back to the dense solve: %s", op.dim, exc
             )
-    if isinstance(op, Operator):
-        entries, g = op.entries, op.grid
-    else:
-        entries, g = np.asarray(op, dtype=complex), grid
-    entries = _real_if_exact(entries)
-    blocks = _parity_blocks(entries) if g is not None else None
-    mass = None
+    entries = _real_if_exact(op.entries)
+    blocks = _parity_blocks(entries)
     if blocks is not None:
-        vals, mass = _block_eig_with_mass(blocks, g.interior().start)
+        vals, mass = _block_eig_with_mass(blocks, op.grid.interior().start)
     else:
         vals, vecs = np.linalg.eig(entries)
-        vals = vals.astype(complex)
-        if g is not None:
-            mass = _mass(vecs, g.interior())
+        vals, mass = vals.astype(complex), _mass(vecs, op.grid.interior())
     return _spectrum_result(
         _lowest_levels(vals, mass, k, mass_min, dedup_rel), "dense"
     )
@@ -405,9 +378,7 @@ def _even_cheb_basis(p: np.ndarray, p_edge: float, size: int) -> np.ndarray:
 FIT_MIN_INTERIOR = 8
 
 
-def _fit_matrix(
-    H: Operator, basis: np.ndarray, probes: np.ndarray, grid: Grid
-) -> np.ndarray:
+def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """The linear map from basis coefficients to probe residuals.
 
     Column k holds the interior rows of (H†G_k − G_kH)·V, G_k =
@@ -418,16 +389,15 @@ def _fit_matrix(
     """
     n, size = basis.shape
     count = probes.shape[1]
-    sl = grid.interior()
+    sl = H.grid.interior()
     scaled = (basis[:, :, np.newaxis] * probes[:, np.newaxis, :]).reshape(n, -1)
-    left = interior_action(adjoint(H), scaled, grid).reshape(-1, size, count)
-    right = basis[sl, :, np.newaxis] * interior_action(H, probes, grid)[:, np.newaxis]
+    left = interior_action(adjoint(H), scaled).reshape(-1, size, count)
+    right = basis[sl, :, np.newaxis] * interior_action(H, probes)[:, np.newaxis]
     return (left - right).transpose(0, 2, 1).reshape(-1, size)
 
 
 def fit_diagonal_metric(
     H: Operator,
-    grid: Grid,
     pp: PhysParams,
     *,
     basis_size: int = 10,
@@ -442,6 +412,7 @@ def fit_diagonal_metric(
     the smallest right singular vector after column scaling (``_fit_matrix``
     builds the map from probe actions).
     """
+    grid = _check_compatible(H)
     sl = grid.interior()
     p = grid.points
     n_int = sl.stop - sl.start
@@ -451,7 +422,7 @@ def fit_diagonal_metric(
         probes = smooth_probes(grid)
     p_edge = float(np.abs(p[sl]).max() + 2.0 * grid.spacing)
     basis = _even_cheb_basis(p, p_edge, basis_size)
-    a = _fit_matrix(H, basis, probes, grid)
+    a = _fit_matrix(H, basis, probes)
     scale = np.linalg.norm(a, axis=0)
     scale[scale == 0] = 1.0
     _, sing, vh = np.linalg.svd(a / scale, full_matrices=False)
@@ -502,31 +473,26 @@ class EqualityReport:
 
 
 def model_equality_report(
-    H1: Operator, H2: Operator, X: Operator, P: Operator, grid: Grid | None = None
+    H1: Operator, H2: Operator, X: Operator, P: Operator
 ) -> EqualityReport:
     """Decompose H1 − H2 over the quadratic/quartic monomial dictionary."""
-    g = H1.grid if isinstance(H1, Operator) else grid
-    if g is None:
-        raise ValueError("a grid is required")
-    h1, h2, xe, pe = (
-        op if isinstance(op, Operator) else Operator(op, g) for op in (H1, H2, X, P)
-    )
-    p2 = op_product(pe, pe)
-    x2 = op_product(xe, xe)
+    grid = _check_compatible(H1, H2, X, P)
+    p2 = op_product(P, P)
+    x2 = op_product(X, X)
     dictionary = {
-        "I": Operator.diag(np.ones(g.n_points), g),
-        "P": pe,
+        "I": Operator.diag(np.ones(grid.n_points), grid),
+        "P": P,
         "P2": p2,
         "P4": op_product(p2, p2),
         "X2": x2,
-        "XP": op_product(xe, pe),
-        "PX": op_product(pe, xe),
+        "XP": op_product(X, P),
+        "PX": op_product(P, X),
         "sym_X2P2": op_scale(0.5, op_sum(op_product(x2, p2), op_product(p2, x2))),
     }
     labels = list(dictionary)
     # Entries outside the union band are zero in every column and in b, so
     # leaving those rows out changes neither the solution nor the residual.
-    cols = interior_block_entries([*dictionary.values(), op_sum(h1, op_scale(-1.0, h2))], g)
+    cols = interior_block_entries([*dictionary.values(), op_sum(H1, op_scale(-1.0, H2))])
     a, b = cols[:, :-1], cols[:, -1]
     bnorm = np.linalg.norm(b)
     if bnorm == 0:

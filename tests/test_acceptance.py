@@ -19,6 +19,7 @@ import pytest
 from qhm import (
     Grid,
     MetricSpec,
+    Operator,
     PhysParams,
     QDeformParams,
     action_residual,
@@ -61,7 +62,7 @@ def _counterpart_1025():
     ham = build_swanson_bf(x, p, pp)
     rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
     h, herm = hermitian_counterpart(ham, rho)
-    result = spectrum(h, 6, grid)
+    result = spectrum(h, 6)
     return herm, result
 
 
@@ -72,7 +73,7 @@ def _gauge_spectrum_diff(tau: float, n: int) -> float:
     for gamma_t in (0.3, 0.0):
         pp = PhysParams(mu=0.1, tau=tau, gamma_t=gamma_t)
         x, p = build_deformed_pair(grid, pp)
-        specs.append(spectrum(build_swanson_bf(x, p, pp), 6, grid))
+        specs.append(spectrum(build_swanson_bf(x, p, pp), 6))
     a, b = specs
     return max(abs(u - v) for u, v in zip(a.values, b.values))
 
@@ -86,8 +87,8 @@ def test_deformed_commutator_exact_on_stencil_probes():
         for gamma_t in (0.0, 0.3):
             pp = PhysParams(tau=tau, gamma_t=gamma_t)
             x, p = build_deformed_pair(grid, pp)
-            target = 1j * pp.hbar * np.diag(1.0 + tau * grid.points**2)
-            r = action_residual(commutator(x, p), target, stencil_probes(grid), grid)
+            target = Operator(1j * pp.hbar * np.diag(1.0 + tau * grid.points**2), grid)
+            r = action_residual(commutator(x, p), target, stencil_probes(grid))
             worst = max(worst, r)
     _line("deformed-commutator-exactness", worst < 1e-13, f"max residual {worst:.3e} (tol 1e-13)")
     assert worst < 1e-13
@@ -181,7 +182,7 @@ def test_counterpart_spectrum_matches_effective_oscillator():
 
 def test_fit_recovers_gaussian_log_slope():
     grid, pp, ham = _swanson_513()
-    fit = fit_diagonal_metric(ham, grid, pp)
+    fit = fit_diagonal_metric(ham, pp)
     coeff = log_quadratic_coefficient(fit)
     ok = fit.status == "OK" and abs(coeff - 0.200) < 1e-3
     _line("metric-fit/log-slope", ok, f"quadratic coefficient {coeff:.6f} (0.200 ± 1e-3)")
@@ -191,7 +192,7 @@ def test_fit_recovers_gaussian_log_slope():
 
 def test_fit_constant_on_hermitian_input():
     grid, pp, ham = _swanson_513(mu=0.0)
-    fit = fit_diagonal_metric(ham, grid, pp)
+    fit = fit_diagonal_metric(ham, pp)
     dev = float(np.max(np.abs(fit.profile - 1.0)))
     ok = fit.status == "OK" and dev < 1e-10
     _line("metric-fit/hermitian-constant", ok, f"max deviation from constant {dev:.3e}")
@@ -201,7 +202,7 @@ def test_fit_constant_on_hermitian_input():
 
 def test_fit_nearest_candidate_on_deformed_model():
     grid, pp, ham = _swanson_513(mu=0.05, tau=0.01)
-    fit = fit_diagonal_metric(ham, grid, pp)
+    fit = fit_diagonal_metric(ham, pp)
     ok = fit.status == "OK" and fit.nearest == "BF-composite"
     _line(
         "metric-fit/deformed-nearest",

@@ -118,7 +118,6 @@ def test_product_matches_dense(case):
     # Real and imaginary operands take the real extended-precision path,
     # which must give the all-complex sums bit for bit.
     assert np.array_equal(got, _complex_product(oa, ob))
-    assert np.array_equal(op_product(a, b), got)  # raw arrays: same path
 
 
 @PROPERTY
@@ -168,7 +167,6 @@ def test_action_residual_matches_dense(case, seed):
     expect = np.linalg.norm(la - ra) / denom if denom else 0.0
     got = action_residual(Operator(a, grid), Operator(b, grid), probes)
     assert got == pytest.approx(expect, rel=REL, abs=1e-15)
-    assert action_residual(Operator(a, grid), a, probes, grid) == 0.0
 
 
 def test_from_bands_rejects_slots_outside_the_matrix():
@@ -223,6 +221,6 @@ def test_model_operators_are_exactly_real_or_imaginary(n):
     probes = smooth_probes(grid)
     for name, op in real.items():
         assert _quarter_turns(op.bands) == 0, name
-        assert interior_action(op, probes, grid).dtype == np.float64, name
-    assert interior_action(x, probes, grid).dtype == np.complex128
-    assert interior_action(p, probes + 0j, grid).dtype == np.complex128
+        assert interior_action(op, probes).dtype == np.float64, name
+    assert interior_action(x, probes).dtype == np.complex128
+    assert interior_action(p, probes + 0j).dtype == np.complex128

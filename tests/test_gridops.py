@@ -81,20 +81,28 @@ def test_operator_rejects_nonsquare():
         Operator(np.zeros((9, 5)), g)
 
 
+def test_operator_diag_checks_and_copies_its_values():
+    g = Grid(9, 2.0, 0.25)
+    values = np.arange(9.0)
+    d = Operator.diag(values, g)
+    assert (d.lo, d.bands.shape) == (0, (1, 9))
+    assert np.array_equal(d.bands, Operator.from_bands(0, values[np.newaxis], g).bands)
+    values[1] = 7.0
+    assert d.bands[0, 1] == 1.0
+    assert len(Operator.diag(np.zeros(9), g).bands) == 0
+    with pytest.raises(ValueError, match="1-D"):
+        Operator.diag(np.eye(9), g)
+    with pytest.raises(ValueError, match="n_points"):
+        Operator.diag(np.ones(5), g)
+
+
 # ---------------------------------------------------------------- algebra
 
 
 def test_commutator_with_itself_vanishes():
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert np.all(commutator(a, a) == 0)
-
-
-def test_commutator_on_raw_2x2_arrays():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
-    got = commutator(a, b)
-    assert np.allclose(got, np.array([[1.0, 0.0], [0.0, -1.0]]), atol=1e-15)
+    a = Operator(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)), Grid(7, 2.0))
+    assert np.all(commutator(a, a).entries == 0)
 
 
 def test_anticommutator_of_diagonal_functions():
@@ -106,33 +114,44 @@ def test_anticommutator_of_diagonal_functions():
     assert np.allclose(got.entries, expect, atol=1e-14)
 
 
-def test_alg_mixes_operator_and_raw_array():
+def test_alg_refuses_raw_arrays():
+    # Operator(entries, grid) is the only way in: a raw array is refused
+    # alone, in pairs and beside an Operator.
     g = Grid(9, 2.0, 0.25)
     a = Operator(np.diag(g.points), g)
-    b = np.eye(9)
-    got = op_sum(a, b)
-    assert isinstance(got, Operator)
-    assert np.allclose(got.entries, np.diag(g.points) + np.eye(9))
+    for call in (
+        lambda: op_sum(a, np.eye(9)),
+        lambda: op_product(np.eye(4), np.eye(5)),
+        lambda: op_scale(2.0, np.eye(9)),
+        lambda: adjoint(np.eye(9)),
+        lambda: hermitian_matrix_function(np.eye(9), np.exp),
+    ):
+        with pytest.raises(TypeError, match=r"Operator\(entries, grid\)"):
+            call()
 
 
 def test_alg_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        op_product(np.eye(4), np.eye(5))
+    a = Operator(np.eye(5), Grid(5, 2.0))
+    b = Operator(np.eye(9), Grid(9, 2.0))
+    with pytest.raises(ValueError, match="different grids"):
+        op_product(a, b)
 
 
 def test_adjoint_is_involution_and_antihomomorphism():
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert np.all(adjoint(adjoint(a)) == a)
-    lhs = adjoint(a @ b)
-    rhs = adjoint(b) @ adjoint(a)
+    g = Grid(9, 2.0)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    b = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    oa, ob = Operator(a, g), Operator(b, g)
+    assert np.all(adjoint(adjoint(oa)).entries == a)
+    lhs = adjoint(Operator(a @ b, g)).entries
+    rhs = adjoint(ob).entries @ adjoint(oa).entries
     assert np.abs(lhs - rhs).max() < 1e-15 * max(1.0, np.abs(lhs).max())
 
 
 def test_op_scale():
-    a = np.eye(3)
-    assert np.allclose(op_scale(2.5j, a), 2.5j * np.eye(3))
+    a = Operator(np.eye(3), Grid(3, 1.0))
+    assert np.allclose(op_scale(2.5j, a).entries, 2.5j * np.eye(3))
 
 
 # ---------------------------------------------------------------- derivative
@@ -176,8 +195,8 @@ def test_position_momentum_commutator_is_exact_in_action():
     hbar = 1.0
     x0 = op_scale(1j * hbar, derivative_matrix(g))
     p0 = Operator(np.diag(g.points), g)
-    target = 1j * hbar * np.eye(g.n_points)
-    r = action_residual(commutator(x0, p0), target, stencil_probes(g), g)
+    target = Operator(1j * hbar * np.eye(g.n_points), g)
+    r = action_residual(commutator(x0, p0), target, stencil_probes(g))
     assert r < 1e-14
 
 
@@ -187,26 +206,31 @@ def test_weighted_derivative_commutator_exact_for_quadratic_weight():
     g = Grid(129, 6.0, 0.25)
     w = 1.0 + 0.3 * g.points**2
     d = derivative_matrix(g).entries
-    comm = 1j * (d @ np.diag(w) - np.diag(w) @ d)
-    target = 1j * np.diag(0.6 * g.points)
+    comm = Operator(1j * (d @ np.diag(w) - np.diag(w) @ d), g)
+    target = Operator(1j * np.diag(0.6 * g.points), g)
     ones = np.ones((g.n_points, 1)) / np.sqrt(g.n_points)
-    assert action_residual(comm, target, ones, g) < 1e-14
+    assert action_residual(comm, target, ones) < 1e-14
 
 
 # ---------------------------------------------------------------- matrix functions
 
 
+def _on_grid(a):
+    """The square array ``a`` as an Operator on a grid of its size."""
+    return Operator(a, Grid(len(a), 2.0))
+
+
 def test_matrix_function_exp_on_diagonal():
-    a = np.diag([0.0, np.log(2.0)])
+    a = _on_grid(np.diag([0.0, np.log(2.0), np.log(4.0)]))
     got = hermitian_matrix_function(a, np.exp)
-    assert np.allclose(got, np.diag([1.0, 2.0]), atol=1e-14)
+    assert np.allclose(got.entries, np.diag([1.0, 2.0, 4.0]), atol=1e-14)
 
 
 def test_matrix_function_square_agrees_with_product():
     rng = np.random.default_rng(3)
-    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    m = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
     a = 0.5 * (m + m.conj().T)
-    got = hermitian_matrix_function(a, lambda t: t**2)
+    got = hermitian_matrix_function(_on_grid(a), lambda t: t**2).entries
     expect = a @ a
     rel = np.linalg.norm(got - expect) / np.linalg.norm(expect)
     assert rel < 1e-12
@@ -222,65 +246,68 @@ def test_matrix_function_rational_weight_on_momentum_diagonal():
 
 def test_matrix_function_identity_returns_input():
     rng = np.random.default_rng(5)
-    m = rng.normal(size=(10, 10))
+    m = rng.normal(size=(11, 11))
     a = 0.5 * (m + m.T)
-    got = hermitian_matrix_function(a, lambda t: t)
+    got = hermitian_matrix_function(_on_grid(a), lambda t: t).entries
     rel = np.linalg.norm(got - a) / np.linalg.norm(a)
     assert rel < 1e-12
 
 
 def test_matrix_function_rejects_non_hermitian():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    a = _on_grid(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_matrix_function(a, np.exp)
 
 
 def test_matrix_function_guards_fractional_power_of_indefinite_input():
-    a = np.diag([1.0, -1.0])
+    a = _on_grid(np.diag([1.0, -1.0, 2.0]))
     with pytest.raises(NumericGuardError):
         hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
 
 
 def test_matrix_function_overflow_guard():
-    a = np.diag([0.0, 40.0])
+    a = _on_grid(np.diag([0.0, 20.0, 40.0]))
     with pytest.raises(NumericGuardError, match="dynamic range"):
         hermitian_matrix_function(a, np.exp)
 
 
-def _raw_and_even(d):
-    """diag(d) as a raw array, and as an exactly even Operator on 2·len(d)−1
-    points (d mirrored about the centre), which takes the parity blocks."""
+def _uneven_and_even(d):
+    """diag(d) with d's last value repeated, an Operator on len(d) + 1 points
+    without parity, which takes the full eigh; and the exactly even Operator
+    on 2·len(d)−1 points (d mirrored about the centre), which takes the
+    parity blocks."""
     d = np.asarray(d, dtype=float)
+    padded = np.append(d, d[-1])
     mirrored = np.concatenate([d[:0:-1], d])
-    return [np.diag(d), Operator.diag(mirrored, Grid(len(mirrored), 2.0))]
+    return [Operator.diag(v, Grid(len(v), 2.0)) for v in (padded, mirrored)]
 
 
 def _diag_of(a):
-    return np.diag(a.entries if isinstance(a, Operator) else a).real
+    return a.diagonal().real
 
 
 LOG_RANGE = np.log(1e14)
 
 
-@pytest.mark.parametrize("a", _raw_and_even([0.0, LOG_RANGE - 1e-6]))
+@pytest.mark.parametrize("a", _uneven_and_even([0.0, LOG_RANGE - 1e-6]))
 def test_matrix_function_dynamic_range_just_inside_passes(a):
     got = hermitian_matrix_function(a, np.exp)
     assert _diag_of(got) == pytest.approx(np.exp(_diag_of(a)), rel=1e-14)
 
 
-@pytest.mark.parametrize("a", _raw_and_even([0.0, LOG_RANGE + 1e-6]))
+@pytest.mark.parametrize("a", _uneven_and_even([0.0, LOG_RANGE + 1e-6]))
 def test_matrix_function_dynamic_range_just_outside_trips(a):
     with pytest.raises(NumericGuardError, match="dynamic range"):
         hermitian_matrix_function(a, np.exp)
 
 
-@pytest.mark.parametrize("a", _raw_and_even([1.0, 2.0]))
+@pytest.mark.parametrize("a", _uneven_and_even([1.0, 2.0]))
 def test_matrix_function_fractional_power_of_positive_input_passes(a):
     got = hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
     assert _diag_of(got) == pytest.approx(np.sqrt(_diag_of(a)), rel=1e-14)
 
 
-@pytest.mark.parametrize("a", _raw_and_even([0.0, 1.0]))
+@pytest.mark.parametrize("a", _uneven_and_even([0.0, 1.0]))
 def test_matrix_function_fractional_power_of_singular_input_trips(a):
     with pytest.raises(NumericGuardError, match="non-positive"):
         hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
@@ -361,16 +388,26 @@ def test_smooth_probes_rejects_empty_family():
 def test_action_residual_zero_for_equal_operators():
     g = Grid(17, 3.0, 0.25)
     rng = np.random.default_rng(4)
-    a = rng.normal(size=(17, 17))
-    assert action_residual(a, a, stencil_probes(g), g) == 0.0
+    a = Operator(rng.normal(size=(17, 17)), g)
+    assert action_residual(a, a, stencil_probes(g)) == 0.0
 
 
 def test_action_residual_detects_disagreement():
     g = Grid(17, 3.0, 0.25)
-    a = np.eye(17)
-    assert action_residual(a, 2.0 * a, stencil_probes(g), g) == pytest.approx(0.5)
+    a = Operator(np.eye(17), g)
+    assert action_residual(a, op_scale(2.0, a), stencil_probes(g)) == pytest.approx(0.5)
 
 
 def test_action_residual_requires_some_grid():
-    with pytest.raises(ValueError, match="grid"):
-        action_residual(np.eye(4), np.eye(4), np.ones((4, 1)))
+    with pytest.raises(TypeError, match=r"Operator\(entries, grid\)"):
+        action_residual(np.eye(5), np.eye(5), np.ones((5, 1)))
+
+
+def test_action_residual_refuses_operands_on_different_grids():
+    # Two 9-point grids that differ only in p_max: the interior masks agree,
+    # but the operators are not on one grid.
+    a = Operator(np.eye(9), Grid(9, 2.0))
+    b = Operator(np.diag(np.arange(9.0)), Grid(9, 3.0))
+    probes = stencil_probes(Grid(9, 2.0))
+    with pytest.raises(ValueError, match="different grids"):
+        action_residual(a, b, probes)

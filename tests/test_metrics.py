@@ -133,6 +133,16 @@ def test_condition_number_value():
     pp = PhysParams(mu=0.1)
     rho = build_metric(MetricSpec("BF"), GRID, pp)
     assert metric_condition(rho) == pytest.approx(np.exp(0.2 * 64.0), rel=1e-12)
+    # The operator's diagonal holds the profile exactly, so the ratio is the
+    # profile's own, bit for bit.
+    g = metric_profile(MetricSpec("BF"), GRID, pp)
+    assert metric_condition(rho) == float(g.max() / g.min())
+
+
+def test_condition_number_takes_an_operator_only():
+    g = metric_profile(MetricSpec("BF"), GRID, PhysParams(mu=0.1))
+    with pytest.raises(TypeError, match="Operator"):
+        metric_condition(g)
 
 
 def test_build_overflow_guard():

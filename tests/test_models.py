@@ -86,8 +86,8 @@ def test_canonical_commutator_scales_with_hbar():
     # [x0, p0] = 2i on interior action; against the doubled target the
     # residual stays machine-small, against the undoubled one it is ~1/2
     assert canonical_commutator_residual(x0, p0, pp) < 1e-14
-    wrong = 1j * np.eye(GRID.n_points)
-    r = action_residual(commutator(x0, p0), wrong, stencil_probes(GRID), GRID)
+    wrong = Operator(1j * np.eye(GRID.n_points), GRID)
+    r = action_residual(commutator(x0, p0), wrong, stencil_probes(GRID))
     assert r > 0.4
 
 
@@ -124,8 +124,8 @@ def test_deformed_commutator_machine_exact_in_action(tau, gamma_t):
     # [X, P] = i*hbar*(1 + tau*P^2); the gamma_t term never contributes.
     pp = PhysParams(tau=tau, gamma_t=gamma_t)
     x, p = build_deformed_pair(GRID, pp)
-    target = 1j * pp.hbar * np.diag(1.0 + tau * GRID.points**2)
-    r = action_residual(commutator(x, p), target, stencil_probes(GRID), GRID)
+    target = Operator(1j * pp.hbar * np.diag(1.0 + tau * GRID.points**2), GRID)
+    r = action_residual(commutator(x, p), target, stencil_probes(GRID))
     assert r < 1e-14
 
 
@@ -134,10 +134,10 @@ def test_adjoint_defect_identity():
     # because the defect profile is quadratic).
     pp = PhysParams(tau=0.1)
     x, _ = build_deformed_pair(GRID, pp)
-    defect = adjoint(x).entries - x.entries
-    target = 2j * pp.hbar * pp.tau * np.diag(GRID.points)
+    defect = Operator(adjoint(x).entries - x.entries, GRID)
+    target = Operator(2j * pp.hbar * pp.tau * np.diag(GRID.points), GRID)
     ones = np.ones((GRID.n_points, 1)) / np.sqrt(GRID.n_points)
-    assert action_residual(defect, target, ones, GRID) < 1e-13
+    assert action_residual(defect, target, ones) < 1e-13
 
 
 # ---------------------------------------------------------------- ladder
@@ -166,8 +166,8 @@ def test_ladder_commutator_is_identity_undeformed():
     pp = PhysParams()
     x, p = build_deformed_pair(GRID, pp)
     lad = build_ladder(x, p, pp)
-    eye = np.eye(GRID.n_points)
-    r = action_residual(commutator(lad.a, lad.a_dag), eye, stencil_probes(GRID), GRID)
+    eye = Operator(np.eye(GRID.n_points), GRID)
+    r = action_residual(commutator(lad.a, lad.a_dag), eye, stencil_probes(GRID))
     assert r < 1e-13
 
 

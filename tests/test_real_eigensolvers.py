@@ -93,20 +93,21 @@ def test_tripped_guard_computes_no_eigenvectors(seen_all):
                         ("eigvalsh", np.float64, (128, 128))]
     seen_all.clear()
     with pytest.raises(NumericGuardError, match="non-positive"):
-        hermitian_matrix_function(np.diag([0.0, 1.0]), np.sqrt,
+        hermitian_matrix_function(Operator.diag([0.0, 1.0, 1.0], Grid(3, 1.0)), np.sqrt,
                                   require_positive_spectrum=True)
-    assert seen_all == [("eigvalsh", np.float64, (2, 2))]
+    assert seen_all == [("eigvalsh", np.float64, (3, 3))]
 
 
 def test_passed_guard_decides_on_eigvalsh_before_eigh(seen_all):
-    hermitian_matrix_function(np.diag([1.0, 2.0]), np.sqrt, require_positive_spectrum=True)
-    assert seen_all == [("eigvalsh", np.float64, (2, 2)), ("eigh", np.float64, (2, 2))]
+    hermitian_matrix_function(Operator.diag([1.0, 2.0, 2.0], Grid(3, 1.0)), np.sqrt,
+                              require_positive_spectrum=True)
+    assert seen_all == [("eigvalsh", np.float64, (3, 3)), ("eigh", np.float64, (3, 3))]
 
 
 def test_complex_hermitian_input_takes_the_complex_eigh(seen):
     rng = np.random.default_rng(3)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    hermitian_matrix_function(0.5 * (m + m.conj().T), np.exp)
+    hermitian_matrix_function(Operator(0.5 * (m + m.conj().T), Grid(9, 2.0)), np.exp)
     assert seen == [("eigh", np.complex128, (9, 9))]
 
 
@@ -118,7 +119,7 @@ def test_narrowing_has_no_tolerance(seen):
     spectrum(Operator(tiny, grid), 4)
     herm = np.eye(9, dtype=complex)
     herm[0, 1], herm[1, 0] = 1e-300j, -1e-300j
-    hermitian_matrix_function(herm, np.exp)
+    hermitian_matrix_function(Operator(herm, Grid(9, 2.0)), np.exp)
     assert seen == [("eig", np.complex128, (129, 129)), ("eigh", np.complex128, (9, 9))]
 
 
@@ -147,14 +148,14 @@ def _symmetric(n, seed):
 @pytest.mark.parametrize(
     "a, f",
     [
-        (np.diag([0.0, np.log(2.0)]), np.exp),
-        (_symmetric(12, 3), lambda t: t**2),
+        (np.diag([0.0, np.log(2.0), np.log(4.0)]), np.exp),
+        (_symmetric(13, 3), lambda t: t**2),
         (np.diag(MOMENTA), lambda t: 1.0 / (1.0 + 0.1 * t**2)),
-        (_symmetric(10, 5), lambda t: t),
+        (_symmetric(11, 5), lambda t: t),
     ],
 )
 def test_real_symmetric_matrix_function_matches_the_complex_path(a, f):
-    got = hermitian_matrix_function(a, f)
+    got = hermitian_matrix_function(Operator(a, Grid(len(a), 2.0)), f).entries
     assert not np.imag(got).any()
     w, u = np.linalg.eigh(a.astype(np.complex128))
     expect = (u * f(w)) @ u.conj().T

@@ -160,14 +160,16 @@ class TestHermitianCounterpart:
             assert seq[0] / seq[1] > 3.0
             assert seq[1] / seq[2] > 3.0
 
-    def test_sqrt_pair_handles_dense_positive_operators(self):
-        rng = np.random.default_rng(0)
-        grid = Grid(9, 2.0, 0.25)
-        m = rng.normal(size=(9, 9))
-        spd = (m @ m.T + 9 * np.eye(9)).astype(complex)
-        half, half_inv = (op.entries for op in _sqrt_pair(Operator(spd, grid)))
-        assert np.linalg.norm(half @ half - spd) < 1e-10
-        assert np.linalg.norm(half @ half_inv - np.eye(9)) < 1e-12
+    def test_non_diagonal_metric_is_refused(self):
+        # A positive definite ρ with one off-diagonal pair is still refused:
+        # only diagonal metrics have square roots here.
+        grid, pp, ham = _bf_setup(n=129, p_max=8.0)
+        rho = np.eye(grid.n_points)
+        rho[3, 4] = rho[4, 3] = 0.1
+        with pytest.raises(ValueError, match="diagonal"):
+            _sqrt_pair(Operator(rho, grid))
+        with pytest.raises(ValueError, match="diagonal"):
+            hermitian_counterpart(ham, Operator(rho, grid))
 
     def test_sqrt_pair_rejects_non_positive_diagonal(self):
         grid = Grid(9, 2.0, 0.25)
@@ -192,18 +194,13 @@ class TestHermitianCounterpart:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_counterpart(ham, bad)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_matrix_function(bad.entries, np.sqrt)
+            hermitian_matrix_function(bad, np.sqrt)
 
 
 class TestSpectrum:
-    def test_raw_matrix_eigenvalues(self):
-        values = spectrum(np.array([[1.0, 1.0], [0.0, 2.0]]), 2).values
-        assert values[0] == pytest.approx(1.0)
-        assert values[1] == pytest.approx(2.0)
-
     def test_hermitian_matrix_has_tiny_reality_measure(self):
         grid, pp, ham = _bf_setup(n=257, p_max=8.0, mu=0.0)
-        result = spectrum(ham, 4, grid)
+        result = spectrum(ham, 4)
         assert result.reality_measure < 1e-10
 
     def test_similarity_invariance_after_filtering(self):
@@ -212,47 +209,53 @@ class TestSpectrum:
         grid, pp, ham = _bf_setup()
         rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
         h, _ = hermitian_counterpart(ham, rho)
-        s1 = spectrum(ham, 6, grid)
-        s2 = spectrum(h, 6, grid)
+        s1 = spectrum(ham, 6)
+        s2 = spectrum(h, 6)
         diff = max(abs(a - b) for a, b in zip(s1.values, s2.values))
         assert diff < 1e-6
 
     def test_level_count_validation_and_truncation(self):
+        # Distinct levels, so the near-duplicate merge keeps all three.
+        op = Operator.diag([1.0, 2.0, 3.0], Grid(3, 1.0))
         with pytest.raises(ValueError):
-            spectrum(np.eye(3), 0)
+            spectrum(op, 0)
         # Asking for more levels than exist returns what is available.
-        assert len(spectrum(np.eye(3), 7).values) == 3
+        assert len(spectrum(op, 7).values) == 3
+
+    def test_raw_array_is_refused(self):
+        with pytest.raises(TypeError, match="Operator"):
+            spectrum(np.eye(3), 1)
 
 
 class TestFitDiagonalMetric:
     def test_hermitian_input_fits_exactly_constant_profile(self):
         grid, pp, ham = _bf_setup(n=513, mu=0.0)
-        fit = fit_diagonal_metric(ham, grid, pp)
+        fit = fit_diagonal_metric(ham, pp)
         assert fit.status == "OK"
         assert np.max(np.abs(fit.profile - 1.0)) == 0.0
 
     def test_quadratic_model_recovers_gaussian_log_slope(self):
         grid, pp, ham = _bf_setup()
-        fit = fit_diagonal_metric(ham, grid, pp)
+        fit = fit_diagonal_metric(ham, pp)
         assert fit.status == "OK"
         assert log_quadratic_coefficient(fit) == pytest.approx(0.200537, rel=1e-4)
 
     def test_fit_quality_goldens(self):
         grid, pp, ham = _bf_setup()
-        fit = fit_diagonal_metric(ham, grid, pp)
+        fit = fit_diagonal_metric(ham, pp)
         assert fit.fit_residual == pytest.approx(5.4439e-5, rel=1e-3)
         assert fit.sigma_gap == pytest.approx(1.0308e-2, rel=1e-3)
 
     def test_undeformed_fit_identifies_nearest_candidate(self):
         grid, pp, ham = _bf_setup()
-        fit = fit_diagonal_metric(ham, grid, pp)
+        fit = fit_diagonal_metric(ham, pp)
         assert fit.nearest == "BF-composite"
         assert fit.distances["BF-composite"] == pytest.approx(1.0417e-2, rel=1e-3)
         assert fit.distances["JR-composite"] == pytest.approx(7.5801, rel=1e-3)
 
     def test_deformed_fit_still_favors_gaussian_family(self):
         grid, pp, ham = _bf_setup(tau=0.1)
-        fit = fit_diagonal_metric(ham, grid, pp)
+        fit = fit_diagonal_metric(ham, pp)
         assert fit.status == "OK"
         assert fit.nearest == "BF-composite"
         assert fit.distances["BF-composite"] == pytest.approx(0.861010, rel=1e-3)
@@ -265,7 +268,7 @@ class TestFitDiagonalMetric:
         grid = Grid(513, 10.0, 0.25)
         pp = PhysParams(mu=0.1)
         bad = Operator(1j * np.diag(grid.points**2), grid)
-        fit = fit_diagonal_metric(bad, grid, pp)
+        fit = fit_diagonal_metric(bad, pp)
         assert fit.status == "INVALID"
         assert fit.profile.min() < 0
 
@@ -273,7 +276,7 @@ class TestFitDiagonalMetric:
         grid = Grid(513, 10.0, 0.25)
         pp = PhysParams(mu=0.1)
         zero = Operator(np.zeros((513, 513), dtype=complex), grid)
-        fit = fit_diagonal_metric(zero, grid, pp)
+        fit = fit_diagonal_metric(zero, pp)
         assert fit.status == "AMBIGUOUS"
         assert fit.sigma_gap < 1e-8
 
@@ -294,9 +297,9 @@ class TestFitDiagonalMetric:
         for k in range(basis.shape[1]):
             g = Operator.diag(basis[:, k], grid)
             m = op_sum(op_product(hd, g), op_scale(-1.0, op_product(g, ham)))
-            cols.append(interior_action(m, probes, grid).ravel())
+            cols.append(interior_action(m, probes).ravel())
         expect = np.stack(cols, axis=1)
-        got = _fit_matrix(ham, basis, probes, grid)
+        got = _fit_matrix(ham, basis, probes)
         assert got.dtype == np.float64
         err = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
         assert err.max() <= 1e-13
@@ -306,11 +309,11 @@ class TestFitDiagonalMetric:
         pp = PhysParams(mu=0.1)
         ham = Operator(np.eye(9, dtype=complex), grid)
         with pytest.raises(ValueError):
-            fit_diagonal_metric(ham, grid, pp)
+            fit_diagonal_metric(ham, pp)
 
     def test_log_slope_requires_positive_profile(self):
         grid, pp, ham = _bf_setup()
-        fit = fit_diagonal_metric(ham, grid, pp)
+        fit = fit_diagonal_metric(ham, pp)
         broken = type(fit)(
             status=fit.status,
             profile=-np.abs(fit.profile),
@@ -328,7 +331,7 @@ class TestModelEquality:
     def test_identical_inputs_fully_explained(self):
         grid, pp, ham = _bf_setup(n=257, p_max=8.0)
         x, p = build_deformed_pair(grid, pp)
-        report = model_equality_report(ham, ham, x, p, grid)
+        report = model_equality_report(ham, ham, x, p)
         assert report.unexplained == 0.0
         assert all(abs(c) < 1e-12 for c in report.coefficients.values())
 
@@ -336,7 +339,7 @@ class TestModelEquality:
         grid, pp, ham = _bf_setup(n=257, p_max=8.0)
         x, p = build_deformed_pair(grid, pp)
         shifted = Operator(ham.entries + 3.0 * np.eye(257), grid)
-        report = model_equality_report(shifted, ham, x, p, grid)
+        report = model_equality_report(shifted, ham, x, p)
         assert report.coefficients["I"] == pytest.approx(3.0, abs=1e-10)
         assert report.unexplained < 1e-12
 
@@ -349,7 +352,7 @@ class TestModelEquality:
         ladder = build_ladder(x, p, pp)
         h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
         h_bf = build_swanson_bf(x, p, pp)
-        report = model_equality_report(h_jr, h_bf, x, p, grid)
+        report = model_equality_report(h_jr, h_bf, x, p)
         assert report.unexplained < 1e-8
         # The fitted anticommutator weight matches the half-difference of
         # the ladder couplings, not the nominal input weight.
