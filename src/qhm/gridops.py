@@ -62,6 +62,7 @@ Everything downstream builds on four ingredients defined here:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -130,10 +131,13 @@ class Grid:
     def spacing(self) -> float:
         return 2.0 * self.p_max / (self.n_points - 1)
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
+        """The sample momenta, computed once per grid (read-only)."""
         half = np.linspace(0.0, self.p_max, self.n_points // 2 + 1)
-        return np.concatenate([-half[:0:-1], half])
+        out = np.concatenate([-half[:0:-1], half])
+        out.flags.writeable = False
+        return out
 
     def mask_offset(self) -> int:
         return int(np.floor(self.mask_fraction * self.n_points))
@@ -613,11 +617,13 @@ def stencil_probes(grid: Grid) -> np.ndarray:
     return np.stack([ones, lin], axis=1)
 
 
+@functools.lru_cache(maxsize=16)
 def smooth_probes(grid: Grid, count: int = 8, width: float = 1.0) -> np.ndarray:
     """Hermite–Gaussian momentum profiles, unit-normalized columns.
 
     The first ``count`` oscillator-like profiles of the given width, spanning
     the low-energy subspace on which continuum identities are compared.
+    Cached per argument set, so the array is shared and read-only.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -632,7 +638,9 @@ def smooth_probes(grid: Grid, count: int = 8, width: float = 1.0) -> np.ndarray:
         cols.append(col / nrm if nrm > 0 else col)
         h_next = 2.0 * t * h_cur - 2.0 * k * h_prev
         h_prev, h_cur = h_cur, h_next
-    return np.stack(cols, axis=1)
+    out = np.stack(cols, axis=1)
+    out.flags.writeable = False
+    return out
 
 
 def interior_action(a: Operator, vectors: np.ndarray) -> np.ndarray:

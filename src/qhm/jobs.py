@@ -19,9 +19,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -555,19 +557,43 @@ def run_job(cfg: JobConfig) -> dict:
     }
 
 
+def _write_in_place(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in one call, then cut the file to
+    its new length.
+
+    The opener drops ``O_TRUNC``: truncating a non-empty file to zero on
+    open makes ext4 start writeback on close (its replace-via-truncate
+    heuristic), so every report became a disk write; overwriting and then
+    truncating to a non-zero length does not.  A new file gets mode
+    ``0o666 & ~umask``, and symlinks and hard links are written through, as
+    with ``open(path, "w")``.  The write is not atomic: a concurrent reader
+    may see partial content, or the old file's tail bytes past the new
+    content until the truncate.
+    """
+    def keep_contents(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, "wb", opener=keep_contents) as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def serialize_report(doc: dict, out_dir) -> tuple[Path, Path]:
-    """Write report.json and tables.csv under out_dir; returns the two paths."""
+    """Write report.json and tables.csv under out_dir; returns the two paths.
+
+    Each file's text is built in memory and written over the existing file
+    in place (see ``_write_in_place``); the bytes are those of ``json.dump``
+    with ``indent=2, sort_keys=True`` plus a newline, and of a
+    ``csv.DictWriter`` over ``_ROW_FIELDS``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     csv_path = out / "tables.csv"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    rows = doc.get("results", {}).get("rows", [])
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_ROW_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_in_place(report_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=_ROW_FIELDS)
+    writer.writeheader()
+    writer.writerows(doc.get("results", {}).get("rows", []))
+    _write_in_place(csv_path, table.getvalue())
     return report_path, csv_path

@@ -38,9 +38,10 @@ _KINDS = frozenset({"BF", "JR", "ExpTheta", "DeformWeight", "Product"})
 class MetricSpec:
     """Symbolic description of a diagonal metric profile.
 
-    kinds: BF -> exp(2*mu*p^2); JR -> (1+tau*p^2)^(mu/(omega^2*tau)),
-    which requires tau > 0; ExpTheta -> exp(theta*p^2); DeformWeight ->
-    (1+tau*p^2)^(-1); Product -> pointwise product of ``factors``.
+    kinds: BF -> exp(2*mu*p^2/(m*omega^2)); JR ->
+    (1+tau*p^2)^(mu/(omega^2*tau)), which requires tau > 0; ExpTheta ->
+    exp(theta*p^2); DeformWeight -> (1+tau*p^2)^(-1); Product -> pointwise
+    product of ``factors``.
     """
 
     kind: str
@@ -64,7 +65,7 @@ def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     """Strictly positive profile g(p_k) for a MetricSpec label."""
     p2 = grid.points**2
     if spec.kind == "BF":
-        return np.exp(2.0 * pp.mu * p2)
+        return np.exp(2.0 * pp.mu * p2 / (pp.mass * pp.omega**2))
     if spec.kind == "JR":
         if pp.tau <= 0:
             raise ValueError("JR metric requires tau > 0")
@@ -140,12 +141,13 @@ def limit_sweep(
 
 
 def bf_composite(pp: PhysParams) -> MetricSpec:
-    """Deformation weight times the undeformed-limit profile exp(2*mu*p^2/omega^2)."""
+    """Deformation weight times the undeformed-limit profile
+    exp(2*mu*p^2/(m*omega^2))."""
     return MetricSpec(
         "Product",
         factors=(
             MetricSpec("DeformWeight"),
-            MetricSpec("ExpTheta", theta=2.0 * pp.mu / pp.omega**2),
+            MetricSpec("ExpTheta", theta=2.0 * pp.mu / (pp.mass * pp.omega**2)),
         ),
     )
 

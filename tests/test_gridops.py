@@ -32,6 +32,19 @@ def test_grid_spacing_and_points():
     assert p[g.n_points // 2] == 0.0  # odd count puts p=0 on the grid
 
 
+def test_grid_points_are_computed_once_and_read_only():
+    g = Grid(513, 10.0, 0.25)
+    p = g.points
+    assert g.points is p
+    half = np.linspace(0.0, 10.0, 257)
+    assert np.array_equal(p, np.concatenate([-half[:0:-1], half]))
+    with pytest.raises(ValueError, match="read-only"):
+        p[0] = 1.0
+    # equal grids are still equal and hash alike once one has its points
+    assert g == Grid(513, 10.0, 0.25)
+    assert hash(g) == hash(Grid(513, 10.0, 0.25))
+
+
 def test_grid_rejects_even_n_points():
     with pytest.raises(ValueError, match="odd"):
         Grid(256, 8.0, 0.25)
@@ -377,6 +390,20 @@ def test_smooth_probes_shape_and_normalization():
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
     # profiles decay to negligible values at the window edge
     assert np.abs(v[0, :]).max() < 1e-8
+
+
+def test_smooth_probes_are_cached_per_argument_set_and_read_only():
+    v = smooth_probes(Grid(257, 8.0, 0.25), count=4, width=1.5)
+    assert smooth_probes(Grid(257, 8.0, 0.25), count=4, width=1.5) is v
+    # the uncached construction, on a fresh grid, gives the same bits
+    fresh = smooth_probes.__wrapped__(Grid(257, 8.0, 0.25), count=4, width=1.5)
+    assert fresh is not v
+    assert np.array_equal(fresh, v)
+    with pytest.raises(ValueError, match="read-only"):
+        v += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 1.0
+    assert not np.array_equal(smooth_probes(Grid(257, 8.0, 0.25), count=4), v)
 
 
 def test_smooth_probes_rejects_empty_family():

@@ -1,8 +1,10 @@
 """Job-config parsing, report generation, and command-line behavior."""
 
 import csv
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 
 import qhm
 from qhm import Grid
+from qhm.cli import main as cli_main
 from qhm.jobs import (
     JOB_KINDS,
     ConfigError,
@@ -156,6 +159,19 @@ class TestParseConfig:
         assert parse_config(json.dumps(run)).refinement == (n, 129)
 
 
+_SMALL_COMPARE = {
+    "job": "compare-metrics",
+    "metrics": ["ExpTheta(0.2)", "ExpTheta(0.1)"],
+    "grid": {"n_points": 129, "p_max": 10.0, "refinement": [129, 257]},
+    "params": {"mu": 0.1},
+}
+
+
+@pytest.fixture(scope="module")
+def report_doc():
+    return run_job(parse_config(json.dumps(_SMALL_COMPARE)))
+
+
 class TestRunJob:
     def test_report_has_documented_top_level_shape(self):
         doc = run_job(parse_config(_cfg()))
@@ -199,17 +215,8 @@ class TestRunJob:
         assert csv_path.name == "tables.csv"
         assert json.loads(report_path.read_text()) == doc
 
-    def test_csv_has_one_row_per_metric_grid_pair(self, tmp_path):
-        text = json.dumps(
-            {
-                "job": "compare-metrics",
-                "metrics": ["ExpTheta(0.2)", "ExpTheta(0.1)"],
-                "grid": {"n_points": 129, "p_max": 10.0, "refinement": [129, 257]},
-                "params": {"mu": 0.1},
-            }
-        )
-        doc = run_job(parse_config(text))
-        _, csv_path = serialize_report(doc, tmp_path)
+    def test_csv_has_one_row_per_metric_grid_pair(self, tmp_path, report_doc):
+        _, csv_path = serialize_report(report_doc, tmp_path)
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
@@ -239,6 +246,75 @@ class TestRunJob:
         assert dists == sorted(dists, reverse=True)
         assert sweep["final_distance"] == pytest.approx(1.150063e-3, rel=1e-3)
         assert doc["verdicts"]["overall"] == "PASS"
+
+
+def _reference_bytes(doc) -> tuple[bytes, bytes]:
+    """report.json and tables.csv as a fresh write gives them."""
+    table = io.StringIO()
+    writer = csv.DictWriter(
+        table, fieldnames=["job", "metric", "n_points", "tau", "residual", "verdict"]
+    )
+    writer.writeheader()
+    for row in doc["results"]["rows"]:
+        writer.writerow(row)
+    report = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return report.encode("utf-8"), table.getvalue().encode("utf-8")
+
+
+class TestSerializeReport:
+    def test_bytes_match_the_reference_encoders(self, tmp_path, report_doc):
+        report_path, csv_path = serialize_report(report_doc, tmp_path)
+        report, table = _reference_bytes(report_doc)
+        assert report_path.read_bytes() == report
+        assert csv_path.read_bytes() == table
+        assert table.count(b"\r\n") == len(report_doc["results"]["rows"]) + 1
+
+    def test_shorter_report_over_a_longer_one_leaves_only_its_bytes(
+        self, tmp_path, report_doc
+    ):
+        results = dict(report_doc["results"])
+        results["rows"] = results["rows"] * 5
+        long_doc = dict(report_doc, results=results)
+        serialize_report(long_doc, tmp_path)
+        report_path, csv_path = serialize_report(report_doc, tmp_path)
+        report, table = _reference_bytes(report_doc)
+        assert report_path.read_bytes() == report
+        assert csv_path.read_bytes() == table
+
+    def test_new_files_get_0o666_less_the_umask(self, tmp_path, report_doc):
+        old = os.umask(0o002)
+        try:
+            paths = serialize_report(report_doc, tmp_path / "fresh")
+        finally:
+            os.umask(old)
+        for path in paths:
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o664
+
+    def test_symlinked_report_rewrites_its_target(self, tmp_path, report_doc):
+        target = tmp_path / "kept" / "target.json"
+        target.parent.mkdir()
+        target.write_text("x" * 100_000)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").symlink_to(target)
+        report_path, _ = serialize_report(report_doc, out)
+        assert report_path.is_symlink()
+        assert target.read_bytes() == _reference_bytes(report_doc)[0]
+
+    def test_out_dir_that_is_a_file_exits_four(self, tmp_path, capsys):
+        job = _write_job(tmp_path, "job.json", {"job": "verify-metric", "metric": "BF"})
+        blocker = tmp_path / "blocked"
+        blocker.write_text("not a directory")
+        assert cli_main([str(job), "--out", str(blocker)]) == 4
+        assert "cannot write reports" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory"
+
+    def test_report_path_that_is_a_directory_exits_four(self, tmp_path, capsys):
+        job = _write_job(tmp_path, "job.json", {"job": "verify-metric", "metric": "BF"})
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert cli_main([str(job), "--out", str(out)]) == 4
+        assert "cannot write reports" in capsys.readouterr().err
 
 
 def _run_cli(*args, env_extra=None, cwd=None):

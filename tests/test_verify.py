@@ -24,6 +24,7 @@ from qhm import (
     log_quadratic_coefficient,
     model_equality_report,
     smooth_probes,
+    spec_from_label,
     spectrum,
 )
 from qhm.gridops import adjoint, interior_action, op_product, op_scale, op_sum
@@ -95,6 +96,37 @@ class TestDieudonneResidual:
         probes = smooth_probes(grid, count=4)
         res = dieudonne_residual(ham, rho, probes=probes)
         assert np.isfinite(res) and res < 1e-1
+
+
+class TestGaussianLabelsAwayFromUnitMassAndFrequency:
+    """``BF`` and ``BF-composite`` carry θ = 2μ/(mω²): at ω ≠ 1 or m ≠ 1 they
+    intertwine the τ = 0 Hamiltonian to the h² grid floor, which falls ×4
+    from 513 to 1025 points, while θ = 2μ (ω and m left out) or 2μ/ω² (m
+    left out) leave a residual that does not shrink."""
+
+    @staticmethod
+    def _residuals(pp, label):
+        out = []
+        for n in (513, 1025):
+            grid = Grid(n, 10.0, 0.25)
+            x, p = build_deformed_pair(grid, pp)
+            rho = build_metric(spec_from_label(label, pp), grid, pp)
+            out.append(dieudonne_residual(build_swanson_bf(x, p, pp), rho))
+        return out
+
+    @pytest.mark.parametrize(
+        "kw", [{"omega": 1.5}, {"mass": 2.0}], ids=["omega1.5", "mass2"]
+    )
+    @pytest.mark.parametrize("label", ["BF", "BF-composite"])
+    def test_label_converges_at_h_squared(self, kw, label):
+        pp = PhysParams(hbar=1.0, mu=0.1, **kw)
+        coarse, fine = self._residuals(pp, label)
+        assert coarse < 2e-3
+        assert coarse / fine == pytest.approx(4.0, rel=0.05)
+        # θ = 2μ = 0.2 is what the stale labels gave in both cases
+        stale_coarse, stale_fine = self._residuals(pp, "ExpTheta(0.2)")
+        assert stale_coarse > 0.1
+        assert stale_coarse / stale_fine == pytest.approx(1.0, abs=0.05)
 
 
 class TestPositionQuasiHermiticity:
