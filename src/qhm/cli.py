@@ -3,8 +3,9 @@
 Usage: ``qhm <jobfile.json> [--assert] [--out DIR] [--refine 129,257,513]``.
 
 Exit codes: 0 success (or PASS), 1 verdict FAIL under ``--assert``,
-2 configuration error, 3 runtime/numeric error, 4 I/O error.  The
-``QHM_LOG`` environment variable (error, info, debug) sets log verbosity.
+2 configuration error, 3 runtime/numeric error (out of memory included),
+4 I/O error.  The ``QHM_LOG`` environment variable (error, info, debug) sets
+log verbosity.
 """
 from __future__ import annotations
 
@@ -83,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         doc = run_job(cfg)
-    except (NumericGuardError, ValueError, np.linalg.LinAlgError) as exc:
-        print(f"run error: {exc}", file=sys.stderr)
+    except (NumericGuardError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"run error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUN_ERROR
 
     out_dir = args.out or cfg.out_dir or "."

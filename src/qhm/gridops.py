@@ -8,17 +8,16 @@ Everything downstream builds on four ingredients defined here:
 * ``Operator`` — a complex matrix bound to its grid, stored as its diagonals.
   The model operators are banded (P and ρ are diagonal, X spans offsets
   −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
-  O(n · bandwidth).  The dense matrix is materialized only for the dense
-  eigensolvers: ``np.linalg.eigvalsh`` then ``np.linalg.eigh`` in
-  ``hermitian_matrix_function``, which decides its positivity and
+  O(n · bandwidth).  The eigensolvers read the bands through one parity
+  fold (``_parity_fold``): ``np.linalg.eigvalsh`` then ``np.linalg.eigh``
+  in ``hermitian_matrix_function``, which decides its positivity and
   dynamic-range guards from the eigenvalues before it computes any
   eigenvector (the q-algebra check at q = 1 needs no matrix function at
-  all: q^{f(N)} is exactly the identity there), and
-  ``np.linalg.eig`` in ``spectrum`` for grids of fewer than 257 points and
-  the fallback of its shift-invert path.  On larger grids
-  ``spectrum`` hands ARPACK sparse blocks folded straight from the bands
-  (``_sparse_blocks``).  Two exact properties of the model operators make
-  all of these solves cheaper:
+  all: q^{f(N)} is exactly the identity there), and ``np.linalg.eig`` in
+  ``spectrum`` for grids of fewer than 257 points and the fallback of its
+  shift-invert path, which hands ARPACK the same blocks as sparse
+  matrices.  No solver reads ``Operator.entries``.  Two exact properties
+  of the model operators make all of these solves cheaper:
 
   - *Real.*  A matrix whose imaginary parts are all exactly zero reaches the
     solvers as a real array, so LAPACK runs the real routines (``dgeev``/
@@ -27,17 +26,18 @@ Everything downstream builds on four ingredients defined here:
     ladder (P − iωX)/√(2mħω) are real.
   - *Even.*  A matrix that commutes exactly with the reflection p → −p is
     solved as its even and odd blocks of sizes n//2 + 1 and n//2, about a
-    quarter of the full cost for the dense solvers (``_parity_blocks``; a
-    banded even operator has banded blocks, ``_sparse_blocks``).  On the
-    antisymmetric grid, P and the derivative D (its one-sided boundary rows
-    included) are exactly odd and every even function of p is exactly even,
-    so X is odd and the Hamiltonians, the Gaussian metrics, the
-    counterparts ρ^{1/2}Hρ^{-1/2} and the number operator are even.
+    quarter of the full cost for the dense solvers; a banded even operator
+    has banded blocks.  On the antisymmetric grid, P and the derivative D
+    (its one-sided boundary rows included) are exactly odd and every even
+    function of p is exactly even, so X is odd and the Hamiltonians, the
+    Gaussian metrics, the counterparts ρ^{1/2}Hρ^{-1/2} and the number
+    operator are even.
 
   Both tests are exact, with no tolerance; a matrix that fails one takes the
-  general solver.  (``op_product`` sums the bands of an entry in an order
-  that the reflection reverses, so a product whose entries sum three or more
-  nonzero terms, such as a†a, can miss exact parity by an ulp on rare grids.)
+  general solver (a complex array, or one n x n block).  (``op_product``
+  sums the bands of an entry in an order that the reflection reverses, so a
+  product whose entries sum three or more nonzero terms, such as a†a, can
+  miss exact parity by an ulp on rare grids.)
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).  Every operand is an ``Operator``, and each
   function reads its grid from its operands, which must share it.  Products
@@ -154,7 +154,7 @@ class Operator:
     outside the matrix hold zero, and all-zero outer diagonals are trimmed,
     so a diagonal operator has one band and the zero operator none.
     ``Operator(entries, grid)`` converts a dense square array; ``entries``
-    materializes the dense matrix again, for the dense eigensolvers.
+    materializes the dense matrix again, for callers outside the package.
     """
 
     __slots__ = ("lo", "bands", "grid")
@@ -247,89 +247,70 @@ def _bands_to_dense(lo: int, bands: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_if_exact(arr: np.ndarray) -> np.ndarray:
-    """``arr.real`` when every imaginary part is exactly zero, else ``arr``.
+def _parity_fold(op: Operator) -> tuple[list, bool]:
+    """The parity blocks of ``op``, folded from its bands, and whether ``op``
+    is exactly even under the reflection p → −p.
 
-    No tolerance: the narrowed array holds the same matrix, and numpy's
-    eigensolvers then call the real LAPACK routines instead of the complex ones.
-    """
-    if np.iscomplexobj(arr) and not arr.imag.any():
-        return arr.real
-    return arr
+    Each block is ``((values, (rows, cols)), shape)``, its nonzero entries as
+    COO triplets (the arguments of a scipy COO array); a position listed
+    twice holds the sum of its two values.  Exactly real bands give real
+    values.  No n x n array is formed.
 
-
-def _parity_blocks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Even and odd blocks of a matrix that commutes exactly with the
-    reflection p → −p, else ``None``.
-
-    ``arr`` is even when ``arr[i, j] == arr[n-1-i, n-1-j]`` for every entry
-    (no tolerance) and n = 2m+1 is odd.  It then maps the even vectors,
+    ``op`` is even when ``A[i, j] == A[n-1-i, n-1-j]`` for every entry (no
+    tolerance), that is when its bands are centred on the main diagonal
+    (``2·lo + len(bands) == 1``; the zero operator has none) and
+    ``bands == bands[::-1, ::-1]`` (slot (k, i) mirrors slot
+    (len − 1 − k, n − 1 − i)).  With n = 2m+1, A then maps the even vectors,
     spanned by the orthonormal basis (e_j + e_{n-1-j})/√2 (j < m) and e_m,
     to themselves, and likewise the odd vectors, spanned by
-    (e_j − e_{n-1-j})/√2.  The blocks are ``arr`` in these two bases:
+    (e_j − e_{n-1-j})/√2.  The blocks are A in these two bases, read from
+    the slots of rows 0..m alone:
 
-    * even, (m+1) x (m+1): ``arr[i, j] + arr[i, n-1-j]`` for i, j < m, the
-      centre column ``√2·arr[i, m]`` and the centre row ``√2·arr[m, j]``
-      (``(arr[m, j] + arr[m, n-1-j]) / √2``), and ``arr[m, m]``;
-    * odd, m x m: ``arr[i, j] − arr[i, n-1-j]``.
+    * even, (m+1) x (m+1): ``A[i, j] + A[i, n-1-j]`` for i, j < m, the
+      centre column ``√2·A[i, m]``, the centre row
+      ``√½·A[m, j] + √½·A[m, n-1-j]``, and ``A[m, m]``;
+    * odd, m x m: ``A[i, j] − A[i, n-1-j]``.
 
-    The spectrum of ``arr`` is the union of theirs, and a Hermitian ``arr``
-    gives Hermitian blocks.  Component j < m of a block eigenvector stands
+    Every entry sums at most two terms, so the order of the sum does not
+    matter.  The spectrum of A is the union of the blocks', and a Hermitian
+    A gives Hermitian blocks.  Component j < m of a block eigenvector stands
     for the mirrored pair (j, n-1-j) of the full one, with the same total
-    squared modulus.
+    squared modulus.  Any other operator is one n x n block.
     """
-    n = arr.shape[0]
-    if n % 2 == 0 or not np.array_equal(arr, arr[::-1, ::-1]):
-        return None
-    m = n // 2
-    top = arr[: m + 1]
-    left, mirror = top[:, :m], top[:, :m:-1]  # columns j and n-1-j, j < m
-    even = np.concatenate([left + mirror, top[:, m : m + 1]], axis=1)
-    even[:m, m] *= np.sqrt(2.0)
-    even[m, :m] *= np.sqrt(0.5)
-    return even, left[:m] - mirror[:m]
-
-
-def _sparse_blocks(op: Operator) -> tuple[list, bool]:
-    """CSC parity blocks of ``op`` folded from its bands, and whether it is even.
-
-    ``op`` is exactly even when its bands are: an odd number of them centred
-    on the main diagonal (``lo == -(len(bands) - 1) // 2``) with
-    ``bands == bands[::-1, ::-1]`` (slot (k, i) mirrors slot
-    (len - 1 - k, n - 1 - i)).  Its blocks are then those of
-    ``_parity_blocks``, summed from the slots of rows 0..m alone, with the
-    same √2 and √½ weights on the centre column and row.  Any other operator
-    becomes one n x n block.  Exactly real bands give real blocks, and no
-    n x n dense array is formed.
-    """
-    from scipy.sparse import coo_array  # imported here: 0.35 s and 30 MB
-
-    n, lo, bands = op.dim, op.lo, _real_if_exact(op.bands)
+    n, lo, bands = op.dim, op.lo, op.bands
+    if _quarter_turns(bands) == 0:
+        bands = bands.real
     rows, cols = _slot_indices(lo, bands.shape)
     stored = (cols >= 0) & (cols < n) & (bands != 0)
     nb = len(bands)
-    even = (
-        nb % 2 == 1 and lo == -(nb // 2) and np.array_equal(bands, bands[::-1, ::-1])
-    )
+    even = (nb == 0 or 2 * lo + nb == 1) and np.array_equal(bands, bands[::-1, ::-1])
     if not even:
-        whole = coo_array((bands[stored], (rows[stored], cols[stored])), shape=(n, n))
-        return [whole.tocsc()], False
+        return [((bands[stored], (rows[stored], cols[stored])), (n, n))], False
     m = n // 2
     top = stored & (rows <= m)
     r, c, v = rows[top], cols[top], bands[top]
     folded = np.where(c > m, n - 1 - c, c)  # column n-1-j joins column j
-    weight = np.ones(len(v))
-    weight[(r == m) & (c != m)] = np.sqrt(0.5)
-    weight[(r < m) & (c == m)] = np.sqrt(2.0)
-    even_block = coo_array((v * weight, (r, folded)), shape=(m + 1, m + 1))
+    v_even = v.copy()
+    v_even[(r == m) & (c != m)] *= np.sqrt(0.5)
+    v_even[(r < m) & (c == m)] *= np.sqrt(2.0)
     odd = (r < m) & (c != m)
-    sign = np.where(c[odd] > m, -1.0, 1.0)
-    odd_block = coo_array((v[odd] * sign, (r[odd], folded[odd])), shape=(m, m))
-    return [even_block.tocsc(), odd_block.tocsc()], True  # duplicates summed
+    v_odd = np.where(c[odd] > m, -v[odd], v[odd])
+    return [
+        ((v_even, (r, folded)), (m + 1, m + 1)),
+        ((v_odd, (r[odd], folded[odd])), (m, m)),
+    ], True
+
+
+def _dense_block(block) -> np.ndarray:
+    """The dense matrix of one ``_parity_fold`` block."""
+    (values, index), shape = block
+    out = np.zeros(shape, dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
 
 
 def _parity_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The even n x n matrix whose parity blocks (``_parity_blocks``) are given."""
+    """The even n x n matrix whose parity blocks (``_parity_fold``) are given."""
     m = len(odd)
     r = np.sqrt(0.5)
     out = np.empty((2 * m + 1, 2 * m + 1), dtype=np.result_type(even, odd))
@@ -549,15 +530,15 @@ def hermitian_matrix_function(
     ``eigh`` routine and rebuilt as (u·f(w))·uᵀ by a real matrix product, so
     the result's imaginary parts are exactly zero.
 
-    An operator that is exactly even under p → −p (the number operator
-    again) is decomposed as its two parity blocks, each rebuilt as above and
-    unfolded into an exactly even result.  An operator without exact parity
-    takes one ``eigh`` of the full matrix.
+    The operator is read through ``_parity_fold``.  An operator that is
+    exactly even under p → −p (the number operator again) is decomposed as
+    its two parity blocks, each rebuilt as above and unfolded into an
+    exactly even result.  An operator without exact parity takes one
+    ``eigh`` of the full matrix.
     """
     _check_hermitian(a, tol_herm)
-    arr = _real_if_exact(a.entries)
-    blocks = _parity_blocks(arr)
-    parts = [arr] if blocks is None else blocks
+    blocks, even = _parity_fold(a)
+    parts = [_dense_block(block) for block in blocks]
     w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
     _guarded(w, f, require_positive_spectrum)
     decomps = [np.linalg.eigh(part) for part in parts]
@@ -565,7 +546,7 @@ def hermitian_matrix_function(
     fw = _guarded(w, f, require_positive_spectrum)
     fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
     rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
-    out = rebuilt[0] if blocks is None else _parity_unfold(*rebuilt)
+    out = _parity_unfold(*rebuilt) if even else rebuilt[0]
     return Operator._trimmed(*_dense_to_bands(out), a.grid)
 
 

@@ -148,12 +148,22 @@ def _plain_int(value, where: str) -> int:
     return value
 
 
+# The largest grid a job file may name: a 9-band operator on 2**20 + 1
+# points already holds 150 MB, so a larger size is refused at parse time
+# rather than left to fail in run_job.
+MAX_POINTS = 2**20 + 1
+
+
 def _build_grid(
     n_points: int, p_max: float, mask_fraction: float, prefix: str = ""
 ) -> Grid:
+    if n_points > MAX_POINTS:
+        raise ConfigError(
+            f"{prefix}n_points must be at most {MAX_POINTS}, got {n_points}"
+        )
     try:
         grid = Grid(n_points, p_max, mask_fraction)
-    except (ValueError, OverflowError) as exc:  # OverflowError: n beyond float
+    except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
     # Every job but limit-sweep builds the derivative matrix; a limit sweep
     # on 3 points has a 3-point interior and is refused with the rest.

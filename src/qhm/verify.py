@@ -27,9 +27,8 @@ from .gridops import (
     OVERFLOW_RATIO,
     Operator,
     _check_compatible,
-    _parity_blocks,
-    _real_if_exact,
-    _sparse_blocks,
+    _dense_block,
+    _parity_fold,
     action_residual,
     adjoint,
     interior_action,
@@ -141,21 +140,21 @@ def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
     return h, res
 
 
-def _block_eig_with_mass(
-    blocks: tuple[np.ndarray, np.ndarray], start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the parity blocks and the interior mass of each state.
+def _block_eig_with_mass(blocks: list, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of each ``_parity_fold`` block by the dense ``eig``, and
+    the interior mass (share of ‖u‖² on ``rows``) of each state.
 
-    Row j < m of a block eigenvector u carries the squared modulus of the
-    full vector's mirrored rows j and n-1-j (see ``gridops._parity_blocks``),
-    and row m of the even block the centre row, so the interior mass is the
-    share of ‖u‖² on rows ``start`` onwards.
+    Row j < m of an even or odd block eigenvector u carries the squared
+    modulus of the full vector's mirrored rows j and n-1-j, and row m of the
+    even block the centre row.  So the interior rows k..n-k of the full
+    vector are rows k onwards of the block vector, which is what the same
+    slice picks from it: n-k is past its end.
     """
     vals, mass = [], []
     for block in blocks:
-        w, u = np.linalg.eig(block)
+        w, u = np.linalg.eig(_dense_block(block))
         vals.append(w.astype(complex))
-        mass.append(_mass(u, slice(start, None)))
+        mass.append(_mass(u, rows))
     return np.concatenate(vals), np.concatenate(mass)
 
 
@@ -195,9 +194,9 @@ class _Fallback(Exception):
 def _arpack_pairs(
     blocks: list, rows: slice, sigma: float, nev: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The nev eigenvalues of each block nearest ``sigma``, their states'
-    interior masses, and the smallest over the blocks of the distance from
-    ``sigma`` to the farthest of them."""
+    """The nev eigenvalues of each sparse block nearest ``sigma``, their
+    states' interior masses, and the smallest over the blocks of the
+    distance from ``sigma`` to the farthest of them."""
     from scipy.sparse.linalg import eigs
 
     vals, mass, radius = [], [], np.inf
@@ -219,13 +218,13 @@ def _arpack_pairs(
 
 
 def _shift_invert_levels(
-    op: Operator, k: int, mass_min: float, dedup_rel: float
+    folded: list, rows: slice, k: int, mass_min: float, dedup_rel: float
 ) -> list[complex]:
-    """``spectrum``'s levels from shift-invert ARPACK on the sparse parity
-    blocks; raises ``_Fallback`` when a guard fails."""
-    blocks, even = _sparse_blocks(op)
-    start = op.grid.interior().start
-    rows = slice(start, None) if even else slice(start, op.dim - start)
+    """``spectrum``'s levels from shift-invert ARPACK on the parity blocks as
+    sparse matrices; raises ``_Fallback`` when a guard fails."""
+    from scipy.sparse import coo_array  # imported here: 0.35 s and 30 MB
+
+    blocks = [coo_array(*block).tocsc() for block in folded]  # duplicates summed
     cap = min(ARPACK_K_MAX, max(b.shape[0] for b in blocks) - 2)
     nev = ARPACK_K
     while True:
@@ -281,11 +280,19 @@ def spectrum(
     alternating sublattices; consecutive eigenvalues whose real parts agree
     within ``dedup_rel`` (relative) are therefore merged before counting.
 
-    *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).  The
-    parity blocks are folded straight from the bands into sparse matrices
-    (``gridops._sparse_blocks``; an operator that is not exactly even is one
-    n x n block), and ARPACK in shift-invert mode
-    (``scipy.sparse.linalg.eigs`` with σ = 0, ``ARPACK_K`` = 16 per block)
+    Both paths below solve the blocks of one parity fold, taken from the
+    bands once per call (``gridops._parity_fold``).  An operator that is
+    exactly even under p → −p (the model Hamiltonians and their
+    counterparts) gives its even and odd blocks, and any other operator one
+    n x n block.  Exactly real bands, such as those of the BF and JR
+    Hamiltonians (built from the purely imaginary X and the real P), give
+    real blocks.  Each state's interior mass comes from its block vector,
+    whose mirrored half is implied, so no n x n matrix of an even operator
+    is formed.
+
+    *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).
+    ARPACK in shift-invert mode, on the blocks as sparse matrices
+    (``scipy.sparse.linalg.eigs`` with σ = 0, ``ARPACK_K`` = 16 per block),
     finds the eigenvalues of each block nearest 0.  The interior masses come
     from the block vectors, and the filter and merge are the dense path's.
     Levels nearest σ = 0 are the smallest-real-part ones only when no
@@ -307,36 +314,26 @@ def spectrum(
     The fallback reason is logged at debug level on ``qhm.verify``.  scipy
     is imported only on this path, so small grids never load it.
 
-    *Dense* (smaller grids and fallbacks).  A matrix with no nonzero
-    imaginary part, such as the BF and JR Hamiltonians (built from the
-    purely imaginary X and the real P), goes to the real ``eig`` routine;
-    its eigenvalues are returned as complex numbers all the same.
-    A matrix that is exactly even under p → −p (the model Hamiltonians and
-    their counterparts) is solved as its even and odd parity blocks
-    (``gridops._parity_blocks``); each state's interior mass comes from its
-    block vector, whose mirrored half is implied, so no n x n eigenvector
-    matrix is formed.  Without exact parity, ``eig`` runs on the full
-    matrix.
+    *Dense* (smaller grids and fallbacks).  ``eig`` on each block as a
+    dense array (``_block_eig_with_mass``): the real routine for a real
+    block, whose eigenvalues are returned as complex numbers all the same.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     _check_compatible(op)
+    blocks, _ = _parity_fold(op)
+    rows = op.grid.interior()  # rows k..n-k; k onwards of a half-size block
     if op.dim >= SHIFT_INVERT_MIN_POINTS:
         try:
             return _spectrum_result(
-                _shift_invert_levels(op, k, mass_min, dedup_rel), "shift-invert"
+                _shift_invert_levels(blocks, rows, k, mass_min, dedup_rel),
+                "shift-invert",
             )
         except _Fallback as exc:
             logger.debug(
                 "spectrum at %d points falls back to the dense solve: %s", op.dim, exc
             )
-    entries = _real_if_exact(op.entries)
-    blocks = _parity_blocks(entries)
-    if blocks is not None:
-        vals, mass = _block_eig_with_mass(blocks, op.grid.interior().start)
-    else:
-        vals, vecs = np.linalg.eig(entries)
-        vals, mass = vals.astype(complex), _mass(vecs, op.grid.interior())
+    vals, mass = _block_eig_with_mass(blocks, rows)
     return _spectrum_result(
         _lowest_levels(vals, mass, k, mass_min, dedup_rel), "dense"
     )

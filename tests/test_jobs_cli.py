@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import qhm
+import qhm.cli
 from qhm import Grid
 from qhm.cli import main as cli_main
 from qhm.jobs import (
@@ -416,6 +417,41 @@ class TestCommandLine:
         proc = _run_cli(str(job), "--refine", sizes, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "grid, refine",
+        [
+            ({"n_points": 402653185}, None),
+            ({"n_points": 129, "refinement": [129, 402653185]}, None),
+            ({"n_points": 129}, "129,402653185"),
+        ],
+        ids=["grid", "refinement", "refine-flag"],
+    )
+    def test_grid_past_the_size_cap_exits_two(self, tmp_path, grid, refine):
+        doc = {"job": "verify-metric", "metric": "BF", "grid": grid}
+        job = _write_job(tmp_path, "big.json", doc)
+        flags = ["--refine", refine] if refine else []
+        proc = _run_cli(str(job), *flags, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert f"at most {2**20 + 1}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_the_largest_allowed_grid_parses(self):
+        cfg = parse_config(_cfg(grid={"n_points": 2**20 + 1}))
+        assert cfg.grid.n_points == 2**20 + 1
+
+    def test_out_of_memory_in_a_run_exits_three(self, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(qhm.cli, "run_job", exhausted)
+        job = _write_job(
+            tmp_path, "job.json", {"job": "verify-metric", "metric": "BF"}
+        )
+        assert cli_main([str(job), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "run error: MemoryError\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "doc, refine",

@@ -1,6 +1,8 @@
 """Parity blocks: an operator that commutes exactly with the reflection
-p → −p is solved as its even and odd blocks, with the full solver's levels,
-kept states and matrix functions; anything else takes the full n x n solver."""
+p → −p is solved as its even and odd blocks, folded from its bands, with the
+full solver's levels, kept states and matrix functions; anything else takes
+the full n x n solver.  The references are the explicit change of basis and
+the full ``np.linalg`` solves of ``Operator.entries``."""
 import warnings
 from contextlib import contextmanager
 
@@ -10,8 +12,6 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qhm.gridops
-import qhm.verify
 from qhm import (
     Grid,
     MetricSpec,
@@ -27,8 +27,8 @@ from qhm import (
     hermitian_matrix_function,
     spectrum,
 )
-from qhm.gridops import _parity_blocks
-from qhm.verify import _block_eig_with_mass
+from qhm.gridops import _dense_block, _parity_fold
+from qhm.verify import _block_eig_with_mass, _lowest_levels, _mass
 
 PROPERTY = settings(max_examples=40, deadline=None)
 ODD_N = st.integers(1, 2048).map(lambda m: 2 * m + 1)
@@ -91,6 +91,20 @@ def _lift(u: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([r * u, np.zeros((1, u.shape[1])), -r * u[::-1]])
 
 
+def _basis_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The even block, the odd block and the even-odd cross block of QᵀAQ,
+    for the orthonormal basis Q of ``_lift``."""
+    m = len(a) // 2
+    q_even, q_odd = _lift(np.eye(m + 1), len(a)), _lift(np.eye(m), len(a))
+    return q_even.T @ a @ q_even, q_odd.T @ a @ q_odd, q_even.T @ a @ q_odd
+
+
+def _folded(a: np.ndarray) -> tuple[list[np.ndarray], bool]:
+    """The dense blocks of ``_parity_fold`` on the matrix ``a``."""
+    blocks, even = _parity_fold(Operator(a, Grid(len(a), 3.0)))
+    return [_dense_block(block) for block in blocks], even
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=ODD_N, p_max=st.floats(1e-3, 1e3))
 def test_grid_points_are_exactly_antisymmetric(n, p_max):
@@ -107,12 +121,75 @@ def test_grid_points_are_exactly_antisymmetric(n, p_max):
 
 def test_blocks_only_for_exactly_even_odd_sized_matrices():
     a = _random_even(9, 1, complex_entries=False)
-    even, odd = _parity_blocks(a)
+    (even, odd), is_even = _folded(a)
+    assert is_even
     assert even.shape == (5, 5) and odd.shape == (4, 4)
     bumped = a.copy()
     bumped[2, 7] = np.nextafter(bumped[2, 7], np.inf)
-    assert _parity_blocks(bumped) is None
-    assert _parity_blocks(np.ones((8, 8))) is None
+    (whole,), is_even = _folded(bumped)
+    assert not is_even
+    assert np.array_equal(whole, bumped)
+    with pytest.raises(ValueError, match="odd"):  # no grid, so no operator
+        Grid(8, 3.0)
+
+
+@PROPERTY
+@given(
+    n=SMALL_ODD_N,
+    seed=SEEDS,
+    complex_entries=st.booleans(),
+    band=st.sampled_from([None, 0, 1, 2, 4]),
+)
+def test_folded_blocks_are_the_matrix_in_the_parity_basis(
+    n, seed, complex_entries, band
+):
+    a = _random_even(n, seed, complex_entries=complex_entries, band=band)
+    (even, odd), is_even = _folded(a)
+    assert is_even
+    assert even.dtype == (complex if complex_entries else float) == odd.dtype
+    ref_even, ref_odd, cross = _basis_blocks(a)
+    scale = 1e-14 * np.linalg.norm(a)
+    assert np.abs(even - ref_even).max() <= scale
+    assert np.abs(odd - ref_odd).max() <= scale
+    assert np.abs(cross).max() <= scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=SMALL_ODD_N,
+    seed=SEEDS,
+    complex_entries=st.booleans(),
+    lo=st.integers(-4, 4),
+    width=st.integers(0, 9),
+    kind=st.sampled_from(["banded", "even", "bumped", "zero", "diagonal"]),
+)
+def test_fold_is_even_exactly_when_the_matrix_is(
+    n, seed, complex_entries, lo, width, kind
+):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(n, n))
+    offsets = np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]
+    if kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "diagonal":
+        a = np.diag(rng.normal(size=n))
+        if rng.integers(2):
+            a = a + a[::-1, ::-1]
+    else:
+        a = np.where((offsets >= lo) & (offsets < lo + width), a, 0.0)
+        if kind != "banded":
+            a = a + a[::-1, ::-1]
+        if kind == "bumped":
+            i, j = rng.integers(n, size=2)
+            bumped = np.nextafter(a[i, j].real, np.inf)
+            a[i, j] = bumped + 1j * a[i, j].imag if complex_entries else bumped
+    op = Operator(a, Grid(n, 3.0))
+    blocks, even = _parity_fold(op)
+    assert even == _even(op.entries)
+    sizes = [(n // 2 + 1,) * 2, (n // 2,) * 2] if even else [(n, n)]
+    assert [shape for _, shape in blocks] == sizes
 
 
 @PROPERTY
@@ -131,14 +208,14 @@ def test_spectrum_blocks_match_the_full_eig(
     a = _random_even(n, seed, complex_entries=complex_entries, band=band)
     op = Operator(a, grid)
     m = n // 2
+    entries = op.entries if complex_entries else op.entries.real
     with recording_solvers() as seen:
         blocked = spectrum(op, n, mass_min=mass_min)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qhm.verify, "_parity_blocks", lambda arr: None)
-            full = spectrum(op, n, mass_min=mass_min)
+        vals, vecs = np.linalg.eig(entries)
+    full = _lowest_levels(vals, _mass(vecs, grid.interior()), n, mass_min, 1e-3)
     assert seen == [("eig", (m + 1, m + 1)), ("eig", (m, m)), ("eig", (n, n))]
-    assert len(blocked.values) == len(full.values)
-    for z, w in zip(blocked.values, full.values):
+    assert len(blocked.values) == len(full)
+    for z, w in zip(blocked.values, full):
         assert abs(z - w) <= 1e-10 * max(1.0, abs(w))
 
 
@@ -149,12 +226,13 @@ def test_spectrum_blocks_match_the_full_eig(
 def test_block_masses_are_the_lifted_vectors_masses(n, seed, complex_entries, start):
     a = _random_even(n, seed, complex_entries=complex_entries, band=2)
     start = min(start, n // 2 - 1)
-    blocks = _parity_blocks(a)
-    vals, mass = _block_eig_with_mass(blocks, start)
+    blocks, even = _parity_fold(Operator(a, Grid(n, 3.0)))
+    assert even
+    vals, mass = _block_eig_with_mass(blocks, slice(start, n - start))
     assert len(vals) == n
     got = []
     for block in blocks:
-        w, u = np.linalg.eig(block)
+        w, u = np.linalg.eig(_dense_block(block))
         v = _lift(u, n)
         assert np.linalg.norm(a @ v - v * w) <= 1e-10 * np.linalg.norm(a)
         sq = np.abs(v) ** 2
@@ -175,12 +253,11 @@ def test_block_masses_are_the_lifted_vectors_masses(n, seed, complex_entries, st
 def test_matrix_function_blocks_match_the_full_eigh(n, seed, complex_entries, f):
     h = _hermitian_even(n, seed, complex_entries=complex_entries)
     m = n // 2
+    op = Operator(h, Grid(n, 3.0))
     with recording_solvers() as seen:
-        op = Operator(h, Grid(n, 3.0))
         got = hermitian_matrix_function(op, f).entries
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qhm.gridops, "_parity_blocks", lambda arr: None)
-            expect = hermitian_matrix_function(op, f).entries
+        w, u = np.linalg.eigh(op.entries if complex_entries else op.entries.real)
+    expect = (u * f(w)) @ u.conj().T
     assert seen == [("eigh", (m + 1, m + 1)), ("eigh", (m, m)), ("eigh", (n, n))]
     assert _even(got)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
 
+import qhm.gridops
 import qhm.verify
 from qhm import (
     Grid,
@@ -27,9 +29,10 @@ from qhm import (
     spec_from_label,
     spectrum,
 )
-from qhm.gridops import _parity_blocks, _real_if_exact, _sparse_blocks
+from qhm.gridops import _dense_block, _parity_fold
+from qhm.jobs import parse_config, run_job
 from qhm.models import gauge_transform
-from test_parity import recording_solvers
+from test_parity import _basis_blocks, recording_solvers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,11 +81,18 @@ def test_shift_invert_matches_the_dense_block_eig(n, mu, p_max, which):
 @pytest.mark.parametrize("n", [257, 513])
 def test_band_folded_blocks_are_the_dense_blocks(n):
     for op in _operators(n, 0.1, 10.0).values():
-        blocks, even = _sparse_blocks(op)
+        blocks, even = _parity_fold(op)
         assert even
-        for block, dense in zip(blocks, _parity_blocks(_real_if_exact(op.entries))):
-            assert block.dtype == np.float64
-            assert np.array_equal(block.toarray(), dense)
+        a = op.entries.real
+        ref_even, ref_odd, cross = _basis_blocks(a)
+        scale = 1e-14 * np.linalg.norm(a)
+        assert np.abs(cross).max() <= scale
+        for block, ref in zip(blocks, (ref_even, ref_odd)):
+            dense = _dense_block(block)
+            assert dense.dtype == np.float64
+            assert np.abs(dense - ref).max() <= scale
+            # ARPACK's sparse matrix is the same matrix.
+            assert np.array_equal(coo_array(*block).toarray(), dense)
 
 
 def test_an_operator_without_exact_parity_is_one_sparse_block():
@@ -90,9 +100,9 @@ def test_an_operator_without_exact_parity_is_one_sparse_block():
     bands = op.bands.copy()
     bands[0, 200] = np.nextafter(bands[0, 200].real, np.inf)
     bumped = Operator.from_bands(op.lo, bands, op.grid)
-    blocks, even = _sparse_blocks(bumped)
+    (block,), even = _parity_fold(bumped)
     assert not even
-    assert np.array_equal(blocks[0].toarray(), _real_if_exact(bumped.entries))
+    assert np.array_equal(_dense_block(block), bumped.entries.real)
     with recording_solvers() as seen:
         got = spectrum(bumped, 6)
     assert got.solver == "shift-invert"
@@ -100,19 +110,53 @@ def test_an_operator_without_exact_parity_is_one_sparse_block():
     _agree(got.values, _dense(bumped).values)
 
 
+def _gauge_similar(n):
+    """S⁻¹HS for the BF H: strongly non-normal."""
+    pp = PhysParams(mu=0.1, tau=0.1, gamma_t=0.3)
+    grid = Grid(n, 10.0, 0.25)
+    x, p = build_deformed_pair(grid, pp)
+    h = build_swanson_bf(x, p, pp)
+    s, s_inv = gauge_transform(pp, grid)
+    return Operator(s_inv.entries @ h.entries @ s.entries, grid)
+
+
 def test_a_1025_point_spectrum_forms_no_dense_matrix():
+    # No solver reads Operator.entries: not the shift-invert path, not the
+    # dense block eig (129 points, and the fallback at 513), and not the
+    # matrix function of the algebra check at q ≠ 1.
     op = _operators(1025, 0.1, 10.0)["BF"]
+    small = _operators(129, 0.1, 8.0)["BF counterpart"]
+    h_sim = _gauge_similar(513)
+    passing = {"job": "algebra-check", "grid": {"n_points": 65, "p_max": 4.0},
+               "q_params": {"q": 1.1}}
+    tripped = {"job": "algebra-check", "grid": {"n_points": 257},
+               "q_params": {"q": 1.3}}
 
     def refuse(*args):
-        raise AssertionError("dense matrix formed on the shift-invert path")
+        raise AssertionError("dense matrix formed")
 
     with recording_solvers() as seen, pytest.MonkeyPatch.context() as patch:
         patch.setattr(Operator, "entries", property(refuse))
-        patch.setattr(qhm.verify, "_parity_blocks", refuse)
-        got = spectrum(op, 6)
+        with pytest.MonkeyPatch.context() as sparse_only:
+            sparse_only.setattr(qhm.verify, "_dense_block", refuse)
+            got = spectrum(op, 6)
+        solvers = [spectrum(small, 6).solver, spectrum(h_sim, 6).solver]
+        run_job(parse_config(json.dumps(passing)))
+        with pytest.raises(qhm.gridops.NumericGuardError, match="dynamic range"):
+            run_job(parse_config(json.dumps(tripped)))
     assert got.solver == "shift-invert"
-    # Two shifts, each on the even and the odd block.
-    assert seen == [("eigs", (513, 513)), ("eigs", (512, 512))] * 2
+    assert solvers == ["dense", "dense"]
+    assert seen == (
+        # 1025 points: two shifts, each on the even and the odd block.
+        [("eigs", (513, 513)), ("eigs", (512, 512))] * 2
+        # 129 points: the dense block eig.
+        + [("eig", (65, 65)), ("eig", (64, 64))]
+        # 513 points: two shifts that disagree, then the dense block eig.
+        + [("eigs", (257, 257)), ("eigs", (256, 256))] * 2
+        + [("eig", (257, 257)), ("eig", (256, 256))]
+        # q = 1.1 on 65 points; at q = 1.3 the guard trips before any eigh.
+        + [("eigh", (33, 33)), ("eigh", (32, 32))]
+    )
 
 
 def test_small_grids_keep_the_dense_block_solves():
@@ -126,12 +170,7 @@ def test_small_grids_keep_the_dense_block_solves():
 def test_gauge_similar_operator_falls_back_to_the_dense_levels(caplog):
     # S⁻¹HS is strongly non-normal: ARPACK's residuals pass, but a second
     # shift does not reproduce its levels.
-    pp = PhysParams(mu=0.1, tau=0.1, gamma_t=0.3)
-    grid = Grid(513, 10.0, 0.25)
-    x, p = build_deformed_pair(grid, pp)
-    h = build_swanson_bf(x, p, pp)
-    s, s_inv = gauge_transform(pp, grid)
-    h_sim = Operator(s_inv.entries @ h.entries @ s.entries, grid)
+    h_sim = _gauge_similar(513)
     with caplog.at_level(logging.DEBUG, logger="qhm.verify"):
         got = spectrum(h_sim, 6)
     assert got.solver == "dense"
