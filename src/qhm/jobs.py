@@ -490,10 +490,12 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
             rho = build_metric(spec, grid, cfg.params)
             counterpart, herm_res = hermitian_counterpart(h, rho)
             cp = spectrum(counterpart, cfg.k)
-            pairs = zip(direct.values, cp.values)
-            discrepancy = max(
-                (abs(a - b) for a, b in pairs), default=float("inf")
-            )
+            # A level missing from either list is a discrepancy, not a
+            # shorter comparison.
+            discrepancy = float("inf")
+            if len(cp.values) == len(direct.values):
+                pairs = zip(direct.values, cp.values)
+                discrepancy = max((abs(a - b) for a, b in pairs), default=discrepancy)
             entry["counterpart_values"] = [[z.real, z.imag] for z in cp.values]
             entry["counterpart_herm_residual"] = herm_res
             entry["cross_check_discrepancy"] = discrepancy

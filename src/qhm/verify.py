@@ -181,7 +181,6 @@ def _lowest_levels(
 
 # Shift-invert gate, ARPACK sizes and guard tolerances (see ``spectrum``).
 SHIFT_INVERT_MIN_POINTS = 257
-ARPACK_K = 16
 ARPACK_K_MAX = 128
 RESIDUAL_TOL = 1e-8
 SHIFT_AGREEMENT_TOL = 1e-9
@@ -217,6 +216,18 @@ def _arpack_pairs(
     return np.concatenate(vals), np.concatenate(mass), radius
 
 
+def _first_request(k: int, n_blocks: int) -> int:
+    """Pairs per block of the first ARPACK solve: 2⌈k/n_blocks⌉ + 2.
+
+    Each level of the X·X grid Hamiltonians has a sublattice near-copy in
+    the same parity block, so a block holding ⌈k/n_blocks⌉ kept levels
+    shows twice as many Ritz values for them.  One more level and its copy
+    put the farthest Ritz value beyond the last kept level, as the radius
+    guard of ``_shift_invert_levels`` needs.
+    """
+    return 2 * -(-k // n_blocks) + 2
+
+
 def _shift_invert_levels(
     folded: list, rows: slice, k: int, mass_min: float, dedup_rel: float
 ) -> list[complex]:
@@ -226,7 +237,7 @@ def _shift_invert_levels(
 
     blocks = [coo_array(*block).tocsc() for block in folded]  # duplicates summed
     cap = min(ARPACK_K_MAX, max(b.shape[0] for b in blocks) - 2)
-    nev = ARPACK_K
+    nev = min(_first_request(k, len(blocks)), cap)
     while True:
         vals, mass, radius = _arpack_pairs(blocks, rows, 0.0, nev)
         levels = _lowest_levels(vals, mass, k, mass_min, dedup_rel)
@@ -292,9 +303,12 @@ def spectrum(
 
     *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).
     ARPACK in shift-invert mode, on the blocks as sparse matrices
-    (``scipy.sparse.linalg.eigs`` with σ = 0, ``ARPACK_K`` = 16 per block),
-    finds the eigenvalues of each block nearest 0.  The interior masses come
-    from the block vectors, and the filter and merge are the dense path's.
+    (``scipy.sparse.linalg.eigs`` with σ = 0), finds the eigenvalues of
+    each block nearest 0: first 2⌈k/b⌉ + 2 of them for b blocks
+    (``_first_request``; 8 for k = 6 on an even operator, 14 on any other),
+    because each kept level comes with a sublattice near-copy in its own
+    block.  The interior masses come from the block vectors, and the
+    filter and merge are the dense path's.
     Levels nearest σ = 0 are the smallest-real-part ones only when no
     interior level has negative real part; that is the assumption of this
     path, and a kept negative level sends the solve to the dense path.

@@ -209,6 +209,26 @@ class TestRunJob:
         assert comp["ratio"] == pytest.approx(206.0, rel=1e-2)
         assert doc["verdicts"]["overall"] == "PASS"
 
+    @pytest.mark.parametrize(
+        "grid, k, mu",
+        [
+            ({"n_points": 129, "p_max": 8.0}, 10, 0.05),
+            ({"n_points": 65, "p_max": 4.0}, 3, 0.1),
+        ],
+    )
+    def test_a_missing_counterpart_level_is_untrusted(self, grid, k, mu):
+        # The counterpart keeps one level fewer than H; its levels agree with
+        # H's first ones, so only the count shows the mismatch.
+        text = json.dumps({"job": "spectrum", "grid": grid, "params": {"mu": mu},
+                           "metric": "BF", "k": k})
+        entry = run_job(parse_config(text))["results"]["spectra"][0]
+        assert len(entry["values"]) == k
+        assert len(entry["counterpart_values"]) == k - 1
+        shared = zip(entry["values"], entry["counterpart_values"])
+        assert max(abs(complex(*a) - complex(*b)) for a, b in shared) < 1e-9
+        assert entry["cross_check_discrepancy"] == float("inf")
+        assert entry["direct_spectrum_untrusted"] is True
+
     def test_run_id_free_serialization_roundtrip(self, tmp_path):
         doc = run_job(parse_config(_cfg()))
         report_path, csv_path = serialize_report(doc, tmp_path)

@@ -42,8 +42,9 @@ def _even(a: np.ndarray) -> bool:
 
 @contextmanager
 def recording_solvers():
-    """Records ``(solver, shape)`` of every ``np.linalg.eig``/``eigh`` and
-    ``scipy.sparse.linalg.eigs`` call."""
+    """Records ``(solver, shape)`` of every ``np.linalg.eig``/``eigh`` call
+    and ``("eigs", shape, k)`` of every ``scipy.sparse.linalg.eigs`` call,
+    with the number of pairs it asks for."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         for module, name in (
@@ -52,7 +53,8 @@ def recording_solvers():
             solver = getattr(module, name)
 
             def recording(a, *args, _name=name, _solver=solver, **kwargs):
-                calls.append((_name, a.shape))
+                pairs = (kwargs["k"],) if _name == "eigs" else ()
+                calls.append((_name, a.shape, *pairs))
                 return _solver(a, *args, **kwargs)
 
             patch.setattr(module, name, recording)

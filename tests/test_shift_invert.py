@@ -58,6 +58,15 @@ def _operators(n, mu, p_max):
     return {"BF": bf, "BF counterpart": counterpart, "JR": jr}
 
 
+@functools.lru_cache(maxsize=None)
+def _reference(n, mu, p_max, which):
+    """The dense block solve's 7 lowest levels; those for any smaller k are
+    a prefix of them."""
+    expect = _dense(_operators(n, mu, p_max)[which], 7)
+    assert expect.solver == "dense"
+    return expect.values
+
+
 def _agree(got, expect, rel=1e-9):
     assert len(got) == len(expect)
     for z, w in zip(got, expect):
@@ -72,10 +81,29 @@ def test_shift_invert_matches_the_dense_block_eig(n, mu, p_max, which):
     op = _operators(n, mu, p_max)[which]
     got = spectrum(op, 6)
     assert got.solver == "shift-invert"
-    expect = _dense(op)
-    assert expect.solver == "dense"
-    _agree(got.values, expect.values)
-    assert abs(got.reality_measure - expect.reality_measure) <= 1e-9
+    expect = _reference(n, mu, p_max, which)[:6]
+    _agree(got.values, expect)
+    assert abs(got.reality_measure - max(abs(z.imag) for z in expect)) <= 1e-9
+
+
+# An even operator's levels fall into two blocks, at most ⌈k/2⌉ in each, and
+# each comes with its sublattice near-copy: 2⌈k/2⌉ + 2 pairs per block hold
+# them with one more level and its copy outside, so no count doubles.
+@pytest.mark.parametrize("n", [257, 513])
+@pytest.mark.parametrize("mu", [0.05, 0.15])
+@pytest.mark.parametrize("p_max", [8.0, 10.0])
+@pytest.mark.parametrize("which", ["BF", "BF counterpart", "JR"])
+def test_the_first_request_holds_the_kept_levels(n, mu, p_max, which):
+    op = _operators(n, mu, p_max)[which]
+    m = n // 2
+    for k in range(1, 8):
+        with recording_solvers() as seen:
+            got = spectrum(op, k)
+        assert got.solver == "shift-invert"
+        nev = 2 * ((k + 1) // 2) + 2
+        # σ = 0 and then σ₂, each on the even and the odd block.
+        assert seen == [("eigs", (m + 1, m + 1), nev), ("eigs", (m, m), nev)] * 2
+        _agree(got.values, _reference(n, mu, p_max, which)[:k])
 
 
 @pytest.mark.parametrize("n", [257, 513])
@@ -106,7 +134,8 @@ def test_an_operator_without_exact_parity_is_one_sparse_block():
     with recording_solvers() as seen:
         got = spectrum(bumped, 6)
     assert got.solver == "shift-invert"
-    assert set(seen) == {("eigs", (257, 257))}
+    # One block holds all 6 levels: 2·6 + 2 pairs, at σ = 0 and then σ₂.
+    assert seen == [("eigs", (257, 257), 14)] * 2
     _agree(got.values, _dense(bumped).values)
 
 
@@ -147,12 +176,15 @@ def test_a_1025_point_spectrum_forms_no_dense_matrix():
     assert got.solver == "shift-invert"
     assert solvers == ["dense", "dense"]
     assert seen == (
-        # 1025 points: two shifts, each on the even and the odd block.
-        [("eigs", (513, 513)), ("eigs", (512, 512))] * 2
+        # 1025 points: two shifts, each on the even and the odd block, with
+        # 8 pairs per block for k = 6.
+        [("eigs", (513, 513), 8), ("eigs", (512, 512), 8)] * 2
         # 129 points: the dense block eig.
         + [("eig", (65, 65)), ("eig", (64, 64))]
-        # 513 points: two shifts that disagree, then the dense block eig.
-        + [("eigs", (257, 257)), ("eigs", (256, 256))] * 2
+        # 513 points: 8 pairs per block keep 5 levels, too few, 16 keep 6,
+        # a second shift disagrees, and the dense block eig runs.
+        + [("eigs", (257, 257), 8), ("eigs", (256, 256), 8)]
+        + [("eigs", (257, 257), 16), ("eigs", (256, 256), 16)] * 2
         + [("eig", (257, 257)), ("eig", (256, 256))]
         # q = 1.1 on 65 points; at q = 1.3 the guard trips before any eigh.
         + [("eigh", (33, 33)), ("eigh", (32, 32))]
@@ -190,18 +222,22 @@ def test_a_negative_level_takes_the_dense_solve(caplog):
     assert got.values[0].real < 0
 
 
-# Each level of the X·X grid Hamiltonian has a near-copy in the other parity
+# Each level of the X·X grid Hamiltonian has a near-copy in the same parity
 # block, merged away: 4 pairs per block give 4 levels, too few for 6, and 6
 # give 6, the last of them the farthest Ritz value of its block.
-@pytest.mark.parametrize("arpack_k", [4, 6], ids=["too-few", "edge-of-disk"])
-def test_the_arpack_count_doubles_until_the_levels_are_inside(arpack_k):
+@pytest.mark.parametrize("first", [4, 6], ids=["too-few", "edge-of-disk"])
+def test_the_arpack_count_doubles_until_the_levels_are_inside(first):
     op = _operators(257, 0.1, 8.0)["BF"]
     with recording_solvers() as seen, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qhm.verify, "ARPACK_K", arpack_k)
+        patch.setattr(qhm.verify, "_first_request", lambda k, n_blocks: first)
         got = spectrum(op, 6)
     assert got.solver == "shift-invert"
-    # arpack_k and then twice as many pairs per block at σ = 0, then σ₂.
-    assert seen == [("eigs", (129, 129)), ("eigs", (128, 128))] * 3
+    # The first request and then twice as many pairs per block at σ = 0,
+    # then σ₂ with as many.
+    assert seen == (
+        [("eigs", (129, 129), first), ("eigs", (128, 128), first)]
+        + [("eigs", (129, 129), 2 * first), ("eigs", (128, 128), 2 * first)] * 2
+    )
     _agree(got.values, _dense(op).values)
 
 
