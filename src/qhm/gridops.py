@@ -13,7 +13,7 @@ Everything downstream builds on four ingredients defined here:
   in ``hermitian_matrix_function``, which decides its positivity and
   dynamic-range guards from the eigenvalues before it computes any
   eigenvector (the q-algebra check at q = 1 needs no matrix function at
-  all: q^{f(N)} is exactly the identity there), and ``np.linalg.eig`` in
+  all: q^N is exactly the identity there), and ``np.linalg.eig`` in
   ``spectrum`` for grids of fewer than 257 points and the fallback of its
   shift-invert path, which hands ARPACK the same blocks as sparse
   matrices.  No solver reads ``Operator.entries``.  Two exact properties
@@ -91,6 +91,9 @@ __all__ = [
 OVERFLOW_RATIO = 1e14
 HERMITIAN_TOL = 1e-10
 DERIVATIVE_MIN_POINTS = 5
+# ``smooth_probes``: the first eight Hermite–Gaussians of unit width.
+SMOOTH_PROBE_COUNT = 8
+SMOOTH_PROBE_WIDTH = 1.0
 
 
 class NumericGuardError(RuntimeError):
@@ -478,12 +481,12 @@ def derivative_matrix(grid: Grid) -> Operator:
     return Operator.from_bands(-2, bands, grid)
 
 
-def _check_hermitian(a: Operator, tol: float = HERMITIAN_TOL) -> None:
-    """Raise ``ValueError`` when ‖A − A†‖_F > tol·‖A‖_F, from the bands, at
-    O(n · bandwidth).  The zero operator passes."""
+def _check_hermitian(a: Operator) -> None:
+    """Raise ``ValueError`` when ‖A − A†‖_F > ``HERMITIAN_TOL``·‖A‖_F, from
+    the bands, at O(n · bandwidth).  The zero operator passes."""
     diff = op_sum(a, op_scale(-1.0, adjoint(a))).bands
     scale = np.linalg.norm(a.bands)
-    if scale > 0 and np.linalg.norm(diff) / scale > tol:
+    if scale > 0 and np.linalg.norm(diff) / scale > HERMITIAN_TOL:
         raise ValueError("input is not Hermitian within tolerance")
 
 
@@ -512,18 +515,17 @@ def hermitian_matrix_function(
     f: Callable[[np.ndarray], np.ndarray],
     *,
     require_positive_spectrum: bool = False,
-    tol_herm: float = HERMITIAN_TOL,
 ) -> Operator:
     """Apply a real scalar function to a Hermitian operator by eigendecomposition.
 
-    Guards: the input must be Hermitian to ``tol_herm`` (relative Frobenius,
-    from the bands); with ``require_positive_spectrum`` (fractional powers)
-    every eigenvalue must be strictly positive; and the dynamic range
-    max|f|/min|f| of the transformed spectrum must stay below 1e14.  The
-    last two are decided from ``eigvalsh`` before any eigenvector is
-    computed, so a tripped guard costs no ``eigh``; the eigenvalues of the
-    ``eigh`` that follows a pass are checked again, so the result is built
-    only from guarded values.
+    Guards: the input must be Hermitian to ``HERMITIAN_TOL`` = 1e-10
+    (relative Frobenius, from the bands); with ``require_positive_spectrum``
+    (fractional powers) every eigenvalue must be strictly positive; and the
+    dynamic range max|f|/min|f| of the transformed spectrum must stay below
+    1e14.  The last two are decided from ``eigvalsh`` before any eigenvector
+    is computed, so a tripped guard costs no ``eigh``; the eigenvalues of
+    the ``eigh`` that follows a pass are checked again, so the result is
+    built only from guarded values.
 
     An input with no nonzero imaginary part (a real symmetric matrix, such as
     the number operator a†a of the model ladder) is decomposed by the real
@@ -536,7 +538,7 @@ def hermitian_matrix_function(
     exactly even result.  An operator without exact parity takes one
     ``eigh`` of the full matrix.
     """
-    _check_hermitian(a, tol_herm)
+    _check_hermitian(a)
     blocks, even = _parity_fold(a)
     parts = [_dense_block(block) for block in blocks]
     w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
@@ -599,21 +601,20 @@ def stencil_probes(grid: Grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def smooth_probes(grid: Grid, count: int = 8, width: float = 1.0) -> np.ndarray:
+def smooth_probes(grid: Grid) -> np.ndarray:
     """Hermite–Gaussian momentum profiles, unit-normalized columns.
 
-    The first ``count`` oscillator-like profiles of the given width, spanning
-    the low-energy subspace on which continuum identities are compared.
-    Cached per argument set, so the array is shared and read-only.
+    The first ``SMOOTH_PROBE_COUNT`` oscillator-like profiles of width
+    ``SMOOTH_PROBE_WIDTH``, spanning the low-energy subspace on which
+    continuum identities are compared.  Cached per grid, so the array is
+    shared and read-only.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    t = grid.points / width
+    t = grid.points / SMOOTH_PROBE_WIDTH
     env = np.exp(-0.5 * t * t)
     cols = []
     h_prev = np.zeros_like(t)
     h_cur = np.ones_like(t)
-    for k in range(count):
+    for k in range(SMOOTH_PROBE_COUNT):
         col = h_cur * env
         nrm = np.linalg.norm(col)
         cols.append(col / nrm if nrm > 0 else col)

@@ -32,6 +32,8 @@ from typing import Callable, Iterator, NamedTuple
 from ._version import __version__
 from .gridops import DERIVATIVE_MIN_POINTS, Grid, Operator
 from .metrics import (
+    _check_tau_values,
+    _require_defined,
     build_metric,
     limit_sweep,
     metric_condition,
@@ -103,9 +105,8 @@ class JobConfig:
 
 # Dataclass field -> job-file key, for parsing and for the echo alike.
 _RENAMES = {"lam": "lambda"}
-# Fields that are not job-file keys: the q-exponent map is code, and the
-# refinement list lives in the grid block.
-_NOT_KEYS = {"f", "refinement"}
+# The refinement list is a field of the config but a key of the grid block.
+_NOT_KEYS = {"refinement"}
 
 
 @functools.cache
@@ -181,15 +182,7 @@ def validate_refinement(values, grid: Grid) -> tuple[int, ...]:
     otherwise."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("refinement must be a non-empty list of integers")
-    out = []
-    for v in values:
-        n = _plain_int(v, "refinement entry")
-        if n % 2 == 0:
-            raise ConfigError(
-                f"refinement entry {n} violates the oddness rule: "
-                "n_points must be an odd integer"
-            )
-        out.append(n)
+    out = [_plain_int(v, "refinement entry") for v in values]
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigError("refinement list must be strictly increasing")
     for n in out:
@@ -222,14 +215,9 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError("grid must be an object")
     _reject_unknown(grid_block, _GRID_KEYS, "grid")
     n_points = _plain_int(grid_block.get("n_points", 257), "grid.n_points")
-    if n_points % 2 == 0:
-        raise ConfigError(
-            f"grid.n_points {n_points} violates the oddness rule: "
-            "n_points must be an odd integer"
-        )
     p_max = _finite_number(grid_block.get("p_max", 8.0), "grid.p_max")
     mask = _finite_number(grid_block.get("mask_fraction", 0.25), "grid.mask_fraction")
-    grid = _build_grid(n_points, p_max, mask)
+    grid = _build_grid(n_points, p_max, mask, "grid: ")
     refinement = None
     if grid_block.get("refinement") is not None:
         refinement = validate_refinement(grid_block["refinement"], grid)
@@ -261,9 +249,19 @@ def parse_config(text: str) -> JobConfig:
     if reference is not None and not isinstance(reference, str):
         raise ConfigError("reference must be a string label")
 
+    # The labels the job evaluates at params.tau; a limit sweep evaluates its
+    # own metric at each swept tau instead.
+    evaluated = {
+        "verify-metric": (metric,),
+        "spectrum": (metric,),
+        "compare-metrics": metrics,
+        "limit-sweep": (reference,),
+    }.get(job, ())
     for label in filter(None, (metric, reference, *metrics)):
         try:
-            spec_from_label(label, params)
+            spec = spec_from_label(label, params)
+            if label in evaluated:
+                _require_defined(spec, params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -278,6 +276,10 @@ def parse_config(text: str) -> JobConfig:
     if not isinstance(tau_values, list) or not tau_values:
         raise ConfigError("tau_values must be a non-empty list")
     taus = tuple(_finite_number(t, "tau_values entry") for t in tau_values)
+    try:
+        _check_tau_values(taus)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     threshold = _finite_number(
         data.get("threshold", _JOBS[job].threshold), "threshold"

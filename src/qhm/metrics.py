@@ -61,14 +61,21 @@ class MetricSpec:
             raise ValueError("Product factors must be MetricSpec instances")
 
 
+def _require_defined(spec: MetricSpec, pp: PhysParams) -> None:
+    """Raise ``ValueError`` when the profile of ``spec`` is undefined at ``pp``:
+    the JR power law needs tau > 0 (``metric_profile`` checks the factors of
+    a product one by one)."""
+    if spec.kind == "JR" and pp.tau <= 0:
+        raise ValueError("JR metric requires tau > 0")
+
+
 def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     """Strictly positive profile g(p_k) for a MetricSpec label."""
     p2 = grid.points**2
     if spec.kind == "BF":
         return np.exp(2.0 * pp.mu * p2 / (pp.mass * pp.omega**2))
     if spec.kind == "JR":
-        if pp.tau <= 0:
-            raise ValueError("JR metric requires tau > 0")
+        _require_defined(spec, pp)
         return (1.0 + pp.tau * p2) ** (pp.mu / (pp.omega**2 * pp.tau))
     if spec.kind == "ExpTheta":
         return np.exp(spec.theta * p2)
@@ -112,6 +119,15 @@ def profile_distance(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     return float(np.linalg.norm(an[sl] - bn[sl]) / np.linalg.norm(bn[sl]))
 
 
+def _check_tau_values(taus: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless ``taus`` is a non-empty, positive, strictly
+    decreasing sweep schedule."""
+    if not taus or any(t <= 0 for t in taus):
+        raise ValueError("tau values must be positive")
+    if any(b >= a for a, b in zip(taus, taus[1:])):
+        raise ValueError("tau values must be strictly decreasing")
+
+
 def limit_sweep(
     spec: MetricSpec,
     tau_values: Sequence[float],
@@ -128,10 +144,7 @@ def limit_sweep(
     import dataclasses
 
     taus = list(tau_values)
-    if not taus or any(t <= 0 for t in taus):
-        raise ValueError("tau values must be positive")
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau values must be strictly decreasing")
+    _check_tau_values(taus)
     ref = metric_profile(reference, grid, pp)
     rows: list[tuple[float, float]] = []
     for t in taus:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,17 +79,12 @@ class PhysParams:
             raise ValueError("tau must be nonnegative")
 
 
-def _identity_map(t: np.ndarray) -> np.ndarray:
-    return t
-
-
 @dataclass(frozen=True)
 class QDeformParams:
     """Parameters of the q-deformed commutation relation.
 
     The coefficients must satisfy ``4*alpha*gamma = q^2 + 1`` (within 1e-12)
     and ``alpha*delta + beta*gamma != 0`` (it appears in a denominator).
-    ``f`` maps number-operator eigenvalues to the exponent of ``q``.
     """
 
     q: float
@@ -98,7 +92,6 @@ class QDeformParams:
     beta: float
     gamma: float
     delta: float
-    f: Callable[[np.ndarray], np.ndarray] = field(default=_identity_map)
 
     def __post_init__(self) -> None:
         if not self.q > 0:
@@ -204,7 +197,7 @@ def deformed_algebra_residual(
     """Residual of the q-deformed commutation relation in action.
 
     Measures ``[X, P]`` against
-    ``i*hbar*q^{f(N)}*(alpha*delta + beta*gamma) +
+    ``i*hbar*q^N*(alpha*delta + beta*gamma) +
     i*hbar*(q^2-1)/(alpha*delta + beta*gamma) *
     (delta*gamma*X^2 + alpha*beta*P^2 + i*alpha*delta*XP - i*beta*gamma*PX)``
     on stencil probes.
@@ -222,7 +215,7 @@ def deformed_algebra_residual(
         _check_hermitian(n_op)
         rhs = Operator.diag(np.full(grid.n_points, 1j * pp.hbar * combo), grid)
     else:
-        qf = hermitian_matrix_function(n_op, lambda t: qp.q ** np.asarray(qp.f(t)))
+        qf = hermitian_matrix_function(n_op, lambda t: qp.q**t)
         rhs = op_scale(1j * pp.hbar * combo, qf)
         quadratic = op_sum(
             op_scale(qp.delta * qp.gamma, op_product(x, x)),

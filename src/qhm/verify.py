@@ -71,18 +71,14 @@ def _intertwining_sides(H: Operator, rho: Operator) -> tuple[Operator, Operator]
     return op_product(adjoint(H), rho), op_product(rho, H)
 
 
-def dieudonne_residual(
-    H: Operator, rho: Operator, probes: np.ndarray | None = None
-) -> float:
+def dieudonne_residual(H: Operator, rho: Operator) -> float:
     """Action residual of the quasi-Hermiticity condition H†ρ = ρH.
 
-    Applies H†ρ and ρH to smooth probes (default eight localized states),
-    masks boundary rows, and returns the relative Frobenius mismatch.
+    Applies H†ρ and ρH to the smooth probes (eight localized states), masks
+    boundary rows, and returns the relative Frobenius mismatch.
     """
     lhs, rhs = _intertwining_sides(H, rho)
-    if probes is None:
-        probes = smooth_probes(H.grid)
-    return action_residual(lhs, rhs, probes)
+    return action_residual(lhs, rhs, smooth_probes(H.grid))
 
 
 def dieudonne_details(H: Operator, rho: Operator) -> dict:
@@ -164,14 +160,18 @@ def _mass(vecs: np.ndarray, rows: slice) -> np.ndarray:
     return sq[rows].sum(axis=0) / sq.sum(axis=0)
 
 
-def _lowest_levels(
-    vals: np.ndarray, mass: np.ndarray, k: int, mass_min: float, dedup_rel: float
-) -> list[complex]:
+# ``spectrum``'s level filter: the least interior mass of a kept state, and
+# the relative distance within which consecutive levels merge.
+MASS_MIN = 0.9
+DEDUP_REL = 1e-3
+
+
+def _lowest_levels(vals: np.ndarray, mass: np.ndarray, k: int) -> list[complex]:
     """Up to k levels by ascending real part: states with interior mass at
-    least ``mass_min``, near-duplicates merged."""
+    least ``MASS_MIN``, near-duplicates (``DEDUP_REL``) merged."""
     out: list[complex] = []
-    for z in sorted(vals[mass >= mass_min], key=lambda z: (z.real, z.imag)):
-        if out and abs(z.real - out[-1].real) <= dedup_rel * max(1.0, abs(z.real)):
+    for z in sorted(vals[mass >= MASS_MIN], key=lambda z: (z.real, z.imag)):
+        if out and abs(z.real - out[-1].real) <= DEDUP_REL * max(1.0, abs(z.real)):
             continue
         out.append(complex(z))
         if len(out) == k:
@@ -228,9 +228,7 @@ def _first_request(k: int, n_blocks: int) -> int:
     return 2 * -(-k // n_blocks) + 2
 
 
-def _shift_invert_levels(
-    folded: list, rows: slice, k: int, mass_min: float, dedup_rel: float
-) -> list[complex]:
+def _shift_invert_levels(folded: list, rows: slice, k: int) -> list[complex]:
     """``spectrum``'s levels from shift-invert ARPACK on the parity blocks as
     sparse matrices; raises ``_Fallback`` when a guard fails."""
     from scipy.sparse import coo_array  # imported here: 0.35 s and 30 MB
@@ -240,7 +238,7 @@ def _shift_invert_levels(
     nev = min(_first_request(k, len(blocks)), cap)
     while True:
         vals, mass, radius = _arpack_pairs(blocks, rows, 0.0, nev)
-        levels = _lowest_levels(vals, mass, k, mass_min, dedup_rel)
+        levels = _lowest_levels(vals, mass, k)
         if any(z.real < 0 for z in levels):
             raise _Fallback("negative level")
         if len(levels) == k and all(abs(z) < radius for z in levels):
@@ -250,7 +248,7 @@ def _shift_invert_levels(
         nev = min(2 * nev, cap)
     sigma = -min(abs(z) for z in levels)
     vals, mass, _ = _arpack_pairs(blocks, rows, sigma, nev)
-    again = _lowest_levels(vals, mass, k, mass_min, dedup_rel)
+    again = _lowest_levels(vals, mass, k)
     if len(again) < k or any(
         abs(z - w) > SHIFT_AGREEMENT_TOL * abs(z) for z, w in zip(levels, again)
     ):
@@ -268,7 +266,7 @@ class SpectrumResult:
 
     values: tuple[complex, ...]
     reality_measure: float
-    solver: str = "dense"
+    solver: str
 
 
 def _spectrum_result(levels: list[complex], solver: str) -> SpectrumResult:
@@ -276,20 +274,15 @@ def _spectrum_result(levels: list[complex], solver: str) -> SpectrumResult:
     return SpectrumResult(tuple(levels), float(reality), solver)
 
 
-def spectrum(
-    op: Operator,
-    k: int,
-    *,
-    mass_min: float = 0.9,
-    dedup_rel: float = 1e-3,
-) -> SpectrumResult:
+def spectrum(op: Operator, k: int) -> SpectrumResult:
     """k smallest-real-part eigenvalues among interior-localized states.
 
-    A state qualifies when at least ``mass_min`` of its squared norm lies on
-    interior points.  On a grid, the step-2h structure of the squared
-    position operator produces spurious near-copies of low levels living on
-    alternating sublattices; consecutive eigenvalues whose real parts agree
-    within ``dedup_rel`` (relative) are therefore merged before counting.
+    A state qualifies when at least ``MASS_MIN`` = 0.9 of its squared norm
+    lies on interior points.  On a grid, the step-2h structure of the
+    squared position operator produces spurious near-copies of low levels
+    living on alternating sublattices; consecutive eigenvalues whose real
+    parts agree within ``DEDUP_REL`` = 1e-3 (relative) are therefore merged
+    before counting.
 
     Both paths below solve the blocks of one parity fold, taken from the
     bands once per call (``gridops._parity_fold``).  An operator that is
@@ -339,18 +332,14 @@ def spectrum(
     rows = op.grid.interior()  # rows k..n-k; k onwards of a half-size block
     if op.dim >= SHIFT_INVERT_MIN_POINTS:
         try:
-            return _spectrum_result(
-                _shift_invert_levels(blocks, rows, k, mass_min, dedup_rel),
-                "shift-invert",
-            )
+            levels = _shift_invert_levels(blocks, rows, k)
+            return _spectrum_result(levels, "shift-invert")
         except _Fallback as exc:
             logger.debug(
                 "spectrum at %d points falls back to the dense solve: %s", op.dim, exc
             )
     vals, mass = _block_eig_with_mass(blocks, rows)
-    return _spectrum_result(
-        _lowest_levels(vals, mass, k, mass_min, dedup_rel), "dense"
-    )
+    return _spectrum_result(_lowest_levels(vals, mass, k), "dense")
 
 
 @dataclass(frozen=True)
@@ -387,6 +376,8 @@ def _even_cheb_basis(p: np.ndarray, p_edge: float, size: int) -> np.ndarray:
 
 
 FIT_MIN_INTERIOR = 8
+# Even Chebyshev polynomials T_0 .. T_18 in the profile expansion.
+FIT_BASIS_SIZE = 10
 
 
 def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -407,16 +398,11 @@ def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarra
     return (left - right).transpose(0, 2, 1).reshape(-1, size)
 
 
-def fit_diagonal_metric(
-    H: Operator,
-    pp: PhysParams,
-    *,
-    basis_size: int = 10,
-    probes: np.ndarray | None = None,
-) -> FitResult:
-    """Recover the diagonal profile g minimizing ‖(H†·diag(g) − diag(g)·H)·probes‖.
+def fit_diagonal_metric(H: Operator, pp: PhysParams) -> FitResult:
+    """Recover the diagonal profile g minimizing ‖(H†·diag(g) − diag(g)·H)·V‖
+    on the smooth probes V.
 
-    The profile is expanded in a small even-polynomial basis (smooth by
+    The profile is expanded in ``FIT_BASIS_SIZE`` even polynomials (smooth by
     construction, which excludes the alternating-sign lattice null vector
     that pointwise fits admit), the interior rows of the probe actions are
     stacked into a linear map over the coefficients, and the minimizer is
@@ -429,11 +415,9 @@ def fit_diagonal_metric(
     n_int = sl.stop - sl.start
     if n_int < FIT_MIN_INTERIOR:
         raise ValueError(f"interior must contain at least {FIT_MIN_INTERIOR} points")
-    if probes is None:
-        probes = smooth_probes(grid)
     p_edge = float(np.abs(p[sl]).max() + 2.0 * grid.spacing)
-    basis = _even_cheb_basis(p, p_edge, basis_size)
-    a = _fit_matrix(H, basis, probes)
+    basis = _even_cheb_basis(p, p_edge, FIT_BASIS_SIZE)
+    a = _fit_matrix(H, basis, smooth_probes(grid))
     scale = np.linalg.norm(a, axis=0)
     scale[scale == 0] = 1.0
     _, sing, vh = np.linalg.svd(a / scale, full_matrices=False)

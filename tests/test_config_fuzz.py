@@ -1,15 +1,19 @@
 """Generated job files: ``parse_config`` returns a JobConfig or raises
-ConfigError (exit 2), whatever the input, and an accepted config holds only
-finite numbers and grid sizes that each make a grid the job can run on."""
+ConfigError (exit 2), whatever the input; an accepted config holds only
+finite numbers and grid sizes that each make a grid the job can run on, and
+runs to a report or stops at a numeric guard (exit 3), never at a mistake
+that the parser should have refused."""
 import dataclasses
 import json
 import math
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhm import Grid, derivative_matrix
-from qhm.jobs import JOB_KINDS, ConfigError, JobConfig, parse_config
+from qhm import Grid, NumericGuardError, derivative_matrix
+from qhm.jobs import JOB_KINDS, ConfigError, JobConfig, parse_config, run_job
 from qhm.metrics import spec_from_label
 
 HUGE = st.sampled_from(
@@ -34,19 +38,48 @@ JUNK = st.one_of(
 )
 
 
-def _block(keys, values=NUMBERS):
+def _block(keys, values):
     return st.fixed_dictionaries({}, optional={k: values for k in keys})
 
 
-# Odd sizes, some too small for the mask, sizes beyond the float range, and
-# sorted lists of them, which pass the order check.
-REFINEMENT_SIZE = st.one_of(
-    st.integers(-2, 150).map(lambda m: 2 * m + 1),
-    st.integers(-3, 301),
-    st.sampled_from([10**400 + 1, 2**1100 + 1, -(10**400) - 1]),
-)
-REFINEMENT = st.lists(REFINEMENT_SIZE, max_size=3).flatmap(
-    lambda xs: st.sampled_from([xs, sorted(set(xs))])
+def _refinements(size):
+    """Lists of sizes, and sorted lists of them, which pass the order check."""
+    return st.lists(size, max_size=3).flatmap(
+        lambda xs: st.sampled_from([xs, sorted(set(xs))])
+    )
+
+
+def _docs(grid, numbers):
+    """Job documents with ``grid`` blocks and every other number drawn from
+    ``numbers``."""
+    return st.fixed_dictionaries(
+        {"job": st.sampled_from(JOB_KINDS)},
+        optional={
+            "grid": grid,
+            "params": _block(
+                ["hbar", "mass", "omega", "mu", "lambda", "delta_t", "tau", "gamma_t"],
+                numbers,
+            ),
+            "metric": LABELS,
+            "metrics": st.lists(LABELS, min_size=2, max_size=2),
+            "reference": LABELS,
+            "tau_values": st.lists(numbers, min_size=1, max_size=3),
+            "threshold": numbers,
+            "q_params": _block(["q", "alpha", "beta", "gamma", "delta"], numbers),
+            "k": st.integers(),
+            "model": st.sampled_from(["BF", "JR"]),
+            "out_dir": st.text(max_size=4),
+        },
+    )
+
+
+# Odd sizes, some too small for the mask, and sizes beyond the float range.
+REFINEMENT = _refinements(
+    st.one_of(
+        st.integers(-2, 150).map(lambda m: 2 * m + 1),
+        st.integers(-3, 301),
+        st.sampled_from([10**400 + 1, 2**1100 + 1, -(10**400) - 1]),
+    )
 )
 GRID = st.fixed_dictionaries(
     {},
@@ -57,25 +90,29 @@ GRID = st.fixed_dictionaries(
         "refinement": st.one_of(st.none(), REFINEMENT),
     },
 )
-PARAMS = _block(["hbar", "mass", "omega", "mu", "lambda", "delta_t", "tau", "gamma_t"])
-Q_PARAMS = _block(["q", "alpha", "beta", "gamma", "delta"])
+DOCS = _docs(GRID, NUMBERS)
 
-DOCS = st.fixed_dictionaries(
-    {"job": st.sampled_from(JOB_KINDS)},
+# Jobs that are cheap to run and often accepted: valid grids of at most 65
+# points (n_points is always set, as its default is 257), and numbers of the
+# size a job file holds, zero included.
+SMALL_SIZE = st.integers(2, 32).map(lambda m: 2 * m + 1)
+SMALL_GRID = st.fixed_dictionaries(
+    {"n_points": SMALL_SIZE},
     optional={
-        "grid": GRID,
-        "params": PARAMS,
-        "metric": LABELS,
-        "metrics": st.lists(LABELS, min_size=2, max_size=2),
-        "reference": LABELS,
-        "tau_values": st.lists(NUMBERS, min_size=1, max_size=3),
-        "threshold": NUMBERS,
-        "q_params": Q_PARAMS,
-        "k": st.integers(),
-        "model": st.sampled_from(["BF", "JR"]),
-        "out_dir": st.text(max_size=4),
+        "p_max": st.floats(1.0, 10.0),
+        "mask_fraction": st.sampled_from([0.0, 0.1, 0.25]),
+        "refinement": st.one_of(st.none(), _refinements(SMALL_SIZE)),
     },
 )
+PLAIN_NUMBERS = st.one_of(
+    st.sampled_from([0, 0.0, 1e-3, 0.05, 0.1, 0.25, 1.0]), st.floats(0.0, 2.0)
+)
+SMALL_JOBS = st.builds(
+    lambda doc, grid: json.dumps(dict(doc, grid=grid)),
+    _docs(SMALL_GRID, PLAIN_NUMBERS),
+    SMALL_GRID,
+)
+
 BLOCKS = ("grid", "params", "q_params")
 KEYS = ("job", "metric", "metrics", "reference", "tau_values", "threshold", "k",
         "model", "out_dir", *BLOCKS, "grid.n_points", "grid.refinement",
@@ -112,7 +149,7 @@ def _finite_numbers(value) -> bool:
         return all(_finite_numbers(v) for v in value)
     if dataclasses.is_dataclass(value):
         return all(_finite_numbers(getattr(value, f.name))
-                   for f in dataclasses.fields(value) if f.name != "f")
+                   for f in dataclasses.fields(value))
     return True
 
 
@@ -154,3 +191,25 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
     except ConfigError:
         return
     _assert_grids_fit_the_job(cfg)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SMALL_JOBS)
+# The two mistakes that once reached run_job: a JR label at tau = 0 and a
+# tau schedule that does not decrease.
+@example(json.dumps({"job": "verify-metric", "grid": {"n_points": 33}, "metric": "JR"}))
+@example(json.dumps({"job": "limit-sweep", "grid": {"n_points": 33}, "reference": "BF",
+                     "tau_values": [1e-2, 1e-1]}))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
+    """No ValueError escapes run_job from a config that parse_config
+    accepted: such a mistake is the parser's to refuse (exit 2)."""
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    try:
+        doc = run_job(cfg)
+    except (NumericGuardError, np.linalg.LinAlgError):
+        return
+    assert doc["verdicts"]["overall"] in ("PASS", "FAIL")

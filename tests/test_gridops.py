@@ -393,23 +393,18 @@ def test_smooth_probes_shape_and_normalization():
 
 
 def test_smooth_probes_are_cached_per_argument_set_and_read_only():
-    v = smooth_probes(Grid(257, 8.0, 0.25), count=4, width=1.5)
-    assert smooth_probes(Grid(257, 8.0, 0.25), count=4, width=1.5) is v
+    # The argument set is the grid alone.
+    v = smooth_probes(Grid(257, 8.0, 0.25))
+    assert smooth_probes(Grid(257, 8.0, 0.25)) is v
     # the uncached construction, on a fresh grid, gives the same bits
-    fresh = smooth_probes.__wrapped__(Grid(257, 8.0, 0.25), count=4, width=1.5)
+    fresh = smooth_probes.__wrapped__(Grid(257, 8.0, 0.25))
     assert fresh is not v
     assert np.array_equal(fresh, v)
     with pytest.raises(ValueError, match="read-only"):
         v += 1.0
     with pytest.raises(ValueError, match="read-only"):
         v[0, 0] = 1.0
-    assert not np.array_equal(smooth_probes(Grid(257, 8.0, 0.25), count=4), v)
-
-
-def test_smooth_probes_rejects_empty_family():
-    g = Grid(257, 8.0, 0.25)
-    with pytest.raises(ValueError):
-        smooth_probes(g, count=0)
+    assert not np.array_equal(smooth_probes(Grid(257, 10.0, 0.25)), v)
 
 
 def test_action_residual_zero_for_equal_operators():

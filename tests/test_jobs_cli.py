@@ -142,6 +142,41 @@ class TestParseConfig:
             parse_config(_cfg(grid=grid))
 
 
+    @pytest.mark.parametrize("taus", [[1e-2, 1e-1], [1e-1, 1e-1], [1e-1, 0.0], [-1e-2]])
+    def test_tau_values_must_be_positive_and_strictly_decreasing(self, taus):
+        for job in ("limit-sweep", "verify-metric"):
+            doc = _cfg(job=job, reference="BF", tau_values=taus)
+            with pytest.raises(ConfigError, match="tau values"):
+                parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"job": "verify-metric", "metric": "JR"},
+            {"job": "spectrum", "metric": "JR"},
+            {"job": "compare-metrics", "metrics": ["BF", "JR"]},
+            {"job": "limit-sweep", "metric": "BF", "reference": "JR"},
+        ],
+    )
+    def test_jr_label_evaluated_at_tau_zero_rejected(self, doc):
+        with pytest.raises(ConfigError, match="JR metric requires tau > 0"):
+            parse_config(json.dumps(dict(doc, params={"tau": 0.0})))
+        assert parse_config(json.dumps(dict(doc, params={"tau": 0.01})))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # a limit sweep evaluates its own metric at each swept tau
+            {"job": "limit-sweep", "metric": "JR", "reference": "BF"},
+            # the composite label substitutes its tau = 0 limit
+            {"job": "verify-metric", "metric": "JR-composite"},
+            # an algebra check evaluates no metric label
+            {"job": "algebra-check", "metric": "JR"},
+        ],
+    )
+    def test_jr_label_not_evaluated_at_tau_zero_accepted(self, doc):
+        assert parse_config(json.dumps(dict(doc, params={"tau": 0.0})))
+
     @pytest.mark.parametrize("job", JOB_KINDS)
     def test_three_point_grid_rejected_for_every_job(self, job):
         with pytest.raises(ConfigError, match="at least 5"):
@@ -500,15 +535,16 @@ class TestCommandLine:
         assert proc.returncode == 2
 
     def test_runtime_guard_exits_three(self, tmp_path):
-        # The power-family profile is undefined at tau = 0; the job parses
-        # but the metric build fails at run time.
+        # q^N at q = 1.3 on 257 points spans more than the 1e14 dynamic
+        # range; the job parses but the matrix-function guard trips.
         job = _write_job(
             tmp_path,
             "job.json",
-            {"job": "verify-metric", "metric": "JR", "params": {"tau": 0.0}},
+            {"job": "algebra-check", "q_params": {"q": 1.3}},
         )
         proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
+        assert "dynamic range" in proc.stderr
 
     def test_missing_jobfile_exits_four(self, tmp_path):
         proc = _run_cli(str(tmp_path / "nope.json"))

@@ -5,6 +5,7 @@ the full n x n solver.  The references are the explicit change of basis and
 the full ``np.linalg`` solves of ``Operator.entries``."""
 import warnings
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qhm import (
     spectrum,
 )
 from qhm.gridops import _dense_block, _parity_fold
+from qhm import verify
 from qhm.verify import _block_eig_with_mass, _lowest_levels, _mass
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -211,10 +213,12 @@ def test_spectrum_blocks_match_the_full_eig(
     op = Operator(a, grid)
     m = n // 2
     entries = op.entries if complex_entries else op.entries.real
-    with recording_solvers() as seen:
-        blocked = spectrum(op, n, mass_min=mass_min)
-        vals, vecs = np.linalg.eig(entries)
-    full = _lowest_levels(vals, _mass(vecs, grid.interior()), n, mass_min, 1e-3)
+    # The level filter's mass threshold, moved over a range of values.
+    with mock.patch.object(verify, "MASS_MIN", mass_min):
+        with recording_solvers() as seen:
+            blocked = spectrum(op, n)
+            vals, vecs = np.linalg.eig(entries)
+        full = _lowest_levels(vals, _mass(vecs, grid.interior()), n)
     assert seen == [("eig", (m + 1, m + 1)), ("eig", (m, m)), ("eig", (n, n))]
     assert len(blocked.values) == len(full)
     for z, w in zip(blocked.values, full):

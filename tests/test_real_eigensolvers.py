@@ -80,7 +80,7 @@ def test_algebra_check_takes_the_real_eigh_for_the_number_operator(seen):
 
 
 def test_algebra_check_at_q1_runs_no_eigensolver(seen_all):
-    # q^{f(N)} is exactly the identity at q = 1.
+    # q^N is exactly the identity at q = 1.
     run_job(parse_config(json.dumps({"job": "algebra-check", "grid": {"n_points": 129}})))
     assert seen_all == []
 

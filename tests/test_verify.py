@@ -90,13 +90,6 @@ class TestDieudonneResidual:
         with pytest.warns(UserWarning):
             dieudonne_residual(ham, bad)
 
-    def test_custom_probe_matrix_accepted(self):
-        grid, pp, ham = _bf_setup(n=129)
-        rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
-        probes = smooth_probes(grid, count=4)
-        res = dieudonne_residual(ham, rho, probes=probes)
-        assert np.isfinite(res) and res < 1e-1
-
 
 class TestGaussianLabelsAwayFromUnitMassAndFrequency:
     """``BF`` and ``BF-composite`` carry θ = 2μ/(mω²): at ω ≠ 1 or m ≠ 1 they
