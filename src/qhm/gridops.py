@@ -8,16 +8,10 @@ Everything downstream builds on four ingredients defined here:
 * ``Operator`` — a complex matrix bound to its grid, stored as its diagonals.
   The model operators are banded (P and ρ are diagonal, X spans offsets
   −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
-  O(n · bandwidth).  The eigensolvers read the bands through one parity
-  fold (``_parity_fold``): ``np.linalg.eigvalsh`` then ``np.linalg.eigh``
-  in ``hermitian_matrix_function``, which decides its positivity and
-  dynamic-range guards from the eigenvalues before it computes any
-  eigenvector (the q-algebra check at q = 1 needs no matrix function at
-  all: q^N is exactly the identity there), and ``np.linalg.eig`` in
-  ``spectrum`` for grids of fewer than 257 points and the fallback of its
-  shift-invert path, which hands ARPACK the same blocks as sparse
-  matrices.  No solver reads ``Operator.entries``.  Two exact properties
-  of the model operators make all of these solves cheaper:
+  O(n · bandwidth).  The eigensolvers (``hermitian_matrix_function`` here,
+  ``verify.spectrum``) read the bands through one parity fold
+  (``_parity_fold``); none reads ``Operator.entries``.  Two exact
+  properties of the model operators make these solves cheaper:
 
   - *Real.*  A matrix whose imaginary parts are all exactly zero reaches the
     solvers as a real array, so LAPACK runs the real routines (``dgeev``/
@@ -41,13 +35,11 @@ Everything downstream builds on four ingredients defined here:
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).  Every operand is an ``Operator``, and each
   function reads its grid from its operands, which must share it.  Products
-  sum each entry over the bands in extended precision and round once.  Every
-  model operator is exactly real (P, D, ρ, H, the ladder, N) or exactly
-  imaginary (X), and a product of two such operators multiplies only their
-  nonzero parts, as ``np.longdouble`` reals, then applies the phase 1, i or
-  −1: the same terms as the ``np.clongdouble`` products, in the same order,
-  so the same values, at a quarter to a half of the cost.  Real bands act
-  on real probe vectors in ``float64``.
+  sum each entry over the bands in extended precision and round once
+  (``op_product``); real bands act on real probe vectors in ``float64``.
+  One rule bounds dynamic range, for matrix functions and metrics alike
+  (``_check_dynamic_range``): no NaN, and max/min of at most
+  ``OVERFLOW_RATIO`` = 1e14 in modulus.
 * residual measurements.  Identities between band matrices hold *in action*
   on smooth vectors, not entry-by-entry: a central-difference commutator
   ``[D, diag(p)]`` equals the neighbor-averaging stencil, whose action on
@@ -328,7 +320,9 @@ def _parity_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _trim(lo: int, bands: np.ndarray) -> tuple[int, np.ndarray]:
-    """Drop all-zero outer diagonals."""
+    """Drop all-zero outer diagonals (most bands have none to drop)."""
+    if len(bands) and bands[0].any() and bands[-1].any():
+        return lo, bands
     nonzero = np.flatnonzero(bands.any(axis=1))
     if nonzero.size == 0:
         return 0, bands[:0]
@@ -490,62 +484,57 @@ def _check_hermitian(a: Operator) -> None:
         raise ValueError("input is not Hermitian within tolerance")
 
 
-def _guarded(
-    w: np.ndarray, f: Callable[[np.ndarray], np.ndarray], require_positive: bool
-) -> np.ndarray:
-    """``f(w)`` for the spectrum ``w``, after the positivity and dynamic-range
-    guards of ``hermitian_matrix_function``."""
-    if require_positive and w.min() <= 0:
+def _check_dynamic_range(values: np.ndarray, what: str) -> None:
+    """Raise ``NumericGuardError`` when ``values`` holds a NaN or max|v| >
+    ``OVERFLOW_RATIO``·min|v| (an inf, or a 0 beside a nonzero entry, trips
+    it); empty and all-zero ``values`` pass."""
+    a = np.abs(values)
+    if np.isnan(a).any():
+        raise NumericGuardError(f"{what} has NaN entries")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = a.max() / a.min() if a.any() else 1.0
+    if not ratio <= OVERFLOW_RATIO:
         raise NumericGuardError(
-            f"non-positive eigenvalue {w.min():.3e} under a fractional power"
+            f"{what} condition number {ratio:.3e} exceeds the dynamic range "
+            f"bound {OVERFLOW_RATIO:.0e}"
         )
-    fw = np.asarray(f(w), dtype=float)
-    fmax = np.abs(fw).max() if fw.size else 0.0
-    fmin = np.abs(fw).min() if fw.size else 0.0
-    if fmax > 0 and (fmin == 0 or fmax / fmin > OVERFLOW_RATIO):
-        raise NumericGuardError(
-            "matrix function overflows the supported dynamic range "
-            f"(max|f|/min|f| > {OVERFLOW_RATIO:.0e})"
-        )
+
+
+def _guarded(w: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``f(w)`` for the spectrum ``w``, after ``_check_dynamic_range``."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused just below
+        fw = np.asarray(f(w), dtype=float)
+    _check_dynamic_range(fw, "matrix function")
     return fw
 
 
 def hermitian_matrix_function(
-    a: Operator,
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    require_positive_spectrum: bool = False,
+    a: Operator, f: Callable[[np.ndarray], np.ndarray]
 ) -> Operator:
     """Apply a real scalar function to a Hermitian operator by eigendecomposition.
 
     Guards: the input must be Hermitian to ``HERMITIAN_TOL`` = 1e-10
-    (relative Frobenius, from the bands); with ``require_positive_spectrum``
-    (fractional powers) every eigenvalue must be strictly positive; and the
-    dynamic range max|f|/min|f| of the transformed spectrum must stay below
-    1e14.  The last two are decided from ``eigvalsh`` before any eigenvector
-    is computed, so a tripped guard costs no ``eigh``; the eigenvalues of
-    the ``eigh`` that follows a pass are checked again, so the result is
-    built only from guarded values.
+    (relative Frobenius, from the bands), and f of the spectrum must pass
+    ``_check_dynamic_range`` (no NaN, max|f|/min|f| ≤ 1e14), so √ or log of
+    a spectrum that is not strictly positive trips.  The range is decided
+    from ``eigvalsh`` before any eigenvector is computed, so a tripped guard
+    costs no ``eigh``; the eigenvalues of the ``eigh`` that follows a pass
+    are checked again, so the result is built only from guarded values.
 
-    An input with no nonzero imaginary part (a real symmetric matrix, such as
-    the number operator a†a of the model ladder) is decomposed by the real
-    ``eigh`` routine and rebuilt as (u·f(w))·uᵀ by a real matrix product, so
-    the result's imaginary parts are exactly zero.
-
-    The operator is read through ``_parity_fold``.  An operator that is
-    exactly even under p → −p (the number operator again) is decomposed as
-    its two parity blocks, each rebuilt as above and unfolded into an
-    exactly even result.  An operator without exact parity takes one
-    ``eigh`` of the full matrix.
+    An exactly real input (such as the number operator a†a of the model
+    ladder) takes the real ``eigh`` and is rebuilt as (u·f(w))·uᵀ, with
+    exactly zero imaginary parts.  An exactly even input (``_parity_fold``)
+    is decomposed as its two parity blocks and unfolded into an exactly even
+    result; any other takes one ``eigh`` of the full matrix.
     """
     _check_hermitian(a)
     blocks, even = _parity_fold(a)
     parts = [_dense_block(block) for block in blocks]
     w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
-    _guarded(w, f, require_positive_spectrum)
+    _guarded(w, f)
     decomps = [np.linalg.eigh(part) for part in parts]
     w = np.concatenate([wp for wp, _ in decomps])
-    fw = _guarded(w, f, require_positive_spectrum)
+    fw = _guarded(w, f)
     fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
     rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
     out = _parity_unfold(*rebuilt) if even else rebuilt[0]
@@ -659,8 +648,11 @@ def action_residual(lhs: Operator, rhs: Operator, probes: np.ndarray) -> float:
     returns 0 when both actions vanish on the interior.
     """
     _check_compatible(lhs, rhs)
-    la = interior_action(lhs, probes)
-    ra = interior_action(rhs, probes)
+    return _mismatch(interior_action(lhs, probes), interior_action(rhs, probes))
+
+
+def _mismatch(la: np.ndarray, ra: np.ndarray) -> float:
+    """``action_residual``'s relative mismatch of two interior actions."""
     denom = max(float(np.linalg.norm(la)), float(np.linalg.norm(ra)))
     if denom == 0.0:
         return 0.0

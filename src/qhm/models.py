@@ -19,6 +19,7 @@ import numpy as np
 from .gridops import (
     Grid,
     NumericGuardError,
+    OVERFLOW_RATIO,
     Operator,
     _check_hermitian,
     action_residual,
@@ -240,8 +241,7 @@ def gauge_transform(pp: PhysParams, grid: Grid) -> tuple[Operator, Operator]:
         log_s = (-pp.gamma_t / (2.0 * pp.tau)) * np.log1p(pp.tau * p**2)
     else:
         log_s = -0.5 * pp.gamma_t * p**2
-    span = log_s.max() - log_s.min()
-    if span > np.log(1e14):
+    if log_s.max() - log_s.min() > np.log(OVERFLOW_RATIO):
         raise NumericGuardError(
             "gauge factor dynamic range exceeds the supported overflow bound"
         )

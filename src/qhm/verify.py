@@ -11,6 +11,9 @@ smooth localized states and converge at second order in the spacing.
 Entrywise matrix norms of the same differences are dominated by boundary
 rows and non-local cancellation structure and do not converge; they are
 still computed and reported as diagnostics, never as the headline number.
+The intertwining relation A†ρ = ρA of a diagonal metric (the Dieudonné
+residual, the X check and the metric fit) has one measurement: the probe
+actions A†(g∘V) and g∘(A·V) (``_intertwining_actions``), with no product.
 """
 from __future__ import annotations
 
@@ -24,10 +27,11 @@ from numpy.polynomial import chebyshev as _cheb
 from .gridops import (
     HERMITIAN_TOL,
     NumericGuardError,
-    OVERFLOW_RATIO,
     Operator,
     _check_compatible,
+    _check_dynamic_range,
     _dense_block,
+    _mismatch,
     _parity_fold,
     action_residual,
     adjoint,
@@ -60,25 +64,42 @@ __all__ = [
 logger = logging.getLogger("qhm.verify")
 
 
-def _intertwining_sides(H: Operator, rho: Operator) -> tuple[Operator, Operator]:
-    """H†ρ and ρH, warning when ρ has a non-positive diagonal entry."""
-    _check_compatible(H, rho)
-    if np.real(rho.diagonal()).min() <= 0:
-        warnings.warn(
-            "metric has non-positive diagonal entries; residual computed anyway",
-            stacklevel=3,
-        )
-    return op_product(adjoint(H), rho), op_product(rho, H)
+def _metric_diagonal(metric: Operator, *others: Operator) -> np.ndarray:
+    """The diagonal of ``metric``; ``ValueError`` unless it is diagonal."""
+    _check_compatible(metric, *others)
+    if not (metric.lo == 0 and len(metric.bands) <= 1):
+        raise ValueError("metric must be diagonal")
+    return metric.diagonal()
+
+
+def _intertwining_actions(
+    a: Operator, g: np.ndarray, probes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior rows of A†(g∘V) and g∘(A·V), the two sides of A†G = GA for
+    G = diag(g) in action on the probes V, as (interior, s, probes) arrays.
+    ``g`` holds one profile (s = 1) or s profiles as columns; A acts once on
+    V, and A† once on all the scaled probe sets side by side."""
+    stack = g.reshape(len(g), -1, 1)
+    right = stack[a.grid.interior()] * interior_action(a, probes)[:, np.newaxis]
+    scaled = (stack * probes[:, np.newaxis, :]).reshape(len(g), -1)
+    return interior_action(adjoint(a), scaled).reshape(right.shape), right
 
 
 def dieudonne_residual(H: Operator, rho: Operator) -> float:
     """Action residual of the quasi-Hermiticity condition H†ρ = ρH.
 
-    Applies H†ρ and ρH to the smooth probes (eight localized states), masks
-    boundary rows, and returns the relative Frobenius mismatch.
+    Applies H†ρ and ρH to the smooth probes (eight localized states) as
+    probe actions, with no operator product, masks boundary rows, and
+    returns ``action_residual``'s relative Frobenius mismatch.  ρ must be
+    diagonal, or ``ValueError``; a non-positive entry warns.
     """
-    lhs, rhs = _intertwining_sides(H, rho)
-    return action_residual(lhs, rhs, smooth_probes(H.grid))
+    g = _metric_diagonal(rho, H)
+    if g.real.min() <= 0:
+        warnings.warn(
+            "metric has non-positive diagonal entries; residual computed anyway",
+            stacklevel=2,
+        )
+    return _mismatch(*_intertwining_actions(H, g, smooth_probes(H.grid)))
 
 
 def dieudonne_details(H: Operator, rho: Operator) -> dict:
@@ -87,38 +108,35 @@ def dieudonne_details(H: Operator, rho: Operator) -> dict:
     ``action`` is the headline probe measurement (``dieudonne_residual``);
     ``matrix`` is the masked entrywise Frobenius norm of H†ρ − ρH normalized
     by the product of the masked norms of H and ρ (kept as a
-    truncation-visible diagnostic).  Both come from one pair of products.
+    truncation-visible diagnostic).  Only ``matrix`` forms H†ρ − ρH, as the
+    norm of that operator.
     """
-    lhs, rhs = _intertwining_sides(H, rho)
-    act = action_residual(lhs, rhs, smooth_probes(H.grid))
-    mat = masked_norm(op_sum(lhs, op_scale(-1.0, rhs)), relative_to=[H, rho])
+    act = dieudonne_residual(H, rho)
+    diff = op_sum(op_product(adjoint(H), rho), op_scale(-1.0, op_product(rho, H)))
+    mat = masked_norm(diff, relative_to=[H, rho])
     return {"action": act, "matrix": mat, "masked": True}
 
 
 def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
-    """Action residual of X†η = ηX on stencil probes.
+    """Action residual of X†η = ηX on stencil probes, for a diagonal η.
 
     This is an exactness-class identity for the compensating weight
     (1+τp²)^{-1}, so the residual is machine-small when eta solves it.
     """
-    lhs = op_product(adjoint(X), eta)
-    rhs = op_product(eta, X)
-    return action_residual(lhs, rhs, stencil_probes(X.grid))
+    g = _metric_diagonal(eta, X)
+    return _mismatch(*_intertwining_actions(X, g, stencil_probes(X.grid)))
 
 
 def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
     """(ρ^{1/2}, ρ^{-1/2}) of a diagonal ρ, with diagonality, Hermiticity,
-    positivity and overflow guards."""
-    if not (rho.lo == 0 and len(rho.bands) <= 1):
-        raise ValueError("metric must be diagonal")
-    d = rho.diagonal()
+    positivity and dynamic-range guards."""
+    d = _metric_diagonal(rho)
     if np.linalg.norm(d.imag) > HERMITIAN_TOL * np.linalg.norm(d):
         raise ValueError("input is not Hermitian within tolerance")
     d = d.real
     if d.min() <= 0:
         raise NumericGuardError("metric must be strictly positive")
-    if d.max() / d.min() > OVERFLOW_RATIO:
-        raise NumericGuardError("metric condition number exceeds the overflow bound")
+    _check_dynamic_range(d, "metric")
     r = np.sqrt(d)
     return Operator.diag(r, rho.grid), Operator.diag(1.0 / r, rho.grid)
 
@@ -384,18 +402,11 @@ def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarra
     """The linear map from basis coefficients to probe residuals.
 
     Column k holds the interior rows of (H†G_k − G_kH)·V, G_k =
-    diag(basis[:, k]), flattened row by row.  It is computed from probe
-    actions as H†(b_k∘V) − b_k∘(HV): one action of H on V, and one of H† on
-    every basis-scaled probe set side by side, with no operator product.
-    Real H and probes give a real map.
+    diag(basis[:, k]), flattened row by row, from the probe actions of
+    ``_intertwining_actions``.  Real H and probes give a real map.
     """
-    n, size = basis.shape
-    count = probes.shape[1]
-    sl = H.grid.interior()
-    scaled = (basis[:, :, np.newaxis] * probes[:, np.newaxis, :]).reshape(n, -1)
-    left = interior_action(adjoint(H), scaled).reshape(-1, size, count)
-    right = basis[sl, :, np.newaxis] * interior_action(H, probes)[:, np.newaxis]
-    return (left - right).transpose(0, 2, 1).reshape(-1, size)
+    left, right = _intertwining_actions(H, basis, probes)
+    return (left - right).transpose(0, 2, 1).reshape(-1, basis.shape[1])
 
 
 def fit_diagonal_metric(H: Operator, pp: PhysParams) -> FitResult:

@@ -29,7 +29,7 @@ from qhm import (
     op_sum,
     smooth_probes,
 )
-from qhm.gridops import _quarter_turns
+from qhm.gridops import _quarter_turns, _trim
 from qhm.verify import _sqrt_pair
 
 REL = 1e-13
@@ -167,6 +167,23 @@ def test_action_residual_matches_dense(case, seed):
     expect = np.linalg.norm(la - ra) / denom if denom else 0.0
     got = action_residual(Operator(a, grid), Operator(b, grid), probes)
     assert got == pytest.approx(expect, rel=REL, abs=1e-15)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(-3, 3))
+def test_trim_drops_exactly_the_zero_outer_bands(seed, lo):
+    rng = np.random.default_rng(seed)
+    shape = (rng.integers(0, 6), rng.integers(1, 6))
+    bands = rng.normal(size=shape) * (rng.random((shape[0], 1)) < 0.6)
+    kept = np.flatnonzero(bands.any(axis=1))
+    got_lo, got = _trim(lo, bands)
+    if kept.size == 0:
+        assert (got_lo, got.shape) == (0, (0, shape[1]))
+    else:
+        assert got_lo == lo + kept[0]
+        assert np.array_equal(got, bands[kept[0] : kept[-1] + 1])
+    if kept.size and kept[0] == 0 and kept[-1] == shape[0] - 1:
+        assert got is bands  # nothing to trim: the same array comes back
 
 
 def test_from_bands_rejects_slots_outside_the_matrix():

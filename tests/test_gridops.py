@@ -273,9 +273,16 @@ def test_matrix_function_rejects_non_hermitian():
 
 
 def test_matrix_function_guards_fractional_power_of_indefinite_input():
+    # √ of a negative eigenvalue is NaN.
     a = _on_grid(np.diag([1.0, -1.0, 2.0]))
-    with pytest.raises(NumericGuardError):
-        hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
+    with pytest.raises(NumericGuardError, match="NaN"):
+        hermitian_matrix_function(a, np.sqrt)
+
+
+def test_matrix_function_refuses_a_nan_spectrum():
+    a = Operator.diag([-1.0, 1.0, 2.0], Grid(3, 1.0))
+    with pytest.raises(NumericGuardError, match="NaN"):
+        hermitian_matrix_function(a, np.log)
 
 
 def test_matrix_function_overflow_guard():
@@ -316,14 +323,15 @@ def test_matrix_function_dynamic_range_just_outside_trips(a):
 
 @pytest.mark.parametrize("a", _uneven_and_even([1.0, 2.0]))
 def test_matrix_function_fractional_power_of_positive_input_passes(a):
-    got = hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
+    got = hermitian_matrix_function(a, np.sqrt)
     assert _diag_of(got) == pytest.approx(np.sqrt(_diag_of(a)), rel=1e-14)
 
 
 @pytest.mark.parametrize("a", _uneven_and_even([0.0, 1.0]))
 def test_matrix_function_fractional_power_of_singular_input_trips(a):
-    with pytest.raises(NumericGuardError, match="non-positive"):
-        hermitian_matrix_function(a, np.sqrt, require_positive_spectrum=True)
+    # √0 gives min|f| = 0, an unbounded dynamic range.
+    with pytest.raises(NumericGuardError, match="dynamic range"):
+        hermitian_matrix_function(a, np.sqrt)
 
 
 # ---------------------------------------------------------------- masked norm

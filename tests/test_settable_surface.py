@@ -24,9 +24,8 @@ ALLOWED = {
     "MetricSpec.factors",
     "FitResult.distances",
     "FitResult.nearest",
-    # an optional normalisation, and a guard
+    # an optional normalisation
     "masked_norm.relative_to",
-    "hermitian_matrix_function.require_positive_spectrum",
     # the command line reads sys.argv when called without arguments
     "main.argv",
 }

@@ -27,7 +27,15 @@ from qhm import (
     spec_from_label,
     spectrum,
 )
-from qhm.gridops import adjoint, interior_action, op_product, op_scale, op_sum
+from qhm.gridops import (
+    action_residual,
+    adjoint,
+    interior_action,
+    op_product,
+    op_scale,
+    op_sum,
+    stencil_probes,
+)
 from qhm.verify import _even_cheb_basis, _fit_matrix, _sqrt_pair
 
 
@@ -153,6 +161,86 @@ class TestPositionQuasiHermiticity:
         assert measured > 1e-3
 
 
+def _product_built(a, rho, probes):
+    """The residual of A†ρ = ρA from the operator products A†ρ and ρA."""
+    return action_residual(op_product(adjoint(a), rho), op_product(rho, a), probes)
+
+
+def _deformed_models(n):
+    grid = Grid(n, 8.0, 0.25)
+    pp = PhysParams(mu=0.1, tau=0.05, lam=-0.05, delta_t=0.05)
+    x, p = build_deformed_pair(grid, pp)
+    ladder = build_ladder(x, p, pp)
+    hams = {
+        "BF": build_swanson_bf(x, p, pp),
+        "JR": build_swanson_jr(ladder.a, ladder.a_dag, pp),
+    }
+    return grid, pp, x, hams
+
+
+class TestIntertwiningFromProbeActions:
+    """The Dieudonné and X residuals are measured from probe actions, with no
+    operator product.  The product-built residuals agree to round-off: over
+    BF/JR, the four labels, μ 0.05–0.15, τ 0.01–0.1 and p_max 8/10 the worst
+    relative difference was 5e-15 at 129 points, 1e-13 at 257 and 1.1e-12 at
+    513, against the 1e-11 used here; it grows with n as the two sides
+    cancel to a smaller residual."""
+
+    TOL = 1e-11
+
+    @pytest.mark.parametrize("n", [129, 257, 513])
+    @pytest.mark.parametrize("label", ["BF", "JR", "BF-composite", "JR-composite"])
+    def test_dieudonne_residual_and_details_match_the_products(self, n, label):
+        grid, pp, _, hams = _deformed_models(n)
+        rho = build_metric(spec_from_label(label, pp), grid, pp)
+        for ham in hams.values():
+            expect = _product_built(ham, rho, smooth_probes(grid))
+            assert dieudonne_residual(ham, rho) == pytest.approx(expect, rel=self.TOL)
+            action = dieudonne_details(ham, rho)["action"]
+            assert action == pytest.approx(expect, rel=self.TOL)
+
+    @pytest.mark.parametrize("n", [129, 257, 513])
+    def test_x_residual_matches_the_products(self, n):
+        grid, pp, x, _ = _deformed_models(n)
+        probes = stencil_probes(grid)
+        gaussian = build_metric(spec_from_label("BF", pp), grid, pp)
+        expect = _product_built(x, gaussian, probes)
+        measured = check_X_quasi_hermiticity(x, gaussian)
+        assert measured == pytest.approx(expect, rel=self.TOL)
+        # The deformation weight solves X†η = ηX: both residuals sit at
+        # round-off (at most 1.1e-14 in the sweep above), so compare absolutely.
+        eta = build_metric(MetricSpec("DeformWeight"), grid, pp)
+        expect = _product_built(x, eta, probes)
+        assert check_X_quasi_hermiticity(x, eta) == pytest.approx(expect, abs=1e-13)
+
+    def test_non_diagonal_metric_is_refused(self):
+        grid, pp, x, hams = _deformed_models(129)
+        rho = np.eye(grid.n_points)
+        rho[3, 4] = rho[4, 3] = 0.1
+        rho = Operator(rho, grid)
+        with pytest.raises(ValueError, match="metric must be diagonal"):
+            dieudonne_residual(hams["BF"], rho)
+        with pytest.raises(ValueError, match="metric must be diagonal"):
+            dieudonne_details(hams["BF"], rho)
+        with pytest.raises(ValueError, match="metric must be diagonal"):
+            check_X_quasi_hermiticity(x, rho)
+
+    def test_residuals_form_no_operator_product(self, monkeypatch):
+        grid, pp, x, hams = _deformed_models(129)
+        rho = build_metric(spec_from_label("BF-composite", pp), grid, pp)
+        eta = build_metric(MetricSpec("DeformWeight"), grid, pp)
+        expect_h = _product_built(hams["JR"], rho, smooth_probes(grid))
+        expect_x = _product_built(x, eta, stencil_probes(grid))
+
+        def refuse(a, b):
+            raise AssertionError("op_product called")
+
+        monkeypatch.setattr("qhm.verify.op_product", refuse)
+        measured = dieudonne_residual(hams["JR"], rho)
+        assert measured == pytest.approx(expect_h, rel=self.TOL)
+        assert check_X_quasi_hermiticity(x, eta) == pytest.approx(expect_x, abs=1e-13)
+
+
 class TestHermitianCounterpart:
     def test_identity_metric_returns_input(self):
         grid, pp, ham = _bf_setup(n=257, p_max=8.0)
@@ -195,6 +283,13 @@ class TestHermitianCounterpart:
             _sqrt_pair(Operator(rho, grid))
         with pytest.raises(ValueError, match="diagonal"):
             hermitian_counterpart(ham, Operator(rho, grid))
+
+    def test_nan_on_the_metric_diagonal_is_refused(self):
+        grid, pp, ham = _bf_setup(n=129, p_max=8.0)
+        d = np.ones(grid.n_points)
+        d[5] = np.nan
+        with pytest.raises(NumericGuardError, match="NaN"):
+            hermitian_counterpart(ham, Operator.diag(d, grid))
 
     def test_sqrt_pair_rejects_non_positive_diagonal(self):
         grid = Grid(9, 2.0, 0.25)
