@@ -28,15 +28,15 @@ Everything downstream builds on four ingredients defined here:
     operator are even.
 
   Both tests are exact, with no tolerance; a matrix that fails one takes the
-  general solver (a complex array, or one n x n block).  (``op_product``
-  sums the bands of an entry in an order that the reflection reverses, so a
-  product whose entries sum three or more nonzero terms, such as a†a, can
-  miss exact parity by an ulp on rare grids.)
+  general solver (a complex array, or one n x n block).  Products keep
+  parity exactly: ``op_product`` sums the terms of an entry in an order
+  that the reflection maps onto the order of its mirror's terms.
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).  Every operand is an ``Operator``, and each
   function reads its grid from its operands, which must share it.  Products
-  sum each entry over the bands in extended precision and round once
-  (``op_product``); real bands act on real probe vectors in ``float64``.
+  sum each entry over the bands in ``float64`` arithmetic, pairing the
+  bands from both ends (``op_product``); real bands act on real probe
+  vectors in ``float64``.
   One rule bounds dynamic range, for matrix functions and metrics alike
   (``_check_dynamic_range``): no NaN, and max/min of at most
   ``OVERFLOW_RATIO`` = 1e14 in modulus.
@@ -115,6 +115,11 @@ class Grid:
             )
         if not self.p_max > 0:
             raise ValueError(f"p_max must be positive, got {self.p_max}")
+        if not np.finfo(float).tiny <= self.spacing < np.inf:
+            # a subnormal spacing leaves 1/(2h) of the derivative infinite
+            raise ValueError(
+                f"p_max {self.p_max} gives a spacing outside the normal float range"
+            )
         if not 0 <= self.mask_fraction < 0.5:
             raise ValueError(
                 f"mask_fraction must lie in [0, 0.5), got {self.mask_fraction}"
@@ -376,32 +381,52 @@ def _aligned(ops, n: int) -> tuple[int, list[np.ndarray]]:
     return lo, aligned
 
 
+def _add_band_term(
+    la: int, ba: np.ndarray, bb: np.ndarray, k: int, out: np.ndarray
+) -> None:
+    """Add A's band k times B's bands into ``out``, rows of the product's bands."""
+    # A[i, i+s] * B[i+s, i+s+lb+kb] lands on offset s+lb+kb, s = la+k
+    s = la + k
+    n, nb = ba.shape[1], len(bb)
+    r0, r1 = _overlap(s, n)
+    out[k : k + nb, r0:r1] += ba[k, r0:r1] * bb[:, r0 + s : r1 + s]
+
+
 def _accumulate(la: int, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """Bands of the product of A (offsets from ``la``) and B, summed in their
-    dtype: output band j adds A's band k times B's band j − k for k = 0, 1, …
-    in turn, so every entry sums its terms in the same order."""
-    n, nb = ba.shape[1], len(bb)
-    acc = np.zeros((len(ba) + nb - 1, n), dtype=ba.dtype)
-    for k, row in enumerate(ba):
-        # A[i, i+s] * B[i+s, i+s+lb+kb] lands on offset s+lb+kb, s = la+k
-        s = la + k
-        r0, r1 = _overlap(s, n)
-        acc[k : k + nb, r0:r1] += row[r0:r1] * bb[:, r0 + s : r1 + s]
+    dtype in mirror-paired order: every entry first adds the terms of A's
+    bands q and na − 1 − q, then these pair sums for q = 0, 1, … in turn,
+    then the term of the middle band when na is odd."""
+    na, n = ba.shape
+    nb = len(bb)
+    acc = np.zeros((na + nb - 1, n), dtype=ba.dtype)
+    pair = np.empty_like(acc)
+    for q in range(na // 2):
+        span = slice(q, na - q - 1 + nb)  # the output rows of bands q and na-1-q
+        pair[span] = 0
+        _add_band_term(la, ba, bb, q, pair)
+        _add_band_term(la, ba, bb, na - 1 - q, pair)
+        acc[span] += pair[span]
+    if na % 2:
+        _add_band_term(la, ba, bb, na // 2, acc)
     return acc
 
 
 def op_product(a: Operator, b: Operator) -> Operator:
     """Matrix product.
 
-    Each entry is accumulated over the bands in extended precision and
-    rounded once to complex128, so it depends on no BLAS kernel or thread
-    count.  When each operand is exactly real or exactly imaginary (no
-    tolerance; every model operator is: X is imaginary, the rest real), only
-    the nonzero parts are multiplied, as ``np.longdouble`` reals, and the
-    rounded sum takes the phase 1, i or −1 afterwards.  The terms are the
-    ones the ``np.clongdouble`` products would give, summed in the same
-    order, so the values are identical (for finite entries; only the signs
-    of exact zeros can differ), at a quarter to a half of the cost.
+    Each entry is summed over A's bands in ``complex128`` in mirror-paired
+    order (``_accumulate``), with no BLAS call, so it depends on no BLAS
+    kernel or thread count.  The reflection p → −p maps A's band q of an
+    exactly even or odd A to band na − 1 − q, so the mirrored entries of a
+    product of exactly even or odd operands sum the same pairs in the same
+    order: the product is exactly even or odd.  When each operand is exactly
+    real or exactly imaginary (no tolerance; every model operator is: X is
+    imaginary, the rest real), only the nonzero parts are multiplied, as
+    ``float64`` reals, and the sum takes the phase 1, i or −1 afterwards.
+    The terms and their order are those of the ``complex128`` sums, so the
+    values are identical (for finite entries; only the signs of exact zeros
+    can differ).
     """
     grid = _check_compatible(a, b)
     (la, ba), (lb, bb) = (a.lo, a.bands), (b.lo, b.bands)
@@ -409,12 +434,11 @@ def op_product(a: Operator, b: Operator) -> Operator:
         return Operator._trimmed(0, np.zeros((0, grid.n_points), dtype=complex), grid)
     ta, tb = _quarter_turns(ba), _quarter_turns(bb)
     if ta is None or tb is None:
-        wide = np.clongdouble
-        bands = _accumulate(la, ba.astype(wide), bb.astype(wide)).astype(complex)
+        bands = _accumulate(la, ba, bb)
     else:
-        ra = (ba.imag if ta else ba.real).astype(np.longdouble)
-        rb = (bb.imag if tb else bb.real).astype(np.longdouble)
-        bands = _accumulate(la, ra, rb).astype(float) * 1j ** (ta + tb)
+        ra = ba.imag if ta else ba.real
+        rb = bb.imag if tb else bb.real
+        bands = _accumulate(la, ra, rb) * 1j ** (ta + tb)
     return Operator._trimmed(la + lb, bands, grid)
 
 

@@ -39,10 +39,14 @@ _KINDS = frozenset({"BF", "JR", "ExpTheta", "DeformWeight", "Product"})
 class MetricSpec:
     """Symbolic description of a diagonal metric profile.
 
-    kinds: BF -> exp(2*mu*p^2/(m*omega^2)); JR ->
+    kinds: BF -> exp(2*mu*p^2/(hbar*m*omega^2)); JR ->
     (1+tau*p^2)^(mu/(omega^2*tau)), which requires tau > 0; ExpTheta ->
     exp(theta*p^2); DeformWeight -> (1+tau*p^2)^(-1); Product -> pointwise
     product of ``factors``.
+
+    The JR power law carries neither m nor hbar.  Whether Jana and Roy's
+    metric (arXiv:0908.1755) carries them cannot be confirmed from the
+    source paper's abstract (PAPER.md), so the formula is kept as given.
     """
 
     kind: str
@@ -74,10 +78,12 @@ def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     """Strictly positive profile g(p_k) for a MetricSpec label."""
     p2 = grid.points**2
     if spec.kind == "BF":
-        return np.exp(2.0 * pp.mu * p2 / (pp.mass * pp.omega**2))
+        return np.exp(2.0 * pp.mu * p2 / (pp.hbar * pp.mass * pp.omega**2))
     if spec.kind == "JR":
         _require_defined(spec, pp)
-        return (1.0 + pp.tau * p2) ** (pp.mu / (pp.omega**2 * pp.tau))
+        # omega**2 * tau can underflow to zero though tau > 0; np.divide
+        # then gives inf or nan where a float division would raise.
+        return (1.0 + pp.tau * p2) ** np.divide(pp.mu, pp.omega**2 * pp.tau)
     if spec.kind == "ExpTheta":
         return np.exp(spec.theta * p2)
     if spec.kind == "DeformWeight":
@@ -151,12 +157,14 @@ def limit_sweep(
 
 def bf_composite(pp: PhysParams) -> MetricSpec:
     """Deformation weight times the undeformed-limit profile
-    exp(2*mu*p^2/(m*omega^2))."""
+    exp(2*mu*p^2/(hbar*m*omega^2))."""
     return MetricSpec(
         "Product",
         factors=(
             MetricSpec("DeformWeight"),
-            MetricSpec("ExpTheta", theta=2.0 * pp.mu / (pp.mass * pp.omega**2)),
+            MetricSpec(
+                "ExpTheta", theta=2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2)
+            ),
         ),
     )
 

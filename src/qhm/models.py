@@ -76,6 +76,11 @@ class PhysParams:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.omega * self.omega < math.inf:
             raise ValueError("omega**2 must be a positive finite number")
+        # The BF exponent divides by hbar*m*omega^2, which can underflow to
+        # zero though each factor is positive; checked as it is computed
+        # there (omega**2 is finite by the check above).
+        if not 0.0 < self.hbar * self.mass * self.omega**2 < math.inf:
+            raise ValueError("hbar*mass*omega**2 must be a positive finite number")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
 

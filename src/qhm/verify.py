@@ -14,6 +14,8 @@ still computed and reported as diagnostics, never as the headline number.
 The intertwining relation A†ρ = ρA of a diagonal metric (the Dieudonné
 residual, the X check and the metric fit) has one measurement: the probe
 actions A†(g∘V) and g∘(A·V) (``_intertwining_actions``), with no product.
+Its entrywise diagnostic reads (A†)[i, j]·g[j] − g[i]·A[i, j] from the
+bands (``_matrix_residual``), with no product either.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .gridops import (
     HERMITIAN_TOL,
     NumericGuardError,
     Operator,
+    _aligned,
     _check_compatible,
     _check_dynamic_range,
     _dense_block,
@@ -37,7 +40,6 @@ from .gridops import (
     adjoint,
     interior_action,
     interior_block_entries,
-    masked_norm,
     op_product,
     op_scale,
     op_sum,
@@ -102,18 +104,39 @@ def dieudonne_residual(H: Operator, rho: Operator) -> float:
     return _mismatch(*_intertwining_actions(H, g, smooth_probes(H.grid)))
 
 
+def _matrix_residual(H: Operator, g: np.ndarray) -> float:
+    """Masked entrywise Frobenius norm of H†G − GH for G = diag(g), relative
+    to the interior norms of H and g, from the bands: entry (i, j) is
+    (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
+    the bands of H and H†, band by band.  ``ValueError`` when either norm
+    is zero."""
+    lo, (bands, dag) = _aligned([H, adjoint(H)], H.dim)
+    sl = H.grid.interior()
+    h, diff = [], []
+    for k, s in enumerate(range(lo, lo + len(bands))):
+        # interior rows i whose column i + s is interior too
+        r0, r1 = max(sl.start, sl.start - s), min(sl.stop, sl.stop - s)
+        h.append(bands[k, r0:r1])
+        diff.append(dag[k, r0:r1] * g[r0 + s : r1 + s] - g[r0:r1] * h[-1])
+    h_norm = float(np.linalg.norm(np.concatenate(h))) if h else 0.0  # H = 0: no bands
+    denom = h_norm * float(np.linalg.norm(g[sl]))
+    if denom == 0.0:
+        raise ValueError("relative normalization against a zero block")
+    return float(np.linalg.norm(np.concatenate(diff))) / denom
+
+
 def dieudonne_details(H: Operator, rho: Operator) -> dict:
     """Both senses of the quasi-Hermiticity residual, with masking flag.
 
     ``action`` is the headline probe measurement (``dieudonne_residual``);
     ``matrix`` is the masked entrywise Frobenius norm of H†ρ − ρH normalized
     by the product of the masked norms of H and ρ (kept as a
-    truncation-visible diagnostic).  Only ``matrix`` forms H†ρ − ρH, as the
-    norm of that operator.
+    truncation-visible diagnostic).  For the diagonal ρ = diag(g) each entry
+    is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is read from
+    the bands of H and H† at O(n · bandwidth), with no operator product.
     """
     act = dieudonne_residual(H, rho)
-    diff = op_sum(op_product(adjoint(H), rho), op_scale(-1.0, op_product(rho, H)))
-    mat = masked_norm(diff, relative_to=[H, rho])
+    mat = _matrix_residual(H, _metric_diagonal(rho, H))
     return {"action": act, "matrix": mat, "masked": True}
 
 

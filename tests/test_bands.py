@@ -71,21 +71,28 @@ def operands(draw, count=2):
     return (grid, *(draw(banded(n)) for _ in range(count)))
 
 
-def _complex_product(a: Operator, b: Operator) -> np.ndarray:
-    """Reference: a·b from the band loop with every term a ``np.clongdouble``
-    product, whatever the operands' phases; the dense result."""
-    n = a.dim
-    acc = np.zeros((max(len(a.bands) + len(b.bands) - 1, 0), n), dtype=np.clongdouble)
-    bb = b.bands.astype(np.clongdouble)
-    for k, row in enumerate(a.bands.astype(np.clongdouble)):
-        s = a.lo + k
-        shifted = np.zeros_like(bb)  # shifted[:, i] = bb[:, i + s]
-        if s >= 0:
-            shifted[:, : n - s] = bb[:, s:]
-        else:
-            shifted[:, -s:] = bb[:, : n + s]
-        acc[k : k + len(bb)] += row * shifted
-    return Operator.from_bands(a.lo + b.lo, acc.astype(complex), a.grid).entries
+def _paired_product(a: Operator, b: Operator) -> np.ndarray:
+    """Reference: the dense a·b with every term a ``complex128`` product,
+    whatever the operands' phases, summed over A's bands in mirror-paired
+    order: the terms of bands q and na − 1 − q first, then these pair sums
+    for q = 0, 1, … in turn, then the term of the middle band."""
+    n, na = a.dim, len(a.bands)
+    dense_a, dense_b = a.entries, b.entries
+    rows = np.arange(n)
+
+    def terms(q):  # terms[i, j] = A[i, i + s] * B[i + s, j], s = lo + q
+        cols = rows + a.lo + q
+        valid = (cols >= 0) & (cols < n)
+        out = np.zeros((n, n), dtype=complex)
+        out[valid] = dense_a[rows[valid], cols[valid], np.newaxis] * dense_b[cols[valid]]
+        return out
+
+    acc = np.zeros((n, n), dtype=complex)
+    for q in range(na // 2):
+        acc += terms(q) + terms(na - 1 - q)
+    if na % 2:
+        acc += terms(na // 2)
+    return acc
 
 
 def _close(got, expect, scale):
@@ -115,9 +122,25 @@ def test_product_matches_dense(case):
     oa, ob = Operator(a, grid), Operator(b, grid)
     got = op_product(oa, ob).entries
     _close(got, a @ b, _size(a) * _size(b))
-    # Real and imaginary operands take the real extended-precision path,
-    # which must give the all-complex sums bit for bit.
-    assert np.array_equal(got, _complex_product(oa, ob))
+    # Real and imaginary operands take the real float64 path, which must
+    # give the all-complex mirror-paired sums bit for bit.  (A product of two
+    # general complex numbers may round ac − bd once or twice, as numpy's
+    # vectorized loops fuse the multiply-add or not, so operands with both
+    # parts nonzero are held to the accuracy check above.)
+    if _quarter_turns(oa.bands) is not None and _quarter_turns(ob.bands) is not None:
+        assert np.array_equal(got, _paired_product(oa, ob))
+
+
+@PROPERTY
+@given(operands(), st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_product_of_even_or_odd_operands_is_exactly_even_or_odd(case, sa, sb):
+    # a + sa·JaJ (J the reversal) is exactly even (sa = 1) or odd (sa = −1):
+    # an entry and its mirror sum the same two values.
+    grid, a, b = case
+    a, b = a + sa * a[::-1, ::-1], b + sb * b[::-1, ::-1]
+    assert np.array_equal(a[::-1, ::-1], sa * a)
+    got = op_product(Operator(a, grid), Operator(b, grid)).entries
+    assert np.array_equal(got[::-1, ::-1], sa * sb * got)
 
 
 @PROPERTY

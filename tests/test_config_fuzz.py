@@ -166,6 +166,8 @@ def _assert_grids_fit_the_job(cfg):
 
 @settings(max_examples=400, deadline=None)
 @given(job_texts())
+# A subnormal p_max once gave a zero spacing and a ZeroDivisionError.
+@example('{"job": "compare-metrics", "grid": {"p_max": 5e-324}}')
 def test_parse_config_gives_a_config_or_a_config_error(text):
     try:
         cfg = parse_config(text)
@@ -200,6 +202,16 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
 @example(json.dumps({"job": "verify-metric", "grid": {"n_points": 33}, "metric": "JR"}))
 @example(json.dumps({"job": "limit-sweep", "grid": {"n_points": 33}, "reference": "BF",
                      "tau_values": [1e-2, 1e-1]}))
+# hbar*m*omega^2 underflowing to zero in the BF exponent's denominator.
+@example(json.dumps({"job": "verify-metric", "grid": {"n_points": 5},
+                     "params": {"hbar": 1e-3, "mass": 5e-324, "omega": 1e-3}}))
+@example(json.dumps({"job": "verify-metric", "grid": {"n_points": 5},
+                     "params": {"hbar": 1.0, "mass": 5e-324, "omega": 0.625}}))
+# omega^2*tau underflowing to zero in the JR exponent for a subnormal tau.
+@example(json.dumps({"job": "verify-metric", "grid": {"n_points": 5}, "metric": "JR",
+                     "params": {"tau": 5e-324, "omega": 0.5, "mu": 0.1}}))
+@example(json.dumps({"job": "limit-sweep", "grid": {"n_points": 5}, "reference": "BF",
+                     "tau_values": [0.1, 5e-324], "params": {"omega": 0.5, "mu": 0.1}}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     """No ValueError escapes run_job from a config that parse_config

@@ -67,6 +67,12 @@ def test_grid_rejects_nonpositive_p_max():
         Grid(257, 0.0, 0.25)
 
 
+@pytest.mark.parametrize("p_max", [5e-324, 1e-310, float("inf")])
+def test_grid_rejects_a_spacing_outside_the_normal_range(p_max):
+    with pytest.raises(ValueError, match="spacing"):
+        Grid(257, p_max, 0.25)
+
+
 def test_grid_interior_needs_three_points():
     # floor(0.45 * 5) = 2 cut per side leaves 1 < 3
     with pytest.raises(ValueError, match="interior"):

@@ -55,6 +55,14 @@ def test_gaussian_labels_carry_mass_and_frequency():
     assert bf_composite(pp).factors[1] == MetricSpec("ExpTheta", theta=theta)
 
 
+def test_gaussian_labels_carry_hbar():
+    pp = PhysParams(mu=0.05, hbar=0.5, mass=2.0, omega=1.5)
+    theta = 2.0 * 0.05 / (0.5 * 2.0 * 1.5**2)
+    expect = np.exp(theta * GRID.points**2)
+    assert np.allclose(metric_profile(MetricSpec("BF"), GRID, pp), expect, rtol=1e-14)
+    assert bf_composite(pp).factors[1] == MetricSpec("ExpTheta", theta=theta)
+
+
 def test_exp_family_is_identity_at_zero_coupling():
     g = metric_profile(MetricSpec("BF"), GRID, PhysParams(mu=0.0))
     assert np.abs(g - 1.0).max() == 0.0

@@ -45,7 +45,8 @@ def test_phys_params_defaults():
 
 
 @pytest.mark.parametrize("bad", [{"hbar": 0.0}, {"mass": -1.0}, {"omega": 0.0},
-                                 {"tau": -0.01}, {"omega": 1e200}, {"omega": 1e-200}])
+                                 {"tau": -0.01}, {"omega": 1e200}, {"omega": 1e-200},
+                                 {"hbar": 1e-3, "mass": 5e-324, "omega": 1e-3}])
 def test_phys_params_validation(bad):
     with pytest.raises(ValueError):
         PhysParams(**bad)

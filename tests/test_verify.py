@@ -31,6 +31,7 @@ from qhm.gridops import (
     action_residual,
     adjoint,
     interior_action,
+    masked_norm,
     op_product,
     op_scale,
     op_sum,
@@ -100,10 +101,10 @@ class TestDieudonneResidual:
 
 
 class TestGaussianLabelsAwayFromUnitMassAndFrequency:
-    """``BF`` and ``BF-composite`` carry θ = 2μ/(mω²): at ω ≠ 1 or m ≠ 1 they
+    """``BF`` and ``BF-composite`` carry θ = 2μ/(ħmω²): at ω, m or ħ ≠ 1 they
     intertwine the τ = 0 Hamiltonian to the h² grid floor, which falls ×4
-    from 513 to 1025 points, while θ = 2μ (ω and m left out) or 2μ/ω² (m
-    left out) leave a residual that does not shrink."""
+    from 513 to 1025 points, while θ = 2μ (ω, m and ħ left out) or 2μ/ω²
+    (m left out) leave a residual that does not shrink."""
 
     @staticmethod
     def _residuals(pp, label):
@@ -127,6 +128,21 @@ class TestGaussianLabelsAwayFromUnitMassAndFrequency:
         # θ = 2μ = 0.2 is what the stale labels gave in both cases
         stale_coarse, stale_fine = self._residuals(pp, "ExpTheta(0.2)")
         assert stale_coarse > 0.1
+        assert stale_coarse / stale_fine == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "hbar, mu, stale", [(2.0, 0.1, 0.387), (0.5, 0.05, 3.9e-2)], ids=["hbar2", "hbar0.5"]
+    )
+    @pytest.mark.parametrize("label", ["BF", "BF-composite"])
+    def test_label_carries_hbar(self, hbar, mu, stale, label):
+        # θ = 2μ/(ħmω²): 1.26e-3 → 3.2e-4 at ħ = 2 and 1.7e-4 → 4.2e-5 at
+        # ħ = 0.5, where θ = 2μ (ħ left out) stays at a plateau.
+        pp = PhysParams(hbar=hbar, mu=mu)
+        coarse, fine = self._residuals(pp, label)
+        assert coarse < 2e-3
+        assert coarse / fine == pytest.approx(4.0, rel=0.05)
+        stale_coarse, stale_fine = self._residuals(pp, f"ExpTheta({2.0 * mu})")
+        assert stale_coarse == pytest.approx(stale, rel=0.01)
         assert stale_coarse / stale_fine == pytest.approx(1.0, abs=0.05)
 
 
@@ -199,6 +215,21 @@ class TestIntertwiningFromProbeActions:
             action = dieudonne_details(ham, rho)["action"]
             assert action == pytest.approx(expect, rel=self.TOL)
 
+    @pytest.mark.parametrize("n", [129, 513, 1025])
+    @pytest.mark.parametrize(
+        "label", ["BF", "ExpTheta(0.1)", "BF-composite", "JR-composite"]
+    )
+    def test_details_matrix_matches_the_products(self, n, label):
+        # ``matrix`` is read from the bands; the norm of the product-built
+        # H†ρ − ρH is the reference.
+        grid, pp, _, hams = _deformed_models(n)
+        rho = build_metric(spec_from_label(label, pp), grid, pp)
+        for ham in hams.values():
+            diff = op_sum(op_product(adjoint(ham), rho), op_scale(-1.0, op_product(rho, ham)))
+            expect = masked_norm(diff, relative_to=[ham, rho])
+            matrix = dieudonne_details(ham, rho)["matrix"]
+            assert matrix == pytest.approx(expect, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("n", [129, 257, 513])
     def test_x_residual_matches_the_products(self, n):
         grid, pp, x, _ = _deformed_models(n)
@@ -236,8 +267,11 @@ class TestIntertwiningFromProbeActions:
             raise AssertionError("op_product called")
 
         monkeypatch.setattr("qhm.verify.op_product", refuse)
+        monkeypatch.setattr("qhm.verify.op_sum", refuse)
         measured = dieudonne_residual(hams["JR"], rho)
         assert measured == pytest.approx(expect_h, rel=self.TOL)
+        details = dieudonne_details(hams["JR"], rho)
+        assert details["action"] == measured
         assert check_X_quasi_hermiticity(x, eta) == pytest.approx(expect_x, abs=1e-13)
 
 
