@@ -37,9 +37,9 @@ Everything downstream builds on four ingredients defined here:
   sum each entry over the bands in ``float64`` arithmetic, pairing the
   bands from both ends (``op_product``); real bands act on real probe
   vectors in ``float64``.
-  One rule bounds dynamic range, for matrix functions and metrics alike
-  (``_check_dynamic_range``): no NaN, and max/min of at most
-  ``OVERFLOW_RATIO`` = 1e14 in modulus.
+  One rule bounds dynamic range, for matrix functions, metrics and the
+  gauge map alike (``_check_dynamic_range``): no NaN, and max/min of at
+  most ``OVERFLOW_RATIO`` = 1e14 in modulus.
 * residual measurements.  Identities between band matrices hold *in action*
   on smooth vectors, not entry-by-entry: a central-difference commutator
   ``[D, diag(p)]`` equals the neighbor-averaging stencil, whose action on
@@ -55,6 +55,7 @@ Everything downstream builds on four ingredients defined here:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -524,6 +525,13 @@ def _check_dynamic_range(values: np.ndarray, what: str) -> None:
         )
 
 
+def _log_weight(kappa: float, tau: float, p: np.ndarray) -> np.ndarray:
+    """kappa * L_tau(p): L_tau(p) = log1p(tau*p²)/tau for tau > 0, and p² at
+    tau = 0 or where kappa/tau overflows (the tau → 0 member)."""
+    slope = float(kappa) / float(tau) if tau > 0 else math.inf
+    return kappa * p**2 if math.isinf(slope) else slope * np.log1p(tau * p**2)
+
+
 def _guarded(w: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``f(w)`` for the spectrum ``w``, after ``_check_dynamic_range``."""
     with np.errstate(divide="ignore", invalid="ignore"):  # refused just below
@@ -565,19 +573,32 @@ def hermitian_matrix_function(
     return Operator._trimmed(*_dense_to_bands(out), a.grid)
 
 
+def _interior_rows(lo: int, n_bands: int, grid: Grid):
+    """The interior-block slots of bands from offset ``lo``, band by band:
+    each band k, its interior rows i whose column i + lo + k is interior too,
+    and those columns, as slices."""
+    sl = grid.interior()
+    for k, s in enumerate(range(lo, lo + n_bands)):
+        r0 = max(sl.start, sl.start - s)
+        r1 = max(r0, min(sl.stop, sl.stop - s))  # no negative stop past the interior
+        yield k, slice(r0, r1), slice(r0 + s, r1 + s)
+
+
 def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
     """Entries of each operator's interior-by-interior block, one column each.
 
     The operators must share their grid.  Only slots of the union of their
-    bands are listed, in the same order for every column; every entry
-    outside that band is zero in all of them.
+    bands are listed, band by band in ascending rows (``_interior_rows``);
+    every entry outside that band is zero in all of them.
     """
     grid = _check_compatible(*ops)
     lo, aligned = _aligned(ops, grid.n_points)
-    rows, cols = _slot_indices(lo, aligned[0].shape)
-    sl = grid.interior()
-    inside = (rows >= sl.start) & (rows < sl.stop) & (cols >= sl.start) & (cols < sl.stop)
-    return np.stack([bands[inside] for bands in aligned], axis=1)
+    walk = list(_interior_rows(lo, len(aligned[0]), grid))
+    # b[:0, 0], empty, keeps the listing 1-D when every operator is zero
+    return np.stack(
+        [np.concatenate([b[:0, 0], *(b[k, rows] for k, rows, _ in walk)]) for b in aligned],
+        axis=1,
+    )
 
 
 def masked_norm(a: Operator, relative_to: Sequence[Operator] | None = None) -> float:
@@ -587,17 +608,12 @@ def masked_norm(a: Operator, relative_to: Sequence[Operator] | None = None) -> f
     the product of their interior Frobenius norms, yielding a dimensionless
     value.
     """
-    _check_compatible(a, *(relative_to or ()))
-    val = float(np.linalg.norm(interior_block_entries([a])))
-    if relative_to is not None:
-        denom = 1.0
-        for b in relative_to:
-            nb = float(np.linalg.norm(interior_block_entries([b])))
-            if nb == 0.0:
-                raise ValueError("relative normalization against a zero block")
-            denom *= nb
-        val /= denom
-    return val
+    ops = (a, *(relative_to or ()))
+    _check_compatible(*ops)
+    val, *norms = [float(np.linalg.norm(interior_block_entries([b]))) for b in ops]
+    if 0.0 in norms:
+        raise ValueError("relative normalization against a zero block")
+    return val / math.prod(norms)
 
 
 def stencil_probes(grid: Grid) -> np.ndarray:

@@ -502,7 +502,9 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
             entry["counterpart_herm_residual"] = herm_res
             entry["cross_check_discrepancy"] = discrepancy
             entry["direct_spectrum_untrusted"] = bool(discrepancy > 1e-3)
-        entry["verdict"] = _verdict(direct.reality_measure, cfg.threshold)
+        # Fewer than k levels fail: the reality of a missing level is unknown.
+        verdict = _verdict(direct.reality_measure, cfg.threshold)
+        entry["verdict"] = verdict if len(direct.values) == cfg.k else "FAIL"
         yield entry, [(cfg.model, cfg.params.tau, direct.reality_measure)]
 
 

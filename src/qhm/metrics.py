@@ -7,6 +7,7 @@ scalar factor.
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gridops import Grid, NumericGuardError, Operator, _check_compatible
-from .gridops import _check_dynamic_range
+from .gridops import Grid, Operator, _check_compatible
+from .gridops import _check_dynamic_range, _log_weight
 from .models import PhysParams
 
 __all__ = [
@@ -39,10 +40,15 @@ _KINDS = frozenset({"BF", "JR", "ExpTheta", "DeformWeight", "Product"})
 class MetricSpec:
     """Symbolic description of a diagonal metric profile.
 
-    kinds: BF -> exp(2*mu*p^2/(hbar*m*omega^2)); JR ->
-    (1+tau*p^2)^(mu/(omega^2*tau)), which requires tau > 0; ExpTheta ->
-    exp(theta*p^2); DeformWeight -> (1+tau*p^2)^(-1); Product -> pointwise
-    product of ``factors``.
+    Each kind is exp(kappa * L_tau(p)), L_tau(p) = log1p(tau*p^2)/tau and
+    L_0(p) = p^2 (``gridops._log_weight``), with (kappa, tau): BF
+    (2*mu/(hbar*m*omega^2), 0); JR (mu/omega^2, tau), which requires
+    tau > 0; ExpTheta (theta, 0); DeformWeight (-tau, tau).  Where
+    kappa/tau overflows (tau near the smallest floats), the tau -> 0 member
+    kappa*p^2 stands in.  A Product sums its ``factors``' terms and
+    exponentiates once.  Both composites are DeformWeight times one term,
+    and at hbar = m = 1 JR-composite's kappa, mu/omega^2, is half of
+    BF-composite's: as tau -> 0 the candidates differ in this one number.
 
     The JR power law carries neither m nor hbar.  Whether Jana and Roy's
     metric (arXiv:0908.1755) carries them cannot be confirmed from the
@@ -67,32 +73,29 @@ class MetricSpec:
 
 
 def _require_defined(spec: MetricSpec, pp: PhysParams) -> None:
-    """Raise ``ValueError`` when the profile of ``spec`` is undefined at ``pp``:
-    the JR power law needs tau > 0 (``metric_profile`` checks the factors of
-    a product one by one)."""
+    """Raise ``ValueError`` when the JR power law is evaluated at tau = 0
+    (``metric_profile`` checks the factors of a product one by one)."""
     if spec.kind == "JR" and pp.tau <= 0:
         raise ValueError("JR metric requires tau > 0")
 
 
+def _log_profile(spec: MetricSpec, p: np.ndarray, pp: PhysParams) -> np.ndarray:
+    """log g(p): the (kappa, tau) term of one kind, or a Product's sum."""
+    if spec.kind == "Product":
+        return sum((_log_profile(f, p, pp) for f in spec.factors), np.zeros_like(p))
+    _require_defined(spec, pp)
+    kappa, tau = {
+        "BF": (2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2), 0.0),
+        "JR": (pp.mu / pp.omega**2, pp.tau),
+        "ExpTheta": (spec.theta, 0.0),
+        "DeformWeight": (-pp.tau, pp.tau),
+    }[spec.kind]
+    return _log_weight(kappa, tau, p)
+
+
 def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     """Strictly positive profile g(p_k) for a MetricSpec label."""
-    p2 = grid.points**2
-    if spec.kind == "BF":
-        return np.exp(2.0 * pp.mu * p2 / (pp.hbar * pp.mass * pp.omega**2))
-    if spec.kind == "JR":
-        _require_defined(spec, pp)
-        # omega**2 * tau can underflow to zero though tau > 0; np.divide
-        # then gives inf or nan where a float division would raise.
-        return (1.0 + pp.tau * p2) ** np.divide(pp.mu, pp.omega**2 * pp.tau)
-    if spec.kind == "ExpTheta":
-        return np.exp(spec.theta * p2)
-    if spec.kind == "DeformWeight":
-        return 1.0 / (1.0 + pp.tau * p2)
-    # Product
-    out = np.ones_like(p2)
-    for f in spec.factors:
-        out = out * metric_profile(f, grid, pp)
-    return out
+    return np.exp(_log_profile(spec, grid.points, pp))
 
 
 def metric_condition(rho: Operator) -> float:
@@ -103,10 +106,9 @@ def metric_condition(rho: Operator) -> float:
 
 
 def build_metric(spec: MetricSpec, grid: Grid, pp: PhysParams) -> Operator:
-    """Positive diagonal Operator realizing a MetricSpec, with overflow guard."""
+    """Positive diagonal Operator realizing a MetricSpec, under the dynamic-
+    range rule (g(0) = 1, so a 0, inf or NaN anywhere trips it)."""
     g = metric_profile(spec, grid, pp)
-    if not np.all(g > 0):
-        raise NumericGuardError("metric profile must be strictly positive")
     _check_dynamic_range(g, "metric")
     logger.info("built %s metric: condition number %.6e", spec.kind, g.max() / g.min())
     return Operator.diag(g, grid)
@@ -143,8 +145,6 @@ def limit_sweep(
     profile is built once with the incoming parameters (its own tau
     untouched); the swept spec is rebuilt with each tau in turn.
     """
-    import dataclasses
-
     taus = list(tau_values)
     _check_tau_values(taus)
     ref = metric_profile(reference, grid, pp)
@@ -158,15 +158,9 @@ def limit_sweep(
 def bf_composite(pp: PhysParams) -> MetricSpec:
     """Deformation weight times the undeformed-limit profile
     exp(2*mu*p^2/(hbar*m*omega^2))."""
-    return MetricSpec(
-        "Product",
-        factors=(
-            MetricSpec("DeformWeight"),
-            MetricSpec(
-                "ExpTheta", theta=2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2)
-            ),
-        ),
-    )
+    theta = 2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2)
+    factors = (MetricSpec("DeformWeight"), MetricSpec("ExpTheta", theta=theta))
+    return MetricSpec("Product", factors=factors)
 
 
 def jr_composite(pp: PhysParams) -> MetricSpec:
@@ -190,12 +184,8 @@ def spec_from_label(label: str, pp: PhysParams) -> MetricSpec:
     ExpTheta(<number>).
     """
     label = label.strip()
-    if label == "BF":
-        return MetricSpec("BF")
-    if label == "JR":
-        return MetricSpec("JR")
-    if label == "DeformWeight":
-        return MetricSpec("DeformWeight")
+    if label in ("BF", "JR", "DeformWeight"):
+        return MetricSpec(label)
     if label == "BF-composite":
         return bf_composite(pp)
     if label == "JR-composite":

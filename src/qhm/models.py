@@ -10,6 +10,7 @@ couplings ``(lambda, delta_t)``.  A diagonal gauge map removes the
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,10 +19,10 @@ import numpy as np
 
 from .gridops import (
     Grid,
-    NumericGuardError,
-    OVERFLOW_RATIO,
     Operator,
+    _check_dynamic_range,
     _check_hermitian,
+    _log_weight,
     action_residual,
     adjoint,
     anticommutator,
@@ -236,21 +237,15 @@ def deformed_algebra_residual(
 def gauge_transform(pp: PhysParams, grid: Grid) -> tuple[Operator, Operator]:
     """Diagonal gauge pair (S, S^-1) that removes the gamma_t term.
 
-    ``S = diag((1 + tau*p^2)^(-gamma_t/(2*tau)))`` for tau > 0 and its
-    ``exp(-gamma_t*p^2/2)`` limit at tau = 0.  Conjugating as
-    ``S^-1 X(gamma_t) S`` recovers X(0) up to second-order grid error
-    (see ``gauge_conjugation_residual``).
+    ``S = diag(exp(-gamma_t/2 * L_tau(p)))`` (``gridops._log_weight``), that
+    is ``(1 + tau*p^2)^(-gamma_t/(2*tau))`` for tau > 0 and its
+    ``exp(-gamma_t*p^2/2)`` limit at tau = 0, under the metrics'
+    dynamic-range rule.  Conjugating as ``S^-1 X(gamma_t) S`` recovers X(0)
+    up to second-order grid error (see ``gauge_conjugation_residual``).
     """
-    p = grid.points
-    if pp.tau > 0:
-        log_s = (-pp.gamma_t / (2.0 * pp.tau)) * np.log1p(pp.tau * p**2)
-    else:
-        log_s = -0.5 * pp.gamma_t * p**2
-    if log_s.max() - log_s.min() > np.log(OVERFLOW_RATIO):
-        raise NumericGuardError(
-            "gauge factor dynamic range exceeds the supported overflow bound"
-        )
-    s = np.exp(log_s)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        s = np.exp(_log_weight(-pp.gamma_t / 2, pp.tau, grid.points))
+    _check_dynamic_range(s, "gauge factor")
     return Operator.diag(s, grid), Operator.diag(1.0 / s, grid)
 
 
@@ -261,8 +256,6 @@ def gauge_conjugation_residual(pp: PhysParams, grid: Grid) -> float:
     value is floored at second order in the spacing because the gauge profile
     is not polynomial; it is reported, never assumed.
     """
-    import dataclasses
-
     x_g, _ = build_deformed_pair(grid, pp)
     x_0, _ = build_deformed_pair(grid, dataclasses.replace(pp, gamma_t=0.0))
     s, s_inv = gauge_transform(pp, grid)

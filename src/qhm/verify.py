@@ -27,13 +27,14 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .gridops import (
-    HERMITIAN_TOL,
     NumericGuardError,
     Operator,
     _aligned,
     _check_compatible,
     _check_dynamic_range,
+    _check_hermitian,
     _dense_block,
+    _interior_rows,
     _mismatch,
     _parity_fold,
     action_residual,
@@ -108,18 +109,15 @@ def _matrix_residual(H: Operator, g: np.ndarray) -> float:
     """Masked entrywise Frobenius norm of H†G − GH for G = diag(g), relative
     to the interior norms of H and g, from the bands: entry (i, j) is
     (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
-    the bands of H and H†, band by band.  ``ValueError`` when either norm
-    is zero."""
+    the bands of H and H†, walked as ``interior_block_entries`` walks them
+    (``_interior_rows``).  ``ValueError`` when either norm is zero."""
     lo, (bands, dag) = _aligned([H, adjoint(H)], H.dim)
-    sl = H.grid.interior()
     h, diff = [], []
-    for k, s in enumerate(range(lo, lo + len(bands))):
-        # interior rows i whose column i + s is interior too
-        r0, r1 = max(sl.start, sl.start - s), min(sl.stop, sl.stop - s)
-        h.append(bands[k, r0:r1])
-        diff.append(dag[k, r0:r1] * g[r0 + s : r1 + s] - g[r0:r1] * h[-1])
+    for k, rows, cols in _interior_rows(lo, len(bands), H.grid):
+        h.append(bands[k, rows])
+        diff.append(dag[k, rows] * g[cols] - g[rows] * h[-1])
     h_norm = float(np.linalg.norm(np.concatenate(h))) if h else 0.0  # H = 0: no bands
-    denom = h_norm * float(np.linalg.norm(g[sl]))
+    denom = h_norm * float(np.linalg.norm(g[H.grid.interior()]))
     if denom == 0.0:
         raise ValueError("relative normalization against a zero block")
     return float(np.linalg.norm(np.concatenate(diff))) / denom
@@ -154,8 +152,7 @@ def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
     """(ρ^{1/2}, ρ^{-1/2}) of a diagonal ρ, with diagonality, Hermiticity,
     positivity and dynamic-range guards."""
     d = _metric_diagonal(rho)
-    if np.linalg.norm(d.imag) > HERMITIAN_TOL * np.linalg.norm(d):
-        raise ValueError("input is not Hermitian within tolerance")
+    _check_hermitian(rho)
     d = d.real
     if d.min() <= 0:
         raise NumericGuardError("metric must be strictly positive")

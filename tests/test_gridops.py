@@ -12,6 +12,7 @@ from qhm.gridops import (
     commutator,
     derivative_matrix,
     hermitian_matrix_function,
+    interior_block_entries,
     masked_norm,
     op_product,
     op_scale,
@@ -377,6 +378,32 @@ def test_masked_norm_relative_uses_product_of_norms():
     # interior norms: 2*sqrt(5), 4*sqrt(5); block norm of a: 2*sqrt(5)
     got = masked_norm(a, relative_to=[a, b])
     assert got == pytest.approx(1.0 / (4.0 * np.sqrt(5.0)))
+
+
+@pytest.mark.parametrize(
+    "n, offsets",
+    [(17, [0]), (17, [-2, 1]), (17, range(-4, 5)), (9, range(-8, 9)), (9, [6]), (9, [])],
+)
+def test_interior_block_entries_list_the_interior_slots_band_by_band(n, offsets):
+    # The per-band walk lists the slots in the order of the boolean mask over
+    # the aligned bands (band by band, ascending rows), bit for bit.
+    g = Grid(n, 2.0, 0.25)
+    rng = np.random.default_rng(n + len(offsets))
+    dense = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+    for d in dense:
+        for s in offsets:
+            d += np.diag(rng.normal(size=n - abs(s)) + 1j * rng.normal(size=n - abs(s)), s)
+    ops = [Operator(d, g) for d in dense]
+    got = interior_block_entries(ops)
+    lo = min((o.lo for o in ops if len(o.bands)), default=0)
+    hi = max((o.lo + len(o.bands) for o in ops if len(o.bands)), default=0)
+    k, rows = np.indices((hi - lo, n))
+    cols = rows + lo + k
+    sl = g.interior()
+    inside = (rows >= sl.start) & (rows < sl.stop) & (cols >= sl.start) & (cols < sl.stop)
+    expect = np.stack([d[rows[inside], cols[inside]] for d in dense], axis=1)
+    assert got.shape == expect.shape == (inside.sum(), 2)
+    assert np.array_equal(got, expect)
 
 
 def test_masked_norm_rejects_zero_normalizer():

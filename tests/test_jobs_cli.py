@@ -264,6 +264,18 @@ class TestRunJob:
         assert entry["cross_check_discrepancy"] == float("inf")
         assert entry["direct_spectrum_untrusted"] is True
 
+    @pytest.mark.parametrize("p_max, kept", [(1.0, 0), (8.0, 4)])
+    def test_a_spectrum_with_fewer_than_k_levels_fails(self, p_max, kept):
+        # The reality measure of a short (or empty) list is small, but the
+        # missing levels were never measured.
+        text = json.dumps({"job": "spectrum", "grid": {"n_points": 9, "p_max": p_max},
+                           "params": {"mu": 0.1}})
+        doc = run_job(parse_config(text))
+        entry = doc["results"]["spectra"][0]
+        assert len(entry["values"]) == kept < 6
+        assert entry["reality_measure"] < 1e-6
+        assert entry["verdict"] == doc["verdicts"]["overall"] == "FAIL"
+
     def test_run_id_free_serialization_roundtrip(self, tmp_path):
         doc = run_job(parse_config(_cfg()))
         report_path, csv_path = serialize_report(doc, tmp_path)

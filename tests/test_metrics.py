@@ -1,4 +1,6 @@
 """Metric profiles, built diagonals, guards, and limit sweeps."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,19 @@ def test_power_family_scalar_limit_reaches_exponential():
     assert abs(g[j] - np.e) < 1e-3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [5e-324, 1e-310])
+def test_power_family_where_kappa_over_tau_overflows_is_the_limit(tau):
+    # mu/(omega^2 tau) overflows for these positive tau: the profile is the
+    # tau -> 0 member exp(mu p^2/omega^2), not (1 + tau p^2)^inf = 1.
+    pp = PhysParams(mu=0.1, omega=1.5, tau=tau)
+    limit = metric_profile(MetricSpec("ExpTheta", theta=0.1 / 1.5**2), GRID, pp)
+    assert np.array_equal(metric_profile(MetricSpec("JR"), GRID, pp), limit)
+    pp0 = dataclasses.replace(pp, tau=0.0)
+    got = metric_profile(jr_composite(pp), GRID, pp)
+    assert np.allclose(got, metric_profile(jr_composite(pp0), GRID, pp0), rtol=1e-15)
+
+
 def test_power_family_requires_positive_tau():
     with pytest.raises(ValueError, match="tau"):
         metric_profile(MetricSpec("JR"), GRID, PhysParams(mu=0.1, tau=0.0))
@@ -105,6 +120,35 @@ def test_product_profile_multiplies_pointwise():
     g = metric_profile(spec, GRID, pp)
     expect = np.exp(0.1 * GRID.points**2) / (1.0 + 0.1 * GRID.points**2)
     assert np.allclose(g, expect, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        bf_composite(PhysParams(mu=0.1, tau=0.05)),
+        jr_composite(PhysParams(mu=0.1, tau=0.05)),
+        MetricSpec("Product", factors=(MetricSpec("BF"), MetricSpec("JR"))),
+        MetricSpec(
+            "Product",
+            factors=(
+                MetricSpec("DeformWeight"),
+                MetricSpec("Product", factors=(MetricSpec("ExpTheta", theta=-0.07),)),
+            ),
+        ),
+    ],
+)
+def test_product_is_the_pointwise_product_of_its_factors(spec):
+    # A Product sums its factors' log-weights and exponentiates once.
+    pp = PhysParams(mu=0.1, tau=0.05)
+    expect = np.ones(GRID.n_points)
+    for f in spec.factors:
+        expect = expect * metric_profile(f, GRID, pp)
+    assert np.allclose(metric_profile(spec, GRID, pp), expect, rtol=1e-14, atol=0.0)
+
+
+def test_empty_product_is_the_identity():
+    g = metric_profile(MetricSpec("Product"), GRID, PhysParams(mu=0.1))
+    assert np.array_equal(g, np.ones(GRID.n_points))
 
 
 def test_product_with_inverse_profile_is_identity():
@@ -170,6 +214,30 @@ def test_build_overflow_guard():
     assert metric_condition(rho) == pytest.approx(1e14, rel=1e-6)
     with pytest.raises(NumericGuardError, match="condition"):
         build_metric(MetricSpec("ExpTheta", theta=edge * (1 + 1e-9)), GRID, PhysParams())
+
+
+@pytest.mark.parametrize(
+    "spec_of, kappa, expect",
+    [
+        (bf_composite, 2 * 0.1, {1e-2: 2.4258e8, 1e-6: 4.8512e8}),
+        (jr_composite, 0.1, {1e-2: 512.0, 1e-6: 2.2013e4}),
+    ],
+    ids=["BF-composite", "JR-composite"],
+)
+def test_composite_guard_headroom_as_tau_vanishes(spec_of, kappa, expect):
+    # 513 points, p_max 10, mu 0.1: the condition number grows as tau -> 0
+    # towards exp(kappa p_max^2) (4.85e8 and 2.20e4), far below the 1e14
+    # bound; JR-composite's kappa is half of BF-composite's.
+    grid = Grid(513, 10.0, 0.25)
+    conds = {}
+    for tau in (1e-2, 1e-4, 1e-6, 0.0):
+        pp = PhysParams(mu=0.1, tau=tau)
+        conds[tau] = metric_condition(build_metric(spec_of(pp), grid, pp))
+    assert list(conds.values()) == sorted(conds.values())
+    assert conds[0.0] == pytest.approx(np.exp(kappa * 100.0), rel=1e-12)
+    for tau, value in expect.items():
+        assert conds[tau] == pytest.approx(value, rel=1e-4)
+    assert conds[0.0] < 1e9
 
 
 # ---------------------------------------------------------------- distances

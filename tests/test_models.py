@@ -350,6 +350,34 @@ def test_gauge_scalar_limit_matches_exponential():
     assert s_zero.entries[-1, -1].real == pytest.approx(np.exp(-0.5), rel=1e-14)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.05, 0.1])
+def test_gauge_pair_is_bit_identical_to_the_closed_form(tau):
+    # The log-weight form must not move S by one ulp: the gauge-similarity
+    # spectra below sit close to round-off.
+    g = Grid(513, 10.0, 0.25)
+    pp = PhysParams(mu=0.1, tau=tau, gamma_t=0.3)
+    p = g.points
+    if tau > 0:
+        log_s = (-pp.gamma_t / (2.0 * pp.tau)) * np.log1p(pp.tau * p**2)
+    else:
+        log_s = -0.5 * pp.gamma_t * p**2
+    s, s_inv = gauge_transform(pp, g)
+    assert np.array_equal(s.diagonal().real, np.exp(log_s))
+    assert np.array_equal(s_inv.diagonal().real, 1.0 / np.exp(log_s))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [5e-324, 1e-310])
+def test_gauge_where_gamma_over_tau_overflows_is_the_limit(tau):
+    # gamma_t/(2 tau) overflows for these positive tau: S is the tau -> 0
+    # member exp(-gamma_t p^2/2), with no NaN from inf * log1p(0).
+    g = Grid(257, 8.0, 0.25)
+    s, s_inv = gauge_transform(PhysParams(tau=tau, gamma_t=0.3), g)
+    s0, s0_inv = gauge_transform(PhysParams(tau=0.0, gamma_t=0.3), g)
+    assert np.array_equal(s.bands, s0.bands)
+    assert np.array_equal(s_inv.bands, s0_inv.bands)
+
+
 def test_gauge_overflow_guard():
     grid = Grid(257, 8.0, 0.25)
     with pytest.raises(NumericGuardError):
@@ -358,7 +386,7 @@ def test_gauge_overflow_guard():
     edge = 2.0 * np.log(1e14) / grid.p_max**2
     s, _ = gauge_transform(PhysParams(tau=0.0, gamma_t=edge * (1 - 1e-9)), grid)
     assert s.diagonal()[0].real == pytest.approx(1e-14, rel=1e-6)
-    with pytest.raises(NumericGuardError, match="dynamic range"):
+    with pytest.raises(NumericGuardError, match="gauge factor condition number"):
         gauge_transform(PhysParams(tau=0.0, gamma_t=edge * (1 + 1e-9)), grid)
 
 

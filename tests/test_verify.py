@@ -318,6 +318,20 @@ class TestHermitianCounterpart:
         with pytest.raises(ValueError, match="diagonal"):
             hermitian_counterpart(ham, Operator(rho, grid))
 
+    def test_sqrt_pair_applies_the_matrix_function_hermiticity_rule(self):
+        # ‖ρ − ρ†‖ ≤ 1e-10·‖ρ‖ as in hermitian_matrix_function; for a diagonal
+        # that is ‖Im d‖ ≤ 0.5e-10·‖d‖.
+        grid = Grid(9, 2.0, 0.25)
+        _sqrt_pair(Operator.diag(np.full(9, 1 + 0.4e-10j), grid))
+        bad = Operator.diag(np.full(9, 1 + 0.6e-10j), grid)
+        for f in (_sqrt_pair, lambda rho: hermitian_matrix_function(rho, np.sqrt)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                f(bad)
+        # Diagonality is judged first.
+        rho = np.eye(9, dtype=complex) + 1e-3j
+        with pytest.raises(ValueError, match="metric must be diagonal"):
+            _sqrt_pair(Operator(rho, grid))
+
     def test_nan_on_the_metric_diagonal_is_refused(self):
         grid, pp, ham = _bf_setup(n=129, p_max=8.0)
         d = np.ones(grid.n_points)
