@@ -259,7 +259,7 @@ def parse_config(text: str) -> JobConfig:
     }.get(job, ())
     for label in filter(None, (metric, reference, *metrics)):
         try:
-            spec = spec_from_label(label, params)
+            spec = spec_from_label(label)
             if label in evaluated:
                 _require_defined(spec, params)
         except ValueError as exc:
@@ -379,7 +379,7 @@ def _verdict(value: float, threshold: float, *, at_least: bool = False) -> str:
 
 
 def _verify_metric(cfg: JobConfig, grids: list[Grid]):
-    spec = spec_from_label(cfg.metric, cfg.params)
+    spec = spec_from_label(cfg.metric)
     for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         rho = build_metric(spec, grid, cfg.params)
@@ -397,7 +397,7 @@ def _verify_metric(cfg: JobConfig, grids: list[Grid]):
 
 def _compare_metrics(cfg: JobConfig, grids: list[Grid]):
     first, second = cfg.metrics
-    specs = {label: spec_from_label(label, cfg.params) for label in cfg.metrics}
+    specs = {label: spec_from_label(label) for label in cfg.metrics}
     for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         residuals = {}
@@ -420,8 +420,8 @@ def _compare_metrics(cfg: JobConfig, grids: list[Grid]):
 
 def _limit_sweep(cfg: JobConfig, grids: list[Grid]):
     label = cfg.metric or "JR"
-    spec = spec_from_label(label, cfg.params)
-    ref = spec_from_label(cfg.reference, cfg.params)
+    spec = spec_from_label(label)
+    ref = spec_from_label(cfg.reference)
     for grid in grids:
         table = limit_sweep(spec, cfg.tau_values, ref, grid, cfg.params)
         final = table[-1][1]
@@ -478,7 +478,7 @@ def _algebra_check(cfg: JobConfig, grids: list[Grid]):
 
 
 def _spectrum(cfg: JobConfig, grids: list[Grid]):
-    spec = None if cfg.metric is None else spec_from_label(cfg.metric, cfg.params)
+    spec = None if cfg.metric is None else spec_from_label(cfg.metric)
     for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
         direct = spectrum(h, cfg.k)

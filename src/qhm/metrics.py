@@ -26,8 +26,6 @@ __all__ = [
     "metric_condition",
     "profile_distance",
     "limit_sweep",
-    "bf_composite",
-    "jr_composite",
     "spec_from_label",
 ]
 
@@ -40,15 +38,18 @@ _KINDS = frozenset({"BF", "JR", "ExpTheta", "DeformWeight", "Product"})
 class MetricSpec:
     """Symbolic description of a diagonal metric profile.
 
-    Each kind is exp(kappa * L_tau(p)), L_tau(p) = log1p(tau*p^2)/tau and
-    L_0(p) = p^2 (``gridops._log_weight``), with (kappa, tau): BF
-    (2*mu/(hbar*m*omega^2), 0); JR (mu/omega^2, tau), which requires
-    tau > 0; ExpTheta (theta, 0); DeformWeight (-tau, tau).  Where
-    kappa/tau overflows (tau near the smallest floats), the tau -> 0 member
-    kappa*p^2 stands in.  A Product sums its ``factors``' terms and
-    exponentiates once.  Both composites are DeformWeight times one term,
-    and at hbar = m = 1 JR-composite's kappa, mu/omega^2, is half of
-    BF-composite's: as tau -> 0 the candidates differ in this one number.
+    A spec holds no physical parameter: ``metric_profile`` reads them from
+    the ``PhysParams`` it is evaluated with.  Each kind is
+    exp(kappa * L_tau(p)), L_tau(p) = log1p(tau*p^2)/tau and L_0(p) = p^2
+    (``gridops._log_weight``), with (kappa, tau): BF
+    (2*mu/(hbar*m*omega^2), 0); JR (mu/omega^2, tau); ExpTheta (theta, 0);
+    DeformWeight (-tau, tau).  Where kappa/tau overflows (tau near the
+    smallest floats), the tau -> 0 member kappa*p^2 stands in.  A Product
+    sums its ``factors``' terms and exponentiates once.  The JR power law is
+    undefined at tau = 0, so a bare JR spec evaluated there is refused; as a
+    factor its tau -> 0 member stands in.  The composites are DeformWeight
+    times BF and DeformWeight times JR, and at hbar = m = 1 JR's kappa,
+    mu/omega^2, is half of BF's: as tau -> 0 they differ in this one number.
 
     The JR power law carries neither m nor hbar.  Whether Jana and Roy's
     metric (arXiv:0908.1755) carries them cannot be confirmed from the
@@ -73,8 +74,7 @@ class MetricSpec:
 
 
 def _require_defined(spec: MetricSpec, pp: PhysParams) -> None:
-    """Raise ``ValueError`` when the JR power law is evaluated at tau = 0
-    (``metric_profile`` checks the factors of a product one by one)."""
+    """Raise ``ValueError`` when a bare JR label is evaluated at tau = 0."""
     if spec.kind == "JR" and pp.tau <= 0:
         raise ValueError("JR metric requires tau > 0")
 
@@ -83,7 +83,6 @@ def _log_profile(spec: MetricSpec, p: np.ndarray, pp: PhysParams) -> np.ndarray:
     """log g(p): the (kappa, tau) term of one kind, or a Product's sum."""
     if spec.kind == "Product":
         return sum((_log_profile(f, p, pp) for f in spec.factors), np.zeros_like(p))
-    _require_defined(spec, pp)
     kappa, tau = {
         "BF": (2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2), 0.0),
         "JR": (pp.mu / pp.omega**2, pp.tau),
@@ -95,6 +94,7 @@ def _log_profile(spec: MetricSpec, p: np.ndarray, pp: PhysParams) -> np.ndarray:
 
 def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     """Strictly positive profile g(p_k) for a MetricSpec label."""
+    _require_defined(spec, pp)
     return np.exp(_log_profile(spec, grid.points, pp))
 
 
@@ -142,8 +142,9 @@ def limit_sweep(
     """Distance of a MetricSpec's profile to the reference for each tau.
 
     ``tau_values`` must be positive and strictly decreasing.  The reference
-    profile is built once with the incoming parameters (its own tau
-    untouched); the swept spec is rebuilt with each tau in turn.
+    profile is built once with the incoming parameters (their tau
+    untouched); the swept spec, which holds no tau of its own, is evaluated
+    at each tau in turn, every factor of a composite included.
     """
     taus = list(tau_values)
     _check_tau_values(taus)
@@ -155,41 +156,19 @@ def limit_sweep(
     return rows
 
 
-def bf_composite(pp: PhysParams) -> MetricSpec:
-    """Deformation weight times the undeformed-limit profile
-    exp(2*mu*p^2/(hbar*m*omega^2))."""
-    theta = 2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2)
-    factors = (MetricSpec("DeformWeight"), MetricSpec("ExpTheta", theta=theta))
-    return MetricSpec("Product", factors=factors)
-
-
-def jr_composite(pp: PhysParams) -> MetricSpec:
-    """Deformation weight times the ladder-side profile.
-
-    For tau > 0 the second factor is the JR power law; at tau = 0 its
-    pointwise scalar limit exp(mu*p^2/omega^2) substitutes, keeping the
-    label meaningful in the undeformed case.
-    """
-    if pp.tau > 0:
-        second = MetricSpec("JR")
-    else:
-        second = MetricSpec("ExpTheta", theta=pp.mu / pp.omega**2)
-    return MetricSpec("Product", factors=(MetricSpec("DeformWeight"), second))
-
-
-def spec_from_label(label: str, pp: PhysParams) -> MetricSpec:
+def spec_from_label(label: str) -> MetricSpec:
     """Resolve a config-vocabulary label to a MetricSpec.
 
-    Accepted: BF, JR, DeformWeight, BF-composite, JR-composite, and
-    ExpTheta(<number>).
+    Accepted: BF, JR, DeformWeight, ExpTheta(<number>), and the composites
+    BF-composite = Product(DeformWeight, BF) and JR-composite =
+    Product(DeformWeight, JR).  The spec carries no physical parameter.
     """
     label = label.strip()
     if label in ("BF", "JR", "DeformWeight"):
         return MetricSpec(label)
-    if label == "BF-composite":
-        return bf_composite(pp)
-    if label == "JR-composite":
-        return jr_composite(pp)
+    if label in ("BF-composite", "JR-composite"):
+        row = MetricSpec(label.removesuffix("-composite"))
+        return MetricSpec("Product", factors=(MetricSpec("DeformWeight"), row))
     if label.startswith("ExpTheta(") and label.endswith(")"):
         try:
             theta = float(label[len("ExpTheta(") : -1])

@@ -82,6 +82,11 @@ class PhysParams:
         # there (omega**2 is finite by the check above).
         if not 0.0 < self.hbar * self.mass * self.omega**2 < math.inf:
             raise ValueError("hbar*mass*omega**2 must be a positive finite number")
+        # The metric exponents (metrics._log_profile), computed as there.
+        if not math.isfinite(2.0 * self.mu / (self.hbar * self.mass * self.omega**2)):
+            raise ValueError("the BF exponent 2*mu/(hbar*mass*omega**2) must be finite")
+        if not math.isfinite(self.mu / self.omega**2):
+            raise ValueError("the JR exponent mu/omega**2 must be finite")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
 

@@ -47,7 +47,7 @@ from .gridops import (
     smooth_probes,
     stencil_probes,
 )
-from .metrics import bf_composite, jr_composite, metric_profile, profile_distance
+from .metrics import metric_profile, profile_distance, spec_from_label
 from .models import PhysParams
 
 __all__ = [
@@ -464,13 +464,10 @@ def fit_diagonal_metric(H: Operator, pp: PhysParams) -> FitResult:
         return FitResult("AMBIGUOUS", g[sl], p[sl], fit_residual, sigma_gap)
     if np.any(g[sl] <= 0):
         return FitResult("INVALID", g[sl], p[sl], fit_residual, sigma_gap)
-    candidates = {
-        "BF-composite": metric_profile(bf_composite(pp), grid, pp),
-        "JR-composite": metric_profile(jr_composite(pp), grid, pp),
-    }
-    distances = {
-        label: profile_distance(g, prof, grid) for label, prof in candidates.items()
-    }
+    distances = {}
+    for label in ("BF-composite", "JR-composite"):
+        prof = metric_profile(spec_from_label(label), grid, pp)
+        distances[label] = profile_distance(g, prof, grid)
     nearest = min(distances, key=distances.get)
     return FitResult("OK", g[sl], p[sl], fit_residual, sigma_gap, distances, nearest)
 

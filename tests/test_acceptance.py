@@ -225,11 +225,11 @@ def test_fit_nearest_candidate_on_deformed_model():
     "bounded by profile overlap; measured residual ratio ~4.4, not 10",
 )
 def test_deformed_residual_ratio_at_least_ten():
-    from qhm import bf_composite, jr_composite
+    from qhm import spec_from_label
 
     grid, pp, ham = _swanson_513(mu=0.05, tau=0.01)
-    r_bf = dieudonne_residual(ham, build_metric(bf_composite(pp), grid, pp))
-    r_jr = dieudonne_residual(ham, build_metric(jr_composite(pp), grid, pp))
+    r_bf = dieudonne_residual(ham, build_metric(spec_from_label("BF-composite"), grid, pp))
+    r_jr = dieudonne_residual(ham, build_metric(spec_from_label("JR-composite"), grid, pp))
     ratio = r_jr / r_bf
     _line("metric-fit/residual-ratio", ratio >= 10.0, f"ratio {ratio:.4f} (must be >= 10)")
     assert ratio >= 10.0

@@ -177,7 +177,7 @@ def test_parse_config_gives_a_config_or_a_config_error(text):
     assert _finite_numbers(cfg)
     _assert_grids_fit_the_job(cfg)
     for label in filter(None, (cfg.metric, cfg.reference, *cfg.metrics)):
-        assert _finite_numbers(spec_from_label(label, cfg.params))
+        assert _finite_numbers(spec_from_label(label))
 
 
 @settings(max_examples=200, deadline=None)

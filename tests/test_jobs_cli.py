@@ -30,6 +30,14 @@ def _cfg(**overrides):
     return json.dumps(doc)
 
 
+# hbar*m*omega^2 = 1e-320: 2*mu/(hbar*m*omega^2) overflows, mu/omega^2 does not.
+_BF_EXPONENT_OVERFLOWS = {"hbar": 1e-160, "omega": 1e-80, "mu": 0.1}
+# mu/omega^2 = 1e320 overflows, 2*mu/(hbar*m*omega^2) = 2e120 does not.
+_JR_EXPONENT_OVERFLOWS = {
+    "hbar": 1e100, "mass": 1e100, "omega": 1e-10, "mu": 1e300, "tau": 0.01
+}
+
+
 class TestParseConfig:
     def test_minimal_config_gets_documented_defaults(self):
         cfg = parse_config(_cfg())
@@ -112,6 +120,18 @@ class TestParseConfig:
     def test_non_finite_exp_theta_label_rejected(self, theta):
         with pytest.raises(ConfigError, match="finite theta"):
             parse_config(_cfg(metric=f"ExpTheta({theta})"))
+
+    @pytest.mark.parametrize(
+        "job, params, exponent",
+        [
+            ("algebra-check", _BF_EXPONENT_OVERFLOWS, "BF exponent"),
+            ("verify-metric", _JR_EXPONENT_OVERFLOWS, "JR exponent"),
+        ],
+    )
+    def test_overflowing_metric_exponent_rejected(self, job, params, exponent):
+        # Refused with the parameters, whichever labels the job names.
+        with pytest.raises(ConfigError, match=exponent):
+            parse_config(_cfg(job=job, metric="JR-composite", params=params))
 
     def test_overflowing_q_rejected(self):
         for q_params in ({"q": 1e200}, {"q": 1e200, "gamma": 1.0}):
@@ -297,23 +317,35 @@ class TestRunJob:
             "verdict",
         }
 
-    def test_limit_sweep_rows_track_tau_values(self, tmp_path):
+    @staticmethod
+    def _composite_sweep(params: dict) -> dict:
         text = json.dumps(
             {
                 "job": "limit-sweep",
                 "metric": "JR-composite",
                 "reference": "ExpTheta(0.1)",
                 "grid": {"n_points": 257, "p_max": 8.0},
-                "params": {"mu": 0.1},
+                "params": params,
             }
         )
-        doc = run_job(parse_config(text))
+        return run_job(parse_config(text))
+
+    def test_limit_sweep_rows_track_tau_values(self, tmp_path):
+        doc = self._composite_sweep({"mu": 0.1})
         sweep = doc["results"]["sweeps"][0]
         assert [t for t, _ in sweep["table"]] == [1e-1, 1e-2, 1e-3, 1e-4]
         dists = [d for _, d in sweep["table"]]
         assert dists == sorted(dists, reverse=True)
-        assert sweep["final_distance"] == pytest.approx(1.150063e-3, rel=1e-3)
+        assert sweep["final_distance"] == pytest.approx(1.925416e-3, rel=1e-3)
         assert doc["verdicts"]["overall"] == "PASS"
+
+    def test_composite_sweep_ignores_params_tau(self):
+        # The sweep sets tau itself, both factors of the composite included.
+        tables = [
+            self._composite_sweep({"mu": 0.1, "tau": tau})["results"]["sweeps"][0]["table"]
+            for tau in (0.0, 0.05)
+        ]
+        assert tables[0] == tables[1]
 
 
 def _reference_bytes(doc) -> tuple[bytes, bytes]:
@@ -452,6 +484,9 @@ class TestCommandLine:
             {"job": "verify-metric", "metric": "ExpTheta(nan)"},
             {"job": "verify-metric", "metric": "ExpTheta(inf)"},
             {"job": "verify-metric", "metric": "ExpTheta(-inf)"},
+            {"job": "algebra-check", "params": _BF_EXPONENT_OVERFLOWS},
+            {"job": "compare-metrics", "params": _JR_EXPONENT_OVERFLOWS},
+            {"job": "fit-metric", "params": _JR_EXPONENT_OVERFLOWS},
         ],
     )
     def test_overflowing_or_non_finite_value_exits_two(self, tmp_path, doc):

@@ -7,9 +7,7 @@ import pytest
 from qhm.gridops import Grid, NumericGuardError
 from qhm.metrics import (
     MetricSpec,
-    bf_composite,
     build_metric,
-    jr_composite,
     limit_sweep,
     metric_condition,
     metric_profile,
@@ -19,6 +17,10 @@ from qhm.metrics import (
 from qhm.models import PhysParams
 
 GRID = Grid(257, 8.0, 0.25)
+
+
+def _deformed(factor: MetricSpec) -> MetricSpec:
+    return MetricSpec("Product", factors=(MetricSpec("DeformWeight"), factor))
 
 
 # ---------------------------------------------------------------- specs
@@ -54,7 +56,9 @@ def test_gaussian_labels_carry_mass_and_frequency():
     theta = 2.0 * 0.05 / (2.0 * 1.5**2)
     expect = np.exp(theta * GRID.points**2)
     assert np.allclose(metric_profile(MetricSpec("BF"), GRID, pp), expect, rtol=1e-14)
-    assert bf_composite(pp).factors[1] == MetricSpec("ExpTheta", theta=theta)
+    composite = metric_profile(spec_from_label("BF-composite"), GRID, pp)
+    exp_theta = metric_profile(_deformed(MetricSpec("ExpTheta", theta=theta)), GRID, pp)
+    assert np.array_equal(composite, exp_theta)
 
 
 def test_gaussian_labels_carry_hbar():
@@ -62,7 +66,9 @@ def test_gaussian_labels_carry_hbar():
     theta = 2.0 * 0.05 / (0.5 * 2.0 * 1.5**2)
     expect = np.exp(theta * GRID.points**2)
     assert np.allclose(metric_profile(MetricSpec("BF"), GRID, pp), expect, rtol=1e-14)
-    assert bf_composite(pp).factors[1] == MetricSpec("ExpTheta", theta=theta)
+    composite = metric_profile(spec_from_label("BF-composite"), GRID, pp)
+    exp_theta = metric_profile(_deformed(MetricSpec("ExpTheta", theta=theta)), GRID, pp)
+    assert np.array_equal(composite, exp_theta)
 
 
 def test_exp_family_is_identity_at_zero_coupling():
@@ -96,8 +102,9 @@ def test_power_family_where_kappa_over_tau_overflows_is_the_limit(tau):
     limit = metric_profile(MetricSpec("ExpTheta", theta=0.1 / 1.5**2), GRID, pp)
     assert np.array_equal(metric_profile(MetricSpec("JR"), GRID, pp), limit)
     pp0 = dataclasses.replace(pp, tau=0.0)
-    got = metric_profile(jr_composite(pp), GRID, pp)
-    assert np.allclose(got, metric_profile(jr_composite(pp0), GRID, pp0), rtol=1e-15)
+    jrc = spec_from_label("JR-composite")
+    got = metric_profile(jrc, GRID, pp)
+    assert np.allclose(got, metric_profile(jrc, GRID, pp0), rtol=1e-15)
 
 
 def test_power_family_requires_positive_tau():
@@ -125,8 +132,8 @@ def test_product_profile_multiplies_pointwise():
 @pytest.mark.parametrize(
     "spec",
     [
-        bf_composite(PhysParams(mu=0.1, tau=0.05)),
-        jr_composite(PhysParams(mu=0.1, tau=0.05)),
+        spec_from_label("BF-composite"),
+        spec_from_label("JR-composite"),
         MetricSpec("Product", factors=(MetricSpec("BF"), MetricSpec("JR"))),
         MetricSpec(
             "Product",
@@ -217,14 +224,13 @@ def test_build_overflow_guard():
 
 
 @pytest.mark.parametrize(
-    "spec_of, kappa, expect",
+    "label, kappa, expect",
     [
-        (bf_composite, 2 * 0.1, {1e-2: 2.4258e8, 1e-6: 4.8512e8}),
-        (jr_composite, 0.1, {1e-2: 512.0, 1e-6: 2.2013e4}),
+        ("BF-composite", 2 * 0.1, {1e-2: 2.4258e8, 1e-6: 4.8512e8}),
+        ("JR-composite", 0.1, {1e-2: 512.0, 1e-6: 2.2013e4}),
     ],
-    ids=["BF-composite", "JR-composite"],
 )
-def test_composite_guard_headroom_as_tau_vanishes(spec_of, kappa, expect):
+def test_composite_guard_headroom_as_tau_vanishes(label, kappa, expect):
     # 513 points, p_max 10, mu 0.1: the condition number grows as tau -> 0
     # towards exp(kappa p_max^2) (4.85e8 and 2.20e4), far below the 1e14
     # bound; JR-composite's kappa is half of BF-composite's.
@@ -232,7 +238,7 @@ def test_composite_guard_headroom_as_tau_vanishes(spec_of, kappa, expect):
     conds = {}
     for tau in (1e-2, 1e-4, 1e-6, 0.0):
         pp = PhysParams(mu=0.1, tau=tau)
-        conds[tau] = metric_condition(build_metric(spec_of(pp), grid, pp))
+        conds[tau] = metric_condition(build_metric(spec_from_label(label), grid, pp))
     assert list(conds.values()) == sorted(conds.values())
     assert conds[0.0] == pytest.approx(np.exp(kappa * 100.0), rel=1e-12)
     for tau, value in expect.items():
@@ -319,36 +325,55 @@ def test_sweep_power_family_plateaus_against_doubled_reference():
 
 
 def test_label_round_trip():
-    pp = PhysParams(mu=0.05, tau=0.01)
-    assert spec_from_label("BF", pp).kind == "BF"
-    assert spec_from_label("JR", pp).kind == "JR"
-    assert spec_from_label("DeformWeight", pp).kind == "DeformWeight"
-    exp = spec_from_label("ExpTheta(0.25)", pp)
+    assert spec_from_label("BF").kind == "BF"
+    assert spec_from_label("JR").kind == "JR"
+    assert spec_from_label("DeformWeight").kind == "DeformWeight"
+    exp = spec_from_label("ExpTheta(0.25)")
     assert exp.kind == "ExpTheta" and exp.theta == 0.25
+    assert spec_from_label("BF-composite") == _deformed(MetricSpec("BF"))
+    assert spec_from_label("JR-composite") == _deformed(MetricSpec("JR"))
 
 
 def test_label_rejects_unknown():
     with pytest.raises(ValueError, match="unknown metric label"):
-        spec_from_label("bogus", PhysParams())
+        spec_from_label("bogus")
+    with pytest.raises(ValueError, match="unknown metric label"):
+        spec_from_label("ExpTheta-composite")
     with pytest.raises(ValueError, match="ExpTheta"):
-        spec_from_label("ExpTheta(abc)", PhysParams())
+        spec_from_label("ExpTheta(abc)")
 
 
-def test_composite_candidates_structure():
+def test_composite_profiles_are_the_deformed_gaussians():
+    # mu = 0.05: BF-composite is DeformWeight times exp(0.1 p^2) at every
+    # tau, and at tau = 0 JR-composite is exp(0.05 p^2).
     pp = PhysParams(mu=0.05, tau=0.01)
-    bfc = bf_composite(pp)
-    assert bfc.kind == "Product"
-    assert bfc.factors[0].kind == "DeformWeight"
-    assert bfc.factors[1].theta == pytest.approx(0.1)
-    jrc = jr_composite(pp)
-    assert jrc.factors[1].kind == "JR"
-    # at tau=0 the power-law factor is replaced by its scalar limit
-    jrc0 = jr_composite(PhysParams(mu=0.05, tau=0.0))
-    assert jrc0.factors[1].kind == "ExpTheta"
-    assert jrc0.factors[1].theta == pytest.approx(0.05)
+    bfc = metric_profile(spec_from_label("BF-composite"), GRID, pp)
+    expect = metric_profile(_deformed(MetricSpec("ExpTheta", theta=0.1)), GRID, pp)
+    assert np.array_equal(bfc, expect)
+    pp0 = PhysParams(mu=0.05)
+    jrc0 = metric_profile(spec_from_label("JR-composite"), GRID, pp0)
+    expect = metric_profile(MetricSpec("ExpTheta", theta=0.05), GRID, pp0)
+    assert np.array_equal(jrc0, expect)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-310, 0.01])
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+def test_composite_profiles_are_the_written_out_products(hbar, tau):
+    # Bit for bit: BF-composite is DeformWeight times
+    # ExpTheta(2 mu/(hbar m omega^2)), and JR-composite is DeformWeight times
+    # ExpTheta(mu/omega^2) at tau = 0 and DeformWeight times JR at tau > 0.
+    pp = PhysParams(mu=0.1, hbar=hbar, mass=2.0, omega=1.5, tau=tau)
+    theta = 2.0 * pp.mu / (pp.hbar * pp.mass * pp.omega**2)
+    bf = _deformed(MetricSpec("ExpTheta", theta=theta))
+    jr = _deformed(
+        MetricSpec("JR") if tau > 0 else MetricSpec("ExpTheta", theta=pp.mu / pp.omega**2)
+    )
+    for label, spec in (("BF-composite", bf), ("JR-composite", jr)):
+        got = metric_profile(spec_from_label(label), GRID, pp)
+        assert np.array_equal(got, metric_profile(spec, GRID, pp))
 
 
 def test_composite_profiles_positive():
     pp = PhysParams(mu=0.05, tau=0.01)
-    for spec in (bf_composite(pp), jr_composite(pp)):
-        assert metric_profile(spec, GRID, pp).min() > 0
+    for label in ("BF-composite", "JR-composite"):
+        assert metric_profile(spec_from_label(label), GRID, pp).min() > 0

@@ -52,6 +52,22 @@ def test_phys_params_validation(bad):
         PhysParams(**bad)
 
 
+@pytest.mark.parametrize(
+    "bad, exponent",
+    [
+        # hbar*m*omega^2 = 1e-320 is positive, but 2*mu over it overflows.
+        ({"hbar": 1e-160, "omega": 1e-80, "mu": 0.1}, "BF exponent"),
+        ({"mu": 1e308, "mass": 0.5}, "BF exponent"),
+        # mu/omega^2 = 1e320 overflows; 2*mu/(hbar*m*omega^2) = 2e120 does not.
+        ({"hbar": 1e100, "mass": 1e100, "omega": 1e-10, "mu": 1e300}, "JR exponent"),
+        ({"hbar": 1e100, "mass": 1e100, "omega": 1e-10, "mu": -1e300}, "JR exponent"),
+    ],
+)
+def test_phys_params_refuse_overflowing_metric_exponents(bad, exponent):
+    with pytest.raises(ValueError, match=exponent):
+        PhysParams(**bad)
+
+
 def test_qdeform_params_constraint_enforced():
     QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.5, delta=1.0)  # 4αγ = 2 = q²+1
     with pytest.raises(ValueError, match="constraint"):

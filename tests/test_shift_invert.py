@@ -50,7 +50,7 @@ def _operators(n, mu, p_max):
     pp = PhysParams(mu=mu)
     x, p = build_deformed_pair(grid, pp)
     bf = build_swanson_bf(x, p, pp)
-    rho = build_metric(spec_from_label(f"ExpTheta({2 * mu!r})", pp), grid, pp)
+    rho = build_metric(spec_from_label(f"ExpTheta({2 * mu!r})"), grid, pp)
     counterpart, _ = hermitian_counterpart(bf, rho)
     pp_jr = PhysParams(lam=-mu, delta_t=mu)
     ladder = build_ladder(*build_deformed_pair(grid, pp_jr), pp_jr)

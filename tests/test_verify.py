@@ -112,7 +112,7 @@ class TestGaussianLabelsAwayFromUnitMassAndFrequency:
         for n in (513, 1025):
             grid = Grid(n, 10.0, 0.25)
             x, p = build_deformed_pair(grid, pp)
-            rho = build_metric(spec_from_label(label, pp), grid, pp)
+            rho = build_metric(spec_from_label(label), grid, pp)
             out.append(dieudonne_residual(build_swanson_bf(x, p, pp), rho))
         return out
 
@@ -208,7 +208,7 @@ class TestIntertwiningFromProbeActions:
     @pytest.mark.parametrize("label", ["BF", "JR", "BF-composite", "JR-composite"])
     def test_dieudonne_residual_and_details_match_the_products(self, n, label):
         grid, pp, _, hams = _deformed_models(n)
-        rho = build_metric(spec_from_label(label, pp), grid, pp)
+        rho = build_metric(spec_from_label(label), grid, pp)
         for ham in hams.values():
             expect = _product_built(ham, rho, smooth_probes(grid))
             assert dieudonne_residual(ham, rho) == pytest.approx(expect, rel=self.TOL)
@@ -223,7 +223,7 @@ class TestIntertwiningFromProbeActions:
         # ``matrix`` is read from the bands; the norm of the product-built
         # H†ρ − ρH is the reference.
         grid, pp, _, hams = _deformed_models(n)
-        rho = build_metric(spec_from_label(label, pp), grid, pp)
+        rho = build_metric(spec_from_label(label), grid, pp)
         for ham in hams.values():
             diff = op_sum(op_product(adjoint(ham), rho), op_scale(-1.0, op_product(rho, ham)))
             expect = masked_norm(diff, relative_to=[ham, rho])
@@ -234,7 +234,7 @@ class TestIntertwiningFromProbeActions:
     def test_x_residual_matches_the_products(self, n):
         grid, pp, x, _ = _deformed_models(n)
         probes = stencil_probes(grid)
-        gaussian = build_metric(spec_from_label("BF", pp), grid, pp)
+        gaussian = build_metric(spec_from_label("BF"), grid, pp)
         expect = _product_built(x, gaussian, probes)
         measured = check_X_quasi_hermiticity(x, gaussian)
         assert measured == pytest.approx(expect, rel=self.TOL)
@@ -258,7 +258,7 @@ class TestIntertwiningFromProbeActions:
 
     def test_residuals_form_no_operator_product(self, monkeypatch):
         grid, pp, x, hams = _deformed_models(129)
-        rho = build_metric(spec_from_label("BF-composite", pp), grid, pp)
+        rho = build_metric(spec_from_label("BF-composite"), grid, pp)
         eta = build_metric(MetricSpec("DeformWeight"), grid, pp)
         expect_h = _product_built(hams["JR"], rho, smooth_probes(grid))
         expect_x = _product_built(x, eta, stencil_probes(grid))
