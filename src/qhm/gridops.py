@@ -5,7 +5,7 @@ Everything downstream builds on four ingredients defined here:
 * ``Grid`` — a symmetric, uniformly spaced momentum window with an interior
   mask that excludes boundary-contaminated rows from all norms.  Its points
   are exactly antisymmetric (p[n-1-i] == −p[i], p = 0 at the centre).
-* ``Operator`` — a complex matrix bound to its grid, stored as its diagonals.
+* ``Operator`` — a matrix bound to its grid, stored as its diagonals.
   The model operators are banded (P and ρ are diagonal, X spans offsets
   −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
   O(n · bandwidth).  The eigensolvers (``hermitian_matrix_function`` here,
@@ -13,11 +13,19 @@ Everything downstream builds on four ingredients defined here:
   (``_parity_fold``); none reads ``Operator.entries``.  Two exact
   properties of the model operators make these solves cheaper:
 
-  - *Real.*  A matrix whose imaginary parts are all exactly zero reaches the
-    solvers as a real array, so LAPACK runs the real routines (``dgeev``/
-    ``dsyevd``, about 2.5x cheaper than ``zgeev``/``zheevd``).  With P real
-    and X = iħ(1+τp²)D + iħγ_t p purely imaginary, X², iμ{X,P} and the
-    ladder (P − iωX)/√(2mħω) are real.
+  - *Real.*  Each operator carries its phase (``Operator.turns``): 0 when
+    it is exactly real, 1 when exactly imaginary, else None.  A phased
+    operator stores its diagonals as ``float64`` coefficients, and the
+    complex bands are i^turns times them.  The phase is decided once, where
+    the operator is built: real input data, and the products, sums,
+    scalings and adjoints of phased operands, know it (turns add, and two
+    negate); complex input data is tested once.  With P real and
+    X = iħ(1+τp²)D + iħγ_t p purely imaginary, X², iμ{X,P}, the ladder
+    (P − iωX)/√(2mħω), the Hamiltonians and the metrics are real, so their
+    products, sums, probe actions and intertwining residuals run in
+    ``float64``, and a real matrix reaches the solvers as a real array:
+    LAPACK runs the real routines (``dgeev``/``dsyevd``, about 2.5x cheaper
+    than ``zgeev``/``zheevd``).
   - *Even.*  A matrix that commutes exactly with the reflection p → −p is
     solved as its even and odd blocks of sizes n//2 + 1 and n//2, about a
     quarter of the full cost for the dense solvers; a banded even operator
@@ -34,9 +42,9 @@ Everything downstream builds on four ingredients defined here:
 * elementary algebra (products, adjoints, commutators, Hermitian matrix
   functions, masked norms).  Every operand is an ``Operator``, and each
   function reads its grid from its operands, which must share it.  Products
-  sum each entry over the bands in ``float64`` arithmetic, pairing the
-  bands from both ends (``op_product``); real bands act on real probe
-  vectors in ``float64``.
+  sum each entry over the bands, pairing the bands from both ends
+  (``op_product``), in ``float64`` for phased operands; real bands act on
+  real probe vectors in ``float64``.
   One rule bounds dynamic range, for matrix functions, metrics and the
   gauge map alike (``_check_dynamic_range``): no NaN, and max/min of at
   most ``OVERFLOW_RATIO`` = 1e14 in modulus.
@@ -148,70 +156,139 @@ class Grid:
         return slice(k, self.n_points - k)
 
 
-class Operator:
-    """Complex matrix on a grid, stored as row-aligned diagonals.
+# ``Operator._turns`` before the phase of complex data has been tested.
+_UNDECIDED = "undecided"
 
-    ``bands[k, i] = A[i, i + lo + k]``.  Band slots whose column falls
-    outside the matrix hold zero, and all-zero outer diagonals are trimmed,
-    so a diagonal operator has one band and the zero operator none.
+
+class Operator:
+    """Matrix on a grid, stored as row-aligned diagonals in one form per phase.
+
+    ``bands[k, i] = A[i, i + lo + k]``, complex.  Band slots whose column
+    falls outside the matrix hold zero, and all-zero outer diagonals are
+    trimmed, so a diagonal operator has one band and the zero operator none.
+
+    The stored form is ``coefficients``.  An exactly real operator
+    (``turns`` 0) or an exactly imaginary one (``turns`` 1) keeps contiguous
+    ``float64`` coefficients, and ``bands = 1j**turns · coefficients``; any
+    other keeps its complex bands (``turns`` None).  The phase is decided
+    once: by the constructor that knows it (real input data, and the
+    products, sums, scalings and adjoints of phased operands), or else by one
+    ``_quarter_turns`` test of the complex data, on the first read of
+    ``turns``.  The complex ``bands`` of a phased operator are built on their
+    first read.  Both arrays are read-only, so the two forms cannot disagree.
+
     ``Operator(entries, grid)`` converts a dense square array; ``entries``
-    materializes the dense matrix again, for callers outside the package.
+    materializes the dense complex matrix again, for callers outside the
+    package.
     """
 
-    __slots__ = ("lo", "bands", "grid")
+    __slots__ = ("lo", "grid", "_coef", "_turns", "_bands")
 
     def __init__(self, entries, grid: Grid) -> None:
-        arr = np.asarray(entries, dtype=complex)
+        arr, turns = _stored(np.asarray(entries))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
         _check_dimension(arr.shape[0], grid)
-        self.lo, self.bands = _dense_to_bands(arr)
-        self.grid = grid
+        self._store(*_dense_to_bands(arr), grid, turns)
 
     @classmethod
     def from_bands(cls, lo: int, bands, grid: Grid) -> Operator:
         """Operator with ``bands[k, i] = A[i, i + lo + k]`` (copied)."""
-        bands = np.array(bands, dtype=complex)
+        bands, turns = _stored(np.array(bands))
         if bands.ndim != 2:
             raise ValueError(f"bands must be 2-D, got shape {bands.shape}")
         _check_dimension(bands.shape[1], grid)
         _, cols = _slot_indices(lo, bands.shape)
         if np.any(bands[(cols < 0) | (cols >= bands.shape[1])]):
             raise ValueError("band slots outside the matrix must be zero")
-        return cls._trimmed(int(lo), bands, grid)
+        return cls._trimmed(int(lo), bands, grid, turns)
 
     @classmethod
-    def _trimmed(cls, lo: int, bands: np.ndarray, grid: Grid) -> Operator:
-        """Wrap valid bands without copying or checking them."""
+    def _trimmed(cls, lo: int, coef: np.ndarray, grid: Grid, turns) -> Operator:
+        """Wrap valid coefficient bands of the given phase (``_UNDECIDED`` for
+        complex data not yet tested) without copying or checking them."""
         op = cls.__new__(cls)
-        op.lo, op.bands = _trim(lo, bands)
-        op.grid = grid
+        op._store(lo, coef, grid, turns)
         return op
+
+    def _store(self, lo: int, coef: np.ndarray, grid: Grid, turns) -> None:
+        self.lo, coef = _trim(lo, coef)
+        self.grid = grid
+        if not len(coef):  # the zero operator counts as real
+            coef, turns = np.zeros((0, coef.shape[1])), 0
+        self._coef = _frozen(coef)
+        self._turns = turns
+        self._bands = coef if turns is _UNDECIDED or turns is None else None
 
     @classmethod
     def diag(cls, values, grid: Grid) -> Operator:
         """Diagonal operator with the given main diagonal (copied)."""
-        values = np.asarray(values)
+        values, turns = _stored(np.array(values))
         if values.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {values.shape}")
         _check_dimension(len(values), grid)
-        return cls._trimmed(0, values.astype(complex)[np.newaxis, :], grid)
+        return cls._trimmed(0, values[np.newaxis, :], grid, turns)
+
+    @property
+    def turns(self) -> int | None:
+        """0 when exactly real, 1 when exactly imaginary, else None."""
+        if self._turns is _UNDECIDED:
+            turns = _quarter_turns(self._bands)
+            if turns is not None:
+                part = self._bands.imag if turns else self._bands.real
+                self._coef = _frozen(np.ascontiguousarray(part))
+            self._turns = turns
+        return self._turns
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The stored bands: ``float64`` when ``turns`` is 0 or 1, else the
+        complex ``bands`` themselves (read-only)."""
+        self.turns  # an exactly real or imaginary phase found now makes them real
+        return self._coef
+
+    @property
+    def bands(self) -> np.ndarray:
+        """The complex bands, ``1j**turns · coefficients`` (read-only)."""
+        if self._bands is None:
+            out = np.zeros(self._coef.shape, dtype=complex)
+            if self._turns:
+                out.imag = self._coef
+            else:
+                out.real = self._coef
+            self._bands = _frozen(out)
+        return self._bands
 
     @property
     def dim(self) -> int:
-        return self.bands.shape[1]
+        return self._coef.shape[1]
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense n x n matrix."""
+        """The dense n x n complex matrix."""
         return _bands_to_dense(self.lo, self.bands)
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal (a copy)."""
+        """Main diagonal (a copy): ``float64`` for an exactly real operator,
+        else complex."""
+        stored = self.coefficients if self.turns == 0 else self.bands
         k = -self.lo
-        if 0 <= k < len(self.bands):
-            return self.bands[k].copy()
-        return np.zeros(self.dim, dtype=complex)
+        if 0 <= k < len(stored):
+            return stored[k].copy()
+        return np.zeros(self.dim, dtype=stored.dtype)
+
+
+def _stored(arr: np.ndarray) -> tuple[np.ndarray, object]:
+    """``arr`` as ``float64`` with phase 0 when it holds real numbers, else
+    as ``complex128`` with its phase undecided."""
+    if np.iscomplexobj(arr):
+        return arr.astype(complex, copy=False), _UNDECIDED
+    return arr.astype(float, copy=False), 0
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_dimension(n: int, grid: Grid) -> None:
@@ -231,10 +308,10 @@ def _dense_to_bands(arr: np.ndarray) -> tuple[int, np.ndarray]:
     n = arr.shape[0]
     rows, cols = np.nonzero(arr)
     if rows.size == 0:
-        return 0, np.zeros((0, n), dtype=complex)
+        return 0, np.zeros((0, n), dtype=arr.dtype)
     offsets = cols - rows
     lo = int(offsets.min())
-    bands = np.zeros((int(offsets.max()) - lo + 1, n), dtype=complex)
+    bands = np.zeros((int(offsets.max()) - lo + 1, n), dtype=arr.dtype)
     bands[offsets - lo, rows] = arr[rows, cols]
     return lo, bands
 
@@ -278,9 +355,8 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     for the mirrored pair (j, n-1-j) of the full one, with the same total
     squared modulus.  Any other operator is one n x n block.
     """
-    n, lo, bands = op.dim, op.lo, op.bands
-    if _quarter_turns(bands) == 0:
-        bands = bands.real
+    n, lo = op.dim, op.lo
+    bands = op.coefficients if op.turns == 0 else op.bands
     rows, cols = _slot_indices(lo, bands.shape)
     stored = (cols >= 0) & (cols < n) & (bands != 0)
     nb = len(bands)
@@ -356,28 +432,42 @@ def _check_compatible(*ops) -> Grid:
     """The grid the operands share; each must be an ``Operator`` on it.
 
     An operator's dimension is its grid's ``n_points``, so one grid means one
-    dimension.
+    dimension.  Grids are compared by identity first, and by value only when
+    they are distinct objects.
     """
+    if not ops:
+        raise ValueError("at least one operator is required")
     for x in ops:
         if not isinstance(x, Operator):
             raise TypeError(
                 f"operands must be Operator(entries, grid), got {type(x).__name__}"
             )
-    grids = {x.grid for x in ops}
-    if len(grids) > 1:
+    grid = ops[0].grid
+    if any(x.grid is not grid and x.grid != grid for x in ops[1:]):
         raise ValueError("operators live on different grids")
-    return grids.pop()
+    return grid
 
 
-def _aligned(ops, n: int) -> tuple[int, list[np.ndarray]]:
-    """Each operator's bands, zero-padded to the union of their offsets."""
-    nonempty = [x for x in ops if len(x.bands)]
-    lo = min((x.lo for x in nonempty), default=0)
-    hi = max((x.lo + len(x.bands) for x in nonempty), default=0)
+def _common_form(ops) -> tuple[int | None, list[tuple[int, np.ndarray]]]:
+    """The operators' shared phase and their ``(lo, coefficients)``, or None
+    and their ``(lo, bands)`` when their phases differ or one has none.  The
+    zero operator shares every phase."""
+    phases = {x.turns for x in ops if len(x.coefficients)}
+    if len(phases) > 1 or None in phases:
+        return None, [(x.lo, x.bands) for x in ops]
+    return (phases.pop() if phases else 0), [(x.lo, x.coefficients) for x in ops]
+
+
+def _aligned(parts, n: int) -> tuple[int, list[np.ndarray]]:
+    """The ``(lo, bands)`` parts zero-padded to the union of their offsets."""
+    nonempty = [(lo, b) for lo, b in parts if len(b)]
+    lo = min((x for x, _ in nonempty), default=0)
+    hi = max((x + len(b) for x, b in nonempty), default=0)
+    dtype = np.result_type(*(b for _, b in parts))
     aligned = []
-    for x in ops:
-        union = np.zeros((hi - lo, n), dtype=complex)
-        union[x.lo - lo : x.lo - lo + len(x.bands)] = x.bands
+    for x, b in parts:
+        union = np.zeros((hi - lo, n), dtype=dtype)
+        union[x - lo : x - lo + len(b)] = b
         aligned.append(union)
     return lo, aligned
 
@@ -413,64 +503,117 @@ def _accumulate(la: int, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _one_band_left(la: int, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Bands of A·B for A of one band (offset ``la``): entry (i, j) is the one
+    term A[i, i+la]·B[i+la, j], so each of B's bands is scaled by A's band."""
+    if la == 0:
+        return ca[0] * cb
+    n = ca.shape[1]
+    r0, r1 = _overlap(la, n)
+    out = np.zeros((len(cb), n), dtype=np.result_type(ca, cb))
+    np.multiply(ca[0, r0:r1], cb[:, r0 + la : r1 + la], out=out[:, r0:r1])
+    return out
+
+
+def _one_band_right(la: int, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Bands of A·B for B of one band: entry (i, i+s+lb), s = la + q, is the
+    one term A[i, i+s]·B[i+s, i+s+lb], so A's band q is scaled by B's band
+    shifted by s (zero where i+s falls outside the matrix)."""
+    na, n = ca.shape
+    pad = abs(la) + na
+    padded = np.zeros(n + 2 * pad, dtype=cb.dtype)
+    padded[pad : pad + n] = cb[0]
+    # row q of the view is padded[pad + la + q :][:n]; numpy checks the bounds
+    step = padded.strides[0]
+    shifted = np.ndarray((na, n), padded.dtype, padded, (pad + la) * step, (step, step))
+    return ca * shifted
+
+
 def op_product(a: Operator, b: Operator) -> Operator:
     """Matrix product.
 
-    Each entry is summed over A's bands in ``complex128`` in mirror-paired
-    order (``_accumulate``), with no BLAS call, so it depends on no BLAS
-    kernel or thread count.  The reflection p → −p maps A's band q of an
-    exactly even or odd A to band na − 1 − q, so the mirrored entries of a
-    product of exactly even or odd operands sum the same pairs in the same
-    order: the product is exactly even or odd.  When each operand is exactly
-    real or exactly imaginary (no tolerance; every model operator is: X is
-    imaginary, the rest real), only the nonzero parts are multiplied, as
-    ``float64`` reals, and the sum takes the phase 1, i or −1 afterwards.
+    Each entry is summed over A's bands in mirror-paired order
+    (``_accumulate``), with no BLAS call, so it depends on no BLAS kernel or
+    thread count.  The reflection p → −p maps A's band q of an exactly even
+    or odd A to band na − 1 − q, so the mirrored entries of a product of
+    exactly even or odd operands sum the same pairs in the same order: the
+    product is exactly even or odd.  When either operand has one band, each
+    entry is one term and the product is a scaling of the other's bands.
+
+    When each operand is exactly real or exactly imaginary (every model
+    operator is: X is imaginary, the rest real), the stored ``float64``
+    coefficients are multiplied and summed, and the product's phase is the
+    sum of the operands' quarter turns; two turns negate the coefficients.
     The terms and their order are those of the ``complex128`` sums, so the
     values are identical (for finite entries; only the signs of exact zeros
-    can differ).
+    can differ).  Any other pair is multiplied as ``complex128`` bands.
     """
     grid = _check_compatible(a, b)
-    (la, ba), (lb, bb) = (a.lo, a.bands), (b.lo, b.bands)
-    if not (len(ba) and len(bb)):
-        return Operator._trimmed(0, np.zeros((0, grid.n_points), dtype=complex), grid)
-    ta, tb = _quarter_turns(ba), _quarter_turns(bb)
+    ta, tb = a.turns, b.turns
     if ta is None or tb is None:
-        bands = _accumulate(la, ba, bb)
+        ca, cb, turns = a.bands, b.bands, _UNDECIDED
     else:
-        ra = ba.imag if ta else ba.real
-        rb = bb.imag if tb else bb.real
-        bands = _accumulate(la, ra, rb) * 1j ** (ta + tb)
-    return Operator._trimmed(la + lb, bands, grid)
+        ca, cb, turns = a.coefficients, b.coefficients, ta + tb
+    if not (len(ca) and len(cb)):
+        return Operator._trimmed(0, np.zeros((0, grid.n_points)), grid, 0)
+    if len(ca) == 1:
+        bands = _one_band_left(a.lo, ca, cb)
+    elif len(cb) == 1:
+        bands = _one_band_right(a.lo, ca, cb)
+    else:
+        bands = _accumulate(a.lo, ca, cb)
+    if turns == 2:
+        bands, turns = np.negative(bands, out=bands), 0
+    return Operator._trimmed(a.lo + b.lo, bands, grid, turns)
 
 
 def op_sum(a: Operator, b: Operator, *more: Operator) -> Operator:
-    """Sum of two or more operators, added left to right."""
+    """Sum of two or more operators, added left to right; operands of one
+    phase add their coefficients and keep it."""
     ops = (a, b, *more)
     grid = _check_compatible(*ops)
-    lo, aligned = _aligned(ops, grid.n_points)
+    turns, parts = _common_form(ops)
+    lo, aligned = _aligned(parts, grid.n_points)
     out = aligned[0]
     for bands in aligned[1:]:
         out += bands
-    return Operator._trimmed(lo, out, grid)
+    return Operator._trimmed(lo, out, grid, _UNDECIDED if turns is None else turns)
 
 
 def op_scale(c: complex, a: Operator) -> Operator:
+    """c·A.  A real or an imaginary c keeps the phase of a phased A: its
+    coefficients are scaled by c's real or imaginary part, and an imaginary
+    c adds a quarter turn."""
     grid = _check_compatible(a)
-    return Operator._trimmed(a.lo, c * a.bands, grid)
+    c, turns = complex(c), a.turns
+    if turns is not None and c.imag == 0:
+        coef = c.real * a.coefficients
+    elif turns is not None and c.real == 0:
+        coef, turns = c.imag * a.coefficients, turns + 1
+    else:
+        return Operator._trimmed(a.lo, c * a.bands, grid, _UNDECIDED)
+    if turns == 2:
+        coef, turns = np.negative(coef, out=coef), 0
+    return Operator._trimmed(a.lo, coef, grid, turns)
 
 
 def adjoint(a: Operator) -> Operator:
-    """Conjugate transpose."""
+    """Conjugate transpose: the transposed coefficients, negated for an
+    imaginary operator and conjugated for a complex one."""
     grid = _check_compatible(a)
-    lo, bands = a.lo, a.bands
-    nd, n = bands.shape
-    out = np.zeros_like(bands)
-    for k, row in enumerate(bands):
+    lo, coef, turns = a.lo, a.coefficients, a.turns
+    nd, n = coef.shape
+    out = np.zeros_like(coef)
+    for k, row in enumerate(coef):
         # entry (i, i + s) moves to (i + s, i), s = lo + k
         s = lo + k
         r0, r1 = _overlap(s, n)
-        out[nd - 1 - k, r0 + s : r1 + s] = row[r0:r1].conj()
-    return Operator._trimmed(-(lo + nd - 1), out, grid)
+        out[nd - 1 - k, r0 + s : r1 + s] = row[r0:r1]
+    if turns is None:
+        np.conjugate(out, out=out)
+    elif turns == 1:
+        np.negative(out, out=out)
+    return Operator._trimmed(-(lo + nd - 1), out, grid, turns)
 
 
 def commutator(a, b):
@@ -503,8 +646,8 @@ def derivative_matrix(grid: Grid) -> Operator:
 def _check_hermitian(a: Operator) -> None:
     """Raise ``ValueError`` when ‖A − A†‖_F > ``HERMITIAN_TOL``·‖A‖_F, from
     the bands, at O(n · bandwidth).  The zero operator passes."""
-    diff = op_sum(a, op_scale(-1.0, adjoint(a))).bands
-    scale = np.linalg.norm(a.bands)
+    diff = op_sum(a, op_scale(-1.0, adjoint(a))).coefficients
+    scale = np.linalg.norm(a.coefficients)
     if scale > 0 and np.linalg.norm(diff) / scale > HERMITIAN_TOL:
         raise ValueError("input is not Hermitian within tolerance")
 
@@ -570,7 +713,7 @@ def hermitian_matrix_function(
     fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
     rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
     out = _parity_unfold(*rebuilt) if even else rebuilt[0]
-    return Operator._trimmed(*_dense_to_bands(out), a.grid)
+    return Operator(out, a.grid)
 
 
 def _interior_rows(lo: int, n_bands: int, grid: Grid):
@@ -585,20 +728,31 @@ def _interior_rows(lo: int, n_bands: int, grid: Grid):
 
 
 def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
-    """Entries of each operator's interior-by-interior block, one column each.
+    """Entries of each operator's interior-by-interior block, one complex
+    column each.
 
     The operators must share their grid.  Only slots of the union of their
     bands are listed, band by band in ascending rows (``_interior_rows``);
-    every entry outside that band is zero in all of them.
+    every entry outside that band is zero in all of them.  A phased
+    operator's coefficients are read into the real or the imaginary part of
+    its column, so no complex bands are formed.
     """
     grid = _check_compatible(*ops)
-    lo, aligned = _aligned(ops, grid.n_points)
-    walk = list(_interior_rows(lo, len(aligned[0]), grid))
-    # b[:0, 0], empty, keeps the listing 1-D when every operator is zero
-    return np.stack(
-        [np.concatenate([b[:0, 0], *(b[k, rows] for k, rows, _ in walk)]) for b in aligned],
-        axis=1,
-    )
+    spans = [(x.lo, x.lo + len(x.coefficients)) for x in ops if len(x.coefficients)]
+    lo = min((a for a, _ in spans), default=0)
+    hi = max((b for _, b in spans), default=0)
+    walk = list(_interior_rows(lo, hi - lo, grid))
+    out = np.zeros((sum(r.stop - r.start for _, r, _ in walk), len(ops)), dtype=complex)
+    for column, x in zip(out.T, ops):
+        turns, coef = x.turns, x.coefficients
+        part = column if turns is None else column.imag if turns else column.real
+        start = 0
+        for k, rows, _ in walk:
+            stop = start + rows.stop - rows.start
+            if 0 <= lo + k - x.lo < len(coef):
+                part[start:stop] = coef[lo + k - x.lo, rows]
+            start = stop
+    return out
 
 
 def masked_norm(a: Operator, relative_to: Sequence[Operator] | None = None) -> float:
@@ -657,19 +811,17 @@ def smooth_probes(grid: Grid) -> np.ndarray:
 def interior_action(a: Operator, vectors: np.ndarray) -> np.ndarray:
     """Interior rows of ``A @ vectors`` (vectors as columns), from the bands.
 
-    Exactly real bands (no tolerance) acting on real vectors are applied in
-    ``float64`` and give a real array, with the values the complex product
-    would give; anything else gives a complex array.
+    An exactly real operator (``turns`` 0) acting on real vectors applies
+    its ``float64`` coefficients and gives a real array, with the values the
+    complex product would give; anything else gives a complex array.
     """
     grid = _check_compatible(a)
     v = np.asarray(vectors)
     n = grid.n_points
     if v.shape[0] != n:
         raise ValueError(f"dimension mismatch: vectors {v.shape[0]}, grid {n}")
-    lo, bands = a.lo, a.bands
-    real = not np.iscomplexobj(v) and _quarter_turns(bands) == 0
-    if real:
-        bands = bands.real
+    real = not np.iscomplexobj(v) and a.turns == 0
+    lo, bands = a.lo, a.coefficients if real else a.bands
     sl = grid.interior()
     out = np.zeros((sl.stop - sl.start, v.shape[1]), dtype=float if real else complex)
     for k, band in enumerate(bands):

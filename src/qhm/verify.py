@@ -33,6 +33,7 @@ from .gridops import (
     _check_compatible,
     _check_dynamic_range,
     _check_hermitian,
+    _common_form,
     _dense_block,
     _interior_rows,
     _mismatch,
@@ -68,24 +69,38 @@ logger = logging.getLogger("qhm.verify")
 
 
 def _metric_diagonal(metric: Operator, *others: Operator) -> np.ndarray:
-    """The diagonal of ``metric``; ``ValueError`` unless it is diagonal."""
+    """The diagonal of ``metric``, real when ``metric`` is exactly real;
+    ``ValueError`` unless it is diagonal."""
     _check_compatible(metric, *others)
-    if not (metric.lo == 0 and len(metric.bands) <= 1):
+    if not (metric.lo == 0 and len(metric.coefficients) <= 1):
         raise ValueError("metric must be diagonal")
     return metric.diagonal()
 
 
 def _intertwining_actions(
-    a: Operator, g: np.ndarray, probes: np.ndarray
+    a: Operator, a_dag: Operator, g: np.ndarray, probes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interior rows of A†(g∘V) and g∘(A·V), the two sides of A†G = GA for
-    G = diag(g) in action on the probes V, as (interior, s, probes) arrays.
-    ``g`` holds one profile (s = 1) or s profiles as columns; A acts once on
-    V, and A† once on all the scaled probe sets side by side."""
+    G = diag(g) in action on the probes V, as (interior, s, probes) arrays,
+    given A and A†.  ``g`` holds one profile (s = 1) or s profiles as
+    columns; A acts once on V, and A† once on all the scaled probe sets side
+    by side.  A real A, g and V give ``float64`` actions."""
     stack = g.reshape(len(g), -1, 1)
     right = stack[a.grid.interior()] * interior_action(a, probes)[:, np.newaxis]
     scaled = (stack * probes[:, np.newaxis, :]).reshape(len(g), -1)
-    return interior_action(adjoint(a), scaled).reshape(right.shape), right
+    return interior_action(a_dag, scaled).reshape(right.shape), right
+
+
+def _warned_metric_diagonal(rho: Operator, H: Operator) -> np.ndarray:
+    """``_metric_diagonal`` of ρ, with a warning when an entry is not
+    positive (the caller's caller is named)."""
+    g = _metric_diagonal(rho, H)
+    if g.real.min() <= 0:
+        warnings.warn(
+            "metric has non-positive diagonal entries; residual computed anyway",
+            stacklevel=3,
+        )
+    return g
 
 
 def dieudonne_residual(H: Operator, rho: Operator) -> float:
@@ -96,22 +111,20 @@ def dieudonne_residual(H: Operator, rho: Operator) -> float:
     returns ``action_residual``'s relative Frobenius mismatch.  ρ must be
     diagonal, or ``ValueError``; a non-positive entry warns.
     """
-    g = _metric_diagonal(rho, H)
-    if g.real.min() <= 0:
-        warnings.warn(
-            "metric has non-positive diagonal entries; residual computed anyway",
-            stacklevel=2,
-        )
-    return _mismatch(*_intertwining_actions(H, g, smooth_probes(H.grid)))
+    g = _warned_metric_diagonal(rho, H)
+    return _mismatch(*_intertwining_actions(H, adjoint(H), g, smooth_probes(H.grid)))
 
 
-def _matrix_residual(H: Operator, g: np.ndarray) -> float:
+def _matrix_residual(H: Operator, h_dag: Operator, g: np.ndarray) -> float:
     """Masked entrywise Frobenius norm of H†G − GH for G = diag(g), relative
-    to the interior norms of H and g, from the bands: entry (i, j) is
-    (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
-    the bands of H and H†, walked as ``interior_block_entries`` walks them
-    (``_interior_rows``).  ``ValueError`` when either norm is zero."""
-    lo, (bands, dag) = _aligned([H, adjoint(H)], H.dim)
+    to the interior norms of H and g, from the bands of H and ``h_dag`` = H†
+    (their ``float64`` coefficients when both are real, or both imaginary):
+    entry (i, j) is (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots
+    of the union of the bands of H and H†, walked as
+    ``interior_block_entries`` walks them (``_interior_rows``).
+    ``ValueError`` when either norm is zero."""
+    _, parts = _common_form([H, h_dag])
+    lo, (bands, dag) = _aligned(parts, H.dim)
     h, diff = [], []
     for k, rows, cols in _interior_rows(lo, len(bands), H.grid):
         h.append(bands[k, rows])
@@ -132,9 +145,12 @@ def dieudonne_details(H: Operator, rho: Operator) -> dict:
     truncation-visible diagnostic).  For the diagonal ρ = diag(g) each entry
     is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is read from
     the bands of H and H† at O(n · bandwidth), with no operator product.
+    H† is formed once for both; a real H and ρ are measured in ``float64``.
     """
-    act = dieudonne_residual(H, rho)
-    mat = _matrix_residual(H, _metric_diagonal(rho, H))
+    g = _warned_metric_diagonal(rho, H)
+    h_dag = adjoint(H)
+    act = _mismatch(*_intertwining_actions(H, h_dag, g, smooth_probes(H.grid)))
+    mat = _matrix_residual(H, h_dag, g)
     return {"action": act, "matrix": mat, "masked": True}
 
 
@@ -145,7 +161,7 @@ def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
     (1+τp²)^{-1}, so the residual is machine-small when eta solves it.
     """
     g = _metric_diagonal(eta, X)
-    return _mismatch(*_intertwining_actions(X, g, stencil_probes(X.grid)))
+    return _mismatch(*_intertwining_actions(X, adjoint(X), g, stencil_probes(X.grid)))
 
 
 def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
@@ -217,8 +233,10 @@ def _lowest_levels(vals: np.ndarray, mass: np.ndarray, k: int) -> list[complex]:
     return out
 
 
-# Shift-invert gate, ARPACK sizes and guard tolerances (see ``spectrum``).
+# Shift-invert gate, ARPACK sizes and guard tolerances, and the largest grid
+# that the dense solve takes when a shift-invert guard fails (see ``spectrum``).
 SHIFT_INVERT_MIN_POINTS = 257
+DENSE_MAX_POINTS = 2049
 ARPACK_K_MAX = 128
 RESIDUAL_TOL = 1e-8
 SHIFT_AGREEMENT_TOL = 1e-9
@@ -356,8 +374,11 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     - a second solve at σ₂ = −min|λ| over the kept levels does not
       reproduce them to ``SHIFT_AGREEMENT_TOL`` = 1e-9 relative.
 
-    The fallback reason is logged at debug level on ``qhm.verify``.  scipy
-    is imported only on this path, so small grids never load it.
+    The fallback reason is logged at debug level on ``qhm.verify``.  Above
+    ``DENSE_MAX_POINTS`` = 2049 points there is no fallback: a failed guard
+    raises ``NumericGuardError`` naming the guard and the cap, because the
+    dense solve grows as n³ (3 s at 2049 points, 16 s at 4097).  scipy is
+    imported only on this path, so small grids never load it.
 
     *Dense* (smaller grids and fallbacks).  ``eig`` on each block as a
     dense array (``_block_eig_with_mass``): the real routine for a real
@@ -373,6 +394,12 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
             levels = _shift_invert_levels(blocks, rows, k)
             return _spectrum_result(levels, "shift-invert")
         except _Fallback as exc:
+            if op.dim > DENSE_MAX_POINTS:
+                raise NumericGuardError(
+                    f"spectrum at {op.dim} points: the shift-invert guard failed "
+                    f"({exc}) and the dense fallback is capped at "
+                    f"DENSE_MAX_POINTS = {DENSE_MAX_POINTS} points"
+                ) from exc
             logger.debug(
                 "spectrum at %d points falls back to the dense solve: %s", op.dim, exc
             )
@@ -425,7 +452,7 @@ def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarra
     diag(basis[:, k]), flattened row by row, from the probe actions of
     ``_intertwining_actions``.  Real H and probes give a real map.
     """
-    left, right = _intertwining_actions(H, basis, probes)
+    left, right = _intertwining_actions(H, adjoint(H), basis, probes)
     return (left - right).transpose(0, 2, 1).reshape(-1, basis.shape[1])
 
 

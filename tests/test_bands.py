@@ -1,10 +1,13 @@
 """Banded operator storage: the band algebra against dense numpy references,
 and the band structure of the model operators."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhm.gridops
 from qhm import (
     Grid,
     MetricSpec,
@@ -30,6 +33,7 @@ from qhm import (
     smooth_probes,
 )
 from qhm.gridops import _quarter_turns, _trim
+from qhm.jobs import parse_config, run_job
 from qhm.verify import _sqrt_pair
 
 REL = 1e-13
@@ -39,9 +43,9 @@ PROPERTY = settings(max_examples=60, deadline=None)
 @st.composite
 def banded(draw, n):
     """An n x n matrix, exactly real, exactly imaginary or complex: a random
-    band, the full band, the zero matrix, or a band plus one-sided boundary
-    rows (as in the derivative)."""
-    kind = draw(st.sampled_from(["band", "full", "zero", "boundary"]))
+    band, one diagonal, the full band, the zero matrix, or a band plus
+    one-sided boundary rows (as in the derivative)."""
+    kind = draw(st.sampled_from(["band", "one band", "full", "zero", "boundary"]))
     phase = draw(st.sampled_from(["real", "imaginary", "complex"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dense = np.zeros((n, n), dtype=complex)
@@ -55,7 +59,7 @@ def banded(draw, n):
         return dense
     offsets = np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]
     lo = draw(st.integers(-(n - 1), n - 1))
-    hi = draw(st.integers(lo, n - 1))
+    hi = lo if kind == "one band" else draw(st.integers(lo, n - 1))
     keep = (offsets >= lo) & (offsets <= hi)
     if kind == "boundary":
         width = draw(st.integers(1, 3))
@@ -65,8 +69,8 @@ def banded(draw, n):
 
 
 @st.composite
-def operands(draw, count=2):
-    n = draw(st.sampled_from(range(5, 41, 2)))
+def operands(draw, count=2, n_max=41):
+    n = draw(st.sampled_from(range(5, n_max, 2)))
     grid = Grid(n, 3.0, 0.25)
     return (grid, *(draw(banded(n)) for _ in range(count)))
 
@@ -264,3 +268,114 @@ def test_model_operators_are_exactly_real_or_imaginary(n):
         assert interior_action(op, probes).dtype == np.float64, name
     assert interior_action(x, probes).dtype == np.complex128
     assert interior_action(p, probes + 0j).dtype == np.complex128
+
+
+def _phased(op):
+    return op.turns is not None
+
+
+def _assert_phase_kept(op):
+    # The stored phase is the one the complex bands show.
+    assert op.turns == _quarter_turns(op.bands)
+    if op.turns is not None:
+        assert op.coefficients.dtype == np.float64
+        assert op.coefficients.flags.c_contiguous
+        expect = op.coefficients * 1j if op.turns else op.coefficients
+        assert np.array_equal(op.bands, expect)
+    else:
+        assert op.coefficients is op.bands
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    operands(n_max=67),
+    st.sampled_from([0.7, -2.5, 1.3j, -0.4j, 0.3 - 1.7j, 0.0]),
+)
+def test_results_keep_the_phase_and_the_complex_values(case, c):
+    # Every result's stored phase is the one its bands show, and its values
+    # are the all-complex ones: the mirror-paired product sums, and numpy's
+    # complex sums, scalings and conjugate transposes (signs of exact zeros
+    # aside, which array_equal does not see).
+    grid, a, b = case
+    oa, ob = Operator(a, grid), Operator(b, grid)
+    phased = _phased(oa) and _phased(ob)
+    product = op_product(oa, ob)
+    reverse = op_product(ob, oa)
+    results = {
+        "product": (product, _paired_product(oa, ob)),
+        "sum": (op_sum(oa, ob), a + b),
+        "scale": (op_scale(c, oa), c * a),
+        "adjoint": (adjoint(oa), a.conj().T),
+        "commutator": (commutator(oa, ob), _paired_product(oa, ob) - _paired_product(ob, oa)),
+    }
+    for name, (op, expect) in results.items():
+        _assert_phase_kept(op)
+        if name in ("product", "commutator") and not phased:
+            # general complex terms may round ac − bd once or twice
+            _close(op.entries, expect, 2.0 * _size(a) * _size(b))
+        else:
+            assert np.array_equal(op.entries, expect), name
+    if phased:
+        assert product.turns == (oa.turns + ob.turns) % 2 or not len(product.coefficients)
+        _assert_phase_kept(reverse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands(n_max=67), st.booleans())
+def test_a_one_band_operand_scales_the_other(case, left):
+    # One band on either side: each entry is one term, and the scaling gives
+    # the paired kernel's values.
+    grid, a, b = case
+    one = np.diag(np.diag(a, 1), 1) if left else np.diag(np.diag(b, -2), -2)
+    oa, ob = (Operator(one, grid), Operator(b, grid)) if left else (
+        Operator(a, grid), Operator(one, grid))
+    got = op_product(oa, ob)
+    _assert_phase_kept(got)
+    if _phased(oa) and _phased(ob):
+        assert np.array_equal(got.entries, _paired_product(oa, ob))
+    else:
+        _close(got.entries, _paired_product(oa, ob), _size(oa.entries) * _size(ob.entries))
+
+
+def test_stored_forms_are_read_only():
+    grid = Grid(9, 2.0, 0.25)
+    real = Operator.diag(np.arange(1.0, 10.0), grid)
+    decided = Operator(np.eye(9) * 1j, grid)  # complex data, imaginary
+    general = Operator(np.eye(9) * (1 + 1j), grid)
+    for op in (real, decided, general, derivative_matrix(grid)):
+        for arr in (op.bands, op.coefficients):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 7.0
+    assert (real.turns, decided.turns, general.turns) == (0, 1, None)
+
+
+def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):
+    # The phase of an operator built from complex data is tested once, on
+    # first use; every other operator of a 1025-point verify-metric job has
+    # its phase from its constructor.  The BF model at γ_t ≠ 0 builds one
+    # such operator, the shift diag(iħγ_t p).
+    tests, undecided = [], []
+    test = qhm.gridops._quarter_turns
+    trimmed = Operator._trimmed.__func__
+
+    def counted_test(bands):
+        tests.append(bands.shape)
+        return test(bands)
+
+    def counted_trimmed(cls, lo, coef, grid, turns):
+        if turns is qhm.gridops._UNDECIDED and len(coef):
+            undecided.append(coef.shape)
+        return trimmed(cls, lo, coef, grid, turns)
+
+    monkeypatch.setattr(qhm.gridops, "_quarter_turns", counted_test)
+    monkeypatch.setattr(Operator, "_trimmed", classmethod(counted_trimmed))
+    cfg = parse_config(json.dumps({
+        "job": "verify-metric",
+        "grid": {"n_points": 1025, "p_max": 10.0},
+        "params": {"mu": 0.1, "tau": 0.01, "gamma_t": 0.05},
+        "metric": "ExpTheta(0.2)",
+    }))
+    doc = run_job(cfg)
+    assert doc["results"]["residuals"][0]["n_points"] == 1025
+    assert len(undecided) == 1
+    assert len(tests) <= len(undecided)

@@ -157,6 +157,11 @@ def test_alg_rejects_dimension_mismatch():
         op_product(a, b)
 
 
+def test_no_operands_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one operator is required"):
+        interior_block_entries([])
+
+
 def test_adjoint_is_involution_and_antihomomorphism():
     rng = np.random.default_rng(11)
     g = Grid(9, 2.0)

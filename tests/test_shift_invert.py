@@ -269,6 +269,28 @@ def test_a_residual_above_the_bound_takes_the_dense_solve(caplog):
     assert "residual above the bound" in caplog.text
 
 
+def test_above_the_dense_cap_a_failed_guard_is_refused():
+    # Past DENSE_MAX_POINTS = 2049 a failed shift-invert guard raises instead
+    # of running the dense eig (3 s at 2049 points, 16 s at 4097).
+    grid = Grid(2051, 8.0, 0.25)
+    pp = PhysParams(mu=0.1)
+    op = build_swanson_bf(*build_deformed_pair(grid, pp), pp)
+    dense_calls = []
+
+    def fail(*args):
+        raise qhm.verify._Fallback("residual above the bound")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qhm.verify, "_shift_invert_levels", fail)
+        patch.setattr(qhm.verify, "_block_eig_with_mass", lambda *a: dense_calls.append(a))
+        with pytest.raises(qhm.gridops.NumericGuardError) as err:
+            spectrum(op, 6)
+    assert "residual above the bound" in str(err.value)
+    assert "DENSE_MAX_POINTS = 2049" in str(err.value)
+    assert qhm.verify.DENSE_MAX_POINTS == 2049
+    assert dense_calls == []
+
+
 def test_small_spectrum_jobs_never_import_scipy(tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({
