@@ -156,10 +156,6 @@ class Grid:
         return slice(k, self.n_points - k)
 
 
-# ``Operator._turns`` before the phase of complex data has been tested.
-_UNDECIDED = "undecided"
-
-
 class Operator:
     """Matrix on a grid, stored as row-aligned diagonals in one form per phase.
 
@@ -171,11 +167,11 @@ class Operator:
     (``turns`` 0) or an exactly imaginary one (``turns`` 1) keeps contiguous
     ``float64`` coefficients, and ``bands = 1j**turns · coefficients``; any
     other keeps its complex bands (``turns`` None).  The phase is decided
-    once: by the constructor that knows it (real input data, and the
-    products, sums, scalings and adjoints of phased operands), or else by one
-    ``_quarter_turns`` test of the complex data, on the first read of
-    ``turns``.  The complex ``bands`` of a phased operator are built on their
-    first read.  Both arrays are read-only, so the two forms cannot disagree.
+    once, when the operator is built: by the constructor that knows it (real
+    input data, and the products, sums, scalings and adjoints of phased
+    operands), or else by one ``_quarter_turns`` test of the complex data.
+    The complex ``bands`` of a phased operator are built on their first
+    read.  Both arrays are read-only, so the two forms cannot disagree.
 
     ``Operator(entries, grid)`` converts a dense square array; ``entries``
     materializes the dense complex matrix again, for callers outside the
@@ -185,66 +181,67 @@ class Operator:
     __slots__ = ("lo", "grid", "_coef", "_turns", "_bands")
 
     def __init__(self, entries, grid: Grid) -> None:
-        arr, turns = _stored(np.asarray(entries))
+        arr = _numeric(np.asarray(entries))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
         _check_dimension(arr.shape[0], grid)
-        self._store(*_dense_to_bands(arr), grid, turns)
+        self._store(*_dense_to_bands(arr), grid, 0)
 
     @classmethod
     def from_bands(cls, lo: int, bands, grid: Grid) -> Operator:
         """Operator with ``bands[k, i] = A[i, i + lo + k]`` (copied)."""
-        bands, turns = _stored(np.array(bands))
+        bands = _numeric(np.array(bands))
         if bands.ndim != 2:
             raise ValueError(f"bands must be 2-D, got shape {bands.shape}")
         _check_dimension(bands.shape[1], grid)
         _, cols = _slot_indices(lo, bands.shape)
         if np.any(bands[(cols < 0) | (cols >= bands.shape[1])]):
             raise ValueError("band slots outside the matrix must be zero")
-        return cls._trimmed(int(lo), bands, grid, turns)
+        return cls._trimmed(int(lo), bands, grid, 0)
 
     @classmethod
     def _trimmed(cls, lo: int, coef: np.ndarray, grid: Grid, turns) -> Operator:
-        """Wrap valid coefficient bands of the given phase (``_UNDECIDED`` for
-        complex data not yet tested) without copying or checking them."""
+        """Wrap valid coefficient bands without copying or checking them
+        (``_store``)."""
         op = cls.__new__(cls)
         op._store(lo, coef, grid, turns)
         return op
 
     def _store(self, lo: int, coef: np.ndarray, grid: Grid, turns) -> None:
+        """Keep ``coef`` in its stored form.  ``turns`` is the phase of
+        ``float64`` coefficients; complex ones are tested once
+        (``_quarter_turns``) instead, and an exactly real or imaginary part
+        is kept in their place."""
         self.lo, coef = _trim(lo, coef)
         self.grid = grid
         if not len(coef):  # the zero operator counts as real
             coef, turns = np.zeros((0, coef.shape[1])), 0
+        elif np.iscomplexobj(coef):
+            turns = _quarter_turns(coef)
+            if turns is not None:
+                coef = np.ascontiguousarray(coef.imag if turns else coef.real)
         self._coef = _frozen(coef)
         self._turns = turns
-        self._bands = coef if turns is _UNDECIDED or turns is None else None
+        self._bands = coef if turns is None else None
 
     @classmethod
     def diag(cls, values, grid: Grid) -> Operator:
         """Diagonal operator with the given main diagonal (copied)."""
-        values, turns = _stored(np.array(values))
+        values = _numeric(np.array(values))
         if values.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {values.shape}")
         _check_dimension(len(values), grid)
-        return cls._trimmed(0, values[np.newaxis, :], grid, turns)
+        return cls._trimmed(0, values[np.newaxis, :], grid, 0)
 
     @property
     def turns(self) -> int | None:
         """0 when exactly real, 1 when exactly imaginary, else None."""
-        if self._turns is _UNDECIDED:
-            turns = _quarter_turns(self._bands)
-            if turns is not None:
-                part = self._bands.imag if turns else self._bands.real
-                self._coef = _frozen(np.ascontiguousarray(part))
-            self._turns = turns
         return self._turns
 
     @property
     def coefficients(self) -> np.ndarray:
         """The stored bands: ``float64`` when ``turns`` is 0 or 1, else the
         complex ``bands`` themselves (read-only)."""
-        self.turns  # an exactly real or imaginary phase found now makes them real
         return self._coef
 
     @property
@@ -269,21 +266,17 @@ class Operator:
         return _bands_to_dense(self.lo, self.bands)
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal (a copy): ``float64`` for an exactly real operator,
-        else complex."""
-        stored = self.coefficients if self.turns == 0 else self.bands
+        """Main diagonal (a copy)."""
         k = -self.lo
-        if 0 <= k < len(stored):
-            return stored[k].copy()
-        return np.zeros(self.dim, dtype=stored.dtype)
+        if 0 <= k < len(self._coef):
+            return self.bands[k].copy()
+        return np.zeros(self.dim, dtype=complex)
 
 
-def _stored(arr: np.ndarray) -> tuple[np.ndarray, object]:
-    """``arr`` as ``float64`` with phase 0 when it holds real numbers, else
-    as ``complex128`` with its phase undecided."""
-    if np.iscomplexobj(arr):
-        return arr.astype(complex, copy=False), _UNDECIDED
-    return arr.astype(float, copy=False), 0
+def _numeric(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as ``complex128`` when it holds complex numbers, else as
+    ``float64``."""
+    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -503,32 +496,6 @@ def _accumulate(la: int, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _one_band_left(la: int, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Bands of A·B for A of one band (offset ``la``): entry (i, j) is the one
-    term A[i, i+la]·B[i+la, j], so each of B's bands is scaled by A's band."""
-    if la == 0:
-        return ca[0] * cb
-    n = ca.shape[1]
-    r0, r1 = _overlap(la, n)
-    out = np.zeros((len(cb), n), dtype=np.result_type(ca, cb))
-    np.multiply(ca[0, r0:r1], cb[:, r0 + la : r1 + la], out=out[:, r0:r1])
-    return out
-
-
-def _one_band_right(la: int, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Bands of A·B for B of one band: entry (i, i+s+lb), s = la + q, is the
-    one term A[i, i+s]·B[i+s, i+s+lb], so A's band q is scaled by B's band
-    shifted by s (zero where i+s falls outside the matrix)."""
-    na, n = ca.shape
-    pad = abs(la) + na
-    padded = np.zeros(n + 2 * pad, dtype=cb.dtype)
-    padded[pad : pad + n] = cb[0]
-    # row q of the view is padded[pad + la + q :][:n]; numpy checks the bounds
-    step = padded.strides[0]
-    shifted = np.ndarray((na, n), padded.dtype, padded, (pad + la) * step, (step, step))
-    return ca * shifted
-
-
 def op_product(a: Operator, b: Operator) -> Operator:
     """Matrix product.
 
@@ -537,8 +504,7 @@ def op_product(a: Operator, b: Operator) -> Operator:
     thread count.  The reflection p → −p maps A's band q of an exactly even
     or odd A to band na − 1 − q, so the mirrored entries of a product of
     exactly even or odd operands sum the same pairs in the same order: the
-    product is exactly even or odd.  When either operand has one band, each
-    entry is one term and the product is a scaling of the other's bands.
+    product is exactly even or odd.
 
     When each operand is exactly real or exactly imaginary (every model
     operator is: X is imaginary, the rest real), the stored ``float64``
@@ -551,17 +517,12 @@ def op_product(a: Operator, b: Operator) -> Operator:
     grid = _check_compatible(a, b)
     ta, tb = a.turns, b.turns
     if ta is None or tb is None:
-        ca, cb, turns = a.bands, b.bands, _UNDECIDED
+        ca, cb, turns = a.bands, b.bands, None
     else:
         ca, cb, turns = a.coefficients, b.coefficients, ta + tb
     if not (len(ca) and len(cb)):
         return Operator._trimmed(0, np.zeros((0, grid.n_points)), grid, 0)
-    if len(ca) == 1:
-        bands = _one_band_left(a.lo, ca, cb)
-    elif len(cb) == 1:
-        bands = _one_band_right(a.lo, ca, cb)
-    else:
-        bands = _accumulate(a.lo, ca, cb)
+    bands = _accumulate(a.lo, ca, cb)
     if turns == 2:
         bands, turns = np.negative(bands, out=bands), 0
     return Operator._trimmed(a.lo + b.lo, bands, grid, turns)
@@ -577,7 +538,7 @@ def op_sum(a: Operator, b: Operator, *more: Operator) -> Operator:
     out = aligned[0]
     for bands in aligned[1:]:
         out += bands
-    return Operator._trimmed(lo, out, grid, _UNDECIDED if turns is None else turns)
+    return Operator._trimmed(lo, out, grid, turns)
 
 
 def op_scale(c: complex, a: Operator) -> Operator:
@@ -591,7 +552,7 @@ def op_scale(c: complex, a: Operator) -> Operator:
     elif turns is not None and c.real == 0:
         coef, turns = c.imag * a.coefficients, turns + 1
     else:
-        return Operator._trimmed(a.lo, c * a.bands, grid, _UNDECIDED)
+        return Operator._trimmed(a.lo, c * a.bands, grid, None)
     if turns == 2:
         coef, turns = np.negative(coef, out=coef), 0
     return Operator._trimmed(a.lo, coef, grid, turns)

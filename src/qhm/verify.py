@@ -69,38 +69,29 @@ logger = logging.getLogger("qhm.verify")
 
 
 def _metric_diagonal(metric: Operator, *others: Operator) -> np.ndarray:
-    """The diagonal of ``metric``, real when ``metric`` is exactly real;
-    ``ValueError`` unless it is diagonal."""
+    """The diagonal of ``metric``, ``float64`` when ``metric`` is exactly
+    real; ``ValueError`` unless it is diagonal."""
     _check_compatible(metric, *others)
-    if not (metric.lo == 0 and len(metric.coefficients) <= 1):
+    coef = metric.coefficients
+    if not (metric.lo == 0 and len(coef) <= 1):
         raise ValueError("metric must be diagonal")
+    if metric.turns == 0 and len(coef):
+        return coef[0]
     return metric.diagonal()
 
 
 def _intertwining_actions(
-    a: Operator, a_dag: Operator, g: np.ndarray, probes: np.ndarray
+    a: Operator, g: np.ndarray, probes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interior rows of A†(g∘V) and g∘(A·V), the two sides of A†G = GA for
-    G = diag(g) in action on the probes V, as (interior, s, probes) arrays,
-    given A and A†.  ``g`` holds one profile (s = 1) or s profiles as
-    columns; A acts once on V, and A† once on all the scaled probe sets side
-    by side.  A real A, g and V give ``float64`` actions."""
+    G = diag(g) in action on the probes V, as (interior, s, probes) arrays.
+    ``g`` holds one profile (s = 1) or s profiles as columns; A acts once on
+    V, and A† once on all the scaled probe sets side by side.  A real A, g
+    and V give ``float64`` actions."""
     stack = g.reshape(len(g), -1, 1)
     right = stack[a.grid.interior()] * interior_action(a, probes)[:, np.newaxis]
     scaled = (stack * probes[:, np.newaxis, :]).reshape(len(g), -1)
-    return interior_action(a_dag, scaled).reshape(right.shape), right
-
-
-def _warned_metric_diagonal(rho: Operator, H: Operator) -> np.ndarray:
-    """``_metric_diagonal`` of ρ, with a warning when an entry is not
-    positive (the caller's caller is named)."""
-    g = _metric_diagonal(rho, H)
-    if g.real.min() <= 0:
-        warnings.warn(
-            "metric has non-positive diagonal entries; residual computed anyway",
-            stacklevel=3,
-        )
-    return g
+    return interior_action(adjoint(a), scaled).reshape(right.shape), right
 
 
 def dieudonne_residual(H: Operator, rho: Operator) -> float:
@@ -111,19 +102,23 @@ def dieudonne_residual(H: Operator, rho: Operator) -> float:
     returns ``action_residual``'s relative Frobenius mismatch.  ρ must be
     diagonal, or ``ValueError``; a non-positive entry warns.
     """
-    g = _warned_metric_diagonal(rho, H)
-    return _mismatch(*_intertwining_actions(H, adjoint(H), g, smooth_probes(H.grid)))
+    g = _metric_diagonal(rho, H)
+    if g.real.min() <= 0:
+        warnings.warn(
+            "metric has non-positive diagonal entries; residual computed anyway",
+            stacklevel=2,
+        )
+    return _mismatch(*_intertwining_actions(H, g, smooth_probes(H.grid)))
 
 
-def _matrix_residual(H: Operator, h_dag: Operator, g: np.ndarray) -> float:
+def _matrix_residual(H: Operator, g: np.ndarray) -> float:
     """Masked entrywise Frobenius norm of H†G − GH for G = diag(g), relative
-    to the interior norms of H and g, from the bands of H and ``h_dag`` = H†
-    (their ``float64`` coefficients when both are real, or both imaginary):
-    entry (i, j) is (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots
-    of the union of the bands of H and H†, walked as
-    ``interior_block_entries`` walks them (``_interior_rows``).
-    ``ValueError`` when either norm is zero."""
-    _, parts = _common_form([H, h_dag])
+    to the interior norms of H and g, from the bands of H and H† (their
+    ``float64`` coefficients when H is real or imaginary): entry (i, j) is
+    (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
+    the bands of H and H†, walked as ``interior_block_entries`` walks them
+    (``_interior_rows``).  ``ValueError`` when either norm is zero."""
+    _, parts = _common_form([H, adjoint(H)])
     lo, (bands, dag) = _aligned(parts, H.dim)
     h, diff = [], []
     for k, rows, cols in _interior_rows(lo, len(bands), H.grid):
@@ -145,12 +140,10 @@ def dieudonne_details(H: Operator, rho: Operator) -> dict:
     truncation-visible diagnostic).  For the diagonal ρ = diag(g) each entry
     is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is read from
     the bands of H and H† at O(n · bandwidth), with no operator product.
-    H† is formed once for both; a real H and ρ are measured in ``float64``.
+    A real H and ρ are measured in ``float64``.
     """
-    g = _warned_metric_diagonal(rho, H)
-    h_dag = adjoint(H)
-    act = _mismatch(*_intertwining_actions(H, h_dag, g, smooth_probes(H.grid)))
-    mat = _matrix_residual(H, h_dag, g)
+    act = dieudonne_residual(H, rho)
+    mat = _matrix_residual(H, _metric_diagonal(rho, H))
     return {"action": act, "matrix": mat, "masked": True}
 
 
@@ -161,7 +154,7 @@ def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
     (1+τp²)^{-1}, so the residual is machine-small when eta solves it.
     """
     g = _metric_diagonal(eta, X)
-    return _mismatch(*_intertwining_actions(X, adjoint(X), g, stencil_probes(X.grid)))
+    return _mismatch(*_intertwining_actions(X, g, stencil_probes(X.grid)))
 
 
 def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
@@ -452,7 +445,7 @@ def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarra
     diag(basis[:, k]), flattened row by row, from the probe actions of
     ``_intertwining_actions``.  Real H and probes give a real map.
     """
-    left, right = _intertwining_actions(H, adjoint(H), basis, probes)
+    left, right = _intertwining_actions(H, basis, probes)
     return (left - right).transpose(0, 2, 1).reshape(-1, basis.shape[1])
 
 

@@ -322,9 +322,8 @@ def test_results_keep_the_phase_and_the_complex_values(case, c):
 
 @settings(max_examples=60, deadline=None)
 @given(operands(n_max=67), st.booleans())
-def test_a_one_band_operand_scales_the_other(case, left):
-    # One band on either side: each entry is one term, and the scaling gives
-    # the paired kernel's values.
+def test_a_one_band_operand_gives_the_paired_kernel_values(case, left):
+    # One band on either side: each entry is one term, the paired kernel's.
     grid, a, b = case
     one = np.diag(np.diag(a, 1), 1) if left else np.diag(np.diag(b, -2), -2)
     oa, ob = (Operator(one, grid), Operator(b, grid)) if left else (
@@ -350,11 +349,11 @@ def test_stored_forms_are_read_only():
 
 
 def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):
-    # The phase of an operator built from complex data is tested once, on
-    # first use; every other operator of a 1025-point verify-metric job has
+    # The phase of an operator built from complex data is tested once, when
+    # it is built; every other operator of a 1025-point verify-metric job has
     # its phase from its constructor.  The BF model at γ_t ≠ 0 builds one
     # such operator, the shift diag(iħγ_t p).
-    tests, undecided = [], []
+    tests, complex_built = [], []
     test = qhm.gridops._quarter_turns
     trimmed = Operator._trimmed.__func__
 
@@ -363,8 +362,8 @@ def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):
         return test(bands)
 
     def counted_trimmed(cls, lo, coef, grid, turns):
-        if turns is qhm.gridops._UNDECIDED and len(coef):
-            undecided.append(coef.shape)
+        if np.iscomplexobj(coef) and len(coef):
+            complex_built.append(coef.shape)
         return trimmed(cls, lo, coef, grid, turns)
 
     monkeypatch.setattr(qhm.gridops, "_quarter_turns", counted_test)
@@ -377,5 +376,5 @@ def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):
     }))
     doc = run_job(cfg)
     assert doc["results"]["residuals"][0]["n_points"] == 1025
-    assert len(undecided) == 1
-    assert len(tests) <= len(undecided)
+    assert len(complex_built) == 1
+    assert len(tests) <= len(complex_built)
