@@ -13,14 +13,12 @@ Everything downstream builds on four ingredients defined here:
   (``_parity_fold``); none reads ``Operator.entries``.  Two exact
   properties of the model operators make these solves cheaper:
 
-  - *Real.*  Each operator carries its phase (``Operator.turns``): 0 when
-    it is exactly real, 1 when exactly imaginary, else None.  A phased
-    operator stores its diagonals as ``float64`` coefficients, and the
-    complex bands are i^turns times them.  The phase is decided once, where
-    the operator is built: real input data, and the products, sums,
-    scalings and adjoints of phased operands, know it (turns add, and two
-    negate); complex input data is tested once.  With P real and
-    X = iħ(1+τp²)D + iħγ_t p purely imaginary, X², iμ{X,P}, the ladder
+  - *Real or imaginary.*  Every operator stores read-only ``float64``
+    coefficient bands and its phase ``Operator.turns``, 0 when it is
+    exactly real and 1 when exactly imaginary, decided once where it is
+    built (``Operator``); data, sums and scalars that are neither are
+    refused with ``ValueError``.  With P real and
+    X = iħ(1+τp²)D + iħγ_t p imaginary, X², iμ{X,P}, the ladder
     (P − iωX)/√(2mħω), the Hamiltonians and the metrics are real, so their
     products, sums, probe actions and intertwining residuals run in
     ``float64``, and a real matrix reaches the solvers as a real array:
@@ -35,16 +33,16 @@ Everything downstream builds on four ingredients defined here:
     Gaussian metrics, the counterparts ρ^{1/2}Hρ^{-1/2} and the number
     operator are even.
 
-  Both tests are exact, with no tolerance; a matrix that fails one takes the
-  general solver (a complex array, or one n x n block).  Products keep
-  parity exactly: ``op_product`` sums the terms of an entry in an order
-  that the reflection maps onto the order of its mirror's terms.
-* elementary algebra (products, adjoints, commutators, Hermitian matrix
-  functions, masked norms).  Every operand is an ``Operator``, and each
-  function reads its grid from its operands, which must share it.  Products
-  sum each entry over the bands, pairing the bands from both ends
-  (``op_product``), in ``float64`` for phased operands; real bands act on
-  real probe vectors in ``float64``.
+  The parity test is exact, with no tolerance; a matrix that fails it is
+  solved as one n x n block.  Products keep parity exactly: ``op_product``
+  sums the terms of an entry in an order that the reflection maps onto the
+  order of its mirror's terms.
+* elementary algebra (products, adjoints, commutators, real symmetric
+  matrix functions, masked norms).  Every operand is an ``Operator``, and
+  each function reads its grid from its operands, which must share it.
+  Products sum each entry of the coefficient bands in ``float64``, pairing
+  the bands from both ends (``op_product``); probe actions apply the
+  coefficients and then the phase.
   One rule bounds dynamic range, for matrix functions, metrics and the
   gauge map alike (``_check_dynamic_range``): no NaN, and max/min of at
   most ``OVERFLOW_RATIO`` = 1e14 in modulus.
@@ -157,28 +155,27 @@ class Grid:
 
 
 class Operator:
-    """Matrix on a grid, stored as row-aligned diagonals in one form per phase.
+    """Matrix on a grid: ``float64`` coefficient bands times i^turns.
 
-    ``bands[k, i] = A[i, i + lo + k]``, complex.  Band slots whose column
-    falls outside the matrix hold zero, and all-zero outer diagonals are
-    trimmed, so a diagonal operator has one band and the zero operator none.
+    ``bands[k, i] = A[i, i + lo + k]``.  Band slots whose column falls
+    outside the matrix hold zero, and all-zero outer diagonals are trimmed,
+    so a diagonal operator has one band and the zero operator none.
 
-    The stored form is ``coefficients``.  An exactly real operator
-    (``turns`` 0) or an exactly imaginary one (``turns`` 1) keeps contiguous
-    ``float64`` coefficients, and ``bands = 1j**turns · coefficients``; any
-    other keeps its complex bands (``turns`` None).  The phase is decided
-    once, when the operator is built: by the constructor that knows it (real
-    input data, and the products, sums, scalings and adjoints of phased
-    operands), or else by one ``_quarter_turns`` test of the complex data.
-    The complex ``bands`` of a phased operator are built on their first
-    read.  Both arrays are read-only, so the two forms cannot disagree.
+    The stored form is the read-only, contiguous ``float64``
+    ``coefficients`` and the phase ``turns``: 0 for an exactly real
+    operator and 1 for an exactly imaginary one, with
+    ``bands = 1j**turns · coefficients``.  The phase is decided once, when
+    the operator is built: real input data is real, complex input data is
+    tested once (``_quarter_turns``), and products, sums, scalings and
+    adjoints derive it from their operands.  Input data that is neither
+    exactly real nor exactly imaginary is refused with ``ValueError``.
 
     ``Operator(entries, grid)`` converts a dense square array; ``entries``
-    materializes the dense complex matrix again, for callers outside the
-    package.
+    and ``bands`` build the dense complex matrix and the complex bands
+    again, for callers outside the package.
     """
 
-    __slots__ = ("lo", "grid", "_coef", "_turns", "_bands")
+    __slots__ = ("lo", "grid", "_coef", "_turns")
 
     def __init__(self, entries, grid: Grid) -> None:
         arr = _numeric(np.asarray(entries))
@@ -200,29 +197,26 @@ class Operator:
         return cls._trimmed(int(lo), bands, grid, 0)
 
     @classmethod
-    def _trimmed(cls, lo: int, coef: np.ndarray, grid: Grid, turns) -> Operator:
+    def _trimmed(cls, lo: int, coef: np.ndarray, grid: Grid, turns: int) -> Operator:
         """Wrap valid coefficient bands without copying or checking them
         (``_store``)."""
         op = cls.__new__(cls)
         op._store(lo, coef, grid, turns)
         return op
 
-    def _store(self, lo: int, coef: np.ndarray, grid: Grid, turns) -> None:
-        """Keep ``coef`` in its stored form.  ``turns`` is the phase of
-        ``float64`` coefficients; complex ones are tested once
-        (``_quarter_turns``) instead, and an exactly real or imaginary part
-        is kept in their place."""
+    def _store(self, lo: int, coef: np.ndarray, grid: Grid, turns: int) -> None:
+        """Keep ``coef`` as the coefficients of phase ``turns``.  Complex
+        data is tested once instead (``_quarter_turns``), and its real or
+        imaginary part is kept."""
         self.lo, coef = _trim(lo, coef)
         self.grid = grid
         if not len(coef):  # the zero operator counts as real
             coef, turns = np.zeros((0, coef.shape[1])), 0
         elif np.iscomplexobj(coef):
             turns = _quarter_turns(coef)
-            if turns is not None:
-                coef = np.ascontiguousarray(coef.imag if turns else coef.real)
+            coef = np.ascontiguousarray(coef.imag if turns else coef.real)
         self._coef = _frozen(coef)
         self._turns = turns
-        self._bands = coef if turns is None else None
 
     @classmethod
     def diag(cls, values, grid: Grid) -> Operator:
@@ -234,27 +228,19 @@ class Operator:
         return cls._trimmed(0, values[np.newaxis, :], grid, 0)
 
     @property
-    def turns(self) -> int | None:
-        """0 when exactly real, 1 when exactly imaginary, else None."""
+    def turns(self) -> int:
+        """0 when exactly real, 1 when exactly imaginary."""
         return self._turns
 
     @property
     def coefficients(self) -> np.ndarray:
-        """The stored bands: ``float64`` when ``turns`` is 0 or 1, else the
-        complex ``bands`` themselves (read-only)."""
+        """The stored ``float64`` bands (read-only)."""
         return self._coef
 
     @property
     def bands(self) -> np.ndarray:
-        """The complex bands, ``1j**turns · coefficients`` (read-only)."""
-        if self._bands is None:
-            out = np.zeros(self._coef.shape, dtype=complex)
-            if self._turns:
-                out.imag = self._coef
-            else:
-                out.real = self._coef
-            self._bands = _frozen(out)
-        return self._bands
+        """The complex bands, ``1j**turns · coefficients`` (a new array)."""
+        return _complex(self._coef, self._turns)
 
     @property
     def dim(self) -> int:
@@ -266,10 +252,10 @@ class Operator:
         return _bands_to_dense(self.lo, self.bands)
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal (a copy)."""
+        """Main diagonal, complex (a copy)."""
         k = -self.lo
         if 0 <= k < len(self._coef):
-            return self.bands[k].copy()
+            return _complex(self._coef[k], self._turns)
         return np.zeros(self.dim, dtype=complex)
 
 
@@ -282,6 +268,16 @@ def _numeric(arr: np.ndarray) -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _complex(coef: np.ndarray, turns: int) -> np.ndarray:
+    """``1j**turns · coef`` as ``complex128``, its other part exactly zero."""
+    out = np.zeros(coef.shape, dtype=complex)
+    if turns:
+        out.imag = coef
+    else:
+        out.real = coef
+    return out
 
 
 def _check_dimension(n: int, grid: Grid) -> None:
@@ -409,16 +405,14 @@ def _overlap(s: int, n: int) -> tuple[int, int]:
     return max(0, -s), min(n, n - s)
 
 
-def _quarter_turns(bands: np.ndarray) -> int | None:
-    """0 when ``bands`` is exactly real, 1 when exactly imaginary, else ``None``.
-
-    No tolerance; the zero operator counts as real.
-    """
+def _quarter_turns(bands: np.ndarray) -> int:
+    """0 when ``bands`` is exactly real, 1 when exactly imaginary, else
+    ``ValueError``.  No tolerance; the zero operator counts as real."""
     if not bands.imag.any():
         return 0
     if not bands.real.any():
         return 1
-    return None
+    raise ValueError("operator data must be exactly real or exactly imaginary")
 
 
 def _check_compatible(*ops) -> Grid:
@@ -441,27 +435,14 @@ def _check_compatible(*ops) -> Grid:
     return grid
 
 
-def _common_form(ops) -> tuple[int | None, list[tuple[int, np.ndarray]]]:
-    """The operators' shared phase and their ``(lo, coefficients)``, or None
-    and their ``(lo, bands)`` when their phases differ or one has none.  The
-    zero operator shares every phase."""
-    phases = {x.turns for x in ops if len(x.coefficients)}
-    if len(phases) > 1 or None in phases:
-        return None, [(x.lo, x.bands) for x in ops]
-    return (phases.pop() if phases else 0), [(x.lo, x.coefficients) for x in ops]
-
-
-def _aligned(parts, n: int) -> tuple[int, list[np.ndarray]]:
-    """The ``(lo, bands)`` parts zero-padded to the union of their offsets."""
-    nonempty = [(lo, b) for lo, b in parts if len(b)]
-    lo = min((x for x, _ in nonempty), default=0)
-    hi = max((x + len(b) for x, b in nonempty), default=0)
-    dtype = np.result_type(*(b for _, b in parts))
-    aligned = []
-    for x, b in parts:
-        union = np.zeros((hi - lo, n), dtype=dtype)
-        union[x - lo : x - lo + len(b)] = b
-        aligned.append(union)
+def _aligned(ops, n: int) -> tuple[int, list[np.ndarray]]:
+    """The operators' coefficients zero-padded to the union of their offsets."""
+    nonempty = [x for x in ops if len(x.coefficients)]
+    lo = min((x.lo for x in nonempty), default=0)
+    hi = max((x.lo + len(x.coefficients) for x in nonempty), default=0)
+    aligned = [np.zeros((hi - lo, n)) for _ in ops]
+    for union, x in zip(aligned, ops):
+        union[x.lo - lo : x.lo - lo + len(x.coefficients)] = x.coefficients
     return lo, aligned
 
 
@@ -499,70 +480,65 @@ def _accumulate(la: int, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
 def op_product(a: Operator, b: Operator) -> Operator:
     """Matrix product.
 
-    Each entry is summed over A's bands in mirror-paired order
-    (``_accumulate``), with no BLAS call, so it depends on no BLAS kernel or
-    thread count.  The reflection p → −p maps A's band q of an exactly even
-    or odd A to band na − 1 − q, so the mirrored entries of a product of
-    exactly even or odd operands sum the same pairs in the same order: the
-    product is exactly even or odd.
-
-    When each operand is exactly real or exactly imaginary (every model
-    operator is: X is imaginary, the rest real), the stored ``float64``
-    coefficients are multiplied and summed, and the product's phase is the
-    sum of the operands' quarter turns; two turns negate the coefficients.
-    The terms and their order are those of the ``complex128`` sums, so the
-    values are identical (for finite entries; only the signs of exact zeros
-    can differ).  Any other pair is multiplied as ``complex128`` bands.
+    The ``float64`` coefficients are multiplied, and the product's phase is
+    the sum of the operands' quarter turns; two turns negate the
+    coefficients.  Each entry is summed over A's bands in mirror-paired
+    order (``_accumulate``), with no BLAS call, so it depends on no BLAS
+    kernel or thread count.  The reflection p → −p maps A's band q of an
+    exactly even or odd A to band na − 1 − q, so the mirrored entries of a
+    product of exactly even or odd operands sum the same pairs in the same
+    order: the product is exactly even or odd.  The terms and their order
+    are those of the ``complex128`` sums of the complex bands, so the values
+    are identical (for finite entries; only the signs of exact zeros can
+    differ).
     """
     grid = _check_compatible(a, b)
-    ta, tb = a.turns, b.turns
-    if ta is None or tb is None:
-        ca, cb, turns = a.bands, b.bands, None
-    else:
-        ca, cb, turns = a.coefficients, b.coefficients, ta + tb
+    ca, cb = a.coefficients, b.coefficients
     if not (len(ca) and len(cb)):
         return Operator._trimmed(0, np.zeros((0, grid.n_points)), grid, 0)
-    bands = _accumulate(a.lo, ca, cb)
+    return _turned(a.lo + b.lo, _accumulate(a.lo, ca, cb), grid, a.turns + b.turns)
+
+
+def _turned(lo: int, coef: np.ndarray, grid: Grid, turns: int) -> Operator:
+    """The operator i^turns·``coef``, 0 to 2 turns; two negate ``coef`` in place."""
     if turns == 2:
-        bands, turns = np.negative(bands, out=bands), 0
-    return Operator._trimmed(a.lo + b.lo, bands, grid, turns)
+        coef, turns = np.negative(coef, out=coef), 0
+    return Operator._trimmed(lo, coef, grid, turns)
 
 
 def op_sum(a: Operator, b: Operator, *more: Operator) -> Operator:
-    """Sum of two or more operators, added left to right; operands of one
-    phase add their coefficients and keep it."""
+    """Sum of two or more operators of one phase, their coefficients added
+    left to right; a real and an imaginary operand are refused with
+    ``ValueError`` (the zero operator shares every phase)."""
     ops = (a, b, *more)
     grid = _check_compatible(*ops)
-    turns, parts = _common_form(ops)
-    lo, aligned = _aligned(parts, grid.n_points)
+    phases = {x.turns for x in ops if len(x.coefficients)}
+    if len(phases) > 1:
+        raise ValueError("cannot add an exactly real and an exactly imaginary operator")
+    lo, aligned = _aligned(ops, grid.n_points)
     out = aligned[0]
     for bands in aligned[1:]:
         out += bands
-    return Operator._trimmed(lo, out, grid, turns)
+    return Operator._trimmed(lo, out, grid, phases.pop() if phases else 0)
 
 
 def op_scale(c: complex, a: Operator) -> Operator:
-    """c·A.  A real or an imaginary c keeps the phase of a phased A: its
-    coefficients are scaled by c's real or imaginary part, and an imaginary
-    c adds a quarter turn."""
+    """c·A for a real or an imaginary c: A's coefficients are scaled by c's
+    real or imaginary part, and an imaginary c adds a quarter turn.  A c
+    with both parts nonzero is refused with ``ValueError``."""
     grid = _check_compatible(a)
-    c, turns = complex(c), a.turns
-    if turns is not None and c.imag == 0:
-        coef = c.real * a.coefficients
-    elif turns is not None and c.real == 0:
-        coef, turns = c.imag * a.coefficients, turns + 1
-    else:
-        return Operator._trimmed(a.lo, c * a.bands, grid, None)
-    if turns == 2:
-        coef, turns = np.negative(coef, out=coef), 0
-    return Operator._trimmed(a.lo, coef, grid, turns)
+    c = complex(c)
+    if c.real and c.imag:
+        raise ValueError(f"scalar {c} is neither real nor imaginary")
+    part, turns = (c.imag, a.turns + 1) if c.imag else (c.real, a.turns)
+    return _turned(a.lo, part * a.coefficients, grid, turns)
 
 
 def adjoint(a: Operator) -> Operator:
     """Conjugate transpose: the transposed coefficients, negated for an
-    imaginary operator and conjugated for a complex one."""
+    imaginary operator."""
     grid = _check_compatible(a)
-    lo, coef, turns = a.lo, a.coefficients, a.turns
+    lo, coef = a.lo, a.coefficients
     nd, n = coef.shape
     out = np.zeros_like(coef)
     for k, row in enumerate(coef):
@@ -570,11 +546,9 @@ def adjoint(a: Operator) -> Operator:
         s = lo + k
         r0, r1 = _overlap(s, n)
         out[nd - 1 - k, r0 + s : r1 + s] = row[r0:r1]
-    if turns is None:
-        np.conjugate(out, out=out)
-    elif turns == 1:
+    if a.turns:
         np.negative(out, out=out)
-    return Operator._trimmed(-(lo + nd - 1), out, grid, turns)
+    return Operator._trimmed(-(lo + nd - 1), out, grid, a.turns)
 
 
 def commutator(a, b):
@@ -647,23 +621,26 @@ def _guarded(w: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
 def hermitian_matrix_function(
     a: Operator, f: Callable[[np.ndarray], np.ndarray]
 ) -> Operator:
-    """Apply a real scalar function to a Hermitian operator by eigendecomposition.
+    """Apply a real scalar function to a real symmetric operator by
+    eigendecomposition.
 
     Guards: the input must be Hermitian to ``HERMITIAN_TOL`` = 1e-10
-    (relative Frobenius, from the bands), and f of the spectrum must pass
+    (relative Frobenius, from the bands) and real (an imaginary one is
+    refused with ``ValueError``), and f of the spectrum must pass
     ``_check_dynamic_range`` (no NaN, max|f|/min|f| ≤ 1e14), so √ or log of
     a spectrum that is not strictly positive trips.  The range is decided
     from ``eigvalsh`` before any eigenvector is computed, so a tripped guard
     costs no ``eigh``; the eigenvalues of the ``eigh`` that follows a pass
     are checked again, so the result is built only from guarded values.
 
-    An exactly real input (such as the number operator a†a of the model
-    ladder) takes the real ``eigh`` and is rebuilt as (u·f(w))·uᵀ, with
-    exactly zero imaginary parts.  An exactly even input (``_parity_fold``)
+    The real ``eigh`` gives (w, u), and the result is (u·f(w))·uᵀ.  An
+    exactly even input (``_parity_fold``), such as the number operator a†a,
     is decomposed as its two parity blocks and unfolded into an exactly even
     result; any other takes one ``eigh`` of the full matrix.
     """
     _check_hermitian(a)
+    if a.turns:
+        raise ValueError("matrix functions take a real operator, not an imaginary one")
     blocks, even = _parity_fold(a)
     parts = [_dense_block(block) for block in blocks]
     w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
@@ -672,7 +649,7 @@ def hermitian_matrix_function(
     w = np.concatenate([wp for wp, _ in decomps])
     fw = _guarded(w, f)
     fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
-    rebuilt = [(u * fp) @ u.conj().T for (_, u), fp in zip(decomps, fparts)]
+    rebuilt = [(u * fp) @ u.T for (_, u), fp in zip(decomps, fparts)]
     out = _parity_unfold(*rebuilt) if even else rebuilt[0]
     return Operator(out, a.grid)
 
@@ -694,9 +671,9 @@ def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
 
     The operators must share their grid.  Only slots of the union of their
     bands are listed, band by band in ascending rows (``_interior_rows``);
-    every entry outside that band is zero in all of them.  A phased
-    operator's coefficients are read into the real or the imaginary part of
-    its column, so no complex bands are formed.
+    every entry outside that band is zero in all of them.  Each operator's
+    coefficients are read into the real or the imaginary part of its
+    column, so no complex bands are formed.
     """
     grid = _check_compatible(*ops)
     spans = [(x.lo, x.lo + len(x.coefficients)) for x in ops if len(x.coefficients)]
@@ -705,8 +682,8 @@ def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
     walk = list(_interior_rows(lo, hi - lo, grid))
     out = np.zeros((sum(r.stop - r.start for _, r, _ in walk), len(ops)), dtype=complex)
     for column, x in zip(out.T, ops):
-        turns, coef = x.turns, x.coefficients
-        part = column if turns is None else column.imag if turns else column.real
+        coef = x.coefficients
+        part = column.imag if x.turns else column.real
         start = 0
         for k, rows, _ in walk:
             stop = start + rows.stop - rows.start
@@ -772,25 +749,25 @@ def smooth_probes(grid: Grid) -> np.ndarray:
 def interior_action(a: Operator, vectors: np.ndarray) -> np.ndarray:
     """Interior rows of ``A @ vectors`` (vectors as columns), from the bands.
 
-    An exactly real operator (``turns`` 0) acting on real vectors applies
-    its ``float64`` coefficients and gives a real array, with the values the
-    complex product would give; anything else gives a complex array.
+    The ``float64`` coefficients act on the vectors (a real array for real
+    vectors), and the result is multiplied by 1j when A is imaginary.  The
+    values are those of the complex bands' product; only the signs of zero
+    real parts can differ.
     """
     grid = _check_compatible(a)
     v = np.asarray(vectors)
     n = grid.n_points
     if v.shape[0] != n:
         raise ValueError(f"dimension mismatch: vectors {v.shape[0]}, grid {n}")
-    real = not np.iscomplexobj(v) and a.turns == 0
-    lo, bands = a.lo, a.coefficients if real else a.bands
+    lo, coef = a.lo, a.coefficients
     sl = grid.interior()
-    out = np.zeros((sl.stop - sl.start, v.shape[1]), dtype=float if real else complex)
-    for k, band in enumerate(bands):
+    out = np.zeros((sl.stop - sl.start, v.shape[1]), dtype=np.result_type(coef, v))
+    for k, band in enumerate(coef):
         o = lo + k
         r0, r1 = max(sl.start, -o), min(sl.stop, n - o)
         if r0 < r1:
             out[r0 - sl.start : r1 - sl.start] += band[r0:r1, np.newaxis] * v[r0 + o : r1 + o]
-    return out
+    return 1j * out if a.turns else out
 
 
 def action_residual(lhs: Operator, rhs: Operator, probes: np.ndarray) -> float:

@@ -51,6 +51,12 @@ class MetricSpec:
     times BF and DeformWeight times JR, and at hbar = m = 1 JR's kappa,
     mu/omega^2, is half of BF's: as tau -> 0 they differ in this one number.
 
+    BF-composite is not the tau-exact metric of the deformed BF
+    Hamiltonian.  That metric (for gamma_t = 0) is w times the power factor
+    (1+tau*p^2)^(2*mu/(hbar*m*omega^2*tau)), with w = 1/(1+tau*p^2) the
+    DeformWeight; BF-composite is w times the tau -> 0 limit of that power
+    factor, exp(2*mu*p^2/(hbar*m*omega^2)).
+
     The JR power law carries neither m nor hbar.  Whether Jana and Roy's
     metric (arXiv:0908.1755) carries them cannot be confirmed from the
     source paper's abstract (PAPER.md), so the formula is kept as given.

@@ -6,7 +6,8 @@ with ``x0 = i*hbar*D`` acting in momentum space, so that the commutator
 Two quadratic non-Hermitian oscillators are built on top of the pair: one
 parameterized by a single anticommutator coupling ``mu``, one by ladder
 couplings ``(lambda, delta_t)``.  A diagonal gauge map removes the
-``gamma_t`` term up to second-order grid error.
+``gamma_t`` term up to second-order grid error.  The Hamiltonian and number
+operator builders raise ``NumericGuardError`` on an entry that is not finite.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .gridops import (
     Grid,
+    NumericGuardError,
     Operator,
     _check_dynamic_range,
     _check_hermitian,
@@ -158,13 +160,22 @@ def build_ladder(x: Operator, p: Operator, pp: PhysParams) -> LadderOps:
     return LadderOps(a, a_dag, defect)
 
 
+def _finite(op: Operator, what: str) -> Operator:
+    """``op``, or ``NumericGuardError`` naming ``what`` when an entry is not
+    finite: parameters that pass ``PhysParams`` can still overflow X·X."""
+    if not np.isfinite(op.coefficients).all():
+        raise NumericGuardError(f"{what} has non-finite entries (inf or NaN)")
+    return op
+
+
 def build_swanson_bf(x: Operator, p: Operator, pp: PhysParams) -> Operator:
     """H = P^2/(2m) + (m*omega^2/2) X^2 + i*mu*{X, P}."""
-    return op_sum(
+    h = op_sum(
         op_scale(1.0 / (2.0 * pp.mass), op_product(p, p)),
         op_scale(0.5 * pp.mass * pp.omega**2, op_product(x, x)),
         op_scale(1j * pp.mu, anticommutator(x, p)),
     )
+    return _finite(h, "the BF Hamiltonian")
 
 
 def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
@@ -178,18 +189,19 @@ def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
             "lam == delta_t: the ladder Hamiltonian is Hermitian",
             stacklevel=2,
         )
-    return op_sum(
+    h = op_sum(
         op_scale(pp.omega, op_product(a_dag, a)),
         op_scale(pp.lam, op_product(a, a)),
         op_scale(pp.delta_t, op_product(a_dag, a_dag)),
         Operator.diag(np.full(a.dim, 0.5 * pp.omega), a.grid),
     )
+    return _finite(h, "the JR Hamiltonian")
 
 
 def default_number_operator(a: Operator, a_dag: Operator) -> Operator:
     """Hermitian part of a_dag*a — the default N for the algebra check."""
     nd = op_product(a_dag, a)
-    return op_scale(0.5, op_sum(nd, adjoint(nd)))
+    return _finite(op_scale(0.5, op_sum(nd, adjoint(nd))), "the number operator N")
 
 
 def canonical_commutator_residual(x0: Operator, p0: Operator, pp: PhysParams) -> float:

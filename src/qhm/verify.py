@@ -33,7 +33,6 @@ from .gridops import (
     _check_compatible,
     _check_dynamic_range,
     _check_hermitian,
-    _common_form,
     _dense_block,
     _interior_rows,
     _mismatch,
@@ -113,13 +112,12 @@ def dieudonne_residual(H: Operator, rho: Operator) -> float:
 
 def _matrix_residual(H: Operator, g: np.ndarray) -> float:
     """Masked entrywise Frobenius norm of H†G − GH for G = diag(g), relative
-    to the interior norms of H and g, from the bands of H and H† (their
-    ``float64`` coefficients when H is real or imaginary): entry (i, j) is
+    to the interior norms of H and g, from the ``float64`` coefficients of H
+    and H† (their common phase i^turns changes no norm): entry (i, j) is
     (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
     the bands of H and H†, walked as ``interior_block_entries`` walks them
     (``_interior_rows``).  ``ValueError`` when either norm is zero."""
-    _, parts = _common_form([H, adjoint(H)])
-    lo, (bands, dag) = _aligned(parts, H.dim)
+    lo, (bands, dag) = _aligned([H, adjoint(H)], H.dim)
     h, diff = [], []
     for k, rows, cols in _interior_rows(lo, len(bands), H.grid):
         h.append(bands[k, rows])
@@ -425,12 +423,7 @@ class FitResult:
 def _even_cheb_basis(p: np.ndarray, p_edge: float, size: int) -> np.ndarray:
     """Even Chebyshev polynomials T_0, T_2, ... of p/p_edge, clamped to [-1,1]."""
     t = np.clip(p / p_edge, -1.0, 1.0)
-    basis = np.zeros((len(p), size))
-    for k in range(size):
-        coef = np.zeros(2 * k + 1)
-        coef[2 * k] = 1.0
-        basis[:, k] = _cheb.chebval(t, coef)
-    return basis
+    return _cheb.chebvander(t, 2 * size - 2)[:, ::2]
 
 
 FIT_MIN_INTERIOR = 8

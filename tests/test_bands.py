@@ -25,6 +25,7 @@ from qhm import (
     default_number_operator,
     derivative_matrix,
     hermitian_counterpart,
+    hermitian_matrix_function,
     interior_action,
     masked_norm,
     op_product,
@@ -42,16 +43,17 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 @st.composite
 def banded(draw, n):
-    """An n x n matrix, exactly real, exactly imaginary or complex: a random
-    band, one diagonal, the full band, the zero matrix, or a band plus
-    one-sided boundary rows (as in the derivative)."""
+    """An n x n matrix, exactly real or exactly imaginary (every operator
+    is one or the other): a random band, one diagonal, the full band, the
+    zero matrix, or a band plus one-sided boundary rows (as in the
+    derivative)."""
     kind = draw(st.sampled_from(["band", "one band", "full", "zero", "boundary"]))
-    phase = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    phase = draw(st.sampled_from(["real", "imaginary"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dense = np.zeros((n, n), dtype=complex)
-    if phase != "imaginary":
+    if phase == "real":
         dense.real = rng.normal(size=(n, n))
-    if phase != "real":
+    else:
         dense.imag = rng.normal(size=(n, n))
     if kind == "zero":
         return np.zeros((n, n), dtype=complex)
@@ -76,8 +78,8 @@ def operands(draw, count=2, n_max=41):
 
 
 def _paired_product(a: Operator, b: Operator) -> np.ndarray:
-    """Reference: the dense a·b with every term a ``complex128`` product,
-    whatever the operands' phases, summed over A's bands in mirror-paired
+    """Reference: the dense a·b with every term a ``complex128`` product of
+    the complex bands, summed over A's bands in mirror-paired
     order: the terms of bands q and na − 1 − q first, then these pair sums
     for q = 0, 1, … in turn, then the term of the middle band."""
     n, na = a.dim, len(a.bands)
@@ -107,6 +109,11 @@ def _size(a):
     return np.linalg.norm(a)
 
 
+def _addable(oa, ob):
+    """Whether ``op_sum`` takes the pair: one phase, or a zero operand."""
+    return oa.turns == ob.turns or not (len(oa.coefficients) and len(ob.coefficients))
+
+
 @PROPERTY
 @given(operands(count=1))
 def test_dense_round_trip_is_exact(case):
@@ -126,13 +133,9 @@ def test_product_matches_dense(case):
     oa, ob = Operator(a, grid), Operator(b, grid)
     got = op_product(oa, ob).entries
     _close(got, a @ b, _size(a) * _size(b))
-    # Real and imaginary operands take the real float64 path, which must
-    # give the all-complex mirror-paired sums bit for bit.  (A product of two
-    # general complex numbers may round ac − bd once or twice, as numpy's
-    # vectorized loops fuse the multiply-add or not, so operands with both
-    # parts nonzero are held to the accuracy check above.)
-    if _quarter_turns(oa.bands) is not None and _quarter_turns(ob.bands) is not None:
-        assert np.array_equal(got, _paired_product(oa, ob))
+    # The float64 coefficient product gives the all-complex mirror-paired
+    # sums bit for bit.
+    assert np.array_equal(got, _paired_product(oa, ob))
 
 
 @PROPERTY
@@ -152,8 +155,11 @@ def test_product_of_even_or_odd_operands_is_exactly_even_or_odd(case, sa, sb):
 def test_sum_scale_adjoint_are_exact(case):
     grid, a, b = case
     oa, ob = Operator(a, grid), Operator(b, grid)
-    assert np.array_equal(op_sum(oa, ob).entries, a + b)
-    assert np.array_equal(op_scale(0.3 - 1.7j, oa).entries, (0.3 - 1.7j) * a)
+    if _addable(oa, ob):
+        assert np.array_equal(op_sum(oa, ob).entries, a + b)
+    assert np.array_equal(op_sum(oa, oa).entries, a + a)
+    for c in (0.3, -1.7j):
+        assert np.array_equal(op_scale(c, oa).entries, c * a)
     assert np.array_equal(adjoint(oa).entries, a.conj().T)
 
 
@@ -270,26 +276,19 @@ def test_model_operators_are_exactly_real_or_imaginary(n):
     assert interior_action(p, probes + 0j).dtype == np.complex128
 
 
-def _phased(op):
-    return op.turns is not None
-
-
 def _assert_phase_kept(op):
     # The stored phase is the one the complex bands show.
     assert op.turns == _quarter_turns(op.bands)
-    if op.turns is not None:
-        assert op.coefficients.dtype == np.float64
-        assert op.coefficients.flags.c_contiguous
-        expect = op.coefficients * 1j if op.turns else op.coefficients
-        assert np.array_equal(op.bands, expect)
-    else:
-        assert op.coefficients is op.bands
+    assert op.coefficients.dtype == np.float64
+    assert op.coefficients.flags.c_contiguous
+    expect = op.coefficients * 1j if op.turns else op.coefficients
+    assert np.array_equal(op.bands, expect)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     operands(n_max=67),
-    st.sampled_from([0.7, -2.5, 1.3j, -0.4j, 0.3 - 1.7j, 0.0]),
+    st.sampled_from([0.7, -2.5, 1.3j, -0.4j, 0.0]),
 )
 def test_results_keep_the_phase_and_the_complex_values(case, c):
     # Every result's stored phase is the one its bands show, and its values
@@ -298,26 +297,22 @@ def test_results_keep_the_phase_and_the_complex_values(case, c):
     # aside, which array_equal does not see).
     grid, a, b = case
     oa, ob = Operator(a, grid), Operator(b, grid)
-    phased = _phased(oa) and _phased(ob)
     product = op_product(oa, ob)
     reverse = op_product(ob, oa)
     results = {
         "product": (product, _paired_product(oa, ob)),
-        "sum": (op_sum(oa, ob), a + b),
+        "sum": (op_sum(oa, oa), a + a),
         "scale": (op_scale(c, oa), c * a),
         "adjoint": (adjoint(oa), a.conj().T),
         "commutator": (commutator(oa, ob), _paired_product(oa, ob) - _paired_product(ob, oa)),
     }
+    if _addable(oa, ob):
+        results["sum of both"] = (op_sum(oa, ob), a + b)
     for name, (op, expect) in results.items():
         _assert_phase_kept(op)
-        if name in ("product", "commutator") and not phased:
-            # general complex terms may round ac − bd once or twice
-            _close(op.entries, expect, 2.0 * _size(a) * _size(b))
-        else:
-            assert np.array_equal(op.entries, expect), name
-    if phased:
-        assert product.turns == (oa.turns + ob.turns) % 2 or not len(product.coefficients)
-        _assert_phase_kept(reverse)
+        assert np.array_equal(op.entries, expect), name
+    assert product.turns == (oa.turns + ob.turns) % 2 or not len(product.coefficients)
+    _assert_phase_kept(reverse)
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,22 +325,47 @@ def test_a_one_band_operand_gives_the_paired_kernel_values(case, left):
         Operator(a, grid), Operator(one, grid))
     got = op_product(oa, ob)
     _assert_phase_kept(got)
-    if _phased(oa) and _phased(ob):
-        assert np.array_equal(got.entries, _paired_product(oa, ob))
-    else:
-        _close(got.entries, _paired_product(oa, ob), _size(oa.entries) * _size(ob.entries))
+    assert np.array_equal(got.entries, _paired_product(oa, ob))
 
 
 def test_stored_forms_are_read_only():
+    # The coefficients are read-only; the complex bands are a new array on
+    # every read, so writing one leaves the operator as it was.
     grid = Grid(9, 2.0, 0.25)
     real = Operator.diag(np.arange(1.0, 10.0), grid)
     decided = Operator(np.eye(9) * 1j, grid)  # complex data, imaginary
-    general = Operator(np.eye(9) * (1 + 1j), grid)
-    for op in (real, decided, general, derivative_matrix(grid)):
-        for arr in (op.bands, op.coefficients):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 7.0
-    assert (real.turns, decided.turns, general.turns) == (0, 1, None)
+    for op in (real, decided, derivative_matrix(grid)):
+        with pytest.raises(ValueError, match="read-only"):
+            op.coefficients[0, 0] = 7.0
+        bands = op.bands
+        bands[0, 0] = 7.0
+        assert op.bands[0, 0] != 7.0
+    assert (real.turns, decided.turns) == (0, 1)
+
+
+def test_operands_that_are_neither_real_nor_imaginary_are_refused():
+    grid = Grid(9, 2.0, 0.25)
+    mixed = np.eye(9) * (1 + 1j)
+    for build in (
+        lambda: Operator(mixed, grid),
+        lambda: Operator.from_bands(0, np.diag(mixed)[np.newaxis], grid),
+        lambda: Operator.diag(np.diag(mixed), grid),
+        lambda: _quarter_turns(mixed),
+    ):
+        with pytest.raises(ValueError, match="exactly real or exactly imaginary"):
+            build()
+    real = Operator.diag(np.arange(1.0, 10.0), grid)
+    imaginary = Operator.diag(1j * np.arange(1.0, 10.0), grid)
+    with pytest.raises(ValueError, match="real and an exactly imaginary"):
+        op_sum(real, imaginary)
+    # A zero operand shares every phase.
+    zero = Operator.diag(np.zeros(9), grid)
+    assert op_sum(imaginary, zero).turns == op_sum(zero, imaginary).turns == 1
+    with pytest.raises(ValueError, match="neither real nor imaginary"):
+        op_scale(0.3 - 1.7j, real)
+    hermitian = Operator(1j * (np.eye(9, k=1) - np.eye(9, k=-1)), grid)
+    with pytest.raises(ValueError, match="not an imaginary one"):
+        hermitian_matrix_function(hermitian, np.exp)
 
 
 def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):

@@ -113,6 +113,22 @@ SMALL_JOBS = st.builds(
     SMALL_GRID,
 )
 
+# Every job kind that builds a model operator, on parameters that parse but
+# overflow X·X (X itself is finite).
+_OVERFLOW = {"grid": {"n_points": 33, "p_max": 2},
+             "params": {"hbar": 1e300, "mass": 1e-300, "omega": 1, "mu": 0.1,
+                        "tau": 0.01, "lambda": -0.05, "delta_t": 0.05}}
+OVERFLOW_CASES = {
+    "compare-metrics": {"job": "compare-metrics"},
+    "verify-metric": {"job": "verify-metric", "metric": "BF"},
+    "algebra-check-q1": {"job": "algebra-check"},
+    "algebra-check-q1.05": {"job": "algebra-check", "q_params": {"q": 1.05}},
+    "model-equality": {"job": "model-equality"},
+    "spectrum": {"job": "spectrum"},
+    "fit-metric": {"job": "fit-metric"},
+}
+OVERFLOW_JOBS = [json.dumps(dict(_OVERFLOW, **job)) for job in OVERFLOW_CASES.values()]
+
 BLOCKS = ("grid", "params", "q_params")
 KEYS = ("job", "metric", "metrics", "reference", "tau_values", "threshold", "k",
         "model", "out_dir", *BLOCKS, "grid.n_points", "grid.refinement",
@@ -212,6 +228,15 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
                      "params": {"tau": 5e-324, "omega": 0.5, "mu": 0.1}}))
 @example(json.dumps({"job": "limit-sweep", "grid": {"n_points": 5}, "reference": "BF",
                      "tau_values": [0.1, 5e-324], "params": {"omega": 0.5, "mu": 0.1}}))
+# hbar*m*omega^2 = 1, yet X·X overflows: the Hamiltonians and N hold inf and
+# NaN (once a PASS with NaN in its entry, a NaN residual, or a LinAlgError).
+@example(OVERFLOW_JOBS[0])
+@example(OVERFLOW_JOBS[1])
+@example(OVERFLOW_JOBS[2])
+@example(OVERFLOW_JOBS[3])
+@example(OVERFLOW_JOBS[4])
+@example(OVERFLOW_JOBS[5])
+@example(OVERFLOW_JOBS[6])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     """No ValueError escapes run_job from a config that parse_config
@@ -225,3 +250,10 @@ def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     except (NumericGuardError, np.linalg.LinAlgError):
         return
     assert doc["verdicts"]["overall"] in ("PASS", "FAIL")
+
+
+@pytest.mark.parametrize("text", OVERFLOW_JOBS, ids=list(OVERFLOW_CASES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_model_operators_stop_at_a_numeric_guard(text):
+    with pytest.raises(NumericGuardError, match="non-finite entries"):
+        run_job(parse_config(text))

@@ -593,6 +593,22 @@ class TestCommandLine:
         assert proc.returncode == 3
         assert "dynamic range" in proc.stderr
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_hamiltonian_exits_three(self, tmp_path, capsys):
+        # hbar*m*omega^2 = 1 parses, but X·X overflows, so the BF Hamiltonian
+        # holds inf and NaN; compare-metrics once reported PASS with NaN and
+        # Infinity in its entry.
+        params = {"hbar": 1e300, "mass": 1e-300, "omega": 1, "mu": 0.1, "tau": 0.01}
+        job = _write_job(tmp_path, "job.json", {
+            "job": "compare-metrics", "grid": {"n_points": 33, "p_max": 2},
+            "params": params,
+        })
+        assert cli_main([str(job), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "run error: the BF Hamiltonian has non-finite entries (inf or NaN)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_jobfile_exits_four(self, tmp_path):
         proc = _run_cli(str(tmp_path / "nope.json"))
         assert proc.returncode == 4

@@ -63,24 +63,24 @@ def recording_solvers():
         yield calls
 
 
-def _random_even(n, seed, *, complex_entries, band=None):
-    """An exactly even n x n matrix; with ``band``, confined to that many
-    diagonals each side of a confining p² diagonal, so states localize."""
+def _random_even(n, seed, *, imaginary=False, band=None):
+    """An exactly even n x n matrix, real or imaginary; with ``band``,
+    confined to that many diagonals each side of a confining p² diagonal,
+    so states localize."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
-    if complex_entries:
-        a = a + 1j * rng.normal(size=(n, n))
     if band is not None:
         offsets = np.abs(np.arange(n)[:, np.newaxis] - np.arange(n)[np.newaxis, :])
         a = np.where(offsets <= band, a, 0.0)
         a = a + np.diag(np.linspace(-1.0, 1.0, n) ** 2 * n)
-    return a + a[::-1, ::-1]  # exact: x + y == y + x
+    a = a + a[::-1, ::-1]  # exact: x + y == y + x
+    return 1j * a if imaginary else a
 
 
-def _hermitian_even(n, seed, *, complex_entries=False):
-    """An exactly Hermitian, exactly even matrix with spectrum in [1, 3]."""
-    a = _random_even(n, seed, complex_entries=complex_entries)
-    h = a + a.conj().T  # exact on both counts
+def _hermitian_even(n, seed):
+    """An exactly symmetric, exactly even real matrix with spectrum in [1, 3]."""
+    a = _random_even(n, seed)
+    h = a + a.T  # exact on both counts
     h = h / np.abs(np.linalg.eigvalsh(h)).max()
     return h + 2.0 * np.eye(n)
 
@@ -124,7 +124,7 @@ def test_grid_points_are_exactly_antisymmetric(n, p_max):
 
 
 def test_blocks_only_for_exactly_even_odd_sized_matrices():
-    a = _random_even(9, 1, complex_entries=False)
+    a = _random_even(9, 1)
     (even, odd), is_even = _folded(a)
     assert is_even
     assert even.shape == (5, 5) and odd.shape == (4, 4)
@@ -141,16 +141,16 @@ def test_blocks_only_for_exactly_even_odd_sized_matrices():
 @given(
     n=SMALL_ODD_N,
     seed=SEEDS,
-    complex_entries=st.booleans(),
+    imaginary=st.booleans(),
     band=st.sampled_from([None, 0, 1, 2, 4]),
 )
 def test_folded_blocks_are_the_matrix_in_the_parity_basis(
-    n, seed, complex_entries, band
+    n, seed, imaginary, band
 ):
-    a = _random_even(n, seed, complex_entries=complex_entries, band=band)
+    a = _random_even(n, seed, imaginary=imaginary, band=band)
     (even, odd), is_even = _folded(a)
     assert is_even
-    assert even.dtype == (complex if complex_entries else float) == odd.dtype
+    assert even.dtype == (complex if imaginary else float) == odd.dtype
     ref_even, ref_odd, cross = _basis_blocks(a)
     scale = 1e-14 * np.linalg.norm(a)
     assert np.abs(even - ref_even).max() <= scale
@@ -162,18 +162,16 @@ def test_folded_blocks_are_the_matrix_in_the_parity_basis(
 @given(
     n=SMALL_ODD_N,
     seed=SEEDS,
-    complex_entries=st.booleans(),
+    imaginary=st.booleans(),
     lo=st.integers(-4, 4),
     width=st.integers(0, 9),
     kind=st.sampled_from(["banded", "even", "bumped", "zero", "diagonal"]),
 )
 def test_fold_is_even_exactly_when_the_matrix_is(
-    n, seed, complex_entries, lo, width, kind
+    n, seed, imaginary, lo, width, kind
 ):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
-    if complex_entries:
-        a = a + 1j * rng.normal(size=(n, n))
     offsets = np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]
     if kind == "zero":
         a = np.zeros((n, n))
@@ -187,9 +185,8 @@ def test_fold_is_even_exactly_when_the_matrix_is(
             a = a + a[::-1, ::-1]
         if kind == "bumped":
             i, j = rng.integers(n, size=2)
-            bumped = np.nextafter(a[i, j].real, np.inf)
-            a[i, j] = bumped + 1j * a[i, j].imag if complex_entries else bumped
-    op = Operator(a, Grid(n, 3.0))
+            a[i, j] = np.nextafter(a[i, j], np.inf)
+    op = Operator(1j * a if imaginary else a, Grid(n, 3.0))
     blocks, even = _parity_fold(op)
     assert even == _even(op.entries)
     sizes = [(n // 2 + 1,) * 2, (n // 2,) * 2] if even else [(n, n)]
@@ -200,19 +197,19 @@ def test_fold_is_even_exactly_when_the_matrix_is(
 @given(
     n=SMALL_ODD_N,
     seed=SEEDS,
-    complex_entries=st.booleans(),
     band=st.sampled_from([None, 1, 2, 4]),
     mask_fraction=st.sampled_from([0.0, 0.1, 0.25]),
     mass_min=st.floats(0.3, 0.9),
 )
-def test_spectrum_blocks_match_the_full_eig(
-    n, seed, complex_entries, band, mask_fraction, mass_min
-):
+def test_spectrum_blocks_match_the_full_eig(n, seed, band, mask_fraction, mass_min):
+    # Real matrices only: an imaginary one has its levels in ± pairs, and
+    # real ones at real part 0, so ordering by real part is a tie-break of
+    # round-off (the imaginary fold is checked by the block-mass test).
     grid = Grid(n, 3.0, mask_fraction)
-    a = _random_even(n, seed, complex_entries=complex_entries, band=band)
+    a = _random_even(n, seed, band=band)
     op = Operator(a, grid)
     m = n // 2
-    entries = op.entries if complex_entries else op.entries.real
+    entries = op.entries.real
     # The level filter's mass threshold, moved over a range of values.
     with mock.patch.object(verify, "MASS_MIN", mass_min):
         with recording_solvers() as seen:
@@ -227,10 +224,10 @@ def test_spectrum_blocks_match_the_full_eig(
 
 @PROPERTY
 @given(
-    n=SMALL_ODD_N, seed=SEEDS, complex_entries=st.booleans(), start=st.integers(0, 4)
+    n=SMALL_ODD_N, seed=SEEDS, imaginary=st.booleans(), start=st.integers(0, 4)
 )
-def test_block_masses_are_the_lifted_vectors_masses(n, seed, complex_entries, start):
-    a = _random_even(n, seed, complex_entries=complex_entries, band=2)
+def test_block_masses_are_the_lifted_vectors_masses(n, seed, imaginary, start):
+    a = _random_even(n, seed, imaginary=imaginary, band=2)
     start = min(start, n // 2 - 1)
     blocks, even = _parity_fold(Operator(a, Grid(n, 3.0)))
     assert even
@@ -253,17 +250,16 @@ def test_block_masses_are_the_lifted_vectors_masses(n, seed, complex_entries, st
 @given(
     n=SMALL_ODD_N,
     seed=SEEDS,
-    complex_entries=st.booleans(),
     f=st.sampled_from([np.exp, np.sqrt, lambda t: t**2]),
 )
-def test_matrix_function_blocks_match_the_full_eigh(n, seed, complex_entries, f):
-    h = _hermitian_even(n, seed, complex_entries=complex_entries)
+def test_matrix_function_blocks_match_the_full_eigh(n, seed, f):
+    h = _hermitian_even(n, seed)
     m = n // 2
     op = Operator(h, Grid(n, 3.0))
     with recording_solvers() as seen:
         got = hermitian_matrix_function(op, f).entries
-        w, u = np.linalg.eigh(op.entries if complex_entries else op.entries.real)
-    expect = (u * f(w)) @ u.conj().T
+        w, u = np.linalg.eigh(op.entries.real)
+    expect = (u * f(w)) @ u.T
     assert seen == [("eigh", (m + 1, m + 1)), ("eigh", (m, m)), ("eigh", (n, n))]
     assert _even(got)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -272,7 +268,7 @@ def test_matrix_function_blocks_match_the_full_eigh(n, seed, complex_entries, f)
 def test_a_one_ulp_asymmetry_takes_the_full_solvers():
     n = 129
     grid = Grid(n, 8.0)
-    a = _random_even(n, 4, complex_entries=False, band=2)
+    a = _random_even(n, 4, band=2)
     a[3, 4] = np.nextafter(a[3, 4], np.inf)
     h = _hermitian_even(n, 5)
     h[3, 4] = h[4, 3] = np.nextafter(h[3, 4], np.inf)

@@ -1,7 +1,6 @@
-"""Which LAPACK routine the dense eigensolvers reach: an operator whose
-imaginary parts are all exactly zero goes to the real ``eig``/``eigh``,
-anything else to the complex ones, and the real path gives the complex
-path's results.  Model operators are also exactly even under p → −p, so
+"""Which LAPACK routine the dense eigensolvers reach: a real operator goes
+to the real ``eig``/``eigh``, the matrix functions refuse an imaginary one,
+and the real path gives the complex path's results.  Model operators are also exactly even under p → −p, so
 each solve runs on the two parity blocks (tests/test_parity.py)."""
 import json
 
@@ -102,23 +101,27 @@ def test_passed_guard_decides_on_eigvalsh_before_eigh(seen_all):
     assert seen_all == [("eigvalsh", np.float64, (3, 3)), ("eigh", np.float64, (3, 3))]
 
 
-def test_complex_hermitian_input_takes_the_complex_eigh(seen):
+def test_imaginary_hermitian_input_is_refused_before_any_eigensolver(seen_all):
     rng = np.random.default_rng(3)
-    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    hermitian_matrix_function(Operator(0.5 * (m + m.conj().T), Grid(9, 2.0)), np.exp)
-    assert seen == [("eigh", np.complex128, (9, 9))]
+    m = rng.normal(size=(9, 9))
+    herm = Operator(0.5j * (m - m.T), Grid(9, 2.0))
+    assert herm.turns == 1
+    with pytest.raises(ValueError, match="not an imaginary one"):
+        hermitian_matrix_function(herm, np.exp)
+    assert seen_all == []
 
 
 def test_narrowing_has_no_tolerance(seen):
-    # A single imaginary part of 1e-300 keeps the matrix complex.
+    # A single imaginary part of 1e-300 beside real entries is refused.
     grid, _, ham = _bf()
     tiny = ham.entries
     tiny[3, 4] += 1e-300j
-    spectrum(Operator(tiny, grid), 4)
     herm = np.eye(9, dtype=complex)
     herm[0, 1], herm[1, 0] = 1e-300j, -1e-300j
-    hermitian_matrix_function(Operator(herm, Grid(9, 2.0)), np.exp)
-    assert seen == [("eig", np.complex128, (129, 129)), ("eigh", np.complex128, (9, 9))]
+    for entries, g in ((tiny, grid), (herm, Grid(9, 2.0))):
+        with pytest.raises(ValueError, match="exactly real or exactly imaginary"):
+            Operator(entries, g)
+    assert seen == []
 
 
 def test_real_eig_levels_match_the_complex_eigenvalues():

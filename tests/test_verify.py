@@ -319,16 +319,26 @@ class TestHermitianCounterpart:
             hermitian_counterpart(ham, Operator(rho, grid))
 
     def test_sqrt_pair_applies_the_matrix_function_hermiticity_rule(self):
-        # ‖ρ − ρ†‖ ≤ 1e-10·‖ρ‖ as in hermitian_matrix_function; for a diagonal
-        # that is ‖Im d‖ ≤ 0.5e-10·‖d‖.
+        # ‖ρ − ρ†‖ ≤ 1e-10·‖ρ‖ as in hermitian_matrix_function.  A real
+        # diagonal always passes and an imaginary one never does; the bound
+        # itself is met by a real matrix with one asymmetric entry ε, where
+        # the ratio is √2·ε/‖ρ‖ (‖ρ‖ ≈ 3): ε = 2.0e-10 passes, 2.2e-10 not.
         grid = Grid(9, 2.0, 0.25)
-        _sqrt_pair(Operator.diag(np.full(9, 1 + 0.4e-10j), grid))
-        bad = Operator.diag(np.full(9, 1 + 0.6e-10j), grid)
+        _sqrt_pair(Operator.diag(np.full(9, 2.0), grid))
+        bad = Operator.diag(np.full(9, 1e-3j), grid)
         for f in (_sqrt_pair, lambda rho: hermitian_matrix_function(rho, np.sqrt)):
             with pytest.raises(ValueError, match="Hermitian"):
                 f(bad)
+        for eps, ok in ((2.0e-10, True), (2.2e-10, False)):
+            near = np.eye(9)
+            near[0, 1] = eps
+            if ok:
+                hermitian_matrix_function(Operator(near, grid), np.sqrt)
+            else:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    hermitian_matrix_function(Operator(near, grid), np.sqrt)
         # Diagonality is judged first.
-        rho = np.eye(9, dtype=complex) + 1e-3j
+        rho = 1e-3j * np.ones((9, 9))
         with pytest.raises(ValueError, match="metric must be diagonal"):
             _sqrt_pair(Operator(rho, grid))
 
@@ -354,11 +364,11 @@ class TestHermitianCounterpart:
         with pytest.raises(NumericGuardError, match="condition number"):
             _sqrt_pair(Operator.diag(above, grid))
 
-    def test_complex_diagonal_metric_is_rejected_like_a_dense_one(self):
-        # A diagonal with imaginary parts is not Hermitian; its imaginary part
-        # must not be dropped on the way to the square roots.
+    def test_imaginary_diagonal_metric_is_rejected_like_a_dense_one(self):
+        # An imaginary diagonal is not Hermitian; its imaginary part must not
+        # be dropped on the way to the square roots.
         grid, pp, ham = _bf_setup(n=129, p_max=8.0)
-        bad = Operator.diag((1 + 1e-3j) * np.ones(grid.n_points), grid)
+        bad = Operator.diag(1e-3j * np.ones(grid.n_points), grid)
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_counterpart(ham, bad)
         with pytest.raises(ValueError, match="Hermitian"):
