@@ -318,10 +318,11 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     """The parity blocks of ``op``, folded from its bands, and whether ``op``
     is exactly even under the reflection p → −p.
 
-    Each block is ``((values, (rows, cols)), shape)``, its nonzero entries as
-    COO triplets (the arguments of a scipy COO array); a position listed
-    twice holds the sum of its two values.  Exactly real bands give real
-    values.  No n x n array is formed.
+    Each block is ``(ab, kl, ku)``, the block in LAPACK's general-band
+    storage: ``ab[kl + ku + i − j, j]`` holds entry (i, j), for kl
+    subdiagonals and ku superdiagonals, and the kl rows on top are zero,
+    the room that ``?gbtrf`` needs for the fill-in of its pivoting.  Exactly
+    real bands give a ``float64`` array.  No n x n array is formed.
 
     ``op`` is even when ``A[i, j] == A[n-1-i, n-1-j]`` for every entry (no
     tolerance), that is when its bands are centred on the main diagonal
@@ -339,10 +340,12 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     * odd, m x m: ``A[i, j] − A[i, n-1-j]``.
 
     Every entry sums at most two terms, so the order of the sum does not
-    matter.  The spectrum of A is the union of the blocks', and a Hermitian
-    A gives Hermitian blocks.  Component j < m of a block eigenvector stands
-    for the mirrored pair (j, n-1-j) of the full one, with the same total
-    squared modulus.  Any other operator is one n x n block.
+    matter.  Column n-1-j folds onto column j near the centre only, so a
+    banded A gives banded blocks.  The spectrum of A is the union of the
+    blocks', and a Hermitian A gives Hermitian blocks.  Component j < m of
+    a block eigenvector stands for the mirrored pair (j, n-1-j) of the full
+    one, with the same total squared modulus.  Any other operator is one
+    n x n block.
     """
     n, lo = op.dim, op.lo
     bands = op.coefficients if op.turns == 0 else op.bands
@@ -351,7 +354,7 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     nb = len(bands)
     even = (nb == 0 or 2 * lo + nb == 1) and np.array_equal(bands, bands[::-1, ::-1])
     if not even:
-        return [((bands[stored], (rows[stored], cols[stored])), (n, n))], False
+        return [_band_block(bands[stored], rows[stored], cols[stored], n)], False
     m = n // 2
     top = stored & (rows <= m)
     r, c, v = rows[top], cols[top], bands[top]
@@ -362,17 +365,50 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     odd = (r < m) & (c != m)
     v_odd = np.where(c[odd] > m, -v[odd], v[odd])
     return [
-        ((v_even, (r, folded)), (m + 1, m + 1)),
-        ((v_odd, (r[odd], folded[odd])), (m, m)),
+        _band_block(v_even, r, folded, m + 1),
+        _band_block(v_odd, r[odd], folded[odd], m),
     ], True
+
+
+def _band_block(values, rows, cols, size: int) -> tuple[np.ndarray, int, int]:
+    """``(ab, kl, ku)``: the size x size matrix with ``values`` at
+    (rows, cols) in ``_parity_fold``'s band storage; a position listed twice
+    holds the sum of its two values."""
+    kl = int((rows - cols).max(initial=0))
+    ku = int((cols - rows).max(initial=0))
+    ab = np.zeros((2 * kl + ku + 1, size), dtype=values.dtype, order="F")
+    np.add.at(ab, (kl + ku + rows - cols, cols), values)
+    return ab, kl, ku
+
+
+def _band_diagonals(block):
+    """Each diagonal d = i − j of a ``_parity_fold`` block: d, its first and
+    end column, and its entries."""
+    ab, kl, ku = block
+    size = ab.shape[1]
+    for d in range(-ku, kl + 1):
+        j0, j1 = _overlap(d, size)
+        yield d, j0, j1, ab[kl + ku + d, j0:j1]
 
 
 def _dense_block(block) -> np.ndarray:
     """The dense matrix of one ``_parity_fold`` block."""
-    (values, index), shape = block
-    out = np.zeros(shape, dtype=values.dtype)
-    np.add.at(out, index, values)
+    size = block[0].shape[1]
+    out = np.zeros((size, size), dtype=block[0].dtype)
+    for d, j0, j1, diagonal in _band_diagonals(block):
+        j = np.arange(j0, j1)
+        out[j + d, j] = diagonal
     return out
+
+
+def _band_product(block, u: np.ndarray) -> np.ndarray:
+    """B·u for one ``_parity_fold`` block B and a vector or the columns of
+    a matrix u, from the bands."""
+    cols = u.reshape(len(u), -1)
+    out = np.zeros(cols.shape, dtype=np.result_type(block[0], u))
+    for d, j0, j1, diagonal in _band_diagonals(block):
+        out[j0 + d : j1 + d] += diagonal[:, np.newaxis] * cols[j0:j1]
+    return out.reshape(u.shape)
 
 
 def _parity_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

@@ -487,6 +487,8 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
             "n_points": grid.n_points,
             "values": [[z.real, z.imag] for z in direct.values],
             "reality_measure": direct.reality_measure,
+            "solver": direct.solver,
+            "fallback": direct.fallback,
         }
         if spec is not None:
             rho = build_metric(spec, grid, cfg.params)
@@ -499,6 +501,8 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
                 pairs = zip(direct.values, cp.values)
                 discrepancy = max((abs(a - b) for a, b in pairs), default=discrepancy)
             entry["counterpart_values"] = [[z.real, z.imag] for z in cp.values]
+            entry["counterpart_solver"] = cp.solver
+            entry["counterpart_fallback"] = cp.fallback
             entry["counterpart_herm_residual"] = herm_res
             entry["cross_check_discrepancy"] = discrepancy
             entry["direct_spectrum_untrusted"] = bool(discrepancy > 1e-3)

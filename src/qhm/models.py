@@ -152,11 +152,14 @@ def build_deformed_pair(grid: Grid, pp: PhysParams) -> tuple[Operator, Operator]
 def build_ladder(x: Operator, p: Operator, pp: PhysParams) -> LadderOps:
     """Ladder pair a = (P - i*omega*X)/sqrt(2*m*hbar*omega), a_dag likewise."""
     scale = 1.0 / np.sqrt(2.0 * pp.mass * pp.hbar * pp.omega)
-    a = op_scale(scale, op_sum(p, op_scale(-1j * pp.omega, x)))
-    a_dag = op_scale(scale, op_sum(p, op_scale(1j * pp.omega, x)))
-    diff = op_sum(adjoint(a), op_scale(-1.0, a_dag))
-    denom = masked_norm(a_dag)
-    defect = masked_norm(diff) / denom if denom > 0 else 0.0
+    # An overflow leaves a and a_dag non-finite, which the Hamiltonian and
+    # number-operator builders refuse (``_finite``).
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = op_scale(scale, op_sum(p, op_scale(-1j * pp.omega, x)))
+        a_dag = op_scale(scale, op_sum(p, op_scale(1j * pp.omega, x)))
+        diff = op_sum(adjoint(a), op_scale(-1.0, a_dag))
+        denom = masked_norm(a_dag)
+        defect = masked_norm(diff) / denom if denom > 0 else 0.0
     return LadderOps(a, a_dag, defect)
 
 
@@ -170,11 +173,12 @@ def _finite(op: Operator, what: str) -> Operator:
 
 def build_swanson_bf(x: Operator, p: Operator, pp: PhysParams) -> Operator:
     """H = P^2/(2m) + (m*omega^2/2) X^2 + i*mu*{X, P}."""
-    h = op_sum(
-        op_scale(1.0 / (2.0 * pp.mass), op_product(p, p)),
-        op_scale(0.5 * pp.mass * pp.omega**2, op_product(x, x)),
-        op_scale(1j * pp.mu, anticommutator(x, p)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        h = op_sum(
+            op_scale(1.0 / (2.0 * pp.mass), op_product(p, p)),
+            op_scale(0.5 * pp.mass * pp.omega**2, op_product(x, x)),
+            op_scale(1j * pp.mu, anticommutator(x, p)),
+        )
     return _finite(h, "the BF Hamiltonian")
 
 
@@ -189,19 +193,22 @@ def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
             "lam == delta_t: the ladder Hamiltonian is Hermitian",
             stacklevel=2,
         )
-    h = op_sum(
-        op_scale(pp.omega, op_product(a_dag, a)),
-        op_scale(pp.lam, op_product(a, a)),
-        op_scale(pp.delta_t, op_product(a_dag, a_dag)),
-        Operator.diag(np.full(a.dim, 0.5 * pp.omega), a.grid),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        h = op_sum(
+            op_scale(pp.omega, op_product(a_dag, a)),
+            op_scale(pp.lam, op_product(a, a)),
+            op_scale(pp.delta_t, op_product(a_dag, a_dag)),
+            Operator.diag(np.full(a.dim, 0.5 * pp.omega), a.grid),
+        )
     return _finite(h, "the JR Hamiltonian")
 
 
 def default_number_operator(a: Operator, a_dag: Operator) -> Operator:
     """Hermitian part of a_dag*a — the default N for the algebra check."""
-    nd = op_product(a_dag, a)
-    return _finite(op_scale(0.5, op_sum(nd, adjoint(nd))), "the number operator N")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        nd = op_product(a_dag, a)
+        n_op = op_scale(0.5, op_sum(nd, adjoint(nd)))
+    return _finite(n_op, "the number operator N")
 
 
 def canonical_commutator_residual(x0: Operator, p0: Operator, pp: PhysParams) -> float:

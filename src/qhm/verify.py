@@ -30,6 +30,7 @@ from .gridops import (
     NumericGuardError,
     Operator,
     _aligned,
+    _band_product,
     _check_compatible,
     _check_dynamic_range,
     _check_hermitian,
@@ -240,22 +241,44 @@ class _Fallback(Exception):
 def _arpack_pairs(
     blocks: list, rows: slice, sigma: float, nev: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The nev eigenvalues of each sparse block nearest ``sigma``, their
-    states' interior masses, and the smallest over the blocks of the
-    distance from ``sigma`` to the farthest of them."""
-    from scipy.sparse.linalg import eigs
+    """The nev eigenvalues of each band block (``_parity_fold``) nearest
+    ``sigma``, their states' interior masses, and the smallest over the
+    blocks of the distance from ``sigma`` to the farthest of them.
+
+    Each block minus σ is factored once by LAPACK's band LU (``?gbtrf``),
+    and ARPACK's shift-invert operator is its band solve (``?gbtrs``)."""
+    # Imported here, so that grids below SHIFT_INVERT_MIN_POINTS never load
+    # scipy: about 0.24 s and 32 MB (scipy 1.17, 2-vCPU Xeon).
+    # scipy.sparse.linalg loads scipy.linalg itself.
+    from scipy.linalg import get_lapack_funcs
+    from scipy.sparse.linalg import LinearOperator, eigs
 
     vals, mass, radius = [], [], np.inf
     for block in blocks:
-        size = block.shape[0]
+        ab, kl, ku = block
+        size = ab.shape[1]
+        shifted = np.array(ab, order="F")
+        shifted[kl + ku] -= sigma
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (shifted,))
+        lu, piv, info = gbtrf(shifted, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise _Fallback("singular shifted block")
+
+        def solve(x):
+            return gbtrs(lu, kl, ku, x, piv)[0]
+
+        shape, dtype = (size, size), ab.dtype
+        a = LinearOperator(shape, lambda x: _band_product(block, x), dtype=dtype)
+        inverse = LinearOperator(shape, solve, dtype=dtype)
         # A fixed start vector keeps the levels the same from run to run.
         v0 = np.random.default_rng(0).standard_normal(size)
         try:
-            w, u = eigs(block, k=min(nev, size - 2), sigma=sigma, v0=v0)
-        except RuntimeError as exc:  # ArpackError, or a singular shifted LU
+            w, u = eigs(a, k=min(nev, size - 2), sigma=sigma, v0=v0, OPinv=inverse)
+        except RuntimeError as exc:  # ArpackError
             raise _Fallback(f"ARPACK error: {exc}") from exc
-        norm1 = abs(block).sum(axis=0).max()
-        if np.linalg.norm(block @ u - u * w, axis=0).max() > RESIDUAL_TOL * norm1:
+        norm1 = np.abs(ab).sum(axis=0).max()
+        residual = np.linalg.norm(_band_product(block, u) - u * w, axis=0).max()
+        if residual > RESIDUAL_TOL * norm1:
             raise _Fallback("residual above the bound")
         vals.append(w)
         mass.append(_mass(u, rows))
@@ -275,13 +298,10 @@ def _first_request(k: int, n_blocks: int) -> int:
     return 2 * -(-k // n_blocks) + 2
 
 
-def _shift_invert_levels(folded: list, rows: slice, k: int) -> list[complex]:
-    """``spectrum``'s levels from shift-invert ARPACK on the parity blocks as
-    sparse matrices; raises ``_Fallback`` when a guard fails."""
-    from scipy.sparse import coo_array  # imported here: 0.35 s and 30 MB
-
-    blocks = [coo_array(*block).tocsc() for block in folded]  # duplicates summed
-    cap = min(ARPACK_K_MAX, max(b.shape[0] for b in blocks) - 2)
+def _shift_invert_levels(blocks: list, rows: slice, k: int) -> list[complex]:
+    """``spectrum``'s levels from shift-invert ARPACK on the band parity
+    blocks; raises ``_Fallback`` when a guard fails."""
+    cap = min(ARPACK_K_MAX, max(ab.shape[1] for ab, _, _ in blocks) - 2)
     nev = min(_first_request(k, len(blocks)), cap)
     while True:
         vals, mass, radius = _arpack_pairs(blocks, rows, 0.0, nev)
@@ -308,17 +328,22 @@ class SpectrumResult:
     """Low-lying interior-localized eigenvalues, sorted by real part.
 
     ``solver`` names the path that found them: ``"shift-invert"`` or
-    ``"dense"``.
+    ``"dense"``.  ``fallback`` is the failed shift-invert guard that sent
+    the solve to the dense path, and None when there was no fallback (a
+    grid below ``SHIFT_INVERT_MIN_POINTS`` takes the dense path directly).
     """
 
     values: tuple[complex, ...]
     reality_measure: float
     solver: str
+    fallback: str | None
 
 
-def _spectrum_result(levels: list[complex], solver: str) -> SpectrumResult:
+def _spectrum_result(
+    levels: list[complex], solver: str, fallback: str | None = None
+) -> SpectrumResult:
     reality = max((abs(z.imag) for z in levels), default=0.0)
-    return SpectrumResult(tuple(levels), float(reality), solver)
+    return SpectrumResult(tuple(levels), float(reality), solver, fallback)
 
 
 def spectrum(op: Operator, k: int) -> SpectrumResult:
@@ -332,23 +357,26 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     before counting.
 
     Both paths below solve the blocks of one parity fold, taken from the
-    bands once per call (``gridops._parity_fold``).  An operator that is
-    exactly even under p → −p (the model Hamiltonians and their
-    counterparts) gives its even and odd blocks, and any other operator one
-    n x n block.  Exactly real bands, such as those of the BF and JR
-    Hamiltonians (built from the purely imaginary X and the real P), give
-    real blocks.  Each state's interior mass comes from its block vector,
-    whose mirrored half is implied, so no n x n matrix of an even operator
-    is formed.
+    bands once per call (``gridops._parity_fold``) in LAPACK's general-band
+    storage.  An operator that is exactly even under p → −p (the model
+    Hamiltonians and their counterparts) gives its even and odd blocks, and
+    any other operator one n x n block.  Exactly real bands, such as those
+    of the BF and JR Hamiltonians (built from the purely imaginary X and
+    the real P), give real blocks; the parity blocks of the model
+    Hamiltonians have 2 subdiagonals and 3 superdiagonals.  Each state's
+    interior mass comes from its block vector, whose mirrored half is
+    implied, so no n x n matrix of an even operator is formed.
 
     *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).
-    ARPACK in shift-invert mode, on the blocks as sparse matrices
-    (``scipy.sparse.linalg.eigs`` with σ = 0), finds the eigenvalues of
-    each block nearest 0: first 2⌈k/b⌉ + 2 of them for b blocks
-    (``_first_request``; 8 for k = 6 on an even operator, 14 on any other),
-    because each kept level comes with a sublattice near-copy in its own
-    block.  The interior masses come from the block vectors, and the
-    filter and merge are the dense path's.
+    ARPACK in shift-invert mode (``scipy.sparse.linalg.eigs`` with σ = 0)
+    finds the eigenvalues of each block nearest 0: first 2⌈k/b⌉ + 2 of them
+    for b blocks (``_first_request``; 8 for k = 6 on an even operator, 14 on
+    any other), because each kept level comes with a sublattice near-copy
+    in its own block.  Each shifted block B − σI is factored once by
+    LAPACK's band LU (``dgbtrf``), and ARPACK iterates on its band solve
+    (``dgbtrs``), so no sparse matrix is formed (``_arpack_pairs``).  The
+    interior masses come from the block vectors, and the filter and merge
+    are the dense path's.
     Levels nearest σ = 0 are the smallest-real-part ones only when no
     interior level has negative real part; that is the assumption of this
     path, and a kept negative level sends the solve to the dense path.
@@ -356,8 +384,10 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     a level is wrong, so the result is guarded, and the dense path runs
     instead when any guard fails:
 
-    - ARPACK raises, or the LU of the shifted block fails;
-    - a pair has ‖Bu − λu‖ > ``RESIDUAL_TOL``·‖B‖₁ (1e-8);
+    - ARPACK raises, or a shifted block is exactly singular (a zero pivot
+      of its band LU);
+    - a pair has ‖Bu − λu‖ > ``RESIDUAL_TOL``·‖B‖₁ (1e-8), both taken from
+      the bands;
     - fewer than k levels survive, or a kept level is not strictly nearer
       σ than the farthest Ritz value of every block (so an unfound
       eigenvalue could sit below it).  The count is doubled first, up to
@@ -365,11 +395,12 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     - a second solve at σ₂ = −min|λ| over the kept levels does not
       reproduce them to ``SHIFT_AGREEMENT_TOL`` = 1e-9 relative.
 
-    The fallback reason is logged at debug level on ``qhm.verify``.  Above
-    ``DENSE_MAX_POINTS`` = 2049 points there is no fallback: a failed guard
-    raises ``NumericGuardError`` naming the guard and the cap, because the
-    dense solve grows as n³ (3 s at 2049 points, 16 s at 4097).  scipy is
-    imported only on this path, so small grids never load it.
+    The failed guard is the result's ``fallback``, and is logged at debug
+    level on ``qhm.verify``.  Above ``DENSE_MAX_POINTS`` = 2049 points there
+    is no fallback: a failed guard raises ``NumericGuardError`` naming the
+    guard and the cap, because the dense solve grows as n³ (3 s at 2049
+    points, 16 s at 4097).  scipy is imported only on this path, so small
+    grids never load it.
 
     *Dense* (smaller grids and fallbacks).  ``eig`` on each block as a
     dense array (``_block_eig_with_mass``): the real routine for a real
@@ -380,6 +411,7 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     _check_compatible(op)
     blocks, _ = _parity_fold(op)
     rows = op.grid.interior()  # rows k..n-k; k onwards of a half-size block
+    fallback = None
     if op.dim >= SHIFT_INVERT_MIN_POINTS:
         try:
             levels = _shift_invert_levels(blocks, rows, k)
@@ -391,11 +423,13 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
                     f"({exc}) and the dense fallback is capped at "
                     f"DENSE_MAX_POINTS = {DENSE_MAX_POINTS} points"
                 ) from exc
+            fallback = str(exc)
             logger.debug(
-                "spectrum at %d points falls back to the dense solve: %s", op.dim, exc
+                "spectrum at %d points falls back to the dense solve: %s",
+                op.dim, fallback,
             )
     vals, mass = _block_eig_with_mass(blocks, rows)
-    return _spectrum_result(_lowest_levels(vals, mass, k), "dense")
+    return _spectrum_result(_lowest_levels(vals, mass, k), "dense", fallback)
 
 
 @dataclass(frozen=True)
@@ -511,31 +545,50 @@ class EqualityReport:
 def model_equality_report(
     H1: Operator, H2: Operator, X: Operator, P: Operator
 ) -> EqualityReport:
-    """Decompose H1 − H2 over the quadratic/quartic monomial dictionary."""
+    """Decompose H1 − H2 over the quadratic/quartic monomial dictionary.
+
+    Every column is i^t·r with r real (``Operator.turns``), and so is
+    H1 − H2, so the complex least-squares problem is one real one: with
+    x_k = i^(t_b − t_k)·y_k, ‖Σ_k x_k·i^(t_k)·r_k − i^(t_b)·r_b‖ is
+    ‖R·y − r_b‖, whose real minimum-norm solution y gives the complex
+    minimum-norm x.  A column or H1 − H2 with an entry that is not finite
+    raises ``NumericGuardError`` naming it.
+    """
     grid = _check_compatible(H1, H2, X, P)
-    p2 = op_product(P, P)
-    x2 = op_product(X, X)
-    dictionary = {
-        "I": Operator.diag(np.ones(grid.n_points), grid),
-        "P": P,
-        "P2": p2,
-        "P4": op_product(p2, p2),
-        "X2": x2,
-        "XP": op_product(X, P),
-        "PX": op_product(P, X),
-        "sym_X2P2": op_scale(0.5, op_sum(op_product(x2, p2), op_product(p2, x2))),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        p2 = op_product(P, P)
+        x2 = op_product(X, X)
+        dictionary = {
+            "I": Operator.diag(np.ones(grid.n_points), grid),
+            "P": P,
+            "P2": p2,
+            "P4": op_product(p2, p2),
+            "X2": x2,
+            "XP": op_product(X, P),
+            "PX": op_product(P, X),
+            "sym_X2P2": op_scale(0.5, op_sum(op_product(x2, p2), op_product(p2, x2))),
+        }
+        ops = [*dictionary.values(), op_sum(H1, op_scale(-1.0, H2))]
     labels = list(dictionary)
     # Entries outside the union band are zero in every column and in b, so
     # leaving those rows out changes neither the solution nor the residual.
-    cols = interior_block_entries([*dictionary.values(), op_sum(H1, op_scale(-1.0, H2))])
-    a, b = cols[:, :-1], cols[:, -1]
+    cols = interior_block_entries(ops)
+    turns = np.array([op.turns for op in ops])
+    real = np.where(turns == 1, cols.imag, cols.real)
+    finite = np.isfinite(real).all(axis=0)
+    if not finite.all():
+        name = [*labels, "H1 - H2"][int(np.argmin(finite))]
+        raise NumericGuardError(
+            f"the model-equality column {name} has non-finite entries (inf or NaN)"
+        )
+    a, b = real[:, :-1], real[:, -1]
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         coeffs = {k: 0j for k in labels}
         return EqualityReport(coeffs, 0.0, 0j)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    unexplained = float(np.linalg.norm(a @ sol - b) / bnorm)
-    coeffs = {k: complex(c) for k, c in zip(labels, sol)}
+    y, *_ = np.linalg.lstsq(a, b, rcond=None)
+    unexplained = float(np.linalg.norm(a @ y - b) / bnorm)
+    phase = 1j ** (turns[-1] - turns[:-1])
+    coeffs = {k: complex(c) for k, c in zip(labels, y * phase)}
     anti = 0.5 * (coeffs["XP"] + coeffs["PX"])
     return EqualityReport(coeffs, unexplained, anti)

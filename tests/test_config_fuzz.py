@@ -237,6 +237,10 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
 @example(OVERFLOW_JOBS[4])
 @example(OVERFLOW_JOBS[5])
 @example(OVERFLOW_JOBS[6])
+# Finite Hamiltonians, but P⁴ of the model-equality dictionary overflows.
+@example(json.dumps({"job": "model-equality", "grid": {"n_points": 33, "p_max": 1e80},
+                     "params": {"mu": 0.1, "tau": 0.01, "lambda": -0.05,
+                                "delta_t": 0.05}}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     """No ValueError escapes run_job from a config that parse_config

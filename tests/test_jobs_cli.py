@@ -284,6 +284,18 @@ class TestRunJob:
         assert entry["cross_check_discrepancy"] == float("inf")
         assert entry["direct_spectrum_untrusted"] is True
 
+    def test_a_spectrum_entry_names_each_solver_and_fallback(self):
+        # At 257 points, mu 0.15 and k = 8, H's levels come from the
+        # shift-invert solve and the counterpart's from the dense fallback.
+        text = json.dumps({"job": "spectrum", "grid": {"n_points": 257, "p_max": 10.0},
+                           "params": {"mu": 0.15}, "metric": "BF", "k": 8})
+        entry = run_job(parse_config(text))["results"]["spectra"][0]
+        assert (entry["solver"], entry["fallback"]) == ("shift-invert", None)
+        assert (entry["counterpart_solver"], entry["counterpart_fallback"]) == (
+            "dense", "shift disagreement"
+        )
+        assert entry["direct_spectrum_untrusted"] is False
+
     @pytest.mark.parametrize("p_max, kept", [(1.0, 0), (8.0, 4)])
     def test_a_spectrum_with_fewer_than_k_levels_fails(self, p_max, kept):
         # The reality measure of a short (or empty) list is small, but the
@@ -608,6 +620,34 @@ class TestCommandLine:
             "run error: the BF Hamiltonian has non-finite entries (inf or NaN)\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_an_overflowing_hamiltonian_prints_only_the_run_error(self, tmp_path):
+        # The overflow inside the model builders is refused by their guard,
+        # so no numpy RuntimeWarning reaches stderr ahead of it.
+        params = {"hbar": 1e300, "mass": 1e-300, "omega": 1, "mu": 0.1, "tau": 0.01}
+        job = _write_job(tmp_path, "job.json", {
+            "job": "compare-metrics", "grid": {"n_points": 33, "p_max": 2},
+            "params": params,
+        })
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "run error: the BF Hamiltonian has non-finite entries (inf or NaN)\n"
+        )
+
+    def test_an_overflowing_equality_column_is_named(self, tmp_path):
+        # The Hamiltonians are finite at p_max = 1e80, but P⁴ overflows: the
+        # job once died in LAPACK's least squares, with DLASCL messages.
+        job = _write_job(tmp_path, "job.json", {
+            "job": "model-equality", "grid": {"n_points": 33, "p_max": 1e80},
+            "params": {"mu": 0.1, "tau": 0.01, "lambda": -0.05, "delta_t": 0.05},
+        })
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "run error: the model-equality column P4 has non-finite entries "
+            "(inf or NaN)\n"
+        )
 
     def test_missing_jobfile_exits_four(self, tmp_path):
         proc = _run_cli(str(tmp_path / "nope.json"))

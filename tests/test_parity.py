@@ -28,7 +28,7 @@ from qhm import (
     hermitian_matrix_function,
     spectrum,
 )
-from qhm.gridops import _dense_block, _parity_fold
+from qhm.gridops import _band_product, _dense_block, _parity_fold
 from qhm import verify
 from qhm.verify import _block_eig_with_mass, _lowest_levels, _mass
 
@@ -158,6 +158,78 @@ def test_folded_blocks_are_the_matrix_in_the_parity_basis(
     assert np.abs(cross).max() <= scale
 
 
+def _with_boundary_rows(n, seed, band, reach, *, imaginary=False, even=True):
+    """A random matrix confined to ``band`` diagonals each side, whose first
+    two rows reach ``reach`` columns further right, as the one-sided
+    stencils of the derivative's boundary rows do; with ``even``, plus its
+    mirror, so the last two rows reach as far left."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    rows, cols = np.indices((n, n))
+    offsets = cols - rows
+    one_sided = (rows < 2) & (offsets >= 0) & (offsets <= band + reach)
+    a = np.where((np.abs(offsets) <= band) | one_sided, a, 0.0)
+    if even:
+        a = a + a[::-1, ::-1]
+    return 1j * a if imaginary else a
+
+
+@PROPERTY
+@given(
+    n=SMALL_ODD_N,
+    seed=SEEDS,
+    imaginary=st.booleans(),
+    band=st.integers(0, 4),
+    reach=st.integers(0, 3),
+)
+def test_band_blocks_hold_the_parity_basis_blocks(n, seed, imaginary, band, reach):
+    # Each block is LAPACK band storage, ab[kl + ku + i - j, j] = B[i, j],
+    # whose kl rows on top are zero and whose diagonals hold every nonzero.
+    a = _with_boundary_rows(n, seed, band, reach, imaginary=imaginary)
+    blocks, even = _parity_fold(Operator(a, Grid(n, 3.0)))
+    assert even
+    scale = 1e-14 * np.linalg.norm(a)
+    for (ab, kl, ku), ref in zip(blocks, _basis_blocks(a)[:2]):
+        size = len(ref)
+        assert ab.shape == (2 * kl + ku + 1, size)
+        assert ab.dtype == (complex if imaginary else float)
+        assert not ab[:kl].any()
+        i, j = np.indices(ref.shape)
+        inside = (i - j <= kl) & (j - i <= ku)
+        assert np.abs(ref[~inside]).max(initial=0.0) <= scale
+        got = ab[(kl + ku + i - j)[inside], j[inside]]
+        assert np.abs(got - ref[inside]).max() <= scale
+
+
+@PROPERTY
+@given(
+    n=SMALL_ODD_N,
+    seed=SEEDS,
+    imaginary=st.booleans(),
+    even=st.booleans(),
+    band=st.integers(0, 4),
+    reach=st.integers(0, 3),
+    columns=st.sampled_from([None, 1, 3]),
+)
+def test_band_product_is_the_dense_product(
+    n, seed, imaginary, even, band, reach, columns
+):
+    # The residual guard's B·u on the bands, for one vector or the columns of
+    # a matrix, on parity blocks and on the one block of an operator that is
+    # not even.
+    a = _with_boundary_rows(n, seed, band, reach, imaginary=imaginary, even=even)
+    blocks, _ = _parity_fold(Operator(a, Grid(n, 3.0)))
+    rng = np.random.default_rng(seed + 1)
+    for block in blocks:
+        dense = _dense_block(block)
+        shape = (len(dense),) if columns is None else (len(dense), columns)
+        u = rng.normal(size=shape)
+        got = _band_product(block, u)
+        assert got.shape == u.shape
+        bound = 1e-13 * np.abs(dense).sum(axis=0).max() * np.abs(u).max()
+        assert np.abs(got - dense @ u).max() <= bound
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=SMALL_ODD_N,
@@ -190,7 +262,7 @@ def test_fold_is_even_exactly_when_the_matrix_is(
     blocks, even = _parity_fold(op)
     assert even == _even(op.entries)
     sizes = [(n // 2 + 1,) * 2, (n // 2,) * 2] if even else [(n, n)]
-    assert [shape for _, shape in blocks] == sizes
+    assert [_dense_block(block).shape for block in blocks] == sizes
 
 
 @PROPERTY

@@ -1,7 +1,7 @@
 """Shift-invert spectra: on grids of at least 257 points ``spectrum`` solves
-the sparse parity blocks, folded from the bands, with ARPACK and agrees
-with the dense block ``eig``; a guard that fails sends it to the dense
-solve, and smaller grids never leave it."""
+the band parity blocks, folded from the bands, with ARPACK on their band LU
+and agrees with the dense block ``eig``; a guard that fails sends it to the
+dense solve, and smaller grids never leave it."""
 import functools
 import json
 import logging
@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_array
+import scipy.sparse
+import scipy.sparse.linalg
+from scipy.sparse.linalg._eigen.arpack import arpack
 
 import qhm.gridops
 import qhm.verify
@@ -116,14 +118,18 @@ def test_band_folded_blocks_are_the_dense_blocks(n):
         scale = 1e-14 * np.linalg.norm(a)
         assert np.abs(cross).max() <= scale
         for block, ref in zip(blocks, (ref_even, ref_odd)):
+            ab, kl, ku = block
+            # Two subdiagonals and three superdiagonals, in float64, with
+            # the kl rows of LU fill-in on top.
+            assert (kl, ku) == (2, 3)
+            assert ab.dtype == np.float64
+            assert ab.shape == (2 * kl + ku + 1, len(ref))
+            assert not ab[:kl].any()
             dense = _dense_block(block)
-            assert dense.dtype == np.float64
             assert np.abs(dense - ref).max() <= scale
-            # ARPACK's sparse matrix is the same matrix.
-            assert np.array_equal(coo_array(*block).toarray(), dense)
 
 
-def test_an_operator_without_exact_parity_is_one_sparse_block():
+def test_an_operator_without_exact_parity_is_one_band_block():
     op = _operators(257, 0.1, 8.0)["BF"]
     bands = op.bands.copy()
     bands[0, 200] = np.nextafter(bands[0, 200].real, np.inf)
@@ -181,21 +187,40 @@ def test_a_1025_point_spectrum_forms_no_dense_matrix():
         [("eigs", (513, 513), 8), ("eigs", (512, 512), 8)] * 2
         # 129 points: the dense block eig.
         + [("eig", (65, 65)), ("eig", (64, 64))]
-        # 513 points: 8 pairs per block keep 5 levels, too few, 16 keep 6,
-        # a second shift disagrees, and the dense block eig runs.
-        + [("eigs", (257, 257), 8), ("eigs", (256, 256), 8)]
-        + [("eigs", (257, 257), 16), ("eigs", (256, 256), 16)] * 2
+        # 513 points: 8 pairs per block keep 6 levels, a second shift
+        # disagrees, and the dense block eig runs.
+        + [("eigs", (257, 257), 8), ("eigs", (256, 256), 8)] * 2
         + [("eig", (257, 257)), ("eig", (256, 256))]
         # q = 1.1 on 65 points; at q = 1.3 the guard trips before any eigh.
         + [("eigh", (33, 33)), ("eigh", (32, 32))]
     )
 
 
+def test_the_shift_invert_path_builds_no_sparse_matrix():
+    # Each shifted block is factored by LAPACK's band LU: no SuperLU runs,
+    # and no scipy.sparse matrix, COO or CSC, is built on the way.
+    ops = _operators(1025, 0.1, 10.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix or SuperLU")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arpack, "splu", refuse)
+        patch.setattr(scipy.sparse.linalg, "splu", refuse)
+        for cls in (scipy.sparse.coo_array, scipy.sparse.csr_array,
+                    scipy.sparse.csc_array, scipy.sparse._base._spbase):
+            patch.setattr(cls, "tocsc", refuse)
+        patch.setattr(scipy.sparse._base._spbase, "__init__", refuse)
+        patch.setattr(scipy.sparse, "coo_array", refuse)
+        results = [spectrum(ops[which], 6) for which in ("BF", "BF counterpart")]
+    assert [(r.solver, r.fallback) for r in results] == [("shift-invert", None)] * 2
+
+
 def test_small_grids_keep_the_dense_block_solves():
     ops = _operators(129, 0.1, 8.0)
     with recording_solvers() as seen:
         results = [spectrum(ops[which], 6) for which in ("BF", "BF counterpart")]
-    assert [r.solver for r in results] == ["dense", "dense"]
+    assert [(r.solver, r.fallback) for r in results] == [("dense", None)] * 2
     assert seen == [("eig", (65, 65)), ("eig", (64, 64))] * 2
 
 
@@ -206,6 +231,7 @@ def test_gauge_similar_operator_falls_back_to_the_dense_levels(caplog):
     with caplog.at_level(logging.DEBUG, logger="qhm.verify"):
         got = spectrum(h_sim, 6)
     assert got.solver == "dense"
+    assert got.fallback == "shift disagreement"
     assert "shift disagreement" in caplog.text
     assert got.values == _dense(h_sim).values
 
@@ -218,6 +244,7 @@ def test_a_negative_level_takes_the_dense_solve(caplog):
     with caplog.at_level(logging.DEBUG, logger="qhm.verify"):
         got = spectrum(shifted, 6)
     assert got.solver == "dense"
+    assert got.fallback == "negative level"
     assert "negative level" in caplog.text
     assert got.values[0].real < 0
 
@@ -245,7 +272,7 @@ def test_the_arpack_count_doubles_until_the_levels_are_inside(first):
     "make, k, reason",
     [
         # The even block of diag(p²) is singular: p = 0 is a grid point.
-        (lambda g: Operator.diag(g.points**2, g), 6, "ARPACK error"),
+        (lambda g: Operator.diag(g.points**2, g), 6, "singular shifted block"),
         (lambda g: _operators(257, 0.1, 8.0)["BF"], 200, "too few levels"),
     ],
     ids=["singular", "too-few"],
@@ -255,6 +282,7 @@ def test_failed_guards_return_the_dense_levels(make, k, reason, caplog):
     with caplog.at_level(logging.DEBUG, logger="qhm.verify"):
         got = spectrum(op, k)
     assert got.solver == "dense"
+    assert got.fallback == reason
     assert reason in caplog.text
     assert got.values == _dense(op, k).values
 
@@ -266,6 +294,7 @@ def test_a_residual_above_the_bound_takes_the_dense_solve(caplog):
             patch.setattr(qhm.verify, "RESIDUAL_TOL", 0.0)
             got = spectrum(op, 6)
     assert got.solver == "dense"
+    assert got.fallback == "residual above the bound"
     assert "residual above the bound" in caplog.text
 
 

@@ -536,3 +536,42 @@ class TestModelEquality:
         # the ladder couplings, not the nominal input weight.
         mu_fitted = pp.mu + report.anticommutator_coefficient.imag
         assert mu_fitted == pytest.approx(0.05, abs=1e-10)
+
+    @pytest.mark.parametrize("mu, tau", [(0.1, 0.0), (0.1, 0.01), (0.3, 0.05)])
+    def test_the_real_fit_is_the_complex_least_squares(self, mu, tau):
+        # Each column and H1 − H2 are i^t times a real vector: the real
+        # minimum-norm fit, turned back by the phases, is numpy's complex one.
+        grid = Grid(129, 8.0, 0.25)
+        pp = PhysParams(mu=mu, tau=tau, lam=-0.05, delta_t=0.05)
+        x, p = build_deformed_pair(grid, pp)
+        ladder = build_ladder(x, p, pp)
+        h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        h_bf = build_swanson_bf(x, p, pp)
+        report = model_equality_report(h_jr, h_bf, x, p)
+        p2, x2 = op_product(p, p), op_product(x, x)
+        columns = [
+            Operator.diag(np.ones(grid.n_points), grid), p, p2, op_product(p2, p2),
+            x2, op_product(x, p), op_product(p, x),
+            op_scale(0.5, op_sum(op_product(x2, p2), op_product(p2, x2))),
+        ]
+        sl = grid.interior()
+        a = np.stack([c.entries[sl, sl].ravel() for c in columns], axis=1)
+        b = (h_jr.entries - h_bf.entries)[sl, sl].ravel()
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        got = np.array(list(report.coefficients.values()))
+        assert np.abs(got - sol).max() <= 1e-9 * np.abs(sol).max()
+        # An exact fit leaves round-off, where only an absolute bound holds.
+        unexplained = np.linalg.norm(a @ sol - b) / np.linalg.norm(b)
+        assert report.unexplained == pytest.approx(unexplained, rel=1e-6, abs=1e-12)
+
+    def test_a_non_finite_column_is_refused_by_name(self):
+        # At p_max = 1e80 the Hamiltonians are finite but P⁴ overflows; the
+        # overflow raises no RuntimeWarning before the guard.
+        grid = Grid(33, 1e80, 0.25)
+        pp = PhysParams(mu=0.1, tau=0.01, lam=-0.05, delta_t=0.05)
+        x, p = build_deformed_pair(grid, pp)
+        ladder = build_ladder(x, p, pp)
+        h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        h_bf = build_swanson_bf(x, p, pp)
+        with pytest.raises(NumericGuardError, match="column P4 has non-finite"):
+            model_equality_report(h_jr, h_bf, x, p)
