@@ -5,41 +5,29 @@ Everything downstream builds on four ingredients defined here:
 * ``Grid`` — a symmetric, uniformly spaced momentum window with an interior
   mask that excludes boundary-contaminated rows from all norms.  Its points
   are exactly antisymmetric (p[n-1-i] == −p[i], p = 0 at the centre).
-* ``Operator`` — a matrix bound to its grid, stored as its diagonals.
-  The model operators are banded (P and ρ are diagonal, X spans offsets
-  −2..2, H spans −4..4), so products, adjoints, norms and probe actions cost
-  O(n · bandwidth).  The eigensolvers (``hermitian_matrix_function`` here,
-  ``verify.spectrum``) read the bands through one parity fold
-  (``_parity_fold``); none reads ``Operator.entries``.  Two exact
-  properties of the model operators make these solves cheaper:
+* ``Operator`` — a matrix bound to its grid, stored as its diagonals:
+  read-only ``float64`` coefficient bands and a phase ``Operator.turns``,
+  0 when exactly real and 1 when exactly imaginary, decided once where it
+  is built; data, sums and scalars that are neither are refused with
+  ``ValueError``.  The model operators are banded (P and ρ are diagonal, X
+  spans offsets −2..2, H spans −4..4), so products, adjoints, norms and
+  probe actions cost O(n · bandwidth).  With P real and odd and
+  X = iħ(1+τp²)D + iħγ_t p imaginary and odd (P and D, its one-sided
+  boundary rows included, are exactly odd on the antisymmetric grid), the
+  Hamiltonians, the metrics, the counterparts ρ^{1/2}Hρ^{-1/2} and the
+  number operator are exactly real and exactly even under p → −p.
+  ``op_product`` keeps parity exactly: it sums the terms of an entry in an
+  order that the reflection maps onto the order of its mirror's terms.
 
-  - *Real or imaginary.*  Every operator stores read-only ``float64``
-    coefficient bands and its phase ``Operator.turns``, 0 when it is
-    exactly real and 1 when exactly imaginary, decided once where it is
-    built (``Operator``); data, sums and scalars that are neither are
-    refused with ``ValueError``.  With P real and
-    X = iħ(1+τp²)D + iħγ_t p imaginary, X², iμ{X,P}, the ladder
-    (P − iωX)/√(2mħω), the Hamiltonians and the metrics are real, so their
-    products, sums, probe actions and intertwining residuals run in
-    ``float64``, and a real matrix reaches the solvers as a real array:
-    LAPACK runs the real routines (``dgeev``/``dsyevd``, about 2.5x cheaper
-    than ``zgeev``/``zheevd``).
-  - *Even.*  A matrix that commutes exactly with the reflection p → −p is
-    solved as its even and odd blocks of sizes n//2 + 1 and n//2, about a
-    quarter of the full cost for the dense solvers; a banded even operator
-    has banded blocks.  On the antisymmetric grid, P and the derivative D
-    (its one-sided boundary rows included) are exactly odd and every even
-    function of p is exactly even, so X is odd and the Hamiltonians, the
-    Gaussian metrics, the counterparts ρ^{1/2}Hρ^{-1/2} and the number
-    operator are even.
-
-  The parity test is exact, with no tolerance; a matrix that fails it is
-  solved as one n x n block.  Products keep parity exactly: ``op_product``
-  sums the terms of an entry in an order that the reflection maps onto the
-  order of its mirror's terms.
-* elementary algebra (products, adjoints, commutators, real symmetric
-  matrix functions, masked norms).  Every operand is an ``Operator``, and
-  each function reads its grid from its operands, which must share it.
+  That is the one form the eigensolvers take (``hermitian_matrix_function``
+  here, ``verify.spectrum``): ``_parity_fold`` reads an exactly real, exactly
+  even operator's bands into its real even and odd band blocks, of sizes
+  n//2 + 1 and n//2, and refuses any other operator with ``ValueError``.
+  The parity test is exact, with no tolerance.  No n x n matrix is formed.
+* elementary algebra (products, adjoints, commutators, the action of a
+  real symmetric matrix function, masked norms).  Every operand is an
+  ``Operator``, and each function reads its grid from its operands, which
+  must share it.
   Products sum each entry of the coefficient bands in ``float64``, pairing
   the bands from both ends (``op_product``); probe actions apply the
   coefficients and then the phase.
@@ -314,15 +302,17 @@ def _bands_to_dense(lo: int, bands: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parity_fold(op: Operator) -> tuple[list, bool]:
-    """The parity blocks of ``op``, folded from its bands, and whether ``op``
-    is exactly even under the reflection p → −p.
+def _parity_fold(op: Operator) -> tuple[tuple, tuple]:
+    """The even and odd parity blocks of ``op``, folded from its bands.
 
-    Each block is ``(ab, kl, ku)``, the block in LAPACK's general-band
-    storage: ``ab[kl + ku + i − j, j]`` holds entry (i, j), for kl
-    subdiagonals and ku superdiagonals, and the kl rows on top are zero,
-    the room that ``?gbtrf`` needs for the fill-in of its pivoting.  Exactly
-    real bands give a ``float64`` array.  No n x n array is formed.
+    ``op`` must be exactly real and exactly even under the reflection
+    p → −p, as every operator that a job hands to an eigensolver is; an
+    imaginary operator, or one that fails the parity test, is refused with
+    ``ValueError``.  Each block is ``(ab, kl, ku)``, the ``float64`` block in
+    LAPACK's general-band storage: ``ab[kl + ku + i − j, j]`` holds entry
+    (i, j), for kl subdiagonals and ku superdiagonals, and the kl rows on
+    top are zero, the room that ``?gbtrf`` needs for the fill-in of its
+    pivoting.  No n x n array is formed.
 
     ``op`` is even when ``A[i, j] == A[n-1-i, n-1-j]`` for every entry (no
     tolerance), that is when its bands are centred on the main diagonal
@@ -331,8 +321,8 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     (len − 1 − k, n − 1 − i)).  With n = 2m+1, A then maps the even vectors,
     spanned by the orthonormal basis (e_j + e_{n-1-j})/√2 (j < m) and e_m,
     to themselves, and likewise the odd vectors, spanned by
-    (e_j − e_{n-1-j})/√2.  The blocks are A in these two bases, read from
-    the slots of rows 0..m alone:
+    (e_j − e_{n-1-j})/√2 (``_fold_vectors``).  The blocks are A in these two
+    bases, read from the slots of rows 0..m alone:
 
     * even, (m+1) x (m+1): ``A[i, j] + A[i, n-1-j]`` for i, j < m, the
       centre column ``√2·A[i, m]``, the centre row
@@ -342,21 +332,19 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     Every entry sums at most two terms, so the order of the sum does not
     matter.  Column n-1-j folds onto column j near the centre only, so a
     banded A gives banded blocks.  The spectrum of A is the union of the
-    blocks', and a Hermitian A gives Hermitian blocks.  Component j < m of
+    blocks', and a symmetric A gives symmetric blocks.  Component j < m of
     a block eigenvector stands for the mirrored pair (j, n-1-j) of the full
-    one, with the same total squared modulus.  Any other operator is one
-    n x n block.
+    one, with the same total squared modulus.
     """
-    n, lo = op.dim, op.lo
-    bands = op.coefficients if op.turns == 0 else op.bands
-    rows, cols = _slot_indices(lo, bands.shape)
-    stored = (cols >= 0) & (cols < n) & (bands != 0)
+    if op.turns:
+        raise ValueError("the parity fold takes a real operator, not an imaginary one")
+    n, lo, bands = op.dim, op.lo, op.coefficients
     nb = len(bands)
-    even = (nb == 0 or 2 * lo + nb == 1) and np.array_equal(bands, bands[::-1, ::-1])
-    if not even:
-        return [_band_block(bands[stored], rows[stored], cols[stored], n)], False
+    if not ((nb == 0 or 2 * lo + nb == 1) and np.array_equal(bands, bands[::-1, ::-1])):
+        raise ValueError("the parity fold takes an operator exactly even under p -> -p")
     m = n // 2
-    top = stored & (rows <= m)
+    rows, cols = _slot_indices(lo, bands.shape)
+    top = (cols >= 0) & (cols < n) & (bands != 0) & (rows <= m)
     r, c, v = rows[top], cols[top], bands[top]
     folded = np.where(c > m, n - 1 - c, c)  # column n-1-j joins column j
     v_even = v.copy()
@@ -364,10 +352,10 @@ def _parity_fold(op: Operator) -> tuple[list, bool]:
     v_even[(r < m) & (c == m)] *= np.sqrt(2.0)
     odd = (r < m) & (c != m)
     v_odd = np.where(c[odd] > m, -v[odd], v[odd])
-    return [
+    return (
         _band_block(v_even, r, folded, m + 1),
         _band_block(v_odd, r[odd], folded[odd], m),
-    ], True
+    )
 
 
 def _band_block(values, rows, cols, size: int) -> tuple[np.ndarray, int, int]:
@@ -411,18 +399,23 @@ def _band_product(block, u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _parity_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The even n x n matrix whose parity blocks (``_parity_fold``) are given."""
+def _fold_vectors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``v`` in the even and odd bases of ``_parity_fold``:
+    (v_j + v_{n-1-j})/√2 for j < m and v_m, and (v_j − v_{n-1-j})/√2."""
+    m = len(v) // 2
+    head, tail = v[:m], v[:m:-1]  # tail[j] = v[n-1-j]
+    r = np.sqrt(0.5)
+    return np.concatenate([r * (head + tail), v[m : m + 1]]), r * (head - tail)
+
+
+def _unfold_vectors(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The vectors whose ``_fold_vectors`` coordinates are ``even`` and ``odd``."""
     m = len(odd)
     r = np.sqrt(0.5)
-    out = np.empty((2 * m + 1, 2 * m + 1), dtype=np.result_type(even, odd))
-    out[:m, :m] = 0.5 * (even[:m, :m] + odd)
-    out[:m, :m:-1] = 0.5 * (even[:m, :m] - odd)
-    out[:m, m] = r * even[:m, m]
-    out[m, :m] = r * even[m, :m]
-    out[m, :m:-1] = out[m, :m]
-    out[m, m] = even[m, m]
-    out[m + 1 :] = out[m - 1 :: -1, ::-1]
+    out = np.empty((2 * m + 1, even.shape[1]), dtype=np.result_type(even, odd))
+    out[:m] = r * (even[:m] + odd)
+    out[:m:-1] = r * (even[:m] - odd)
+    out[m] = even[m]
     return out
 
 
@@ -655,39 +648,40 @@ def _guarded(w: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
 
 
 def hermitian_matrix_function(
-    a: Operator, f: Callable[[np.ndarray], np.ndarray]
-) -> Operator:
-    """Apply a real scalar function to a real symmetric operator by
-    eigendecomposition.
+    a: Operator, f: Callable[[np.ndarray], np.ndarray], vectors: np.ndarray
+) -> np.ndarray:
+    """f(A)·V for a real scalar function f, a real symmetric operator A and
+    vectors V (as columns), by eigendecomposition of A's parity blocks;
+    f(A) itself is never formed.
 
     Guards: the input must be Hermitian to ``HERMITIAN_TOL`` = 1e-10
-    (relative Frobenius, from the bands) and real (an imaginary one is
-    refused with ``ValueError``), and f of the spectrum must pass
+    (relative Frobenius, from the bands), and ``_parity_fold`` must take it
+    (an imaginary operator, or one that is not exactly even, is refused
+    with ``ValueError``); f of the spectrum must pass
     ``_check_dynamic_range`` (no NaN, max|f|/min|f| ≤ 1e14), so √ or log of
     a spectrum that is not strictly positive trips.  The range is decided
     from ``eigvalsh`` before any eigenvector is computed, so a tripped guard
     costs no ``eigh``; the eigenvalues of the ``eigh`` that follows a pass
     are checked again, so the result is built only from guarded values.
 
-    The real ``eigh`` gives (w, u), and the result is (u·f(w))·uᵀ.  An
-    exactly even input (``_parity_fold``), such as the number operator a†a,
-    is decomposed as its two parity blocks and unfolded into an exactly even
-    result; any other takes one ``eigh`` of the full matrix.
+    The real ``eigh`` of each block gives (w, u); V is folded into the even
+    and odd coordinates (``_fold_vectors``), each block applies
+    u·(f(w)·(uᵀ·v)), and the two are unfolded again.
     """
     _check_hermitian(a)
-    if a.turns:
-        raise ValueError("matrix functions take a real operator, not an imaginary one")
-    blocks, even = _parity_fold(a)
-    parts = [_dense_block(block) for block in blocks]
+    parts = [_dense_block(block) for block in _parity_fold(a)]
+    v = np.asarray(vectors)
+    if v.ndim != 2 or v.shape[0] != a.dim:
+        raise ValueError(f"dimension mismatch: vectors {v.shape}, operator {a.dim}")
     w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
     _guarded(w, f)
     decomps = [np.linalg.eigh(part) for part in parts]
-    w = np.concatenate([wp for wp, _ in decomps])
-    fw = _guarded(w, f)
-    fparts = np.split(fw, np.cumsum([len(part) for part in parts])[:-1])
-    rebuilt = [(u * fp) @ u.T for (_, u), fp in zip(decomps, fparts)]
-    out = _parity_unfold(*rebuilt) if even else rebuilt[0]
-    return Operator(out, a.grid)
+    fw = _guarded(np.concatenate([wp for wp, _ in decomps]), f)
+    even, odd = _fold_vectors(v)
+    fparts = np.split(fw, [len(even)])
+    out = [u @ (fp[:, np.newaxis] * (u.T @ x))
+           for (_, u), fp, x in zip(decomps, fparts, (even, odd))]
+    return _unfold_vectors(*out)
 
 
 def _interior_rows(lo: int, n_bands: int, grid: Grid):
@@ -729,19 +723,9 @@ def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
     return out
 
 
-def masked_norm(a: Operator, relative_to: Sequence[Operator] | None = None) -> float:
-    """Frobenius norm of the interior-by-interior block.
-
-    With ``relative_to`` (a list of operators on the same grid), divides by
-    the product of their interior Frobenius norms, yielding a dimensionless
-    value.
-    """
-    ops = (a, *(relative_to or ()))
-    _check_compatible(*ops)
-    val, *norms = [float(np.linalg.norm(interior_block_entries([b]))) for b in ops]
-    if 0.0 in norms:
-        raise ValueError("relative normalization against a zero block")
-    return val / math.prod(norms)
+def masked_norm(a: Operator) -> float:
+    """Frobenius norm of the interior-by-interior block."""
+    return float(np.linalg.norm(interior_block_entries([a])))
 
 
 def stencil_probes(grid: Grid) -> np.ndarray:

@@ -25,12 +25,14 @@ from .gridops import (
     _check_dynamic_range,
     _check_hermitian,
     _log_weight,
+    _mismatch,
     action_residual,
     adjoint,
     anticommutator,
     commutator,
     derivative_matrix,
     hermitian_matrix_function,
+    interior_action,
     masked_norm,
     op_product,
     op_scale,
@@ -231,31 +233,35 @@ def deformed_algebra_residual(
     ``i*hbar*q^N*(alpha*delta + beta*gamma) +
     i*hbar*(q^2-1)/(alpha*delta + beta*gamma) *
     (delta*gamma*X^2 + alpha*beta*P^2 + i*alpha*delta*XP - i*beta*gamma*PX)``
-    on stencil probes.
+    on stencil probes V, comparing the interior rows of both actions as
+    ``action_residual`` does.
 
     At q = 1 the matrix function is exactly the identity (``1.0 ** x == 1.0``
     for every x, inf and nan included) and the quadratic term vanishes, so
     the right-hand side is the diagonal ``i*hbar*(alpha*delta + beta*gamma)``
     and N is only checked for Hermiticity, on its bands; no eigensolver runs.
-    Otherwise ``hermitian_matrix_function`` decides its guards from N's
-    eigenvalues before it computes any eigenvector.
+    Otherwise ``hermitian_matrix_function`` applies q^N to V, deciding its
+    guards from N's eigenvalues before it computes any eigenvector, and the
+    quadratic term acts on V from its bands.
     """
     combo = qp.alpha * qp.delta + qp.beta * qp.gamma
     grid = x.grid
+    probes = stencil_probes(grid)
     if qp.q == 1.0:
         _check_hermitian(n_op)
         rhs = Operator.diag(np.full(grid.n_points, 1j * pp.hbar * combo), grid)
-    else:
-        qf = hermitian_matrix_function(n_op, lambda t: qp.q**t)
-        rhs = op_scale(1j * pp.hbar * combo, qf)
-        quadratic = op_sum(
-            op_scale(qp.delta * qp.gamma, op_product(x, x)),
-            op_scale(qp.alpha * qp.beta, op_product(p, p)),
-            op_scale(1j * qp.alpha * qp.delta, op_product(x, p)),
-            op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
-        )
-        rhs = op_sum(rhs, op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic))
-    return action_residual(commutator(x, p), rhs, stencil_probes(grid))
+        return action_residual(commutator(x, p), rhs, probes)
+    qn = hermitian_matrix_function(n_op, lambda t: qp.q**t, probes)
+    quadratic = op_sum(
+        op_scale(qp.delta * qp.gamma, op_product(x, x)),
+        op_scale(qp.alpha * qp.beta, op_product(p, p)),
+        op_scale(1j * qp.alpha * qp.delta, op_product(x, p)),
+        op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
+    )
+    rhs = 1j * pp.hbar * combo * qn[grid.interior()] + interior_action(
+        op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic), probes
+    )
+    return _mismatch(interior_action(commutator(x, p), probes), rhs)
 
 
 def gauge_transform(pp: PhysParams, grid: Grid) -> tuple[Operator, Operator]:

@@ -286,23 +286,23 @@ def _arpack_pairs(
     return np.concatenate(vals), np.concatenate(mass), radius
 
 
-def _first_request(k: int, n_blocks: int) -> int:
-    """Pairs per block of the first ARPACK solve: 2⌈k/n_blocks⌉ + 2.
+def _first_request(k: int) -> int:
+    """Pairs per parity block of the first ARPACK solve: 2⌈k/2⌉ + 2.
 
     Each level of the X·X grid Hamiltonians has a sublattice near-copy in
-    the same parity block, so a block holding ⌈k/n_blocks⌉ kept levels
-    shows twice as many Ritz values for them.  One more level and its copy
-    put the farthest Ritz value beyond the last kept level, as the radius
-    guard of ``_shift_invert_levels`` needs.
+    the same parity block, so a block holding ⌈k/2⌉ kept levels shows twice
+    as many Ritz values for them.  One more level and its copy put the
+    farthest Ritz value beyond the last kept level, as the radius guard of
+    ``_shift_invert_levels`` needs.
     """
-    return 2 * -(-k // n_blocks) + 2
+    return 2 * -(-k // 2) + 2
 
 
 def _shift_invert_levels(blocks: list, rows: slice, k: int) -> list[complex]:
     """``spectrum``'s levels from shift-invert ARPACK on the band parity
     blocks; raises ``_Fallback`` when a guard fails."""
     cap = min(ARPACK_K_MAX, max(ab.shape[1] for ab, _, _ in blocks) - 2)
-    nev = min(_first_request(k, len(blocks)), cap)
+    nev = min(_first_request(k), cap)
     while True:
         vals, mass, radius = _arpack_pairs(blocks, rows, 0.0, nev)
         levels = _lowest_levels(vals, mass, k)
@@ -356,25 +356,24 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     parts agree within ``DEDUP_REL`` = 1e-3 (relative) are therefore merged
     before counting.
 
-    Both paths below solve the blocks of one parity fold, taken from the
-    bands once per call (``gridops._parity_fold``) in LAPACK's general-band
-    storage.  An operator that is exactly even under p → −p (the model
-    Hamiltonians and their counterparts) gives its even and odd blocks, and
-    any other operator one n x n block.  Exactly real bands, such as those
-    of the BF and JR Hamiltonians (built from the purely imaginary X and
-    the real P), give real blocks; the parity blocks of the model
+    ``op`` must be exactly real and exactly even under p → −p, as the model
+    Hamiltonians and their counterparts are (built from the purely
+    imaginary, odd X and the real, odd P); any other operator is refused
+    with ``ValueError`` (``gridops._parity_fold``).  Both paths below solve
+    its even and odd blocks, folded from the bands once per call into
+    LAPACK's general-band storage; the parity blocks of the model
     Hamiltonians have 2 subdiagonals and 3 superdiagonals.  Each state's
     interior mass comes from its block vector, whose mirrored half is
-    implied, so no n x n matrix of an even operator is formed.
+    implied, so no n x n matrix is formed.
 
     *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).
     ARPACK in shift-invert mode (``scipy.sparse.linalg.eigs`` with σ = 0)
-    finds the eigenvalues of each block nearest 0: first 2⌈k/b⌉ + 2 of them
-    for b blocks (``_first_request``; 8 for k = 6 on an even operator, 14 on
-    any other), because each kept level comes with a sublattice near-copy
-    in its own block.  Each shifted block B − σI is factored once by
-    LAPACK's band LU (``dgbtrf``), and ARPACK iterates on its band solve
-    (``dgbtrs``), so no sparse matrix is formed (``_arpack_pairs``).  The
+    finds the eigenvalues of each block nearest 0: first 2⌈k/2⌉ + 2 of them
+    (``_first_request``; 8 for k = 6), because each kept level comes with a
+    sublattice near-copy in its own block.  Each shifted block B − σI is
+    factored once by LAPACK's band LU (``dgbtrf``), and ARPACK iterates on
+    its band solve (``dgbtrs``), so no sparse matrix is formed
+    (``_arpack_pairs``).  The
     interior masses come from the block vectors, and the filter and merge
     are the dense path's.
     Levels nearest σ = 0 are the smallest-real-part ones only when no
@@ -402,14 +401,14 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     points, 16 s at 4097).  scipy is imported only on this path, so small
     grids never load it.
 
-    *Dense* (smaller grids and fallbacks).  ``eig`` on each block as a
-    dense array (``_block_eig_with_mass``): the real routine for a real
-    block, whose eigenvalues are returned as complex numbers all the same.
+    *Dense* (smaller grids and fallbacks).  The real ``eig`` on each block
+    as a dense array (``_block_eig_with_mass``), its eigenvalues returned
+    as complex numbers.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     _check_compatible(op)
-    blocks, _ = _parity_fold(op)
+    blocks = _parity_fold(op)
     rows = op.grid.interior()  # rows k..n-k; k onwards of a half-size block
     fallback = None
     if op.dim >= SHIFT_INVERT_MIN_POINTS:

@@ -144,7 +144,7 @@ def test_alg_refuses_raw_arrays():
         lambda: op_product(np.eye(4), np.eye(5)),
         lambda: op_scale(2.0, np.eye(9)),
         lambda: adjoint(np.eye(9)),
-        lambda: hermitian_matrix_function(np.eye(9), np.exp),
+        lambda: hermitian_matrix_function(np.eye(9), np.exp, np.eye(9)),
     ):
         with pytest.raises(TypeError, match=r"Operator\(entries, grid\)"):
             call()
@@ -245,35 +245,54 @@ def _on_grid(a):
     return Operator(a, Grid(len(a), 2.0))
 
 
+def _even_symmetric(n, seed):
+    """A random real symmetric n x n matrix that is exactly even: entry
+    (i, j) and its mirror (n-1-i, n-1-j) sum the same two terms."""
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    m = m + m.T
+    return 0.5 * (m + m[::-1, ::-1])
+
+
+def _matrix(a, f):
+    """f(A) as a dense array: its action on the identity's columns."""
+    return hermitian_matrix_function(a, f, np.eye(a.dim))
+
+
 def test_matrix_function_exp_on_diagonal():
-    a = _on_grid(np.diag([0.0, np.log(2.0), np.log(4.0)]))
-    got = hermitian_matrix_function(a, np.exp)
-    assert np.allclose(got.entries, np.diag([1.0, 2.0, 4.0]), atol=1e-14)
+    a = _on_grid(np.diag([np.log(4.0), np.log(2.0), 0.0, np.log(2.0), np.log(4.0)]))
+    got = _matrix(a, np.exp)
+    assert np.allclose(got, np.diag([4.0, 2.0, 1.0, 2.0, 4.0]), atol=1e-14)
 
 
 def test_matrix_function_square_agrees_with_product():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(13, 13))
-    a = 0.5 * (m + m.T)
-    got = hermitian_matrix_function(_on_grid(a), lambda t: t**2).entries
+    a = _even_symmetric(13, 3)
+    got = _matrix(_on_grid(a), lambda t: t**2)
     expect = a @ a
     rel = np.linalg.norm(got - expect) / np.linalg.norm(expect)
     assert rel < 1e-12
 
 
-def test_matrix_function_rational_weight_on_momentum_diagonal():
+def test_matrix_function_rational_weight_on_even_momentum_diagonal():
     g = Grid(9, 2.0, 0.25)
-    p = Operator(np.diag(g.points), g)
-    got = hermitian_matrix_function(p, lambda t: 1.0 / (1.0 + 0.1 * t**2))
+    p2 = Operator.diag(g.points**2, g)
+    got = _matrix(p2, lambda t: 1.0 / (1.0 + 0.1 * t))
     expect = np.diag(1.0 / (1.0 + 0.1 * g.points**2))
-    assert np.allclose(got.entries, expect, atol=1e-14)
+    assert np.allclose(got, expect, atol=1e-14)
+
+
+def test_matrix_function_refuses_an_operator_that_is_not_even():
+    # P is odd, and a one-ulp asymmetry breaks the exact parity test.
+    g = Grid(9, 2.0, 0.25)
+    bumped = np.diag(1.0 + g.points**2)
+    bumped[0, 0] = np.nextafter(bumped[0, 0], 3.0)
+    for a in (Operator.diag(g.points, g), Operator(bumped, g)):
+        with pytest.raises(ValueError, match="exactly even"):
+            hermitian_matrix_function(a, np.exp, np.eye(9))
 
 
 def test_matrix_function_identity_returns_input():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(11, 11))
-    a = 0.5 * (m + m.T)
-    got = hermitian_matrix_function(_on_grid(a), lambda t: t).entries
+    a = _even_symmetric(11, 5)
+    got = _matrix(_on_grid(a), lambda t: t)
     rel = np.linalg.norm(got - a) / np.linalg.norm(a)
     assert rel < 1e-12
 
@@ -281,37 +300,34 @@ def test_matrix_function_identity_returns_input():
 def test_matrix_function_rejects_non_hermitian():
     a = _on_grid(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_matrix_function(a, np.exp)
+        _matrix(a, np.exp)
 
 
 def test_matrix_function_guards_fractional_power_of_indefinite_input():
     # √ of a negative eigenvalue is NaN.
-    a = _on_grid(np.diag([1.0, -1.0, 2.0]))
+    a = _on_grid(np.diag([2.0, -1.0, 2.0]))
     with pytest.raises(NumericGuardError, match="NaN"):
-        hermitian_matrix_function(a, np.sqrt)
+        _matrix(a, np.sqrt)
 
 
 def test_matrix_function_refuses_a_nan_spectrum():
-    a = Operator.diag([-1.0, 1.0, 2.0], Grid(3, 1.0))
+    a = Operator.diag([1.0, -1.0, 1.0], Grid(3, 1.0))
     with pytest.raises(NumericGuardError, match="NaN"):
-        hermitian_matrix_function(a, np.log)
+        _matrix(a, np.log)
 
 
 def test_matrix_function_overflow_guard():
-    a = _on_grid(np.diag([0.0, 20.0, 40.0]))
+    a = _on_grid(np.diag([40.0, 0.0, 40.0]))
     with pytest.raises(NumericGuardError, match="dynamic range"):
-        hermitian_matrix_function(a, np.exp)
+        _matrix(a, np.exp)
 
 
-def _uneven_and_even(d):
-    """diag(d) with d's last value repeated, an Operator on len(d) + 1 points
-    without parity, which takes the full eigh; and the exactly even Operator
-    on 2·len(d)−1 points (d mirrored about the centre), which takes the
-    parity blocks."""
-    d = np.asarray(d, dtype=float)
-    padded = np.append(d, d[-1])
-    mirrored = np.concatenate([d[:0:-1], d])
-    return [Operator.diag(v, Grid(len(v), 2.0)) for v in (padded, mirrored)]
+def _both_blocks(low, high):
+    """The exactly even diagonals (high, low, high) and (low, high, low) on
+    three points.  Both have the spectrum {low, high}; in the second the
+    odd block holds low alone, so the range is decided over both blocks."""
+    grid = Grid(3, 2.0)
+    return [Operator.diag(v, grid) for v in ([high, low, high], [low, high, low])]
 
 
 def _diag_of(a):
@@ -321,29 +337,41 @@ def _diag_of(a):
 LOG_RANGE = np.log(1e14)
 
 
-@pytest.mark.parametrize("a", _uneven_and_even([0.0, LOG_RANGE - 1e-6]))
+@pytest.mark.parametrize("a", _both_blocks(0.0, LOG_RANGE - 1e-6))
 def test_matrix_function_dynamic_range_just_inside_passes(a):
-    got = hermitian_matrix_function(a, np.exp)
-    assert _diag_of(got) == pytest.approx(np.exp(_diag_of(a)), rel=1e-14)
+    got = np.diag(_matrix(a, np.exp))
+    assert got == pytest.approx(np.exp(_diag_of(a)), rel=1e-14)
 
 
-@pytest.mark.parametrize("a", _uneven_and_even([0.0, LOG_RANGE + 1e-6]))
+@pytest.mark.parametrize("a", _both_blocks(0.0, LOG_RANGE + 1e-6))
 def test_matrix_function_dynamic_range_just_outside_trips(a):
     with pytest.raises(NumericGuardError, match="dynamic range"):
-        hermitian_matrix_function(a, np.exp)
+        _matrix(a, np.exp)
 
 
-@pytest.mark.parametrize("a", _uneven_and_even([1.0, 2.0]))
+@pytest.mark.parametrize("a", _both_blocks(1.0, 2.0))
 def test_matrix_function_fractional_power_of_positive_input_passes(a):
-    got = hermitian_matrix_function(a, np.sqrt)
-    assert _diag_of(got) == pytest.approx(np.sqrt(_diag_of(a)), rel=1e-14)
+    got = np.diag(_matrix(a, np.sqrt))
+    assert got == pytest.approx(np.sqrt(_diag_of(a)), rel=1e-14)
 
 
-@pytest.mark.parametrize("a", _uneven_and_even([0.0, 1.0]))
+@pytest.mark.parametrize("a", _both_blocks(0.0, 1.0))
 def test_matrix_function_fractional_power_of_singular_input_trips(a):
     # √0 gives min|f| = 0, an unbounded dynamic range.
     with pytest.raises(NumericGuardError, match="dynamic range"):
-        hermitian_matrix_function(a, np.sqrt)
+        _matrix(a, np.sqrt)
+
+
+def test_matrix_function_takes_vectors_as_the_columns_of_a_matrix():
+    g = Grid(9, 2.0, 0.25)
+    a = Operator.diag(1.0 + g.points**2, g)
+    v = np.linspace(-1.0, 2.0, 18).reshape(9, 2)
+    got = hermitian_matrix_function(a, np.sqrt, v)
+    assert got.shape == (9, 2)
+    assert got == pytest.approx(np.sqrt(1.0 + g.points**2)[:, np.newaxis] * v, rel=1e-14)
+    for wrong in (np.ones((7, 2)), np.ones(9)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hermitian_matrix_function(a, np.sqrt, wrong)
 
 
 # ---------------------------------------------------------------- masked norm
@@ -364,25 +392,6 @@ def test_masked_norm_absolute_homogeneity():
     rng = np.random.default_rng(1)
     a = Operator(rng.normal(size=(17, 17)), g)
     assert masked_norm(op_scale(-3.0, a)) == pytest.approx(3.0 * masked_norm(a))
-
-
-def test_masked_norm_relative_is_scale_free():
-    g = Grid(17, 3.0, 0.25)
-    rng = np.random.default_rng(2)
-    a = Operator(rng.normal(size=(17, 17)), g)
-    r1 = masked_norm(a, relative_to=[a])
-    r2 = masked_norm(op_scale(5.0, a), relative_to=[op_scale(5.0, a)])
-    assert r1 == pytest.approx(r2)
-    assert r1 == pytest.approx(1.0)
-
-
-def test_masked_norm_relative_uses_product_of_norms():
-    g = Grid(9, 2.0, 0.25)
-    a = Operator(2.0 * np.eye(9), g)
-    b = Operator(4.0 * np.eye(9), g)
-    # interior norms: 2*sqrt(5), 4*sqrt(5); block norm of a: 2*sqrt(5)
-    got = masked_norm(a, relative_to=[a, b])
-    assert got == pytest.approx(1.0 / (4.0 * np.sqrt(5.0)))
 
 
 @pytest.mark.parametrize(
@@ -410,14 +419,6 @@ def test_interior_block_entries_list_the_interior_slots_band_by_band(n, offsets)
     expect = np.stack([d[rows[inside], cols[inside]] for d in dense], axis=1)
     assert got.shape == expect.shape == (inside.sum(), 2)
     assert np.array_equal(got, expect)
-
-
-def test_masked_norm_rejects_zero_normalizer():
-    g = Grid(9, 2.0, 0.25)
-    a = Operator(np.eye(9), g)
-    z = Operator(np.zeros((9, 9)), g)
-    with pytest.raises(ValueError, match="zero"):
-        masked_norm(a, relative_to=[z])
 
 
 # ---------------------------------------------------------------- probes

@@ -1,8 +1,8 @@
-"""Parity blocks: an operator that commutes exactly with the reflection
-p → −p is solved as its even and odd blocks, folded from its bands, with the
-full solver's levels, kept states and matrix functions; anything else takes
-the full n x n solver.  The references are the explicit change of basis and
-the full ``np.linalg`` solves of ``Operator.entries``."""
+"""Parity blocks: an exactly real operator that commutes exactly with the
+reflection p → −p is solved as its even and odd blocks, folded from its
+bands, with the full solver's levels, kept states and matrix function
+actions; any other operator is refused.  The references are the explicit
+change of basis and the full ``np.linalg`` solves of ``Operator.entries``."""
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -77,9 +77,10 @@ def _random_even(n, seed, *, imaginary=False, band=None):
     return 1j * a if imaginary else a
 
 
-def _hermitian_even(n, seed):
-    """An exactly symmetric, exactly even real matrix with spectrum in [1, 3]."""
-    a = _random_even(n, seed)
+def _hermitian_even(n, seed, band=None):
+    """An exactly symmetric, exactly even real matrix with spectrum in [1, 3]
+    (banded as in ``_random_even``)."""
+    a = _random_even(n, seed, band=band)
     h = a + a.T  # exact on both counts
     h = h / np.abs(np.linalg.eigvalsh(h)).max()
     return h + 2.0 * np.eye(n)
@@ -103,10 +104,9 @@ def _basis_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q_even.T @ a @ q_even, q_odd.T @ a @ q_odd, q_even.T @ a @ q_odd
 
 
-def _folded(a: np.ndarray) -> tuple[list[np.ndarray], bool]:
+def _folded(a: np.ndarray) -> list[np.ndarray]:
     """The dense blocks of ``_parity_fold`` on the matrix ``a``."""
-    blocks, even = _parity_fold(Operator(a, Grid(len(a), 3.0)))
-    return [_dense_block(block) for block in blocks], even
+    return [_dense_block(block) for block in _parity_fold(Operator(a, Grid(len(a), 3.0)))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,34 +123,26 @@ def test_grid_points_are_exactly_antisymmetric(n, p_max):
     assert np.abs(p - lin).max() <= 2 * np.spacing(p_max)
 
 
-def test_blocks_only_for_exactly_even_odd_sized_matrices():
+def test_blocks_only_for_exactly_even_real_odd_sized_matrices():
     a = _random_even(9, 1)
-    (even, odd), is_even = _folded(a)
-    assert is_even
+    even, odd = _folded(a)
     assert even.shape == (5, 5) and odd.shape == (4, 4)
     bumped = a.copy()
     bumped[2, 7] = np.nextafter(bumped[2, 7], np.inf)
-    (whole,), is_even = _folded(bumped)
-    assert not is_even
-    assert np.array_equal(whole, bumped)
+    with pytest.raises(ValueError, match="exactly even"):
+        _folded(bumped)
+    with pytest.raises(ValueError, match="not an imaginary one"):
+        _folded(1j * a)
     with pytest.raises(ValueError, match="odd"):  # no grid, so no operator
         Grid(8, 3.0)
 
 
 @PROPERTY
-@given(
-    n=SMALL_ODD_N,
-    seed=SEEDS,
-    imaginary=st.booleans(),
-    band=st.sampled_from([None, 0, 1, 2, 4]),
-)
-def test_folded_blocks_are_the_matrix_in_the_parity_basis(
-    n, seed, imaginary, band
-):
-    a = _random_even(n, seed, imaginary=imaginary, band=band)
-    (even, odd), is_even = _folded(a)
-    assert is_even
-    assert even.dtype == (complex if imaginary else float) == odd.dtype
+@given(n=SMALL_ODD_N, seed=SEEDS, band=st.sampled_from([None, 0, 1, 2, 4]))
+def test_folded_blocks_are_the_matrix_in_the_parity_basis(n, seed, band):
+    a = _random_even(n, seed, band=band)
+    even, odd = _folded(a)
+    assert even.dtype == float == odd.dtype
     ref_even, ref_odd, cross = _basis_blocks(a)
     scale = 1e-14 * np.linalg.norm(a)
     assert np.abs(even - ref_even).max() <= scale
@@ -158,41 +150,32 @@ def test_folded_blocks_are_the_matrix_in_the_parity_basis(
     assert np.abs(cross).max() <= scale
 
 
-def _with_boundary_rows(n, seed, band, reach, *, imaginary=False, even=True):
-    """A random matrix confined to ``band`` diagonals each side, whose first
-    two rows reach ``reach`` columns further right, as the one-sided
-    stencils of the derivative's boundary rows do; with ``even``, plus its
-    mirror, so the last two rows reach as far left."""
+def _with_boundary_rows(n, seed, band, reach):
+    """A random exactly even matrix confined to ``band`` diagonals each
+    side, whose first two rows reach ``reach`` columns further right, as
+    the one-sided stencils of the derivative's boundary rows do, and whose
+    last two rows (their mirrors) reach as far left."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     rows, cols = np.indices((n, n))
     offsets = cols - rows
     one_sided = (rows < 2) & (offsets >= 0) & (offsets <= band + reach)
     a = np.where((np.abs(offsets) <= band) | one_sided, a, 0.0)
-    if even:
-        a = a + a[::-1, ::-1]
-    return 1j * a if imaginary else a
+    return a + a[::-1, ::-1]
 
 
 @PROPERTY
-@given(
-    n=SMALL_ODD_N,
-    seed=SEEDS,
-    imaginary=st.booleans(),
-    band=st.integers(0, 4),
-    reach=st.integers(0, 3),
-)
-def test_band_blocks_hold_the_parity_basis_blocks(n, seed, imaginary, band, reach):
+@given(n=SMALL_ODD_N, seed=SEEDS, band=st.integers(0, 4), reach=st.integers(0, 3))
+def test_band_blocks_hold_the_parity_basis_blocks(n, seed, band, reach):
     # Each block is LAPACK band storage, ab[kl + ku + i - j, j] = B[i, j],
     # whose kl rows on top are zero and whose diagonals hold every nonzero.
-    a = _with_boundary_rows(n, seed, band, reach, imaginary=imaginary)
-    blocks, even = _parity_fold(Operator(a, Grid(n, 3.0)))
-    assert even
+    a = _with_boundary_rows(n, seed, band, reach)
+    blocks = _parity_fold(Operator(a, Grid(n, 3.0)))
     scale = 1e-14 * np.linalg.norm(a)
     for (ab, kl, ku), ref in zip(blocks, _basis_blocks(a)[:2]):
         size = len(ref)
         assert ab.shape == (2 * kl + ku + 1, size)
-        assert ab.dtype == (complex if imaginary else float)
+        assert ab.dtype == float
         assert not ab[:kl].any()
         i, j = np.indices(ref.shape)
         inside = (i - j <= kl) & (j - i <= ku)
@@ -205,20 +188,15 @@ def test_band_blocks_hold_the_parity_basis_blocks(n, seed, imaginary, band, reac
 @given(
     n=SMALL_ODD_N,
     seed=SEEDS,
-    imaginary=st.booleans(),
-    even=st.booleans(),
     band=st.integers(0, 4),
     reach=st.integers(0, 3),
     columns=st.sampled_from([None, 1, 3]),
 )
-def test_band_product_is_the_dense_product(
-    n, seed, imaginary, even, band, reach, columns
-):
-    # The residual guard's B·u on the bands, for one vector or the columns of
-    # a matrix, on parity blocks and on the one block of an operator that is
-    # not even.
-    a = _with_boundary_rows(n, seed, band, reach, imaginary=imaginary, even=even)
-    blocks, _ = _parity_fold(Operator(a, Grid(n, 3.0)))
+def test_band_product_is_the_dense_product(n, seed, band, reach, columns):
+    # The residual guard's B·u on the bands of each parity block, for one
+    # vector or the columns of a matrix.
+    a = _with_boundary_rows(n, seed, band, reach)
+    blocks = _parity_fold(Operator(a, Grid(n, 3.0)))
     rng = np.random.default_rng(seed + 1)
     for block in blocks:
         dense = _dense_block(block)
@@ -239,7 +217,7 @@ def test_band_product_is_the_dense_product(
     width=st.integers(0, 9),
     kind=st.sampled_from(["banded", "even", "bumped", "zero", "diagonal"]),
 )
-def test_fold_is_even_exactly_when_the_matrix_is(
+def test_fold_takes_a_matrix_exactly_when_it_is_even_and_real(
     n, seed, imaginary, lo, width, kind
 ):
     rng = np.random.default_rng(seed)
@@ -259,10 +237,16 @@ def test_fold_is_even_exactly_when_the_matrix_is(
             i, j = rng.integers(n, size=2)
             a[i, j] = np.nextafter(a[i, j], np.inf)
     op = Operator(1j * a if imaginary else a, Grid(n, 3.0))
-    blocks, even = _parity_fold(op)
-    assert even == _even(op.entries)
-    sizes = [(n // 2 + 1,) * 2, (n // 2,) * 2] if even else [(n, n)]
-    assert [_dense_block(block).shape for block in blocks] == sizes
+    if op.turns:  # the zero matrix counts as real
+        with pytest.raises(ValueError, match="not an imaginary one"):
+            _parity_fold(op)
+    elif not _even(op.entries):
+        with pytest.raises(ValueError, match="exactly even"):
+            _parity_fold(op)
+    else:
+        blocks = _parity_fold(op)
+        sizes = [(n // 2 + 1,) * 2, (n // 2,) * 2]
+        assert [_dense_block(block).shape for block in blocks] == sizes
 
 
 @PROPERTY
@@ -274,9 +258,6 @@ def test_fold_is_even_exactly_when_the_matrix_is(
     mass_min=st.floats(0.3, 0.9),
 )
 def test_spectrum_blocks_match_the_full_eig(n, seed, band, mask_fraction, mass_min):
-    # Real matrices only: an imaginary one has its levels in ± pairs, and
-    # real ones at real part 0, so ordering by real part is a tie-break of
-    # round-off (the imaginary fold is checked by the block-mass test).
     grid = Grid(n, 3.0, mask_fraction)
     a = _random_even(n, seed, band=band)
     op = Operator(a, grid)
@@ -295,14 +276,11 @@ def test_spectrum_blocks_match_the_full_eig(n, seed, band, mask_fraction, mass_m
 
 
 @PROPERTY
-@given(
-    n=SMALL_ODD_N, seed=SEEDS, imaginary=st.booleans(), start=st.integers(0, 4)
-)
-def test_block_masses_are_the_lifted_vectors_masses(n, seed, imaginary, start):
-    a = _random_even(n, seed, imaginary=imaginary, band=2)
+@given(n=SMALL_ODD_N, seed=SEEDS, start=st.integers(0, 4))
+def test_block_masses_are_the_lifted_vectors_masses(n, seed, start):
+    a = _random_even(n, seed, band=2)
     start = min(start, n // 2 - 1)
-    blocks, even = _parity_fold(Operator(a, Grid(n, 3.0)))
-    assert even
+    blocks = _parity_fold(Operator(a, Grid(n, 3.0)))
     vals, mass = _block_eig_with_mass(blocks, slice(start, n - start))
     assert len(vals) == n
     got = []
@@ -320,24 +298,29 @@ def test_block_masses_are_the_lifted_vectors_masses(n, seed, imaginary, start):
 
 @PROPERTY
 @given(
-    n=SMALL_ODD_N,
+    n=st.integers(2, 32).map(lambda m: 2 * m + 1),
     seed=SEEDS,
+    band=st.sampled_from([None, 0, 1, 2, 4]),
+    columns=st.integers(1, 3),
     f=st.sampled_from([np.exp, np.sqrt, lambda t: t**2]),
 )
-def test_matrix_function_blocks_match_the_full_eigh(n, seed, f):
-    h = _hermitian_even(n, seed)
+def test_matrix_function_action_matches_the_full_eigh(n, seed, band, columns, f):
+    # f(A)·V from the parity blocks against f(A) from numpy's eigh of the
+    # dense matrix, times V.
+    h = _hermitian_even(n, seed, band=band)
     m = n // 2
     op = Operator(h, Grid(n, 3.0))
+    v = np.random.default_rng(seed + 1).normal(size=(n, columns))
     with recording_solvers() as seen:
-        got = hermitian_matrix_function(op, f).entries
+        got = hermitian_matrix_function(op, f, v)
         w, u = np.linalg.eigh(op.entries.real)
-    expect = (u * f(w)) @ u.T
+    expect = ((u * f(w)) @ u.T) @ v
     assert seen == [("eigh", (m + 1, m + 1)), ("eigh", (m, m)), ("eigh", (n, n))]
-    assert _even(got)
+    assert got.shape == v.shape and got.dtype == float
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
-def test_a_one_ulp_asymmetry_takes_the_full_solvers():
+def test_a_one_ulp_asymmetry_or_an_imaginary_operator_is_refused_before_any_solver():
     n = 129
     grid = Grid(n, 8.0)
     a = _random_even(n, 4, band=2)
@@ -345,9 +328,13 @@ def test_a_one_ulp_asymmetry_takes_the_full_solvers():
     h = _hermitian_even(n, 5)
     h[3, 4] = h[4, 3] = np.nextafter(h[3, 4], np.inf)
     with recording_solvers() as seen:
-        spectrum(Operator(a, grid), 4)
-        hermitian_matrix_function(Operator(h, grid), np.exp)
-    assert seen == [("eig", (n, n)), ("eigh", (n, n))]
+        with pytest.raises(ValueError, match="exactly even"):
+            spectrum(Operator(a, grid), 4)
+        with pytest.raises(ValueError, match="exactly even"):
+            hermitian_matrix_function(Operator(h, grid), np.exp, np.eye(n))
+        with pytest.raises(ValueError, match="not an imaginary one"):
+            spectrum(Operator(1j * _random_even(n, 4, band=2), grid), 4)
+    assert seen == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,5 +394,5 @@ def test_model_operators_are_exactly_even_on_random_grids(n, p_max, tau):
         "JR": build_swanson_jr(ladder.a, ladder.a_dag, pp),
         "N": default_number_operator(ladder.a, ladder.a_dag),
     }
-    for name, op in ops.items():
-        assert _parity_fold(op)[1], name
+    for op in ops.values():
+        _parity_fold(op)  # refuses an operator that is not exactly even

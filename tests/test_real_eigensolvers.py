@@ -1,7 +1,8 @@
 """Which LAPACK routine the dense eigensolvers reach: a real operator goes
 to the real ``eig``/``eigh``, the matrix functions refuse an imaginary one,
-and the real path gives the complex path's results.  Model operators are also exactly even under p → −p, so
-each solve runs on the two parity blocks (tests/test_parity.py)."""
+and the real path gives the complex path's results.  The operators are
+exactly even under p → −p, so each solve runs on the two parity blocks
+(tests/test_parity.py)."""
 import json
 
 import numpy as np
@@ -92,13 +93,33 @@ def test_tripped_guard_computes_no_eigenvectors(seen_all):
                         ("eigvalsh", np.float64, (128, 128))]
     seen_all.clear()
     with pytest.raises(NumericGuardError, match="dynamic range"):
-        hermitian_matrix_function(Operator.diag([0.0, 1.0, 1.0], Grid(3, 1.0)), np.sqrt)
-    assert seen_all == [("eigvalsh", np.float64, (3, 3))]
+        hermitian_matrix_function(
+            Operator.diag([1.0, 0.0, 1.0], Grid(3, 1.0)), np.sqrt, np.eye(3)
+        )
+    assert seen_all == [("eigvalsh", np.float64, (2, 2)),
+                        ("eigvalsh", np.float64, (1, 1))]
 
 
 def test_passed_guard_decides_on_eigvalsh_before_eigh(seen_all):
-    hermitian_matrix_function(Operator.diag([1.0, 2.0, 2.0], Grid(3, 1.0)), np.sqrt)
-    assert seen_all == [("eigvalsh", np.float64, (3, 3)), ("eigh", np.float64, (3, 3))]
+    hermitian_matrix_function(
+        Operator.diag([2.0, 1.0, 2.0], Grid(3, 1.0)), np.sqrt, np.eye(3)
+    )
+    assert seen_all == [
+        ("eigvalsh", np.float64, (2, 2)), ("eigvalsh", np.float64, (1, 1)),
+        ("eigh", np.float64, (2, 2)), ("eigh", np.float64, (1, 1)),
+    ]
+
+
+def test_passing_q_check_runs_eigh_on_the_two_parity_blocks(seen_all):
+    # The algebra-check-q pin of tests/report_pins.json: q^N passes its
+    # range guard on eigvalsh, then eigh runs once per block.
+    cfg = {"job": "algebra-check", "grid": {"n_points": 129, "p_max": 4.0},
+           "q_params": {"q": 1.05}}
+    run_job(parse_config(json.dumps(cfg)))
+    assert seen_all == [
+        ("eigvalsh", np.float64, (65, 65)), ("eigvalsh", np.float64, (64, 64)),
+        ("eigh", np.float64, (65, 65)), ("eigh", np.float64, (64, 64)),
+    ]
 
 
 def test_imaginary_hermitian_input_is_refused_before_any_eigensolver(seen_all):
@@ -107,7 +128,7 @@ def test_imaginary_hermitian_input_is_refused_before_any_eigensolver(seen_all):
     herm = Operator(0.5j * (m - m.T), Grid(9, 2.0))
     assert herm.turns == 1
     with pytest.raises(ValueError, match="not an imaginary one"):
-        hermitian_matrix_function(herm, np.exp)
+        hermitian_matrix_function(herm, np.exp, np.eye(9))
     assert seen_all == []
 
 
@@ -142,29 +163,30 @@ MOMENTA = Grid(9, 2.0, 0.25).points
 
 
 def _symmetric(n, seed):
+    """A random real symmetric matrix that is exactly even."""
     m = np.random.default_rng(seed).normal(size=(n, n))
-    return 0.5 * (m + m.T)
+    s = m + m.T
+    return 0.5 * (s + s[::-1, ::-1])
 
 
 @pytest.mark.parametrize(
     "a, f",
     [
-        (np.diag([0.0, np.log(2.0), np.log(4.0)]), np.exp),
+        (np.diag([np.log(4.0), np.log(2.0), 0.0, np.log(2.0), np.log(4.0)]), np.exp),
         (_symmetric(13, 3), lambda t: t**2),
-        (np.diag(MOMENTA), lambda t: 1.0 / (1.0 + 0.1 * t**2)),
+        (np.diag(MOMENTA**2), lambda t: 1.0 / (1.0 + 0.1 * t)),
         (_symmetric(11, 5), lambda t: t),
     ],
 )
 def test_real_symmetric_matrix_function_matches_the_complex_path(a, f):
-    got = hermitian_matrix_function(Operator(a, Grid(len(a), 2.0)), f).entries
-    assert not np.imag(got).any()
+    got = hermitian_matrix_function(Operator(a, Grid(len(a), 2.0)), f, np.eye(len(a)))
     w, u = np.linalg.eigh(a.astype(np.complex128))
     expect = (u * f(w)) @ u.conj().T
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
-def test_real_symmetric_operator_keeps_real_bands():
+def test_real_symmetric_operator_gives_a_real_action():
     grid = Grid(9, 2.0, 0.25)
-    got = hermitian_matrix_function(Operator(_symmetric(9, 7), grid), np.exp)
-    assert isinstance(got, Operator)
-    assert not got.bands.imag.any()
+    probes = np.stack([np.ones(9), MOMENTA], axis=1)
+    got = hermitian_matrix_function(Operator(_symmetric(9, 7), grid), np.exp, probes)
+    assert got.dtype == np.float64 and got.shape == (9, 2)

@@ -24,8 +24,6 @@ ALLOWED = {
     "MetricSpec.factors",
     "FitResult.distances",
     "FitResult.nearest",
-    # an optional normalisation
-    "masked_norm.relative_to",
     # the command line reads sys.argv when called without arguments
     "main.argv",
 }

@@ -111,8 +111,7 @@ def test_the_first_request_holds_the_kept_levels(n, mu, p_max, which):
 @pytest.mark.parametrize("n", [257, 513])
 def test_band_folded_blocks_are_the_dense_blocks(n):
     for op in _operators(n, 0.1, 10.0).values():
-        blocks, even = _parity_fold(op)
-        assert even
+        blocks = _parity_fold(op)
         a = op.entries.real
         ref_even, ref_odd, cross = _basis_blocks(a)
         scale = 1e-14 * np.linalg.norm(a)
@@ -129,20 +128,16 @@ def test_band_folded_blocks_are_the_dense_blocks(n):
             assert np.abs(dense - ref).max() <= scale
 
 
-def test_an_operator_without_exact_parity_is_one_band_block():
+def test_an_operator_without_exact_parity_is_refused():
+    # One entry an ulp off its mirror: no solver runs.
     op = _operators(257, 0.1, 8.0)["BF"]
-    bands = op.bands.copy()
-    bands[0, 200] = np.nextafter(bands[0, 200].real, np.inf)
+    bands = op.coefficients.copy()
+    bands[0, 200] = np.nextafter(bands[0, 200], np.inf)
     bumped = Operator.from_bands(op.lo, bands, op.grid)
-    (block,), even = _parity_fold(bumped)
-    assert not even
-    assert np.array_equal(_dense_block(block), bumped.entries.real)
     with recording_solvers() as seen:
-        got = spectrum(bumped, 6)
-    assert got.solver == "shift-invert"
-    # One block holds all 6 levels: 2·6 + 2 pairs, at σ = 0 and then σ₂.
-    assert seen == [("eigs", (257, 257), 14)] * 2
-    _agree(got.values, _dense(bumped).values)
+        with pytest.raises(ValueError, match="exactly even"):
+            spectrum(bumped, 6)
+    assert seen == []
 
 
 def _gauge_similar(n):
@@ -256,7 +251,7 @@ def test_a_negative_level_takes_the_dense_solve(caplog):
 def test_the_arpack_count_doubles_until_the_levels_are_inside(first):
     op = _operators(257, 0.1, 8.0)["BF"]
     with recording_solvers() as seen, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qhm.verify, "_first_request", lambda k, n_blocks: first)
+        patch.setattr(qhm.verify, "_first_request", lambda k: first)
         got = spectrum(op, 6)
     assert got.solver == "shift-invert"
     # The first request and then twice as many pairs per block at σ = 0,

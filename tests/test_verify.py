@@ -226,7 +226,7 @@ class TestIntertwiningFromProbeActions:
         rho = build_metric(spec_from_label(label), grid, pp)
         for ham in hams.values():
             diff = op_sum(op_product(adjoint(ham), rho), op_scale(-1.0, op_product(rho, ham)))
-            expect = masked_norm(diff, relative_to=[ham, rho])
+            expect = masked_norm(diff) / (masked_norm(ham) * masked_norm(rho))
             matrix = dieudonne_details(ham, rho)["matrix"]
             assert matrix == pytest.approx(expect, rel=1e-13, abs=0.0)
 
@@ -321,22 +321,24 @@ class TestHermitianCounterpart:
     def test_sqrt_pair_applies_the_matrix_function_hermiticity_rule(self):
         # ‖ρ − ρ†‖ ≤ 1e-10·‖ρ‖ as in hermitian_matrix_function.  A real
         # diagonal always passes and an imaginary one never does; the bound
-        # itself is met by a real matrix with one asymmetric entry ε, where
-        # the ratio is √2·ε/‖ρ‖ (‖ρ‖ ≈ 3): ε = 2.0e-10 passes, 2.2e-10 not.
+        # itself is met by an exactly even real matrix with one asymmetric
+        # entry ε and its mirror, where the ratio is 2ε/‖ρ‖ (‖ρ‖ ≈ 3):
+        # ε = 1.4e-10 passes, 1.6e-10 not.
         grid = Grid(9, 2.0, 0.25)
+        probes = np.eye(9)
         _sqrt_pair(Operator.diag(np.full(9, 2.0), grid))
         bad = Operator.diag(np.full(9, 1e-3j), grid)
-        for f in (_sqrt_pair, lambda rho: hermitian_matrix_function(rho, np.sqrt)):
+        for f in (_sqrt_pair, lambda rho: hermitian_matrix_function(rho, np.sqrt, probes)):
             with pytest.raises(ValueError, match="Hermitian"):
                 f(bad)
-        for eps, ok in ((2.0e-10, True), (2.2e-10, False)):
+        for eps, ok in ((1.4e-10, True), (1.6e-10, False)):
             near = np.eye(9)
-            near[0, 1] = eps
+            near[0, 1] = near[8, 7] = eps
             if ok:
-                hermitian_matrix_function(Operator(near, grid), np.sqrt)
+                hermitian_matrix_function(Operator(near, grid), np.sqrt, probes)
             else:
                 with pytest.raises(ValueError, match="Hermitian"):
-                    hermitian_matrix_function(Operator(near, grid), np.sqrt)
+                    hermitian_matrix_function(Operator(near, grid), np.sqrt, probes)
         # Diagonality is judged first.
         rho = 1e-3j * np.ones((9, 9))
         with pytest.raises(ValueError, match="metric must be diagonal"):
@@ -372,7 +374,7 @@ class TestHermitianCounterpart:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_counterpart(ham, bad)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_matrix_function(bad, np.sqrt)
+            hermitian_matrix_function(bad, np.sqrt, np.eye(grid.n_points))
 
 
 class TestSpectrum:
@@ -393,8 +395,9 @@ class TestSpectrum:
         assert diff < 1e-6
 
     def test_level_count_validation_and_truncation(self):
-        # Distinct levels, so the near-duplicate merge keeps all three.
-        op = Operator.diag([1.0, 2.0, 3.0], Grid(3, 1.0))
+        # An exactly even diagonal on an unmasked grid: the levels 1 and 3
+        # each appear in both parity blocks and merge, so three remain.
+        op = Operator.diag([3.0, 1.0, 2.0, 1.0, 3.0], Grid(5, 1.0, 0.0))
         with pytest.raises(ValueError):
             spectrum(op, 0)
         # Asking for more levels than exist returns what is available.
