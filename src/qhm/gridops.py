@@ -45,6 +45,9 @@ Everything downstream builds on four ingredients defined here:
   low-energy subspace for identities that hold only in the continuum limit.
   Entrywise masked Frobenius norms remain available via ``masked_norm`` and
   are reported alongside as diagnostics.
+  Measurements read operators through their ``float64`` coefficients
+  (``_interior_slots``, ``_metric_diagonal``); the complex ``bands`` and
+  ``entries`` are built for callers outside the package alone.
 """
 from __future__ import annotations
 
@@ -67,7 +70,6 @@ __all__ = [
     "commutator",
     "anticommutator",
     "hermitian_matrix_function",
-    "interior_block_entries",
     "masked_norm",
     "stencil_probes",
     "smooth_probes",
@@ -238,13 +240,6 @@ class Operator:
     def entries(self) -> np.ndarray:
         """The dense n x n complex matrix."""
         return _bands_to_dense(self.lo, self.bands)
-
-    def diagonal(self) -> np.ndarray:
-        """Main diagonal, complex (a copy)."""
-        k = -self.lo
-        if 0 <= k < len(self._coef):
-            return _complex(self._coef[k], self._turns)
-        return np.zeros(self.dim, dtype=complex)
 
 
 def _numeric(arr: np.ndarray) -> np.ndarray:
@@ -616,6 +611,20 @@ def _check_hermitian(a: Operator) -> None:
         raise ValueError("input is not Hermitian within tolerance")
 
 
+def _metric_diagonal(metric: Operator, *others: Operator) -> np.ndarray:
+    """The main diagonal of a metric as ``float64``: ``coefficients[0]`` of
+    an exactly real diagonal operator (zeros for the zero operator), on the
+    grid of ``others``.  A metric that is not diagonal, or is imaginary, is
+    refused with ``ValueError``."""
+    _check_compatible(metric, *others)
+    coef = metric.coefficients
+    if not (metric.lo == 0 and len(coef) <= 1):
+        raise ValueError("metric must be diagonal")
+    if metric.turns:
+        raise ValueError("metric must be exactly real, not imaginary")
+    return coef[0] if len(coef) else np.zeros(metric.dim)
+
+
 def _check_dynamic_range(values: np.ndarray, what: str) -> None:
     """Raise ``NumericGuardError`` when ``values`` holds a NaN or max|v| >
     ``OVERFLOW_RATIO``·min|v| (an inf, or a 0 beside a nonzero entry, trips
@@ -684,48 +693,42 @@ def hermitian_matrix_function(
     return _unfold_vectors(*out)
 
 
-def _interior_rows(lo: int, n_bands: int, grid: Grid):
-    """The interior-block slots of bands from offset ``lo``, band by band:
-    each band k, its interior rows i whose column i + lo + k is interior too,
-    and those columns, as slices."""
-    sl = grid.interior()
-    for k, s in enumerate(range(lo, lo + n_bands)):
-        r0 = max(sl.start, sl.start - s)
-        r1 = max(r0, min(sl.stop, sl.stop - s))  # no negative stop past the interior
-        yield k, slice(r0, r1), slice(r0 + s, r1 + s)
+def _interior_slots(ops: Sequence[Operator]) -> tuple[np.ndarray, list]:
+    """The interior-by-interior block of each operator, read from its
+    ``float64`` coefficients: one column per operator, so that the entries
+    of ``ops[j]`` are i^turns times column j.
 
-
-def interior_block_entries(ops: Sequence[Operator]) -> np.ndarray:
-    """Entries of each operator's interior-by-interior block, one complex
-    column each.
-
-    The operators must share their grid.  Only slots of the union of their
-    bands are listed, band by band in ascending rows (``_interior_rows``);
-    every entry outside that band is zero in all of them.  Each operator's
-    coefficients are read into the real or the imaginary part of its
-    column, so no complex bands are formed.
+    The operators must share their grid.  Only the slots of the union of
+    their bands are listed, band by band in ascending rows; every entry
+    outside that band is zero in all of them.  The second result holds, for
+    each band of the union in turn, the rows of its listed slots and their
+    columns, as slices.
     """
     grid = _check_compatible(*ops)
     spans = [(x.lo, x.lo + len(x.coefficients)) for x in ops if len(x.coefficients)]
     lo = min((a for a, _ in spans), default=0)
     hi = max((b for _, b in spans), default=0)
-    walk = list(_interior_rows(lo, hi - lo, grid))
-    out = np.zeros((sum(r.stop - r.start for _, r, _ in walk), len(ops)), dtype=complex)
+    sl = grid.interior()
+    walk = []
+    for s in range(lo, hi):
+        r0 = max(sl.start, sl.start - s)
+        r1 = max(r0, min(sl.stop, sl.stop - s))  # no negative stop past the interior
+        walk.append((slice(r0, r1), slice(r0 + s, r1 + s)))
+    out = np.zeros((sum(r.stop - r.start for r, _ in walk), len(ops)))
     for column, x in zip(out.T, ops):
         coef = x.coefficients
-        part = column.imag if x.turns else column.real
         start = 0
-        for k, rows, _ in walk:
+        for k, (rows, _) in enumerate(walk, start=lo - x.lo):  # k: x's band
             stop = start + rows.stop - rows.start
-            if 0 <= lo + k - x.lo < len(coef):
-                part[start:stop] = coef[lo + k - x.lo, rows]
+            if 0 <= k < len(coef):
+                column[start:stop] = coef[k, rows]
             start = stop
-    return out
+    return out, walk
 
 
 def masked_norm(a: Operator) -> float:
     """Frobenius norm of the interior-by-interior block."""
-    return float(np.linalg.norm(interior_block_entries([a])))
+    return float(np.linalg.norm(_interior_slots([a])[0]))
 
 
 def stencil_probes(grid: Grid) -> np.ndarray:

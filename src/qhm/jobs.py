@@ -373,6 +373,12 @@ def _build_model(grid: Grid, pp: PhysParams, which: str) -> Operator:
     return build_swanson_bf(x, p, pp)
 
 
+def _json_number(value: float) -> float | None:
+    """``value``, or None when it is not finite: strict JSON has no
+    ``Infinity`` or ``NaN``."""
+    return value if math.isfinite(value) else None
+
+
 def _verdict(value: float, threshold: float, *, at_least: bool = False) -> str:
     ok = value >= threshold if at_least else value < threshold
     return "PASS" if ok else "FAIL"
@@ -412,7 +418,7 @@ def _compare_metrics(cfg: JobConfig, grids: list[Grid]):
         yield {
             "n_points": grid.n_points,
             "residuals": residuals,
-            "ratio": ratio,
+            "ratio": _json_number(ratio),
             "favored": first if residuals[first] <= residuals[second] else second,
             "verdict": _verdict(ratio, cfg.threshold, at_least=True),
         }, [(label, cfg.params.tau, residuals[label]) for label in cfg.metrics]
@@ -504,7 +510,7 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
             entry["counterpart_solver"] = cp.solver
             entry["counterpart_fallback"] = cp.fallback
             entry["counterpart_herm_residual"] = herm_res
-            entry["cross_check_discrepancy"] = discrepancy
+            entry["cross_check_discrepancy"] = _json_number(discrepancy)
             entry["direct_spectrum_untrusted"] = bool(discrepancy > 1e-3)
         # Fewer than k levels fail: the reality of a missing level is unknown.
         verdict = _verdict(direct.reality_measure, cfg.threshold)

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gridops import Grid, Operator, _check_compatible
-from .gridops import _check_dynamic_range, _log_weight
+from .gridops import Grid, Operator
+from .gridops import _check_dynamic_range, _log_weight, _metric_diagonal
 from .models import PhysParams
 
 __all__ = [
@@ -105,9 +105,9 @@ def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
 
 
 def metric_condition(rho: Operator) -> float:
-    """Ratio of largest to smallest diagonal entry of a metric operator."""
-    _check_compatible(rho)
-    g = np.real(rho.diagonal())
+    """Ratio of largest to smallest diagonal entry of a metric operator,
+    which must be an exactly real diagonal operator (``ValueError``)."""
+    g = _metric_diagonal(rho)
     return float(g.max() / g.min())
 
 

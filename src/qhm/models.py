@@ -238,29 +238,29 @@ def deformed_algebra_residual(
 
     At q = 1 the matrix function is exactly the identity (``1.0 ** x == 1.0``
     for every x, inf and nan included) and the quadratic term vanishes, so
-    the right-hand side is the diagonal ``i*hbar*(alpha*delta + beta*gamma)``
-    and N is only checked for Hermiticity, on its bands; no eigensolver runs.
-    Otherwise ``hermitian_matrix_function`` applies q^N to V, deciding its
-    guards from N's eigenvalues before it computes any eigenvector, and the
-    quadratic term acts on V from its bands.
+    the right-hand side acts as ``i*hbar*(alpha*delta + beta*gamma)`` times
+    V, and N is only checked for Hermiticity, on its bands; no eigensolver
+    runs.  Otherwise ``hermitian_matrix_function`` applies q^N to V, deciding
+    its guards from N's eigenvalues before it computes any eigenvector, and
+    the quadratic term acts on V from its bands.
     """
     combo = qp.alpha * qp.delta + qp.beta * qp.gamma
     grid = x.grid
     probes = stencil_probes(grid)
+    rhs = 1j * pp.hbar * combo * probes[grid.interior()]
     if qp.q == 1.0:
         _check_hermitian(n_op)
-        rhs = Operator.diag(np.full(grid.n_points, 1j * pp.hbar * combo), grid)
-        return action_residual(commutator(x, p), rhs, probes)
-    qn = hermitian_matrix_function(n_op, lambda t: qp.q**t, probes)
-    quadratic = op_sum(
-        op_scale(qp.delta * qp.gamma, op_product(x, x)),
-        op_scale(qp.alpha * qp.beta, op_product(p, p)),
-        op_scale(1j * qp.alpha * qp.delta, op_product(x, p)),
-        op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
-    )
-    rhs = 1j * pp.hbar * combo * qn[grid.interior()] + interior_action(
-        op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic), probes
-    )
+    else:
+        qn = hermitian_matrix_function(n_op, lambda t: qp.q**t, probes)
+        quadratic = op_sum(
+            op_scale(qp.delta * qp.gamma, op_product(x, x)),
+            op_scale(qp.alpha * qp.beta, op_product(p, p)),
+            op_scale(1j * qp.alpha * qp.delta, op_product(x, p)),
+            op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
+        )
+        rhs = 1j * pp.hbar * combo * qn[grid.interior()] + interior_action(
+            op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic), probes
+        )
     return _mismatch(interior_action(commutator(x, p), probes), rhs)
 
 

@@ -15,7 +15,9 @@ The intertwining relation A†ρ = ρA of a diagonal metric (the Dieudonné
 residual, the X check and the metric fit) has one measurement: the probe
 actions A†(g∘V) and g∘(A·V) (``_intertwining_actions``), with no product.
 Its entrywise diagnostic reads (A†)[i, j]·g[j] − g[i]·A[i, j] from the
-bands (``_matrix_residual``), with no product either.
+``float64`` interior slots (``_matrix_residual``), with no product either.
+A metric must be an exactly real diagonal operator, and g is its ``float64``
+diagonal (``gridops._metric_diagonal``).
 """
 from __future__ import annotations
 
@@ -29,19 +31,17 @@ from numpy.polynomial import chebyshev as _cheb
 from .gridops import (
     NumericGuardError,
     Operator,
-    _aligned,
     _band_product,
     _check_compatible,
     _check_dynamic_range,
-    _check_hermitian,
     _dense_block,
-    _interior_rows,
+    _interior_slots,
+    _metric_diagonal,
     _mismatch,
     _parity_fold,
     action_residual,
     adjoint,
     interior_action,
-    interior_block_entries,
     op_product,
     op_scale,
     op_sum,
@@ -68,18 +68,6 @@ __all__ = [
 logger = logging.getLogger("qhm.verify")
 
 
-def _metric_diagonal(metric: Operator, *others: Operator) -> np.ndarray:
-    """The diagonal of ``metric``, ``float64`` when ``metric`` is exactly
-    real; ``ValueError`` unless it is diagonal."""
-    _check_compatible(metric, *others)
-    coef = metric.coefficients
-    if not (metric.lo == 0 and len(coef) <= 1):
-        raise ValueError("metric must be diagonal")
-    if metric.turns == 0 and len(coef):
-        return coef[0]
-    return metric.diagonal()
-
-
 def _intertwining_actions(
     a: Operator, g: np.ndarray, probes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +87,12 @@ def dieudonne_residual(H: Operator, rho: Operator) -> float:
 
     Applies H†ρ and ρH to the smooth probes (eight localized states) as
     probe actions, with no operator product, masks boundary rows, and
-    returns ``action_residual``'s relative Frobenius mismatch.  ρ must be
-    diagonal, or ``ValueError``; a non-positive entry warns.
+    returns ``action_residual``'s relative Frobenius mismatch.  ρ must be an
+    exactly real diagonal operator, or ``ValueError``; a non-positive entry
+    warns.
     """
     g = _metric_diagonal(rho, H)
-    if g.real.min() <= 0:
+    if g.min() <= 0:
         warnings.warn(
             "metric has non-positive diagonal entries; residual computed anyway",
             stacklevel=2,
@@ -116,18 +105,16 @@ def _matrix_residual(H: Operator, g: np.ndarray) -> float:
     to the interior norms of H and g, from the ``float64`` coefficients of H
     and H† (their common phase i^turns changes no norm): entry (i, j) is
     (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
-    the bands of H and H†, walked as ``interior_block_entries`` walks them
-    (``_interior_rows``).  ``ValueError`` when either norm is zero."""
-    lo, (bands, dag) = _aligned([H, adjoint(H)], H.dim)
-    h, diff = [], []
-    for k, rows, cols in _interior_rows(lo, len(bands), H.grid):
-        h.append(bands[k, rows])
-        diff.append(dag[k, rows] * g[cols] - g[rows] * h[-1])
-    h_norm = float(np.linalg.norm(np.concatenate(h))) if h else 0.0  # H = 0: no bands
-    denom = h_norm * float(np.linalg.norm(g[H.grid.interior()]))
+    the bands of H and H† (``_interior_slots``).  ``ValueError`` when either
+    norm is zero."""
+    slots, walk = _interior_slots([H, adjoint(H)])
+    h, dag = slots.T
+    g_rows = np.concatenate([g[rows] for rows, _ in walk] or [g[:0]])
+    g_cols = np.concatenate([g[cols] for _, cols in walk] or [g[:0]])
+    denom = float(np.linalg.norm(h)) * float(np.linalg.norm(g[H.grid.interior()]))
     if denom == 0.0:
         raise ValueError("relative normalization against a zero block")
-    return float(np.linalg.norm(np.concatenate(diff))) / denom
+    return float(np.linalg.norm(dag * g_cols - g_rows * h)) / denom
 
 
 def dieudonne_details(H: Operator, rho: Operator) -> dict:
@@ -139,7 +126,7 @@ def dieudonne_details(H: Operator, rho: Operator) -> dict:
     truncation-visible diagnostic).  For the diagonal ρ = diag(g) each entry
     is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is read from
     the bands of H and H† at O(n · bandwidth), with no operator product.
-    A real H and ρ are measured in ``float64``.
+    A real H is measured in ``float64``.
     """
     act = dieudonne_residual(H, rho)
     mat = _matrix_residual(H, _metric_diagonal(rho, H))
@@ -157,11 +144,9 @@ def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
 
 
 def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
-    """(ρ^{1/2}, ρ^{-1/2}) of a diagonal ρ, with diagonality, Hermiticity,
-    positivity and dynamic-range guards."""
+    """(ρ^{1/2}, ρ^{-1/2}) of an exactly real diagonal ρ
+    (``_metric_diagonal``), with positivity and dynamic-range guards."""
     d = _metric_diagonal(rho)
-    _check_hermitian(rho)
-    d = d.real
     if d.min() <= 0:
         raise NumericGuardError("metric must be strictly positive")
     _check_dynamic_range(d, "metric")
@@ -172,9 +157,9 @@ def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
 def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
     """Similarity transform h = ρ^{1/2} H ρ^{-1/2} and its Hermiticity defect.
 
-    ρ must be diagonal (every metric ``build_metric`` makes is); any other ρ
-    raises ``ValueError``.  The defect is the action residual of h against
-    h† on smooth probes.
+    ρ must be an exactly real diagonal operator (every metric
+    ``build_metric`` makes is); any other ρ raises ``ValueError``.  The
+    defect is the action residual of h against h† on smooth probes.
     """
     half, half_inv = _sqrt_pair(rho)
     h = op_product(op_product(half, H), half_inv)
@@ -571,9 +556,8 @@ def model_equality_report(
     labels = list(dictionary)
     # Entries outside the union band are zero in every column and in b, so
     # leaving those rows out changes neither the solution nor the residual.
-    cols = interior_block_entries(ops)
+    real, _ = _interior_slots(ops)
     turns = np.array([op.turns for op in ops])
-    real = np.where(turns == 1, cols.imag, cols.real)
     finite = np.isfinite(real).all(axis=0)
     if not finite.all():
         name = [*labels, "H1 - H2"][int(np.argmin(finite))]

@@ -12,7 +12,6 @@ from qhm.gridops import (
     commutator,
     derivative_matrix,
     hermitian_matrix_function,
-    interior_block_entries,
     masked_norm,
     op_product,
     op_scale,
@@ -20,6 +19,7 @@ from qhm.gridops import (
     smooth_probes,
     stencil_probes,
 )
+from qhm.gridops import _interior_slots
 
 
 # ---------------------------------------------------------------- Grid
@@ -159,7 +159,7 @@ def test_alg_rejects_dimension_mismatch():
 
 def test_no_operands_is_a_value_error():
     with pytest.raises(ValueError, match="at least one operator is required"):
-        interior_block_entries([])
+        _interior_slots([])
 
 
 def test_adjoint_is_involution_and_antihomomorphism():
@@ -303,6 +303,21 @@ def test_matrix_function_rejects_non_hermitian():
         _matrix(a, np.exp)
 
 
+@pytest.mark.parametrize("eps, ok", [(1.4e-10, True), (1.6e-10, False)])
+def test_matrix_function_hermiticity_bound_is_relative_frobenius(eps, ok):
+    # ‖A − A†‖_F ≤ 1e-10·‖A‖_F, met by an exactly even real matrix with one
+    # asymmetric entry ε and its mirror, where the ratio is 2ε/‖A‖
+    # (‖A‖ ≈ 3): ε = 1.4e-10 passes, 1.6e-10 not.
+    grid = Grid(9, 2.0, 0.25)
+    near = np.eye(9)
+    near[0, 1] = near[8, 7] = eps
+    if ok:
+        hermitian_matrix_function(Operator(near, grid), np.sqrt, np.eye(9))
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_matrix_function(Operator(near, grid), np.sqrt, np.eye(9))
+
+
 def test_matrix_function_guards_fractional_power_of_indefinite_input():
     # √ of a negative eigenvalue is NaN.
     a = _on_grid(np.diag([2.0, -1.0, 2.0]))
@@ -331,7 +346,7 @@ def _both_blocks(low, high):
 
 
 def _diag_of(a):
-    return a.diagonal().real
+    return a.coefficients[0]
 
 
 LOG_RANGE = np.log(1e14)
@@ -398,10 +413,13 @@ def test_masked_norm_absolute_homogeneity():
     "n, offsets",
     [(17, [0]), (17, [-2, 1]), (17, range(-4, 5)), (9, range(-8, 9)), (9, [6]), (9, [])],
 )
-def test_interior_block_entries_list_the_interior_slots_band_by_band(n, offsets):
+def test_interior_slots_list_the_interior_block_band_by_band(n, offsets):
     # The per-band walk lists the slots in the order of the boolean mask over
-    # the aligned bands (band by band, ascending rows), bit for bit.  The
-    # first operator is real and the second imaginary.
+    # the aligned bands (band by band, ascending rows), with each slot's row
+    # and column.  The first operator is real and the second imaginary; each
+    # column holds the float64 coefficients, the entries without their
+    # phase, bit for bit, and the listed slots hold the whole dense interior
+    # block.
     g = Grid(n, 2.0, 0.25)
     rng = np.random.default_rng(n + len(offsets))
     dense = [np.zeros((n, n), dtype=complex) for _ in range(2)]
@@ -409,7 +427,7 @@ def test_interior_block_entries_list_the_interior_slots_band_by_band(n, offsets)
         for s in offsets:
             d += phase * np.diag(rng.normal(size=n - abs(s)), s)
     ops = [Operator(d, g) for d in dense]
-    got = interior_block_entries(ops)
+    got, walk = _interior_slots(ops)
     lo = min((o.lo for o in ops if len(o.bands)), default=0)
     hi = max((o.lo + len(o.bands) for o in ops if len(o.bands)), default=0)
     k, rows = np.indices((hi - lo, n))
@@ -417,8 +435,19 @@ def test_interior_block_entries_list_the_interior_slots_band_by_band(n, offsets)
     sl = g.interior()
     inside = (rows >= sl.start) & (rows < sl.stop) & (cols >= sl.start) & (cols < sl.stop)
     expect = np.stack([d[rows[inside], cols[inside]] for d in dense], axis=1)
+    assert got.dtype == np.float64
     assert got.shape == expect.shape == (inside.sum(), 2)
-    assert np.array_equal(got, expect)
+    assert np.array_equal(got[:, 0], expect[:, 0].real)
+    assert np.array_equal(got[:, 1], expect[:, 1].imag)
+    assert len(walk) == hi - lo
+    slot_rows = np.concatenate([np.arange(n)[r] for r, _ in walk] or [np.zeros(0, int)])
+    slot_cols = np.concatenate([np.arange(n)[c] for _, c in walk] or [np.zeros(0, int)])
+    assert np.array_equal(slot_rows, rows[inside])
+    assert np.array_equal(slot_cols, cols[inside])
+    for d, column, phase in zip(dense, got.T, (1, 1j)):
+        block = np.zeros((n, n), dtype=complex)
+        block[slot_rows, slot_cols] = phase * column
+        assert np.array_equal(block[sl, sl], d[sl, sl])
 
 
 # ---------------------------------------------------------------- probes

@@ -281,8 +281,35 @@ class TestRunJob:
         assert len(entry["counterpart_values"]) == k - 1
         shared = zip(entry["values"], entry["counterpart_values"])
         assert max(abs(complex(*a) - complex(*b)) for a, b in shared) < 1e-9
-        assert entry["cross_check_discrepancy"] == float("inf")
+        assert entry["cross_check_discrepancy"] is None
         assert entry["direct_spectrum_untrusted"] is True
+
+    @pytest.mark.parametrize("job, key", [
+        # ExpTheta(0) is the identity, exactly intertwined by the Hermitian H
+        # at mu = 0, so the ratio divides by a zero first residual.
+        ({"job": "compare-metrics", "grid": {"n_points": 129, "p_max": 8.0},
+          "params": {"mu": 0.0}, "metrics": ["ExpTheta(0)", "ExpTheta(0.1)"]},
+         "comparisons"),
+        # The counterpart keeps one level fewer than H.
+        ({"job": "spectrum", "grid": {"n_points": 65, "p_max": 4.0},
+          "params": {"mu": 0.1}, "metric": "BF", "k": 3},
+         "spectra"),
+    ])
+    def test_an_infinite_value_is_written_as_null(self, job, key, tmp_path):
+        # An infinite ratio or discrepancy is written as null, so the report
+        # parses as strict JSON; the verdicts are decided from the floats.
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        report_path, _ = serialize_report(run_job(parse_config(json.dumps(job))), tmp_path)
+        entry = json.loads(report_path.read_text(), parse_constant=refuse)["results"][key][0]
+        if key == "comparisons":
+            assert entry["residuals"]["ExpTheta(0)"] == 0.0
+            assert entry["ratio"] is None
+            assert entry["verdict"] == "PASS"
+        else:
+            assert entry["cross_check_discrepancy"] is None
+            assert entry["direct_spectrum_untrusted"] is True
 
     def test_a_spectrum_entry_names_each_solver_and_fallback(self):
         # At 257 points, mu 0.15 and k = 8, H's levels come from the

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qhm.gridops import Grid, NumericGuardError
+from qhm.gridops import Grid, NumericGuardError, Operator
 from qhm.metrics import (
     MetricSpec,
     build_metric,
@@ -210,6 +210,17 @@ def test_condition_number_takes_an_operator_only():
     g = metric_profile(MetricSpec("BF"), GRID, PhysParams(mu=0.1))
     with pytest.raises(TypeError, match="Operator"):
         metric_condition(g)
+
+
+def test_condition_number_takes_an_exactly_real_diagonal_only():
+    # No part of the operator is ignored: an off-diagonal band or an
+    # imaginary phase is refused.
+    g = metric_profile(MetricSpec("BF"), GRID, PhysParams(mu=0.1))
+    banded = Operator(np.diag(g) + 1e-3 * np.eye(len(g), k=1), GRID)
+    with pytest.raises(ValueError, match="metric must be diagonal"):
+        metric_condition(banded)
+    with pytest.raises(ValueError, match="metric must be exactly real"):
+        metric_condition(Operator.diag(1j * g, GRID))
 
 
 def test_build_overflow_guard():

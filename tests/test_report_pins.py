@@ -159,6 +159,18 @@ def test_no_job_forms_an_n_by_n_operator(name, monkeypatch):
     payload(CONFIGS[name])
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_job_reads_a_complex_view_of_an_operator(name, monkeypatch):
+    # Every job kind, the JR spectrum and the q != 1 algebra check among
+    # them, reads operators through their float64 coefficients: building the
+    # complex bands (``Operator.bands``, ``Operator.entries``) fails.
+    def refuse(*args):
+        raise AssertionError("a complex view of an operator was built")
+
+    monkeypatch.setattr(gridops, "_complex", refuse)
+    payload(CONFIGS[name])
+
+
 def test_package_exports_are_the_module_exports():
     modules = (gridops, jobs, metrics, models, verify)
     union = [name for m in modules for name in m.__all__]

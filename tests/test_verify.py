@@ -256,6 +256,17 @@ class TestIntertwiningFromProbeActions:
         with pytest.raises(ValueError, match="metric must be diagonal"):
             check_X_quasi_hermiticity(x, rho)
 
+    def test_imaginary_metric_is_refused(self):
+        # An imaginary diagonal is not a metric, so no residual is taken of
+        # a complex g.
+        grid, pp, x, hams = _deformed_models(129)
+        rho = Operator.diag(1j * np.ones(grid.n_points), grid)
+        for measure in (dieudonne_residual, dieudonne_details):
+            with pytest.raises(ValueError, match="metric must be exactly real"):
+                measure(hams["BF"], rho)
+        with pytest.raises(ValueError, match="metric must be exactly real"):
+            check_X_quasi_hermiticity(x, rho)
+
     def test_residuals_form_no_operator_product(self, monkeypatch):
         grid, pp, x, hams = _deformed_models(129)
         rho = build_metric(spec_from_label("BF-composite"), grid, pp)
@@ -318,27 +329,15 @@ class TestHermitianCounterpart:
         with pytest.raises(ValueError, match="diagonal"):
             hermitian_counterpart(ham, Operator(rho, grid))
 
-    def test_sqrt_pair_applies_the_matrix_function_hermiticity_rule(self):
-        # ‖ρ − ρ†‖ ≤ 1e-10·‖ρ‖ as in hermitian_matrix_function.  A real
-        # diagonal always passes and an imaginary one never does; the bound
-        # itself is met by an exactly even real matrix with one asymmetric
-        # entry ε and its mirror, where the ratio is 2ε/‖ρ‖ (‖ρ‖ ≈ 3):
-        # ε = 1.4e-10 passes, 1.6e-10 not.
+    def test_sqrt_pair_takes_only_an_exactly_real_diagonal(self):
+        # A real diagonal is exactly Hermitian; an imaginary one is refused
+        # before any other guard, with no Hermiticity test.
         grid = Grid(9, 2.0, 0.25)
-        probes = np.eye(9)
-        _sqrt_pair(Operator.diag(np.full(9, 2.0), grid))
-        bad = Operator.diag(np.full(9, 1e-3j), grid)
-        for f in (_sqrt_pair, lambda rho: hermitian_matrix_function(rho, np.sqrt, probes)):
-            with pytest.raises(ValueError, match="Hermitian"):
-                f(bad)
-        for eps, ok in ((1.4e-10, True), (1.6e-10, False)):
-            near = np.eye(9)
-            near[0, 1] = near[8, 7] = eps
-            if ok:
-                hermitian_matrix_function(Operator(near, grid), np.sqrt, probes)
-            else:
-                with pytest.raises(ValueError, match="Hermitian"):
-                    hermitian_matrix_function(Operator(near, grid), np.sqrt, probes)
+        half, half_inv = _sqrt_pair(Operator.diag(np.full(9, 2.0), grid))
+        assert np.array_equal(half.coefficients[0], np.full(9, np.sqrt(2.0)))
+        assert np.array_equal(half_inv.coefficients[0], np.full(9, 1.0 / np.sqrt(2.0)))
+        with pytest.raises(ValueError, match="metric must be exactly real"):
+            _sqrt_pair(Operator.diag(np.full(9, 1e-3j), grid))
         # Diagonality is judged first.
         rho = 1e-3j * np.ones((9, 9))
         with pytest.raises(ValueError, match="metric must be diagonal"):
@@ -361,17 +360,18 @@ class TestHermitianCounterpart:
         # max/min of the diagonal may reach 1e14, not exceed it.
         grid = Grid(9, 2.0, 0.25)
         half, _ = _sqrt_pair(Operator.diag(np.linspace(1.0, 1e14, 9), grid))
-        assert half.diagonal()[-1].real == pytest.approx(1e7, rel=1e-15)
+        assert half.coefficients[0][-1] == pytest.approx(1e7, rel=1e-15)
         above = np.linspace(1.0, np.nextafter(1e14, np.inf), 9)
         with pytest.raises(NumericGuardError, match="condition number"):
             _sqrt_pair(Operator.diag(above, grid))
 
-    def test_imaginary_diagonal_metric_is_rejected_like_a_dense_one(self):
-        # An imaginary diagonal is not Hermitian; its imaginary part must not
-        # be dropped on the way to the square roots.
+    def test_imaginary_diagonal_metric_is_refused(self):
+        # An imaginary diagonal is not a metric: its imaginary part is not
+        # dropped on the way to the square roots, and the matrix functions
+        # refuse it as not Hermitian.
         grid, pp, ham = _bf_setup(n=129, p_max=8.0)
         bad = Operator.diag(1e-3j * np.ones(grid.n_points), grid)
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match="metric must be exactly real"):
             hermitian_counterpart(ham, bad)
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_matrix_function(bad, np.sqrt, np.eye(grid.n_points))
