@@ -9,13 +9,14 @@ Everything downstream builds on four ingredients defined here:
   read-only ``float64`` coefficient bands and a phase ``Operator.turns``,
   0 when exactly real and 1 when exactly imaginary, decided once where it
   is built; data, sums and scalars that are neither are refused with
-  ``ValueError``.  The model operators are banded (P and ρ are diagonal, X
-  spans offsets −2..2, H spans −4..4), so products, adjoints, norms and
+  ``ValueError``.  The model operators are banded (P is diagonal, X spans
+  offsets −2..2, H spans −4..4), so products, adjoints, norms and
   probe actions cost O(n · bandwidth).  With P real and odd and
   X = iħ(1+τp²)D + iħγ_t p imaginary and odd (P and D, its one-sided
   boundary rows included, are exactly odd on the antisymmetric grid), the
-  Hamiltonians, the metrics, the counterparts ρ^{1/2}Hρ^{-1/2} and the
-  number operator are exactly real and exactly even under p → −p.
+  Hamiltonians, the counterparts ρ^{1/2}Hρ^{-1/2} (ρ = diag(g) for an even
+  metric profile g) and the number operator are exactly real and exactly
+  even under p → −p.
   ``op_product`` keeps parity exactly: it sums the terms of an entry in an
   order that the reflection maps onto the order of its mirror's terms.
 
@@ -46,7 +47,8 @@ Everything downstream builds on four ingredients defined here:
   Entrywise masked Frobenius norms remain available via ``masked_norm`` and
   are reported alongside as diagnostics.
   Measurements read operators through their ``float64`` coefficients
-  (``_interior_slots``, ``_metric_diagonal``); the complex ``bands`` and
+  (``_interior_slots``), and a metric ρ = diag(g) as its profile g, a 1-D
+  ``float64`` array (``_check_metric``); the complex ``bands`` and
   ``entries`` are built for callers outside the package alone.
 """
 from __future__ import annotations
@@ -611,18 +613,16 @@ def _check_hermitian(a: Operator) -> None:
         raise ValueError("input is not Hermitian within tolerance")
 
 
-def _metric_diagonal(metric: Operator, *others: Operator) -> np.ndarray:
-    """The main diagonal of a metric as ``float64``: ``coefficients[0]`` of
-    an exactly real diagonal operator (zeros for the zero operator), on the
-    grid of ``others``.  A metric that is not diagonal, or is imaginary, is
-    refused with ``ValueError``."""
-    _check_compatible(metric, *others)
-    coef = metric.coefficients
-    if not (metric.lo == 0 and len(coef) <= 1):
-        raise ValueError("metric must be diagonal")
-    if metric.turns:
-        raise ValueError("metric must be exactly real, not imaginary")
-    return coef[0] if len(coef) else np.zeros(metric.dim)
+def _check_metric(g, op: Operator | None = None) -> None:
+    """Raise ``ValueError`` unless ``g`` is a metric profile: a 1-D, real
+    ``float64`` array, as long as the grid of ``op`` (an ``Operator``, or
+    ``TypeError``) when one is given."""
+    n = None if op is None else _check_compatible(op).n_points
+    if not (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.ndim == 1
+            and n in (None, len(g))):
+        length = "" if n is None else f" of {n} entries"
+        got = f"{getattr(g, 'dtype', type(g).__name__)} of shape {np.shape(g)}"
+        raise ValueError(f"a metric is a 1-D float64 profile{length}, got {got}")
 
 
 def _check_dynamic_range(values: np.ndarray, what: str) -> None:

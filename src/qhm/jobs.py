@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from ._version import __version__
-from .gridops import DERIVATIVE_MIN_POINTS, Grid, Operator
+from .gridops import DERIVATIVE_MIN_POINTS, Grid, NumericGuardError, Operator
 from .metrics import (
     _check_tau_values,
     _require_defined,
@@ -388,15 +388,15 @@ def _verify_metric(cfg: JobConfig, grids: list[Grid]):
     spec = spec_from_label(cfg.metric)
     for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
-        rho = build_metric(spec, grid, cfg.params)
-        details = dieudonne_details(h, rho)
+        g = build_metric(spec, grid, cfg.params)
+        details = dieudonne_details(h, g)
         yield {
             "metric": cfg.metric,
             "n_points": grid.n_points,
             "residual_action": details["action"],
             "residual_matrix": details["matrix"],
             "masked": details["masked"],
-            "condition_number": metric_condition(rho),
+            "condition_number": metric_condition(g),
             "verdict": _verdict(details["action"], cfg.threshold),
         }, [(cfg.metric, cfg.params.tau, details["action"])]
 
@@ -406,21 +406,19 @@ def _compare_metrics(cfg: JobConfig, grids: list[Grid]):
     specs = {label: spec_from_label(label) for label in cfg.metrics}
     for grid in grids:
         h = _build_model(grid, cfg.params, cfg.model)
-        residuals = {}
-        for label in cfg.metrics:
-            rho = build_metric(specs[label], grid, cfg.params)
-            residuals[label] = dieudonne_residual(h, rho)
-        ratio = (
-            residuals[second] / residuals[first]
-            if residuals[first] > 0
-            else float("inf")
-        )
+        residuals = {
+            label: dieudonne_residual(h, build_metric(specs[label], grid, cfg.params))
+            for label in cfg.metrics
+        }
+        r1, r2 = residuals[first], residuals[second]
+        ratio = r2 / r1 if r1 > 0 else float("inf")
+        favored = None if r1 == r2 else first if r1 < r2 else second
         yield {
             "n_points": grid.n_points,
             "residuals": residuals,
             "ratio": _json_number(ratio),
-            "favored": first if residuals[first] <= residuals[second] else second,
-            "verdict": _verdict(ratio, cfg.threshold, at_least=True),
+            "favored": favored,
+            "verdict": "FAIL" if favored is None else _verdict(ratio, cfg.threshold, at_least=True),
         }, [(label, cfg.params.tau, residuals[label]) for label in cfg.metrics]
 
 
@@ -497,8 +495,8 @@ def _spectrum(cfg: JobConfig, grids: list[Grid]):
             "fallback": direct.fallback,
         }
         if spec is not None:
-            rho = build_metric(spec, grid, cfg.params)
-            counterpart, herm_res = hermitian_counterpart(h, rho)
+            g = build_metric(spec, grid, cfg.params)
+            counterpart, herm_res = hermitian_counterpart(h, g)
             cp = spectrum(counterpart, cfg.k)
             # A level missing from either list is a discrepancy, not a
             # shorter comparison.
@@ -565,6 +563,10 @@ def run_job(cfg: JobConfig) -> dict:
     kind = _JOBS[cfg.job]
     entries, rows = [], []
     for entry, entry_rows in kind.run(cfg, _grids(cfg)):
+        try:  # strict JSON has no inf or NaN, and no verdict may rest on one
+            json.dumps(entry, allow_nan=False)
+        except ValueError as exc:
+            raise NumericGuardError(f"a {cfg.job} report value is not finite") from exc
         entries.append(entry)
         rows += [
             dict(zip(_ROW_FIELDS, (cfg.job, metric, entry["n_points"], tau,

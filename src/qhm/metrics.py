@@ -1,9 +1,9 @@
-"""Candidate metric operators (positive diagonal profiles) and limit sweeps.
+"""Candidate metrics (positive diagonal profiles) and limit sweeps.
 
-Every metric here is a strictly positive scalar profile g(p) sampled on the
-grid and promoted to a diagonal operator.  Profiles are compared only after
-normalizing both to 1 at p = 0, because a metric is defined up to a positive
-scalar factor.
+Every metric ρ = diag(g) here is its strictly positive scalar profile g(p)
+sampled on the grid, a read-only ``float64`` array (``build_metric``).
+Profiles are compared only after normalizing both to 1 at p = 0, because a
+metric is defined up to a positive scalar factor.
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gridops import Grid, Operator
-from .gridops import _check_dynamic_range, _log_weight, _metric_diagonal
+from .gridops import Grid, _check_dynamic_range, _check_metric, _frozen, _log_weight
 from .models import PhysParams
 
 __all__ = [
@@ -104,20 +103,22 @@ def metric_profile(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
     return np.exp(_log_profile(spec, grid.points, pp))
 
 
-def metric_condition(rho: Operator) -> float:
-    """Ratio of largest to smallest diagonal entry of a metric operator,
-    which must be an exactly real diagonal operator (``ValueError``)."""
-    g = _metric_diagonal(rho)
+def metric_condition(g: np.ndarray) -> float:
+    """Ratio of largest to smallest entry of a metric profile, which must be
+    a 1-D ``float64`` array (``ValueError``)."""
+    _check_metric(g)
     return float(g.max() / g.min())
 
 
-def build_metric(spec: MetricSpec, grid: Grid, pp: PhysParams) -> Operator:
-    """Positive diagonal Operator realizing a MetricSpec, under the dynamic-
-    range rule (g(0) = 1, so a 0, inf or NaN anywhere trips it)."""
-    g = metric_profile(spec, grid, pp)
+def build_metric(spec: MetricSpec, grid: Grid, pp: PhysParams) -> np.ndarray:
+    """The read-only ``float64`` profile g of a MetricSpec on the grid, under
+    the dynamic-range rule (g(0) = 1, so a 0, inf or NaN anywhere trips it
+    with ``NumericGuardError``)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        g = metric_profile(spec, grid, pp)
     _check_dynamic_range(g, "metric")
     logger.info("built %s metric: condition number %.6e", spec.kind, g.max() / g.min())
-    return Operator.diag(g, grid)
+    return _frozen(g)
 
 
 def profile_distance(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
@@ -150,14 +151,15 @@ def limit_sweep(
     ``tau_values`` must be positive and strictly decreasing.  The reference
     profile is built once with the incoming parameters (their tau
     untouched); the swept spec, which holds no tau of its own, is evaluated
-    at each tau in turn, every factor of a composite included.
+    at each tau in turn, every factor of a composite included.  Each
+    profile is a ``build_metric``, under its dynamic-range rule.
     """
     taus = list(tau_values)
     _check_tau_values(taus)
-    ref = metric_profile(reference, grid, pp)
+    ref = build_metric(reference, grid, pp)
     rows: list[tuple[float, float]] = []
     for t in taus:
-        g = metric_profile(spec, grid, dataclasses.replace(pp, tau=t))
+        g = build_metric(spec, grid, dataclasses.replace(pp, tau=t))
         rows.append((t, profile_distance(g, ref, grid)))
     return rows
 

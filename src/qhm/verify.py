@@ -11,13 +11,13 @@ smooth localized states and converge at second order in the spacing.
 Entrywise matrix norms of the same differences are dominated by boundary
 rows and non-local cancellation structure and do not converge; they are
 still computed and reported as diagnostics, never as the headline number.
-The intertwining relation A†ρ = ρA of a diagonal metric (the Dieudonné
-residual, the X check and the metric fit) has one measurement: the probe
-actions A†(g∘V) and g∘(A·V) (``_intertwining_actions``), with no product.
-Its entrywise diagnostic reads (A†)[i, j]·g[j] − g[i]·A[i, j] from the
-``float64`` interior slots (``_matrix_residual``), with no product either.
-A metric must be an exactly real diagonal operator, and g is its ``float64``
-diagonal (``gridops._metric_diagonal``).
+A metric ρ = diag(g) is passed as its profile g, a 1-D ``float64`` array as
+long as the grid (``gridops._check_metric``).  The intertwining relation
+A†ρ = ρA (the Dieudonné residual, the X check and the metric fit) has one
+measurement: the probe actions A†(g∘V) and g∘(A·V)
+(``_intertwining_actions``), with no product.  Its entrywise diagnostic
+reads (A†)[i, j]·g[j] − g[i]·A[i, j] from the ``float64`` interior slots
+(``dieudonne_details``), with no product either.
 """
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ from .gridops import (
     _band_product,
     _check_compatible,
     _check_dynamic_range,
+    _check_metric,
     _dense_block,
     _interior_slots,
-    _metric_diagonal,
     _mismatch,
     _parity_fold,
     action_residual,
@@ -69,100 +69,93 @@ logger = logging.getLogger("qhm.verify")
 
 
 def _intertwining_actions(
-    a: Operator, g: np.ndarray, probes: np.ndarray
+    a: Operator, a_dag: Operator, g: np.ndarray, probes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interior rows of A†(g∘V) and g∘(A·V), the two sides of A†G = GA for
     G = diag(g) in action on the probes V, as (interior, s, probes) arrays.
     ``g`` holds one profile (s = 1) or s profiles as columns; A acts once on
-    V, and A† once on all the scaled probe sets side by side.  A real A, g
-    and V give ``float64`` actions."""
+    V, and A† = ``a_dag`` once on all the scaled probe sets side by side.  A
+    real A, g and V give ``float64`` actions."""
     stack = g.reshape(len(g), -1, 1)
     right = stack[a.grid.interior()] * interior_action(a, probes)[:, np.newaxis]
     scaled = (stack * probes[:, np.newaxis, :]).reshape(len(g), -1)
-    return interior_action(adjoint(a), scaled).reshape(right.shape), right
+    return interior_action(a_dag, scaled).reshape(right.shape), right
 
 
-def dieudonne_residual(H: Operator, rho: Operator) -> float:
-    """Action residual of the quasi-Hermiticity condition H†ρ = ρH.
-
-    Applies H†ρ and ρH to the smooth probes (eight localized states) as
-    probe actions, with no operator product, masks boundary rows, and
-    returns ``action_residual``'s relative Frobenius mismatch.  ρ must be an
-    exactly real diagonal operator, or ``ValueError``; a non-positive entry
-    warns.
-    """
-    g = _metric_diagonal(rho, H)
+def _dieudonne_action(H: Operator, h_dag: Operator, g: np.ndarray) -> float:
+    """``dieudonne_residual``, with H† given."""
+    _check_metric(g, H)
     if g.min() <= 0:
         warnings.warn(
             "metric has non-positive diagonal entries; residual computed anyway",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _mismatch(*_intertwining_actions(H, g, smooth_probes(H.grid)))
+    return _mismatch(*_intertwining_actions(H, h_dag, g, smooth_probes(H.grid)))
 
 
-def _matrix_residual(H: Operator, g: np.ndarray) -> float:
-    """Masked entrywise Frobenius norm of H†G − GH for G = diag(g), relative
-    to the interior norms of H and g, from the ``float64`` coefficients of H
-    and H† (their common phase i^turns changes no norm): entry (i, j) is
-    (H†)[i, j]·g[j] − g[i]·H[i, j], over the interior slots of the union of
-    the bands of H and H† (``_interior_slots``).  ``ValueError`` when either
-    norm is zero."""
-    slots, walk = _interior_slots([H, adjoint(H)])
+def dieudonne_residual(H: Operator, g: np.ndarray) -> float:
+    """Action residual of the quasi-Hermiticity condition H†ρ = ρH, ρ = diag(g).
+
+    Applies H†ρ and ρH to the smooth probes (eight localized states) as
+    probe actions, with no operator product, masks boundary rows, and
+    returns ``action_residual``'s relative Frobenius mismatch.  g must be a
+    metric profile (``gridops._check_metric``), or ``ValueError``; a
+    non-positive entry warns.
+    """
+    return _dieudonne_action(H, adjoint(H), g)
+
+
+def dieudonne_details(H: Operator, g: np.ndarray) -> dict:
+    """Both senses of the quasi-Hermiticity residual for ρ = diag(g), with
+    masking flag.
+
+    ``action`` is the headline probe measurement (``dieudonne_residual``);
+    ``matrix`` is the masked entrywise Frobenius norm of H†ρ − ρH normalized
+    by the product of the masked norms of H and ρ (kept as a
+    truncation-visible diagnostic; ``ValueError`` when either is zero).
+    Each entry is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is
+    read from the ``float64`` interior slots of the bands of H and H†
+    (``_interior_slots``; their common phase i^turns changes no norm) at
+    O(n · bandwidth), with no operator product.  H† is formed once for both.
+    """
+    h_dag = adjoint(H)
+    act = _dieudonne_action(H, h_dag, g)
+    slots, walk = _interior_slots([H, h_dag])
     h, dag = slots.T
     g_rows = np.concatenate([g[rows] for rows, _ in walk] or [g[:0]])
     g_cols = np.concatenate([g[cols] for _, cols in walk] or [g[:0]])
     denom = float(np.linalg.norm(h)) * float(np.linalg.norm(g[H.grid.interior()]))
     if denom == 0.0:
         raise ValueError("relative normalization against a zero block")
-    return float(np.linalg.norm(dag * g_cols - g_rows * h)) / denom
-
-
-def dieudonne_details(H: Operator, rho: Operator) -> dict:
-    """Both senses of the quasi-Hermiticity residual, with masking flag.
-
-    ``action`` is the headline probe measurement (``dieudonne_residual``);
-    ``matrix`` is the masked entrywise Frobenius norm of H†ρ − ρH normalized
-    by the product of the masked norms of H and ρ (kept as a
-    truncation-visible diagnostic).  For the diagonal ρ = diag(g) each entry
-    is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is read from
-    the bands of H and H† at O(n · bandwidth), with no operator product.
-    A real H is measured in ``float64``.
-    """
-    act = dieudonne_residual(H, rho)
-    mat = _matrix_residual(H, _metric_diagonal(rho, H))
+    mat = float(np.linalg.norm(dag * g_cols - g_rows * h)) / denom
     return {"action": act, "matrix": mat, "masked": True}
 
 
-def check_X_quasi_hermiticity(X: Operator, eta: Operator) -> float:
-    """Action residual of X†η = ηX on stencil probes, for a diagonal η.
+def check_X_quasi_hermiticity(X: Operator, g: np.ndarray) -> float:
+    """Action residual of X†η = ηX on stencil probes, for η = diag(g).
 
     This is an exactness-class identity for the compensating weight
-    (1+τp²)^{-1}, so the residual is machine-small when eta solves it.
+    (1+τp²)^{-1}, so the residual is machine-small when g is that weight.
     """
-    g = _metric_diagonal(eta, X)
-    return _mismatch(*_intertwining_actions(X, g, stencil_probes(X.grid)))
+    _check_metric(g, X)
+    return _mismatch(*_intertwining_actions(X, adjoint(X), g, stencil_probes(X.grid)))
 
 
-def _sqrt_pair(rho: Operator) -> tuple[Operator, Operator]:
-    """(ρ^{1/2}, ρ^{-1/2}) of an exactly real diagonal ρ
-    (``_metric_diagonal``), with positivity and dynamic-range guards."""
-    d = _metric_diagonal(rho)
-    if d.min() <= 0:
+def hermitian_counterpart(H: Operator, g: np.ndarray) -> tuple[Operator, float]:
+    """Similarity transform h = ρ^{1/2} H ρ^{-1/2} = diag(√g)·H·diag(1/√g)
+    and its Hermiticity defect, the action residual of h against h† on
+    smooth probes.
+
+    g must be a metric profile (``ValueError``), strictly positive and within
+    the dynamic-range rule (``NumericGuardError``), as ``build_metric``
+    makes it.
+    """
+    _check_metric(g, H)
+    if g.min() <= 0:
         raise NumericGuardError("metric must be strictly positive")
-    _check_dynamic_range(d, "metric")
-    r = np.sqrt(d)
-    return Operator.diag(r, rho.grid), Operator.diag(1.0 / r, rho.grid)
-
-
-def hermitian_counterpart(H: Operator, rho: Operator) -> tuple[Operator, float]:
-    """Similarity transform h = ρ^{1/2} H ρ^{-1/2} and its Hermiticity defect.
-
-    ρ must be an exactly real diagonal operator (every metric
-    ``build_metric`` makes is); any other ρ raises ``ValueError``.  The
-    defect is the action residual of h against h† on smooth probes.
-    """
-    half, half_inv = _sqrt_pair(rho)
-    h = op_product(op_product(half, H), half_inv)
+    _check_dynamic_range(g, "metric")
+    r = np.sqrt(g)
+    h = op_product(op_product(Operator.diag(r, H.grid), H), Operator.diag(1.0 / r, H.grid))
     res = action_residual(h, adjoint(h), smooth_probes(H.grid))
     return h, res
 
@@ -456,7 +449,7 @@ def _fit_matrix(H: Operator, basis: np.ndarray, probes: np.ndarray) -> np.ndarra
     diag(basis[:, k]), flattened row by row, from the probe actions of
     ``_intertwining_actions``.  Real H and probes give a real map.
     """
-    left, right = _intertwining_actions(H, basis, probes)
+    left, right = _intertwining_actions(H, adjoint(H), basis, probes)
     return (left - right).transpose(0, 2, 1).reshape(-1, basis.shape[1])
 
 

@@ -35,7 +35,6 @@ from qhm import (
 )
 from qhm.gridops import _quarter_turns, _trim
 from qhm.jobs import parse_config, run_job
-from qhm.verify import _sqrt_pair
 
 REL = 1e-13
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -221,7 +220,7 @@ def test_from_bands_rejects_slots_outside_the_matrix():
 
 def test_model_operators_stay_banded_at_1025_points():
     # No n x n array on the adjudication path: every operator it builds is
-    # stored as a handful of diagonals.
+    # stored as a handful of diagonals, and a metric as its profile.
     grid = Grid(1025, 10.0, 0.25)
     pp = PhysParams(mu=0.1, tau=0.01, gamma_t=0.05, lam=-0.05, delta_t=0.05)
     x, p = build_deformed_pair(grid, pp)
@@ -229,7 +228,7 @@ def test_model_operators_stay_banded_at_1025_points():
     assert len(derivative_matrix(grid).bands) <= 5
     assert len(build_swanson_bf(x, p, pp).bands) <= 9
     assert len(build_swanson_jr(ladder.a, ladder.a_dag, pp).bands) <= 9
-    assert len(build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp).bands) == 1
+    assert build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp).shape == (1025,)
     assert len(p.bands) == 1
 
 
@@ -242,9 +241,8 @@ def test_model_operators_are_exactly_real_or_imaginary(n):
     x, p = build_deformed_pair(grid, pp)
     ladder = build_ladder(x, p, pp)
     h_bf = build_swanson_bf(x, p, pp)
-    rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
-    half, half_inv = _sqrt_pair(rho)
-    counterpart, _ = hermitian_counterpart(h_bf, rho)
+    g = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
+    counterpart, _ = hermitian_counterpart(h_bf, g)
     imaginary = {"X": x}
     real = {
         "P": p,
@@ -255,9 +253,6 @@ def test_model_operators_are_exactly_real_or_imaginary(n):
         "N": default_number_operator(ladder.a, ladder.a_dag),
         "H_BF": h_bf,
         "H_JR": build_swanson_jr(ladder.a, ladder.a_dag, pp),
-        "rho": rho,
-        "rho_half": half,
-        "rho_half_inv": half_inv,
         "counterpart": counterpart,
     }
     for name, op in imaginary.items():

@@ -1,11 +1,12 @@
 """Generated job files: ``parse_config`` returns a JobConfig or raises
 ConfigError (exit 2), whatever the input; an accepted config holds only
 finite numbers and grid sizes that each make a grid the job can run on, and
-runs to a report or stops at a numeric guard (exit 3), never at a mistake
-that the parser should have refused."""
+runs to a report that is strict JSON or stops at a numeric guard (exit 3),
+never at a mistake that the parser should have refused."""
 import dataclasses
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhm import Grid, NumericGuardError, derivative_matrix
-from qhm.jobs import JOB_KINDS, ConfigError, JobConfig, parse_config, run_job
+from qhm.jobs import (
+    JOB_KINDS,
+    ConfigError,
+    JobConfig,
+    parse_config,
+    run_job,
+    serialize_report,
+)
 from qhm.metrics import spec_from_label
 
 HUGE = st.sampled_from(
@@ -241,10 +249,18 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
 @example(json.dumps({"job": "model-equality", "grid": {"n_points": 33, "p_max": 1e80},
                      "params": {"mu": 0.1, "tau": 0.01, "lambda": -0.05,
                                 "delta_t": 0.05}}))
+# Finite operators whose probe actions overflow the norms of the residual:
+# once a NaN residual written into report.json, now a numeric guard.
+@example(json.dumps({"job": "verify-metric", "grid": {"n_points": 5}, "metric": "BF",
+                     "params": {"mass": 1e200}}))
+@example(json.dumps({"job": "model-equality", "grid": {"n_points": 65, "p_max": 10},
+                     "params": {"hbar": 1e-300, "mu": 0.05, "lambda": 0.1,
+                                "delta_t": 0.5}}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     """No ValueError escapes run_job from a config that parse_config
-    accepted: such a mistake is the parser's to refuse (exit 2)."""
+    accepted: such a mistake is the parser's to refuse (exit 2).  A job that
+    runs writes a report.json that strict JSON accepts: no Infinity or NaN."""
     try:
         cfg = parse_config(text)
     except ConfigError:
@@ -254,6 +270,13 @@ def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     except (NumericGuardError, np.linalg.LinAlgError):
         return
     assert doc["verdicts"]["overall"] in ("PASS", "FAIL")
+
+    def refuse(constant):
+        raise AssertionError(f"report.json holds {constant}")
+
+    with tempfile.TemporaryDirectory() as out:
+        report_path, _ = serialize_report(doc, out)
+        json.loads(report_path.read_text(), parse_constant=refuse)
 
 
 @pytest.mark.parametrize("text", OVERFLOW_JOBS, ids=list(OVERFLOW_CASES))

@@ -264,6 +264,24 @@ class TestRunJob:
         assert comp["ratio"] == pytest.approx(206.0, rel=1e-2)
         assert doc["verdicts"]["overall"] == "PASS"
 
+    @pytest.mark.parametrize("metrics, mu, threshold", [
+        # ExpTheta(0) is the identity, exactly intertwined by the Hermitian H
+        # at mu = 0: both residuals are 0, and the ratio divides by zero.
+        (["ExpTheta(0)", "ExpTheta(0.0)"], 0.0, 10.0),
+        # Equal nonzero residuals give a ratio of 1, above this threshold.
+        (["ExpTheta(0.1)", "ExpTheta(0.10)"], 0.1, 0.5),
+    ])
+    def test_tied_residuals_favour_no_metric_and_fail(self, metrics, mu, threshold):
+        text = json.dumps({"job": "compare-metrics", "grid": {"n_points": 129, "p_max": 8.0},
+                           "params": {"mu": mu}, "metrics": metrics,
+                           "threshold": threshold})
+        doc = run_job(parse_config(text))
+        comp = doc["results"]["comparisons"][0]
+        first, second = comp["residuals"].values()
+        assert first == second
+        assert comp["favored"] is None
+        assert comp["verdict"] == doc["verdicts"]["overall"] == "FAIL"
+
     @pytest.mark.parametrize(
         "grid, k, mu",
         [
@@ -675,6 +693,23 @@ class TestCommandLine:
             "run error: the model-equality column P4 has non-finite entries "
             "(inf or NaN)\n"
         )
+
+    def test_an_overflowing_swept_profile_exits_three(self, tmp_path):
+        # (1 + 0.1 p²)^500 overflows at p_max 10: the swept profiles meet the
+        # dynamic-range rule of build_metric, where an infinite distance was
+        # once written into report.json as Infinity, after numpy warnings.
+        job = _write_job(tmp_path, "job.json", {
+            "job": "limit-sweep", "grid": {"n_points": 129, "p_max": 10},
+            "params": {"mu": 50}, "metric": "JR", "reference": "ExpTheta(0.1)",
+            "tau_values": [0.1, 0.01, 0.001],
+        })
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "run error: metric condition number inf exceeds the dynamic range "
+            "bound 1e+14\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_jobfile_exits_four(self, tmp_path):
         proc = _run_cli(str(tmp_path / "nope.json"))

@@ -1,10 +1,10 @@
-"""Metric profiles, built diagonals, guards, and limit sweeps."""
+"""Metric profiles, built metrics, guards, and limit sweeps."""
 import dataclasses
 
 import numpy as np
 import pytest
 
-from qhm.gridops import Grid, NumericGuardError, Operator
+from qhm.gridops import Grid, NumericGuardError
 from qhm.metrics import (
     MetricSpec,
     build_metric,
@@ -180,47 +180,24 @@ def test_product_with_inverse_profile_is_identity():
         (MetricSpec("DeformWeight"), PhysParams(tau=0.2)),
     ],
 )
-def test_built_metrics_are_positive_diagonals(spec, pp):
-    rho = build_metric(spec, GRID, pp)
-    d = np.diag(rho.entries)
-    assert np.real(d).min() > 0
-    off = rho.entries - np.diag(d)
-    assert np.abs(off).max() == 0.0
+def test_built_metrics_are_positive_read_only_profiles(spec, pp):
+    g = build_metric(spec, GRID, pp)
+    assert g.dtype == np.float64 and g.shape == (GRID.n_points,)
+    assert g.min() > 0
+    assert not g.flags.writeable
 
 
-def test_built_entries_match_profile():
+def test_built_metric_is_the_profile():
     pp = PhysParams(mu=0.08)
-    rho = build_metric(MetricSpec("BF"), GRID, pp)
-    expect = metric_profile(MetricSpec("BF"), GRID, pp)
-    rel = np.abs(np.diag(rho.entries).real - expect) / expect
-    assert rel.max() < 1e-14
+    g = build_metric(MetricSpec("BF"), GRID, pp)
+    assert np.array_equal(g, metric_profile(MetricSpec("BF"), GRID, pp))
 
 
 def test_condition_number_value():
     pp = PhysParams(mu=0.1)
-    rho = build_metric(MetricSpec("BF"), GRID, pp)
-    assert metric_condition(rho) == pytest.approx(np.exp(0.2 * 64.0), rel=1e-12)
-    # The operator's diagonal holds the profile exactly, so the ratio is the
-    # profile's own, bit for bit.
-    g = metric_profile(MetricSpec("BF"), GRID, pp)
-    assert metric_condition(rho) == float(g.max() / g.min())
-
-
-def test_condition_number_takes_an_operator_only():
-    g = metric_profile(MetricSpec("BF"), GRID, PhysParams(mu=0.1))
-    with pytest.raises(TypeError, match="Operator"):
-        metric_condition(g)
-
-
-def test_condition_number_takes_an_exactly_real_diagonal_only():
-    # No part of the operator is ignored: an off-diagonal band or an
-    # imaginary phase is refused.
-    g = metric_profile(MetricSpec("BF"), GRID, PhysParams(mu=0.1))
-    banded = Operator(np.diag(g) + 1e-3 * np.eye(len(g), k=1), GRID)
-    with pytest.raises(ValueError, match="metric must be diagonal"):
-        metric_condition(banded)
-    with pytest.raises(ValueError, match="metric must be exactly real"):
-        metric_condition(Operator.diag(1j * g, GRID))
+    g = build_metric(MetricSpec("BF"), GRID, pp)
+    assert metric_condition(g) == pytest.approx(np.exp(0.2 * 64.0), rel=1e-12)
+    assert metric_condition(g) == float(g.max() / g.min())
 
 
 def test_build_overflow_guard():
@@ -228,8 +205,8 @@ def test_build_overflow_guard():
         build_metric(MetricSpec("BF"), GRID, PhysParams(mu=0.3))
     # The ExpTheta condition number is exp(theta * p_max²), against 1e14.
     edge = np.log(1e14) / GRID.p_max**2
-    rho = build_metric(MetricSpec("ExpTheta", theta=edge * (1 - 1e-9)), GRID, PhysParams())
-    assert metric_condition(rho) == pytest.approx(1e14, rel=1e-6)
+    g = build_metric(MetricSpec("ExpTheta", theta=edge * (1 - 1e-9)), GRID, PhysParams())
+    assert metric_condition(g) == pytest.approx(1e14, rel=1e-6)
     with pytest.raises(NumericGuardError, match="condition"):
         build_metric(MetricSpec("ExpTheta", theta=edge * (1 + 1e-9)), GRID, PhysParams())
 

@@ -354,9 +354,10 @@ def test_bf_hamiltonian_and_counterpart_are_exactly_even(n, p_max, mu, tau, thet
     for op in (x, p):
         assert np.array_equal(op.entries, -op.entries[::-1, ::-1])
     ham = build_swanson_bf(x, p, pp)
-    rho = build_metric(MetricSpec("ExpTheta", theta=theta), grid, pp)
-    counterpart, _ = hermitian_counterpart(ham, rho)
-    assert _even(ham.entries) and _even(rho.entries) and _even(counterpart.entries)
+    g = build_metric(MetricSpec("ExpTheta", theta=theta), grid, pp)
+    counterpart, _ = hermitian_counterpart(ham, g)
+    assert np.array_equal(g, g[::-1])
+    assert _even(ham.entries) and _even(counterpart.entries)
 
 
 @pytest.mark.parametrize("n", [129, 257, 513, 1025])

@@ -37,7 +37,8 @@ from qhm.gridops import (
     op_sum,
     stencil_probes,
 )
-from qhm.verify import _even_cheb_basis, _fit_matrix, _sqrt_pair
+from qhm.metrics import metric_condition
+from qhm.verify import _even_cheb_basis, _fit_matrix
 
 
 def _bf_setup(n=513, p_max=10.0, mu=0.1, tau=0.0, gamma_t=0.0):
@@ -50,14 +51,13 @@ def _bf_setup(n=513, p_max=10.0, mu=0.1, tau=0.0, gamma_t=0.0):
 class TestDieudonneResidual:
     def test_hermitian_H_identity_metric_is_exactly_zero(self):
         grid, pp, ham = _bf_setup(n=257, p_max=8.0, mu=0.0)
-        rho = Operator(np.eye(grid.n_points, dtype=complex), grid)
-        assert dieudonne_residual(ham, rho) == 0.0
+        assert dieudonne_residual(ham, np.ones(grid.n_points)) == 0.0
 
     def test_invariant_under_metric_rescaling(self):
         grid, pp, ham = _bf_setup()
         rho = build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp)
         r1 = dieudonne_residual(ham, rho)
-        r2 = dieudonne_residual(ham, Operator(7.3 * rho.entries, grid))
+        r2 = dieudonne_residual(ham, 7.3 * rho)
         assert abs(r1 - r2) < 1e-12
 
     def test_matching_metric_residual_golden(self):
@@ -88,16 +88,13 @@ class TestDieudonneResidual:
 
     def test_dimension_mismatch_rejected(self):
         grid, pp, ham = _bf_setup(n=129)
-        other = Grid(257, 10.0, 0.25)
-        rho = Operator(np.eye(257, dtype=complex), other)
-        with pytest.raises(ValueError):
-            dieudonne_residual(ham, rho)
+        with pytest.raises(ValueError, match="of 129 entries"):
+            dieudonne_residual(ham, np.ones(257))
 
     def test_non_positive_diagonal_metric_warns(self):
         grid, pp, ham = _bf_setup(n=129)
-        bad = Operator(-np.eye(129, dtype=complex), grid)
         with pytest.warns(UserWarning):
-            dieudonne_residual(ham, bad)
+            dieudonne_residual(ham, -np.ones(129))
 
 
 class TestGaussianLabelsAwayFromUnitMassAndFrequency:
@@ -160,16 +157,13 @@ class TestPositionQuasiHermiticity:
         grid = Grid(257, 8.0, 0.25)
         pp = PhysParams(tau=0.1)
         x, p = build_deformed_pair(grid, pp)
-        eta = Operator(np.eye(257, dtype=complex), grid)
-        measured = check_X_quasi_hermiticity(x, eta)
-
-        from qhm import stencil_probes
+        measured = check_X_quasi_hermiticity(x, np.ones(257))
 
         probes = stencil_probes(grid)
         sl = grid.interior()
         xa = x.entries
-        lhs = (xa.conj().T @ eta.entries) @ probes
-        rhs = (eta.entries @ xa) @ probes
+        lhs = xa.conj().T @ probes
+        rhs = xa @ probes
         expect = np.linalg.norm((lhs - rhs)[sl]) / max(
             np.linalg.norm(lhs[sl]), np.linalg.norm(rhs[sl])
         )
@@ -177,8 +171,10 @@ class TestPositionQuasiHermiticity:
         assert measured > 1e-3
 
 
-def _product_built(a, rho, probes):
-    """The residual of A†ρ = ρA from the operator products A†ρ and ρA."""
+def _product_built(a, g, probes):
+    """The residual of A†ρ = ρA, ρ = diag(g), from the operator products A†ρ
+    and ρA."""
+    rho = Operator.diag(g, a.grid)
     return action_residual(op_product(adjoint(a), rho), op_product(rho, a), probes)
 
 
@@ -223,11 +219,12 @@ class TestIntertwiningFromProbeActions:
         # ``matrix`` is read from the bands; the norm of the product-built
         # H†ρ − ρH is the reference.
         grid, pp, _, hams = _deformed_models(n)
-        rho = build_metric(spec_from_label(label), grid, pp)
+        g = build_metric(spec_from_label(label), grid, pp)
+        rho = Operator.diag(g, grid)
         for ham in hams.values():
             diff = op_sum(op_product(adjoint(ham), rho), op_scale(-1.0, op_product(rho, ham)))
             expect = masked_norm(diff) / (masked_norm(ham) * masked_norm(rho))
-            matrix = dieudonne_details(ham, rho)["matrix"]
+            matrix = dieudonne_details(ham, g)["matrix"]
             assert matrix == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [129, 257, 513])
@@ -244,28 +241,27 @@ class TestIntertwiningFromProbeActions:
         expect = _product_built(x, eta, probes)
         assert check_X_quasi_hermiticity(x, eta) == pytest.approx(expect, abs=1e-13)
 
-    def test_non_diagonal_metric_is_refused(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((129, 1)), np.ones(129, dtype=complex), np.ones(127), np.ones(129, dtype=int),
+         Operator.diag(np.ones(129), Grid(129, 8.0, 0.25))],
+        ids=["2-D", "complex", "wrong-length", "integer", "operator"],
+    )
+    def test_a_profile_that_is_not_1d_float64_on_the_grid_is_refused(self, bad):
+        # Every public consumer of a metric checks the profile at its boundary.
         grid, pp, x, hams = _deformed_models(129)
-        rho = np.eye(grid.n_points)
-        rho[3, 4] = rho[4, 3] = 0.1
-        rho = Operator(rho, grid)
-        with pytest.raises(ValueError, match="metric must be diagonal"):
-            dieudonne_residual(hams["BF"], rho)
-        with pytest.raises(ValueError, match="metric must be diagonal"):
-            dieudonne_details(hams["BF"], rho)
-        with pytest.raises(ValueError, match="metric must be diagonal"):
-            check_X_quasi_hermiticity(x, rho)
-
-    def test_imaginary_metric_is_refused(self):
-        # An imaginary diagonal is not a metric, so no residual is taken of
-        # a complex g.
-        grid, pp, x, hams = _deformed_models(129)
-        rho = Operator.diag(1j * np.ones(grid.n_points), grid)
-        for measure in (dieudonne_residual, dieudonne_details):
-            with pytest.raises(ValueError, match="metric must be exactly real"):
-                measure(hams["BF"], rho)
-        with pytest.raises(ValueError, match="metric must be exactly real"):
-            check_X_quasi_hermiticity(x, rho)
+        ham = hams["BF"]
+        consumers = [
+            lambda g: dieudonne_residual(ham, g),
+            lambda g: dieudonne_details(ham, g),
+            lambda g: check_X_quasi_hermiticity(x, g),
+            lambda g: hermitian_counterpart(ham, g),
+        ]
+        if getattr(bad, "shape", None) != (127,):  # metric_condition has no grid
+            consumers.append(metric_condition)
+        for consumer in consumers:
+            with pytest.raises(ValueError, match="a metric is a 1-D float64 profile"):
+                consumer(bad)
 
     def test_residuals_form_no_operator_product(self, monkeypatch):
         grid, pp, x, hams = _deformed_models(129)
@@ -289,8 +285,7 @@ class TestIntertwiningFromProbeActions:
 class TestHermitianCounterpart:
     def test_identity_metric_returns_input(self):
         grid, pp, ham = _bf_setup(n=257, p_max=8.0)
-        rho = Operator(np.eye(257, dtype=complex), grid)
-        h, res = hermitian_counterpart(ham, rho)
+        h, res = hermitian_counterpart(ham, np.ones(257))
         assert np.allclose(h.entries, ham.entries, atol=1e-13)
 
     def test_matching_metric_makes_counterpart_hermitian(self):
@@ -318,63 +313,41 @@ class TestHermitianCounterpart:
             assert seq[0] / seq[1] > 3.0
             assert seq[1] / seq[2] > 3.0
 
-    def test_non_diagonal_metric_is_refused(self):
-        # A positive definite ρ with one off-diagonal pair is still refused:
-        # only diagonal metrics have square roots here.
-        grid, pp, ham = _bf_setup(n=129, p_max=8.0)
-        rho = np.eye(grid.n_points)
-        rho[3, 4] = rho[4, 3] = 0.1
-        with pytest.raises(ValueError, match="diagonal"):
-            _sqrt_pair(Operator(rho, grid))
-        with pytest.raises(ValueError, match="diagonal"):
-            hermitian_counterpart(ham, Operator(rho, grid))
-
-    def test_sqrt_pair_takes_only_an_exactly_real_diagonal(self):
-        # A real diagonal is exactly Hermitian; an imaginary one is refused
-        # before any other guard, with no Hermiticity test.
-        grid = Grid(9, 2.0, 0.25)
-        half, half_inv = _sqrt_pair(Operator.diag(np.full(9, 2.0), grid))
-        assert np.array_equal(half.coefficients[0], np.full(9, np.sqrt(2.0)))
-        assert np.array_equal(half_inv.coefficients[0], np.full(9, 1.0 / np.sqrt(2.0)))
-        with pytest.raises(ValueError, match="metric must be exactly real"):
-            _sqrt_pair(Operator.diag(np.full(9, 1e-3j), grid))
-        # Diagonality is judged first.
-        rho = 1e-3j * np.ones((9, 9))
-        with pytest.raises(ValueError, match="metric must be diagonal"):
-            _sqrt_pair(Operator(rho, grid))
-
     def test_nan_on_the_metric_diagonal_is_refused(self):
         grid, pp, ham = _bf_setup(n=129, p_max=8.0)
         d = np.ones(grid.n_points)
         d[5] = np.nan
         with pytest.raises(NumericGuardError, match="NaN"):
-            hermitian_counterpart(ham, Operator.diag(d, grid))
+            hermitian_counterpart(ham, d)
 
-    def test_sqrt_pair_rejects_non_positive_diagonal(self):
-        grid = Grid(9, 2.0, 0.25)
-        bad = Operator(np.diag(np.linspace(-1, 1, 9)).astype(complex), grid)
-        with pytest.raises(NumericGuardError):
-            _sqrt_pair(bad)
+    def test_counterpart_rejects_a_non_positive_profile(self):
+        grid, pp, ham = _bf_setup(n=129, p_max=8.0)
+        with pytest.raises(NumericGuardError, match="strictly positive"):
+            hermitian_counterpart(ham, np.linspace(-1, 1, 129))
 
-    def test_sqrt_pair_dynamic_range_guard_boundary(self):
-        # max/min of the diagonal may reach 1e14, not exceed it.
-        grid = Grid(9, 2.0, 0.25)
-        half, _ = _sqrt_pair(Operator.diag(np.linspace(1.0, 1e14, 9), grid))
-        assert half.coefficients[0][-1] == pytest.approx(1e7, rel=1e-15)
-        above = np.linspace(1.0, np.nextafter(1e14, np.inf), 9)
+    def test_counterpart_dynamic_range_guard_boundary(self):
+        # max/min of the profile may reach 1e14, not exceed it.
+        grid, pp, ham = _bf_setup(n=129, p_max=8.0)
+        g = np.linspace(1.0, 1e14, 129)
+        h, _ = hermitian_counterpart(ham, g)
+        # Entry (i, j) of h is √g[i]·H[i, j]·(1/√g[j]).
+        i, j = 100, 101
+        expect = np.sqrt(g[i]) * ham.entries[i, j] * (1.0 / np.sqrt(g[j]))
+        assert h.entries[i, j] == pytest.approx(expect, rel=1e-15)
+        above = np.linspace(1.0, np.nextafter(1e14, np.inf), 129)
         with pytest.raises(NumericGuardError, match="condition number"):
-            _sqrt_pair(Operator.diag(above, grid))
+            hermitian_counterpart(ham, above)
 
     def test_imaginary_diagonal_metric_is_refused(self):
-        # An imaginary diagonal is not a metric: its imaginary part is not
-        # dropped on the way to the square roots, and the matrix functions
-        # refuse it as not Hermitian.
+        # An imaginary diagonal is not a metric: a complex profile is refused
+        # before its square roots, and the matrix functions refuse the
+        # imaginary diagonal operator as not Hermitian.
         grid, pp, ham = _bf_setup(n=129, p_max=8.0)
-        bad = Operator.diag(1e-3j * np.ones(grid.n_points), grid)
-        with pytest.raises(ValueError, match="metric must be exactly real"):
+        bad = 1e-3j * np.ones(grid.n_points)
+        with pytest.raises(ValueError, match="float64 profile"):
             hermitian_counterpart(ham, bad)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_matrix_function(bad, np.sqrt, np.eye(grid.n_points))
+            hermitian_matrix_function(Operator.diag(bad, grid), np.sqrt, np.eye(grid.n_points))
 
 
 class TestSpectrum:
