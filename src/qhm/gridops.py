@@ -22,9 +22,11 @@ Everything downstream builds on four ingredients defined here:
 
   That is the one form the eigensolvers take (``hermitian_matrix_function``
   here, ``verify.spectrum``): ``_parity_fold`` reads an exactly real, exactly
-  even operator's bands into its real even and odd band blocks, of sizes
-  n//2 + 1 and n//2, and refuses any other operator with ``ValueError``.
-  The parity test is exact, with no tolerance.  No n x n matrix is formed.
+  even operator's bands into its real even and odd blocks, of sizes
+  n//2 + 1 and n//2, each ``(lo, bands)`` in the operator's own band
+  layout, and refuses any other operator with ``ValueError``.  The parity
+  test is exact, with no tolerance.  No n x n matrix is formed.  Operators
+  and blocks share two band kernels, ``_band_action`` and ``_band_transpose``.
 * elementary algebra (products, adjoints, commutators, the action of a
   real symmetric matrix function, masked norms).  Every operand is an
   ``Operator``, and each function reads its grid from its operands, which
@@ -45,7 +47,8 @@ Everything downstream builds on four ingredients defined here:
   stencils, and ``smooth_probes`` (Hermite–Gaussian profiles) represent the
   low-energy subspace for identities that hold only in the continuum limit.
   Entrywise masked Frobenius norms remain available via ``masked_norm`` and
-  are reported alongside as diagnostics.
+  are reported alongside as diagnostics.  A norm that is not finite raises
+  ``NumericGuardError`` naming its residual (``_finite_norms``).
   Measurements read operators through their ``float64`` coefficients
   (``_interior_slots``), and a metric ρ = diag(g) as its profile g, a 1-D
   ``float64`` array (``_check_metric``); the complex ``bands`` and
@@ -279,24 +282,13 @@ def _slot_indices(lo: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarr
 
 
 def _dense_to_bands(arr: np.ndarray) -> tuple[int, np.ndarray]:
-    n = arr.shape[0]
     rows, cols = np.nonzero(arr)
-    if rows.size == 0:
-        return 0, np.zeros((0, n), dtype=arr.dtype)
-    offsets = cols - rows
-    lo = int(offsets.min())
-    bands = np.zeros((int(offsets.max()) - lo + 1, n), dtype=arr.dtype)
-    bands[offsets - lo, rows] = arr[rows, cols]
-    return lo, bands
+    return _band_block(arr[rows, cols], rows, cols, arr.shape[0])
 
 
 def _bands_to_dense(lo: int, bands: np.ndarray) -> np.ndarray:
-    n = bands.shape[1]
-    rows, cols = _slot_indices(lo, bands.shape)
-    inside = (cols >= 0) & (cols < n)
-    out = np.zeros((n, n), dtype=complex)
-    out[rows[inside], cols[inside]] = bands[inside]
-    return out
+    """An operator's n x n matrix (``Operator.entries``), under its own name."""
+    return _dense_block(lo, bands)
 
 
 def _parity_fold(op: Operator) -> tuple[tuple, tuple]:
@@ -305,11 +297,9 @@ def _parity_fold(op: Operator) -> tuple[tuple, tuple]:
     ``op`` must be exactly real and exactly even under the reflection
     p → −p, as every operator that a job hands to an eigensolver is; an
     imaginary operator, or one that fails the parity test, is refused with
-    ``ValueError``.  Each block is ``(ab, kl, ku)``, the ``float64`` block in
-    LAPACK's general-band storage: ``ab[kl + ku + i − j, j]`` holds entry
-    (i, j), for kl subdiagonals and ku superdiagonals, and the kl rows on
-    top are zero, the room that ``?gbtrf`` needs for the fill-in of its
-    pivoting.  No n x n array is formed.
+    ``ValueError``.  Each block is ``(lo, bands)``, ``float64`` bands in
+    ``Operator``'s layout, ``bands[k, i] = B[i, i + lo + k]``, the main
+    diagonal among them (``_band_block``).  No n x n array is formed.
 
     ``op`` is even when ``A[i, j] == A[n-1-i, n-1-j]`` for every entry (no
     tolerance), that is when its bands are centred on the main diagonal
@@ -355,45 +345,50 @@ def _parity_fold(op: Operator) -> tuple[tuple, tuple]:
     )
 
 
-def _band_block(values, rows, cols, size: int) -> tuple[np.ndarray, int, int]:
-    """``(ab, kl, ku)``: the size x size matrix with ``values`` at
-    (rows, cols) in ``_parity_fold``'s band storage; a position listed twice
-    holds the sum of its two values."""
-    kl = int((rows - cols).max(initial=0))
-    ku = int((cols - rows).max(initial=0))
-    ab = np.zeros((2 * kl + ku + 1, size), dtype=values.dtype, order="F")
-    np.add.at(ab, (kl + ku + rows - cols, cols), values)
-    return ab, kl, ku
+def _band_block(values, rows, cols, size: int) -> tuple[int, np.ndarray]:
+    """``(lo, bands)``: the size x size matrix with ``values`` at (rows, cols)
+    in ``Operator``'s band layout, the main diagonal included; a position
+    listed twice holds the sum of its two values."""
+    offsets = cols - rows
+    lo = int(offsets.min(initial=0))
+    bands = np.zeros((int(offsets.max(initial=0)) - lo + 1, size), dtype=values.dtype)
+    np.add.at(bands, (offsets - lo, rows), values)
+    return lo, bands
 
 
-def _band_diagonals(block):
-    """Each diagonal d = i − j of a ``_parity_fold`` block: d, its first and
-    end column, and its entries."""
-    ab, kl, ku = block
-    size = ab.shape[1]
-    for d in range(-ku, kl + 1):
-        j0, j1 = _overlap(d, size)
-        yield d, j0, j1, ab[kl + ku + d, j0:j1]
-
-
-def _dense_block(block) -> np.ndarray:
-    """The dense matrix of one ``_parity_fold`` block."""
-    size = block[0].shape[1]
-    out = np.zeros((size, size), dtype=block[0].dtype)
-    for d, j0, j1, diagonal in _band_diagonals(block):
-        j = np.arange(j0, j1)
-        out[j + d, j] = diagonal
+def _dense_block(lo: int, bands: np.ndarray) -> np.ndarray:
+    """The dense matrix of the bands ``bands[k, i] = B[i, i + lo + k]``."""
+    n = bands.shape[1]
+    rows, cols = _slot_indices(lo, bands.shape)
+    inside = (cols >= 0) & (cols < n)
+    out = np.zeros((n, n), dtype=bands.dtype)
+    out[rows[inside], cols[inside]] = bands[inside]
     return out
 
 
-def _band_product(block, u: np.ndarray) -> np.ndarray:
-    """B·u for one ``_parity_fold`` block B and a vector or the columns of
-    a matrix u, from the bands."""
-    cols = u.reshape(len(u), -1)
-    out = np.zeros(cols.shape, dtype=np.result_type(block[0], u))
-    for d, j0, j1, diagonal in _band_diagonals(block):
-        out[j0 + d : j1 + d] += diagonal[:, np.newaxis] * cols[j0:j1]
-    return out.reshape(u.shape)
+def _band_action(lo: int, coef: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of B·v for the bands ``coef[k, i] = B[i, i + lo + k]``
+    and the columns of ``v``, summed band by band from the lowest offset."""
+    n = coef.shape[1]
+    out = np.zeros((rows.stop - rows.start, v.shape[1]), dtype=np.result_type(coef, v))
+    for k, band in enumerate(coef):
+        o = lo + k
+        r0, r1 = max(rows.start, -o), min(rows.stop, n - o)
+        if r0 < r1:
+            out[r0 - rows.start : r1 - rows.start] += band[r0:r1, np.newaxis] * v[r0 + o : r1 + o]
+    return out
+
+
+def _band_transpose(lo: int, coef: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(lo, bands)`` of Bᵀ for the bands ``coef[k, i] = B[i, i + lo + k]``."""
+    nd, n = coef.shape
+    out = np.zeros_like(coef)
+    for k, row in enumerate(coef):
+        # entry (i, i + s) moves to (i + s, i), s = lo + k
+        s = lo + k
+        r0, r1 = _overlap(s, n)
+        out[nd - 1 - k, r0 + s : r1 + s] = row[r0:r1]
+    return -(lo + nd - 1), out
 
 
 def _fold_vectors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -564,17 +559,10 @@ def adjoint(a: Operator) -> Operator:
     """Conjugate transpose: the transposed coefficients, negated for an
     imaginary operator."""
     grid = _check_compatible(a)
-    lo, coef = a.lo, a.coefficients
-    nd, n = coef.shape
-    out = np.zeros_like(coef)
-    for k, row in enumerate(coef):
-        # entry (i, i + s) moves to (i + s, i), s = lo + k
-        s = lo + k
-        r0, r1 = _overlap(s, n)
-        out[nd - 1 - k, r0 + s : r1 + s] = row[r0:r1]
+    lo, out = _band_transpose(a.lo, a.coefficients)
     if a.turns:
         np.negative(out, out=out)
-    return Operator._trimmed(-(lo + nd - 1), out, grid, a.turns)
+    return Operator._trimmed(lo, out, grid, a.turns)
 
 
 def commutator(a, b):
@@ -678,12 +666,11 @@ def hermitian_matrix_function(
     u·(f(w)·(uᵀ·v)), and the two are unfolded again.
     """
     _check_hermitian(a)
-    parts = [_dense_block(block) for block in _parity_fold(a)]
+    parts = [_dense_block(*block) for block in _parity_fold(a)]
     v = np.asarray(vectors)
     if v.ndim != 2 or v.shape[0] != a.dim:
         raise ValueError(f"dimension mismatch: vectors {v.shape}, operator {a.dim}")
-    w = np.concatenate([np.linalg.eigvalsh(part) for part in parts])
-    _guarded(w, f)
+    _guarded(np.concatenate([np.linalg.eigvalsh(part) for part in parts]), f)
     decomps = [np.linalg.eigh(part) for part in parts]
     fw = _guarded(np.concatenate([wp for wp, _ in decomps]), f)
     even, odd = _fold_vectors(v)
@@ -779,17 +766,9 @@ def interior_action(a: Operator, vectors: np.ndarray) -> np.ndarray:
     """
     grid = _check_compatible(a)
     v = np.asarray(vectors)
-    n = grid.n_points
-    if v.shape[0] != n:
-        raise ValueError(f"dimension mismatch: vectors {v.shape[0]}, grid {n}")
-    lo, coef = a.lo, a.coefficients
-    sl = grid.interior()
-    out = np.zeros((sl.stop - sl.start, v.shape[1]), dtype=np.result_type(coef, v))
-    for k, band in enumerate(coef):
-        o = lo + k
-        r0, r1 = max(sl.start, -o), min(sl.stop, n - o)
-        if r0 < r1:
-            out[r0 - sl.start : r1 - sl.start] += band[r0:r1, np.newaxis] * v[r0 + o : r1 + o]
+    if v.shape[0] != a.dim:
+        raise ValueError(f"dimension mismatch: vectors {v.shape[0]}, grid {a.dim}")
+    out = _band_action(a.lo, a.coefficients, v, grid.interior())
     return 1j * out if a.turns else out
 
 
@@ -798,15 +777,25 @@ def action_residual(lhs: Operator, rhs: Operator, probes: np.ndarray) -> float:
     vectors.
 
     ``‖((L−R)·V)[interior]‖_F / max(‖(L·V)[interior]‖_F, ‖(R·V)[interior]‖_F)``;
-    returns 0 when both actions vanish on the interior.
+    returns 0 when both actions vanish on the interior, and raises
+    ``NumericGuardError`` when a norm is not finite.
     """
     _check_compatible(lhs, rhs)
     return _mismatch(interior_action(lhs, probes), interior_action(rhs, probes))
 
 
-def _mismatch(la: np.ndarray, ra: np.ndarray) -> float:
+def _finite_norms(what: str, *arrays: np.ndarray) -> list[float]:
+    """Each array's norm; one that is not finite raises, naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        norms = [float(np.linalg.norm(a)) for a in arrays]
+    if not all(map(math.isfinite, norms)):
+        raise NumericGuardError(f"{what} is not finite: a norm overflowed")
+    return norms
+
+
+def _mismatch(la: np.ndarray, ra: np.ndarray, what="the action residual") -> float:
     """``action_residual``'s relative mismatch of two interior actions."""
-    denom = max(float(np.linalg.norm(la)), float(np.linalg.norm(ra)))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(la - ra)) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _finite_norms
+        left, right, gap = _finite_norms(what, la, ra, la - ra)
+    denom = max(left, right)
+    return gap / denom if denom else 0.0

@@ -6,8 +6,8 @@ with ``x0 = i*hbar*D`` acting in momentum space, so that the commutator
 Two quadratic non-Hermitian oscillators are built on top of the pair: one
 parameterized by a single anticommutator coupling ``mu``, one by ladder
 couplings ``(lambda, delta_t)``.  A diagonal gauge map removes the
-``gamma_t`` term up to second-order grid error.  The Hamiltonian and number
-operator builders raise ``NumericGuardError`` on an entry that is not finite.
+``gamma_t`` term up to second-order grid error.  The builders of X, the
+Hamiltonians and N raise ``NumericGuardError`` on an entry that is not finite.
 """
 from __future__ import annotations
 
@@ -146,9 +146,11 @@ def build_canonical_pair(grid: Grid, pp: PhysParams) -> tuple[Operator, Operator
 def build_deformed_pair(grid: Grid, pp: PhysParams) -> tuple[Operator, Operator]:
     """Deformed pair: X = (1 + tau*p^2) x0 + i*hbar*gamma_t*p, P = diag(p)."""
     x0, p0 = build_canonical_pair(grid, pp)
-    g = Operator.diag(1.0 + pp.tau * grid.points**2, grid)
-    shift = Operator.diag(1j * pp.hbar * pp.gamma_t * grid.points, grid)
-    return op_sum(op_product(g, x0), shift), p0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        g = Operator.diag(1.0 + pp.tau * grid.points**2, grid)
+        shift = op_scale(1j, Operator.diag(pp.hbar * pp.gamma_t * grid.points, grid))
+        x = op_sum(op_product(g, x0), shift)
+    return _finite(x, "the deformed position operator X"), p0
 
 
 def build_ladder(x: Operator, p: Operator, pp: PhysParams) -> LadderOps:
@@ -216,7 +218,7 @@ def default_number_operator(a: Operator, a_dag: Operator) -> Operator:
 def canonical_commutator_residual(x0: Operator, p0: Operator, pp: PhysParams) -> float:
     """Action residual of [x0, p0] = i*hbar on stencil probes."""
     grid = x0.grid
-    target = Operator.diag(np.full(grid.n_points, 1j * pp.hbar), grid)
+    target = op_scale(1j, Operator.diag(np.full(grid.n_points, pp.hbar), grid))
     return action_residual(commutator(x0, p0), target, stencil_probes(grid))
 
 
@@ -261,7 +263,7 @@ def deformed_algebra_residual(
         rhs = 1j * pp.hbar * combo * qn[grid.interior()] + interior_action(
             op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic), probes
         )
-    return _mismatch(interior_action(commutator(x, p), probes), rhs)
+    return _mismatch(interior_action(commutator(x, p), probes), rhs, "the algebra residual")
 
 
 def gauge_transform(pp: PhysParams, grid: Grid) -> tuple[Operator, Operator]:

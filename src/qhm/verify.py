@@ -31,11 +31,13 @@ from numpy.polynomial import chebyshev as _cheb
 from .gridops import (
     NumericGuardError,
     Operator,
-    _band_product,
+    _band_action,
+    _band_transpose,
     _check_compatible,
     _check_dynamic_range,
     _check_metric,
     _dense_block,
+    _finite_norms,
     _interior_slots,
     _mismatch,
     _parity_fold,
@@ -90,7 +92,8 @@ def _dieudonne_action(H: Operator, h_dag: Operator, g: np.ndarray) -> float:
             "metric has non-positive diagonal entries; residual computed anyway",
             stacklevel=3,
         )
-    return _mismatch(*_intertwining_actions(H, h_dag, g, smooth_probes(H.grid)))
+    actions = _intertwining_actions(H, h_dag, g, smooth_probes(H.grid))
+    return _mismatch(*actions, "the Dieudonné residual")
 
 
 def dieudonne_residual(H: Operator, g: np.ndarray) -> float:
@@ -112,11 +115,11 @@ def dieudonne_details(H: Operator, g: np.ndarray) -> dict:
     ``action`` is the headline probe measurement (``dieudonne_residual``);
     ``matrix`` is the masked entrywise Frobenius norm of H†ρ − ρH normalized
     by the product of the masked norms of H and ρ (kept as a
-    truncation-visible diagnostic; ``ValueError`` when either is zero).
-    Each entry is one term, (H†)[i, j]·g[j] − g[i]·H[i, j], so ``matrix`` is
-    read from the ``float64`` interior slots of the bands of H and H†
-    (``_interior_slots``; their common phase i^turns changes no norm) at
-    O(n · bandwidth), with no operator product.  H† is formed once for both.
+    truncation-visible diagnostic; ``ValueError`` when either is zero, and
+    ``NumericGuardError`` when one is not finite).  Each entry is one term,
+    (H†)[i, j]·g[j] − g[i]·H[i, j], read from the ``float64`` interior slots
+    of H and H† (``_interior_slots``; their common phase changes no norm),
+    with no operator product.  H† is formed once for both.
     """
     h_dag = adjoint(H)
     act = _dieudonne_action(H, h_dag, g)
@@ -124,11 +127,13 @@ def dieudonne_details(H: Operator, g: np.ndarray) -> dict:
     h, dag = slots.T
     g_rows = np.concatenate([g[rows] for rows, _ in walk] or [g[:0]])
     g_cols = np.concatenate([g[cols] for _, cols in walk] or [g[:0]])
-    denom = float(np.linalg.norm(h)) * float(np.linalg.norm(g[H.grid.interior()]))
+    what, sl = "the Dieudonné matrix residual", H.grid.interior()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _finite_norms
+        h_norm, g_norm, gap = _finite_norms(what, h, g[sl], dag * g_cols - g_rows * h)
+    denom = h_norm * g_norm
     if denom == 0.0:
         raise ValueError("relative normalization against a zero block")
-    mat = float(np.linalg.norm(dag * g_cols - g_rows * h)) / denom
-    return {"action": act, "matrix": mat, "masked": True}
+    return {"action": act, "matrix": gap / denom, "masked": True}
 
 
 def check_X_quasi_hermiticity(X: Operator, g: np.ndarray) -> float:
@@ -138,7 +143,8 @@ def check_X_quasi_hermiticity(X: Operator, g: np.ndarray) -> float:
     (1+τp²)^{-1}, so the residual is machine-small when g is that weight.
     """
     _check_metric(g, X)
-    return _mismatch(*_intertwining_actions(X, adjoint(X), g, stencil_probes(X.grid)))
+    actions = _intertwining_actions(X, adjoint(X), g, stencil_probes(X.grid))
+    return _mismatch(*actions, "the X quasi-Hermiticity residual")
 
 
 def hermitian_counterpart(H: Operator, g: np.ndarray) -> tuple[Operator, float]:
@@ -164,15 +170,14 @@ def _block_eig_with_mass(blocks: list, rows: slice) -> tuple[np.ndarray, np.ndar
     """Eigenvalues of each ``_parity_fold`` block by the dense ``eig``, and
     the interior mass (share of ‖u‖² on ``rows``) of each state.
 
-    Row j < m of an even or odd block eigenvector u carries the squared
-    modulus of the full vector's mirrored rows j and n-1-j, and row m of the
-    even block the centre row.  So the interior rows k..n-k of the full
-    vector are rows k onwards of the block vector, which is what the same
-    slice picks from it: n-k is past its end.
+    Row j < m of a block eigenvector carries the squared modulus of the full
+    vector's rows j and n-1-j, and row m of the even block the centre row,
+    so the full interior rows k..n-k are the block rows k onwards: the same
+    slice, whose end n-k is past the block's.
     """
     vals, mass = [], []
     for block in blocks:
-        w, u = np.linalg.eig(_dense_block(block))
+        w, u = np.linalg.eig(_dense_block(*block))
         vals.append(w.astype(complex))
         mass.append(_mass(u, rows))
     return np.concatenate(vals), np.concatenate(mass)
@@ -223,8 +228,10 @@ def _arpack_pairs(
     ``sigma``, their states' interior masses, and the smallest over the
     blocks of the distance from ``sigma`` to the farthest of them.
 
-    Each block minus σ is factored once by LAPACK's band LU (``?gbtrf``),
-    and ARPACK's shift-invert operator is its band solve (``?gbtrs``)."""
+    Each block B minus σ is factored once by LAPACK's band LU (``?gbtrf``),
+    and ARPACK's shift-invert operator is its band solve (``?gbtrs``).
+    LAPACK's band storage of B, built here alone, is the bands of Bᵀ under
+    kl = −lo zero rows for the LU's fill-in."""
     # Imported here, so that grids below SHIFT_INVERT_MIN_POINTS never load
     # scipy: about 0.24 s and 32 MB (scipy 1.17, 2-vCPU Xeon).
     # scipy.sparse.linalg loads scipy.linalg itself.
@@ -232,30 +239,33 @@ def _arpack_pairs(
     from scipy.sparse.linalg import LinearOperator, eigs
 
     vals, mass, radius = [], [], np.inf
-    for block in blocks:
-        ab, kl, ku = block
-        size = ab.shape[1]
-        shifted = np.array(ab, order="F")
-        shifted[kl + ku] -= sigma
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (shifted,))
-        lu, piv, info = gbtrf(shifted, kl, ku, overwrite_ab=True)
+    for lo, bands in blocks:
+        size = bands.shape[1]
+        kl, ku = -lo, lo + len(bands) - 1
+        ab = np.zeros((kl + len(bands), size), order="F")
+        ab[kl:] = _band_transpose(lo, bands)[1]
+        norm1 = np.abs(ab).sum(axis=0).max()
+        ab[kl + ku] -= sigma
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise _Fallback("singular shifted block")
+
+        def product(x):
+            return _band_action(lo, bands, x.reshape(size, -1), slice(0, size))
 
         def solve(x):
             return gbtrs(lu, kl, ku, x, piv)[0]
 
-        shape, dtype = (size, size), ab.dtype
-        a = LinearOperator(shape, lambda x: _band_product(block, x), dtype=dtype)
-        inverse = LinearOperator(shape, solve, dtype=dtype)
+        a = LinearOperator((size, size), product, dtype=float)
+        inverse = LinearOperator((size, size), solve, dtype=float)
         # A fixed start vector keeps the levels the same from run to run.
         v0 = np.random.default_rng(0).standard_normal(size)
         try:
             w, u = eigs(a, k=min(nev, size - 2), sigma=sigma, v0=v0, OPinv=inverse)
         except RuntimeError as exc:  # ArpackError
             raise _Fallback(f"ARPACK error: {exc}") from exc
-        norm1 = np.abs(ab).sum(axis=0).max()
-        residual = np.linalg.norm(_band_product(block, u) - u * w, axis=0).max()
+        residual = np.linalg.norm(product(u) - u * w, axis=0).max()
         if residual > RESIDUAL_TOL * norm1:
             raise _Fallback("residual above the bound")
         vals.append(w)
@@ -279,7 +289,7 @@ def _first_request(k: int) -> int:
 def _shift_invert_levels(blocks: list, rows: slice, k: int) -> list[complex]:
     """``spectrum``'s levels from shift-invert ARPACK on the band parity
     blocks; raises ``_Fallback`` when a guard fails."""
-    cap = min(ARPACK_K_MAX, max(ab.shape[1] for ab, _, _ in blocks) - 2)
+    cap = min(ARPACK_K_MAX, max(bands.shape[1] for _, bands in blocks) - 2)
     nev = min(_first_request(k), cap)
     while True:
         vals, mass, radius = _arpack_pairs(blocks, rows, 0.0, nev)
@@ -338,11 +348,10 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     Hamiltonians and their counterparts are (built from the purely
     imaginary, odd X and the real, odd P); any other operator is refused
     with ``ValueError`` (``gridops._parity_fold``).  Both paths below solve
-    its even and odd blocks, folded from the bands once per call into
-    LAPACK's general-band storage; the parity blocks of the model
-    Hamiltonians have 2 subdiagonals and 3 superdiagonals.  Each state's
-    interior mass comes from its block vector, whose mirrored half is
-    implied, so no n x n matrix is formed.
+    its even and odd band blocks, folded from the bands once per call (a
+    model Hamiltonian's have lo = −2 and 6 bands).  Each state's interior
+    mass comes from its block vector, whose mirrored half is implied, so no
+    n x n matrix is formed.
 
     *Shift-invert* (at least ``SHIFT_INVERT_MIN_POINTS`` = 257 points).
     ARPACK in shift-invert mode (``scipy.sparse.linalg.eigs`` with σ = 0)
@@ -351,9 +360,7 @@ def spectrum(op: Operator, k: int) -> SpectrumResult:
     sublattice near-copy in its own block.  Each shifted block B − σI is
     factored once by LAPACK's band LU (``dgbtrf``), and ARPACK iterates on
     its band solve (``dgbtrs``), so no sparse matrix is formed
-    (``_arpack_pairs``).  The
-    interior masses come from the block vectors, and the filter and merge
-    are the dense path's.
+    (``_arpack_pairs``).  The filter and merge are the dense path's.
     Levels nearest σ = 0 are the smallest-real-part ones only when no
     interior level has negative real part; that is the assumption of this
     path, and a kept negative level sends the solve to the dense path.
@@ -558,12 +565,14 @@ def model_equality_report(
             f"the model-equality column {name} has non-finite entries (inf or NaN)"
         )
     a, b = real[:, :-1], real[:, -1]
-    bnorm = np.linalg.norm(b)
+    what = "the model-equality residual"
+    (bnorm,) = _finite_norms(what, b)
     if bnorm == 0:
-        coeffs = {k: 0j for k in labels}
-        return EqualityReport(coeffs, 0.0, 0j)
+        return EqualityReport({k: 0j for k in labels}, 0.0, 0j)
     y, *_ = np.linalg.lstsq(a, b, rcond=None)
-    unexplained = float(np.linalg.norm(a @ y - b) / bnorm)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _finite_norms
+        (gap,) = _finite_norms(what, a @ y - b)
+    unexplained = gap / bnorm  # about 1 at most: y = 0 leaves b
     phase = 1j ** (turns[-1] - turns[:-1])
     coeffs = {k: complex(c) for k, c in zip(labels, y * phase)}
     anti = 0.5 * (coeffs["XP"] + coeffs["PX"])

@@ -16,11 +16,13 @@ from qhm import (
     action_residual,
     adjoint,
     anticommutator,
+    build_canonical_pair,
     build_deformed_pair,
     build_ladder,
     build_metric,
     build_swanson_bf,
     build_swanson_jr,
+    canonical_commutator_residual,
     commutator,
     default_number_operator,
     derivative_matrix,
@@ -33,7 +35,7 @@ from qhm import (
     op_sum,
     smooth_probes,
 )
-from qhm.gridops import _quarter_turns, _trim
+from qhm.gridops import _band_action, _band_transpose, _quarter_turns, _trim
 from qhm.jobs import parse_config, run_job
 
 REL = 1e-13
@@ -212,6 +214,66 @@ def test_trim_drops_exactly_the_zero_outer_bands(seed, lo):
         assert got is bands  # nothing to trim: the same array comes back
 
 
+@st.composite
+def raw_bands(draw):
+    """``(lo, bands, dense)``: random ``float64`` bands ``bands[k, i] =
+    B[i, i + lo + k]`` of a dense B, zero in their slots outside it: one-sided
+    bands (every offset of one sign), any band, the full band and the empty
+    one."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["lower", "upper", "any", "full", "empty"]))
+    if kind == "full":
+        lo, nb = -(n - 1), 2 * n - 1
+    elif kind == "empty":
+        lo, nb = draw(st.integers(-(n - 1), n - 1)), 0
+    else:
+        lo = draw(st.integers(-(n - 1), 0 if kind == "lower" else n - 1))
+        if kind == "upper":
+            lo = abs(lo)
+        top = 0 if kind == "lower" else n - 1
+        nb = draw(st.integers(1, top - lo + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, i = np.indices((nb, n))
+    inside = (i + lo + k >= 0) & (i + lo + k < n)
+    bands = np.where(inside, rng.normal(size=(nb, n)), 0.0)
+    dense = np.zeros((n, n))
+    dense[i[inside], (i + lo + k)[inside]] = bands[inside]
+    return lo, bands, dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_bands(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_band_action_is_the_dense_product_over_all_and_interior_rows(case, columns, seed):
+    lo, bands, dense = case
+    n = len(dense)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, columns))
+    r0 = int(rng.integers(0, n + 1))
+    r1 = int(rng.integers(r0, n + 1))
+    expect = dense @ v
+    bound = REL * max(np.abs(dense).sum(axis=1).max(initial=0.0) * np.abs(v).max(), 1e-300)
+    for rows in (slice(0, n), slice(r0, r1)):
+        got = _band_action(lo, bands, v, rows)
+        assert got.shape == (rows.stop - rows.start, columns) and got.dtype == float
+        assert np.abs(got - expect[rows]).max(initial=0.0) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_bands())
+def test_band_transpose_is_the_dense_transpose(case):
+    lo, bands, dense = case
+    lo_t, out = _band_transpose(lo, bands)
+    assert out.shape == bands.shape
+    nb, n = bands.shape
+    assert lo_t == -(lo + nb - 1)
+    k, i = np.indices(out.shape)
+    j = i + lo_t + k
+    inside = (j >= 0) & (j < n)
+    assert not out[~inside].any()
+    assert np.array_equal(out[inside], dense.T[i[inside], j[inside]])
+    assert np.count_nonzero(out) == np.count_nonzero(dense)
+
+
 def test_from_bands_rejects_slots_outside_the_matrix():
     grid = Grid(5, 1.0, 0.0)
     with pytest.raises(ValueError, match="outside"):
@@ -357,11 +419,12 @@ def test_operands_that_are_neither_real_nor_imaginary_are_refused():
         hermitian_matrix_function(hermitian, np.exp, np.eye(9))
 
 
-def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):
-    # The phase of an operator built from complex data is tested once, when
-    # it is built; every other operator of a 1025-point verify-metric job has
-    # its phase from its constructor.  The BF model at γ_t ≠ 0 builds one
-    # such operator, the shift diag(iħγ_t p).
+def test_a_verify_metric_job_builds_no_operator_from_complex_data(monkeypatch):
+    # Every operator of a 1025-point verify-metric job has its phase from
+    # its constructor, the shift diag(iħγ_t p) of the BF model at γ_t ≠ 0
+    # among them (i times a real diagonal), and so does the i·ħ target of
+    # the canonical commutator: no complex data is built into an operator,
+    # and no phase is tested.
     tests, complex_built = [], []
     test = qhm.gridops._quarter_turns
     trimmed = Operator._trimmed.__func__
@@ -385,5 +448,8 @@ def test_a_verify_metric_job_tests_each_complex_operator_once(monkeypatch):
     }))
     doc = run_job(cfg)
     assert doc["results"]["residuals"][0]["n_points"] == 1025
-    assert len(complex_built) == 1
-    assert len(tests) <= len(complex_built)
+    # The i·ħ target of the canonical commutator is built the same way.
+    pp = PhysParams(hbar=0.5)
+    x0, p0 = build_canonical_pair(Grid(33, 3.0), pp)
+    assert canonical_commutator_residual(x0, p0, pp) < 1e-14
+    assert complex_built == [] and tests == []

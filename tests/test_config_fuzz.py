@@ -256,6 +256,12 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
 @example(json.dumps({"job": "model-equality", "grid": {"n_points": 65, "p_max": 10},
                      "params": {"hbar": 1e-300, "mu": 0.05, "lambda": 0.1,
                                 "delta_t": 0.5}}))
+# ħ·γ_t overflows the shift of X, and τ·p² its deformation: each once
+# escaped run_job as a plain ValueError.
+@example(json.dumps({"job": "verify-metric", "grid": {"n_points": 9, "p_max": 8},
+                     "metric": "BF", "params": {"hbar": 1e160, "gamma_t": 1e160}}))
+@example(json.dumps({"job": "spectrum", "grid": {"n_points": 9, "p_max": 8},
+                     "model": "BF", "params": {"tau": 1e307}}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     """No ValueError escapes run_job from a config that parse_config

@@ -12,7 +12,7 @@ import pytest
 
 import qhm
 import qhm.cli
-from qhm import Grid
+from qhm import Grid, NumericGuardError
 from qhm.cli import main as cli_main
 from qhm.jobs import (
     JOB_KINDS,
@@ -475,10 +475,12 @@ class TestSerializeReport:
 
 
 def _run_cli(*args, env_extra=None, cwd=None):
-    # the child imports the same qhm as this process, installed or not
+    # the child imports the same qhm as this process, installed or not, and
+    # turns a numpy RuntimeWarning into an error, as pytest does here
     src = os.path.dirname(os.path.dirname(qhm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -488,6 +490,44 @@ def _run_cli(*args, env_extra=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+# Jobs whose operators or probe actions overflow, each refused by a guard
+# that names what overflowed: ħ·γ_t overflows the shift of X and τ·p² its
+# deformation (each once a plain ValueError out of run_job), the mass the
+# norms of the Dieudonné residual's probe actions, and ħ = 1e-300 the norm
+# of H1 − H2 in the model-equality fit.
+OVERFLOW_GUARDS = {
+    "gamma_t": (
+        {"job": "verify-metric", "grid": {"n_points": 9, "p_max": 8}, "metric": "BF",
+         "params": {"hbar": 1e160, "gamma_t": 1e160}},
+        "the deformed position operator X has non-finite entries (inf or NaN)",
+    ),
+    "tau": (
+        {"job": "spectrum", "grid": {"n_points": 9, "p_max": 8}, "model": "BF",
+         "params": {"tau": 1e307}},
+        "the deformed position operator X has non-finite entries (inf or NaN)",
+    ),
+    "mass": (
+        {"job": "verify-metric", "grid": {"n_points": 5}, "metric": "BF",
+         "params": {"mass": 1e200}},
+        "the Dieudonné residual is not finite: a norm overflowed",
+    ),
+    "hbar": (
+        {"job": "model-equality", "grid": {"n_points": 65, "p_max": 10},
+         "params": {"hbar": 1e-300, "mu": 0.05, "lambda": 0.1, "delta_t": 0.5}},
+        "the model-equality residual is not finite: a norm overflowed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_GUARDS))
+def test_an_overflow_stops_at_the_guard_that_names_it(name):
+    # No RuntimeWarning filter: pytest turns a numpy warning into an error.
+    doc, message = OVERFLOW_GUARDS[name]
+    with pytest.raises(NumericGuardError) as caught:
+        run_job(parse_config(json.dumps(doc)))
+    assert str(caught.value) == message
 
 
 def _write_job(tmp_path, name, doc):
@@ -693,6 +733,15 @@ class TestCommandLine:
             "run error: the model-equality column P4 has non-finite entries "
             "(inf or NaN)\n"
         )
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_GUARDS))
+    def test_an_overflow_exits_three_with_one_run_error_line(self, tmp_path, name):
+        doc, message = OVERFLOW_GUARDS[name]
+        job = _write_job(tmp_path, "job.json", doc)
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr == f"run error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_an_overflowing_swept_profile_exits_three(self, tmp_path):
         # (1 + 0.1 p²)^500 overflows at p_max 10: the swept profiles meet the

@@ -171,6 +171,18 @@ def test_no_job_reads_a_complex_view_of_an_operator(name, monkeypatch):
     payload(CONFIGS[name])
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_job_builds_an_operator_from_complex_data(name, monkeypatch):
+    # Every operator a job builds has its phase from its constructor, the
+    # imaginary i·ħ targets and shifts among them (i times a real operator),
+    # so the phase of complex data is never tested.
+    def refuse(*args):
+        raise AssertionError("an operator was built from complex data")
+
+    monkeypatch.setattr(gridops, "_quarter_turns", refuse)
+    payload(CONFIGS[name])
+
+
 def test_package_exports_are_the_module_exports():
     modules = (gridops, jobs, metrics, models, verify)
     union = [name for m in modules for name in m.__all__]

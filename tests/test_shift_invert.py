@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg._eigen.arpack import arpack
@@ -116,16 +117,52 @@ def test_band_folded_blocks_are_the_dense_blocks(n):
         ref_even, ref_odd, cross = _basis_blocks(a)
         scale = 1e-14 * np.linalg.norm(a)
         assert np.abs(cross).max() <= scale
-        for block, ref in zip(blocks, (ref_even, ref_odd)):
-            ab, kl, ku = block
-            # Two subdiagonals and three superdiagonals, in float64, with
-            # the kl rows of LU fill-in on top.
-            assert (kl, ku) == (2, 3)
-            assert ab.dtype == np.float64
-            assert ab.shape == (2 * kl + ku + 1, len(ref))
-            assert not ab[:kl].any()
-            dense = _dense_block(block)
+        for (lo, bands), ref in zip(blocks, (ref_even, ref_odd)):
+            # Two subdiagonals and three superdiagonals, in float64.
+            assert lo == -2
+            assert bands.dtype == np.float64
+            assert bands.shape == (6, len(ref))
+            dense = _dense_block(lo, bands)
             assert np.abs(dense - ref).max() <= scale
+
+
+def test_the_band_lu_factors_lapack_band_storage_of_each_block():
+    # ?gbtrf receives each block B − σI in LAPACK's general-band storage,
+    # ab[kl + ku + i − j, j] = (B − σI)[i, j], under kl zero rows for the
+    # fill-in of its pivoting; the model H has kl = 2 and ku = 3.
+    op = _operators(257, 0.1, 10.0)["BF"]
+    blocks = [_dense_block(*block) for block in _parity_fold(op)]
+    given_to_gbtrf = []
+    lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def recording_funcs(names, arrays):
+        gbtrf, gbtrs = lapack_funcs(names, arrays)
+
+        def recording_gbtrf(ab, kl, ku, **kwargs):
+            given_to_gbtrf.append((ab.copy(order="K"), kl, ku))
+            return gbtrf(ab, kl, ku, **kwargs)
+
+        return recording_gbtrf, gbtrs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.linalg, "get_lapack_funcs", recording_funcs)
+        got = spectrum(op, 6)
+    assert got.solver == "shift-invert"
+    # σ = 0 and then σ₂, each on the even and the odd block.
+    assert len(given_to_gbtrf) == 4
+    sigmas = [0.0, 0.0, -got.values[0].real, -got.values[0].real]
+    for (ab, kl, ku), dense, sigma in zip(given_to_gbtrf, blocks * 2, sigmas):
+        assert (kl, ku) == (2, 3)
+        assert ab.dtype == np.float64 and ab.flags.f_contiguous
+        assert ab.shape == (2 * kl + ku + 1, len(dense))
+        assert not ab[:kl].any()
+        shifted = dense - sigma * np.eye(len(dense))
+        i, j = np.indices(shifted.shape)
+        inside = (i - j <= kl) & (j - i <= ku)
+        assert not shifted[~inside].any()
+        assert np.array_equal(ab[kl + ku + i[inside] - j[inside], j[inside]], shifted[inside])
+        # The slots of ab outside the matrix are zero.
+        assert np.count_nonzero(ab) == np.count_nonzero(shifted)
 
 
 def test_an_operator_without_exact_parity_is_refused():
