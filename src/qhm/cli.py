@@ -67,6 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read job file: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"config error: job file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     try:
         cfg = parse_config(text)

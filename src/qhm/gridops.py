@@ -7,11 +7,13 @@ Everything downstream builds on four ingredients defined here:
   are exactly antisymmetric (p[n-1-i] == −p[i], p = 0 at the centre).
 * ``Operator`` — a matrix bound to its grid, stored as its diagonals:
   read-only ``float64`` coefficient bands and a phase ``Operator.turns``,
-  0 when exactly real and 1 when exactly imaginary, decided once where it
-  is built; data, sums and scalars that are neither are refused with
-  ``ValueError``.  The model operators are banded (P is diagonal, X spans
-  offsets −2..2, H spans −4..4), so products, adjoints, norms and
-  probe actions cost O(n · bandwidth).  With P real and odd and
+  0 when exactly real and 1 when exactly imaginary.  The constructors take
+  real data alone, and the phase comes from the algebra: ``op_scale(1j, A)``,
+  products, sums and adjoints.  Complex data, mixed-phase sums and scalars
+  that are neither real nor imaginary are refused with ``ValueError``.
+  The model operators are banded (P is diagonal, X spans offsets −2..2,
+  H spans −4..4), so products, adjoints, norms and probe actions cost
+  O(n · bandwidth).  With P real and odd and
   X = iħ(1+τp²)D + iħγ_t p imaginary and odd (P and D, its one-sided
   boundary rows included, are exactly odd on the antisymmetric grid), the
   Hamiltonians, the counterparts ρ^{1/2}Hρ^{-1/2} (ρ = diag(g) for an even
@@ -51,8 +53,8 @@ Everything downstream builds on four ingredients defined here:
   ``NumericGuardError`` naming its residual (``_finite_norms``).
   Measurements read operators through their ``float64`` coefficients
   (``_interior_slots``), and a metric ρ = diag(g) as its profile g, a 1-D
-  ``float64`` array (``_check_metric``); the complex ``bands`` and
-  ``entries`` are built for callers outside the package alone.
+  ``float64`` array (``_check_metric``); the dense complex ``entries`` are
+  built for callers outside the package alone.
 """
 from __future__ import annotations
 
@@ -150,39 +152,40 @@ class Grid:
 
 
 class Operator:
-    """Matrix on a grid: ``float64`` coefficient bands times i^turns.
+    """Matrix on a grid: real ``float64`` coefficient bands times i^turns.
 
-    ``bands[k, i] = A[i, i + lo + k]``.  Band slots whose column falls
-    outside the matrix hold zero, and all-zero outer diagonals are trimmed,
-    so a diagonal operator has one band and the zero operator none.
+    ``coefficients[k, i]`` is the coefficient of ``A[i, i + lo + k]``.  Band
+    slots whose column falls outside the matrix hold zero, and all-zero
+    outer diagonals are trimmed, so a diagonal operator has one band and
+    the zero operator none.
 
     The stored form is the read-only, contiguous ``float64``
     ``coefficients`` and the phase ``turns``: 0 for an exactly real
-    operator and 1 for an exactly imaginary one, with
-    ``bands = 1j**turns · coefficients``.  The phase is decided once, when
-    the operator is built: real input data is real, complex input data is
-    tested once (``_quarter_turns``), and products, sums, scalings and
-    adjoints derive it from their operands.  Input data that is neither
-    exactly real nor exactly imaginary is refused with ``ValueError``.
+    operator and 1 for an exactly imaginary one, ``A = 1j**turns ·
+    coefficients``.  The constructors take real data alone and build real
+    operators; complex data is refused with ``ValueError``, and i·A is
+    ``op_scale(1j, A)``.  Products, sums, scalings and adjoints derive
+    their phase from their operands.
 
-    ``Operator(entries, grid)`` converts a dense square array; ``entries``
-    and ``bands`` build the dense complex matrix and the complex bands
-    again, for callers outside the package.
+    ``Operator(entries, grid)`` converts a dense real square array;
+    ``entries`` builds the dense complex matrix again, for callers outside
+    the package.
     """
 
     __slots__ = ("lo", "grid", "_coef", "_turns")
 
     def __init__(self, entries, grid: Grid) -> None:
-        arr = _numeric(np.asarray(entries))
+        arr = _real(np.asarray(entries))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
         _check_dimension(arr.shape[0], grid)
-        self._store(*_dense_to_bands(arr), grid, 0)
+        rows, cols = np.nonzero(arr)
+        self._store(*_band_block(arr[rows, cols], rows, cols, arr.shape[0]), grid, 0)
 
     @classmethod
     def from_bands(cls, lo: int, bands, grid: Grid) -> Operator:
-        """Operator with ``bands[k, i] = A[i, i + lo + k]`` (copied)."""
-        bands = _numeric(np.array(bands))
+        """Real operator with ``A[i, i + lo + k] = bands[k, i]`` (copied)."""
+        bands = _real(np.array(bands))
         if bands.ndim != 2:
             raise ValueError(f"bands must be 2-D, got shape {bands.shape}")
         _check_dimension(bands.shape[1], grid)
@@ -200,23 +203,16 @@ class Operator:
         return op
 
     def _store(self, lo: int, coef: np.ndarray, grid: Grid, turns: int) -> None:
-        """Keep ``coef`` as the coefficients of phase ``turns``.  Complex
-        data is tested once instead (``_quarter_turns``), and its real or
-        imaginary part is kept."""
+        """Keep ``coef`` as the coefficients of phase ``turns``."""
         self.lo, coef = _trim(lo, coef)
         self.grid = grid
-        if not len(coef):  # the zero operator counts as real
-            coef, turns = np.zeros((0, coef.shape[1])), 0
-        elif np.iscomplexobj(coef):
-            turns = _quarter_turns(coef)
-            coef = np.ascontiguousarray(coef.imag if turns else coef.real)
         self._coef = _frozen(coef)
-        self._turns = turns
+        self._turns = turns if len(coef) else 0  # the zero operator counts as real
 
     @classmethod
     def diag(cls, values, grid: Grid) -> Operator:
-        """Diagonal operator with the given main diagonal (copied)."""
-        values = _numeric(np.array(values))
+        """Real diagonal operator with the given main diagonal (copied)."""
+        values = _real(np.array(values))
         if values.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {values.shape}")
         _check_dimension(len(values), grid)
@@ -233,39 +229,29 @@ class Operator:
         return self._coef
 
     @property
-    def bands(self) -> np.ndarray:
-        """The complex bands, ``1j**turns · coefficients`` (a new array)."""
-        return _complex(self._coef, self._turns)
-
-    @property
     def dim(self) -> int:
         return self._coef.shape[1]
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense n x n complex matrix."""
-        return _bands_to_dense(self.lo, self.bands)
+        """The dense n x n complex matrix, ``1j**turns`` times the
+        coefficients' and its other part exactly zero (a new array)."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        (out.imag if self._turns else out.real)[...] = _dense_block(self.lo, self._coef)
+        return out
 
 
-def _numeric(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as ``complex128`` when it holds complex numbers, else as
-    ``float64``."""
-    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
+def _real(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as ``float64``; complex data, even with a zero imaginary
+    part, is refused with ``ValueError``."""
+    if np.iscomplexobj(arr):
+        raise ValueError("operator data must be real; build i·A as op_scale(1j, A)")
+    return arr.astype(float, copy=False)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _complex(coef: np.ndarray, turns: int) -> np.ndarray:
-    """``1j**turns · coef`` as ``complex128``, its other part exactly zero."""
-    out = np.zeros(coef.shape, dtype=complex)
-    if turns:
-        out.imag = coef
-    else:
-        out.real = coef
-    return out
 
 
 def _check_dimension(n: int, grid: Grid) -> None:
@@ -279,16 +265,6 @@ def _slot_indices(lo: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarr
     """Row and column of every band slot."""
     k, rows = np.indices(shape)
     return rows, rows + lo + k
-
-
-def _dense_to_bands(arr: np.ndarray) -> tuple[int, np.ndarray]:
-    rows, cols = np.nonzero(arr)
-    return _band_block(arr[rows, cols], rows, cols, arr.shape[0])
-
-
-def _bands_to_dense(lo: int, bands: np.ndarray) -> np.ndarray:
-    """An operator's n x n matrix (``Operator.entries``), under its own name."""
-    return _dense_block(lo, bands)
 
 
 def _parity_fold(op: Operator) -> tuple[tuple, tuple]:
@@ -424,16 +400,6 @@ def _trim(lo: int, bands: np.ndarray) -> tuple[int, np.ndarray]:
 def _overlap(s: int, n: int) -> tuple[int, int]:
     """Rows ``r0 <= i < r1`` of an n-row band with ``0 <= i + s < n``."""
     return max(0, -s), min(n, n - s)
-
-
-def _quarter_turns(bands: np.ndarray) -> int:
-    """0 when ``bands`` is exactly real, 1 when exactly imaginary, else
-    ``ValueError``.  No tolerance; the zero operator counts as real."""
-    if not bands.imag.any():
-        return 0
-    if not bands.real.any():
-        return 1
-    raise ValueError("operator data must be exactly real or exactly imaginary")
 
 
 def _check_compatible(*ops) -> Grid:

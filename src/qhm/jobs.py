@@ -198,7 +198,7 @@ def parse_config(text: str) -> JobConfig:
 
     try:
         data = json.loads(text, parse_constant=_no_const)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("job config must be a JSON object")
@@ -269,6 +269,8 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError("verify-metric requires a 'metric' label")
     if job == "compare-metrics" and len(metrics) != 2:
         raise ConfigError("compare-metrics requires exactly two 'metrics' labels")
+    if job == "compare-metrics" and metrics[0] == metrics[1]:
+        raise ConfigError(f"compare-metrics labels must differ, got {metrics[0]!r} twice")
     if job == "limit-sweep" and reference is None:
         raise ConfigError("limit-sweep requires a 'reference' label")
 

@@ -39,6 +39,7 @@ from qhm import (
     hermitian_counterpart,
     limit_sweep,
     log_quadratic_coefficient,
+    op_scale,
     spectrum,
     stencil_probes,
 )
@@ -90,7 +91,7 @@ def test_deformed_commutator_exact_on_stencil_probes():
         for gamma_t in (0.0, 0.3):
             pp = PhysParams(tau=tau, gamma_t=gamma_t)
             x, p = build_deformed_pair(grid, pp)
-            target = Operator(1j * pp.hbar * np.diag(1.0 + tau * grid.points**2), grid)
+            target = op_scale(1j, Operator(pp.hbar * np.diag(1.0 + tau * grid.points**2), grid))
             r = action_residual(commutator(x, p), target, stencil_probes(grid))
             worst = max(worst, r)
     _line("deformed-commutator-exactness", worst < 1e-13, f"max residual {worst:.3e} (tol 1e-13)")

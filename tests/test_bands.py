@@ -1,13 +1,10 @@
 """Banded operator storage: the band algebra against dense numpy references,
 and the band structure of the model operators."""
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qhm.gridops
 from qhm import (
     Grid,
     MetricSpec,
@@ -16,13 +13,11 @@ from qhm import (
     action_residual,
     adjoint,
     anticommutator,
-    build_canonical_pair,
     build_deformed_pair,
     build_ladder,
     build_metric,
     build_swanson_bf,
     build_swanson_jr,
-    canonical_commutator_residual,
     commutator,
     default_number_operator,
     derivative_matrix,
@@ -35,8 +30,7 @@ from qhm import (
     op_sum,
     smooth_probes,
 )
-from qhm.gridops import _band_action, _band_transpose, _quarter_turns, _trim
-from qhm.jobs import parse_config, run_job
+from qhm.gridops import _band_action, _band_transpose, _trim
 
 REL = 1e-13
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -78,12 +72,20 @@ def operands(draw, count=2, n_max=41):
     return (grid, *(draw(banded(n)) for _ in range(count)))
 
 
+def _operator(dense: np.ndarray, grid: Grid) -> Operator:
+    """The operator of an exactly real or exactly imaginary dense matrix:
+    ``op_scale(1j, ·)`` of its imaginary part when that is nonzero."""
+    if dense.imag.any():
+        return op_scale(1j, Operator(dense.imag, grid))
+    return Operator(dense.real, grid)
+
+
 def _paired_product(a: Operator, b: Operator) -> np.ndarray:
     """Reference: the dense a·b with every term a ``complex128`` product of
     the complex bands, summed over A's bands in mirror-paired
     order: the terms of bands q and na − 1 − q first, then these pair sums
     for q = 0, 1, … in turn, then the term of the middle band."""
-    n, na = a.dim, len(a.bands)
+    n, na = a.dim, len(a.coefficients)
     dense_a, dense_b = a.entries, b.entries
     rows = np.arange(n)
 
@@ -119,19 +121,19 @@ def _addable(oa, ob):
 @given(operands(count=1))
 def test_dense_round_trip_is_exact(case):
     grid, a = case
-    op = Operator(a, grid)
+    op = _operator(a, grid)
     assert np.array_equal(op.entries, a)
     if np.any(a):
-        assert np.any(op.bands[0]) and np.any(op.bands[-1])
+        assert np.any(op.coefficients[0]) and np.any(op.coefficients[-1])
     else:
-        assert op.bands.shape == (0, grid.n_points)
+        assert op.coefficients.shape == (0, grid.n_points)
 
 
 @PROPERTY
 @given(operands())
 def test_product_matches_dense(case):
     grid, a, b = case
-    oa, ob = Operator(a, grid), Operator(b, grid)
+    oa, ob = _operator(a, grid), _operator(b, grid)
     got = op_product(oa, ob).entries
     _close(got, a @ b, _size(a) * _size(b))
     # The float64 coefficient product gives the all-complex mirror-paired
@@ -147,7 +149,7 @@ def test_product_of_even_or_odd_operands_is_exactly_even_or_odd(case, sa, sb):
     grid, a, b = case
     a, b = a + sa * a[::-1, ::-1], b + sb * b[::-1, ::-1]
     assert np.array_equal(a[::-1, ::-1], sa * a)
-    got = op_product(Operator(a, grid), Operator(b, grid)).entries
+    got = op_product(_operator(a, grid), _operator(b, grid)).entries
     assert np.array_equal(got[::-1, ::-1], sa * sb * got)
 
 
@@ -155,7 +157,7 @@ def test_product_of_even_or_odd_operands_is_exactly_even_or_odd(case, sa, sb):
 @given(operands())
 def test_sum_scale_adjoint_are_exact(case):
     grid, a, b = case
-    oa, ob = Operator(a, grid), Operator(b, grid)
+    oa, ob = _operator(a, grid), _operator(b, grid)
     if _addable(oa, ob):
         assert np.array_equal(op_sum(oa, ob).entries, a + b)
     assert np.array_equal(op_sum(oa, oa).entries, a + a)
@@ -168,7 +170,7 @@ def test_sum_scale_adjoint_are_exact(case):
 @given(operands())
 def test_commutators_match_dense(case):
     grid, a, b = case
-    oa, ob = Operator(a, grid), Operator(b, grid)
+    oa, ob = _operator(a, grid), _operator(b, grid)
     scale = 2.0 * _size(a) * _size(b)
     _close(commutator(oa, ob).entries, a @ b - b @ a, scale)
     _close(anticommutator(oa, ob).entries, a @ b + b @ a, scale)
@@ -181,7 +183,7 @@ def test_masked_norm_matches_dense_block(case):
     sl = grid.interior()
     for dense in (a, b):
         expect = np.linalg.norm(dense[sl, sl])
-        assert masked_norm(Operator(dense, grid)) == pytest.approx(expect, rel=REL, abs=0.0)
+        assert masked_norm(_operator(dense, grid)) == pytest.approx(expect, rel=REL, abs=0.0)
 
 
 @PROPERTY
@@ -193,7 +195,7 @@ def test_action_residual_matches_dense(case, seed):
     la, ra = (a @ probes)[sl], (b @ probes)[sl]
     denom = max(np.linalg.norm(la), np.linalg.norm(ra))
     expect = np.linalg.norm(la - ra) / denom if denom else 0.0
-    got = action_residual(Operator(a, grid), Operator(b, grid), probes)
+    got = action_residual(_operator(a, grid), _operator(b, grid), probes)
     assert got == pytest.approx(expect, rel=REL, abs=1e-15)
 
 
@@ -287,11 +289,11 @@ def test_model_operators_stay_banded_at_1025_points():
     pp = PhysParams(mu=0.1, tau=0.01, gamma_t=0.05, lam=-0.05, delta_t=0.05)
     x, p = build_deformed_pair(grid, pp)
     ladder = build_ladder(x, p, pp)
-    assert len(derivative_matrix(grid).bands) <= 5
-    assert len(build_swanson_bf(x, p, pp).bands) <= 9
-    assert len(build_swanson_jr(ladder.a, ladder.a_dag, pp).bands) <= 9
+    assert len(derivative_matrix(grid).coefficients) <= 5
+    assert len(build_swanson_bf(x, p, pp).coefficients) <= 9
+    assert len(build_swanson_jr(ladder.a, ladder.a_dag, pp).coefficients) <= 9
     assert build_metric(MetricSpec("ExpTheta", theta=0.2), grid, pp).shape == (1025,)
-    assert len(p.bands) == 1
+    assert len(p.coefficients) == 1
 
 
 @pytest.mark.parametrize("n", [129, 1025])
@@ -318,22 +320,21 @@ def test_model_operators_are_exactly_real_or_imaginary(n):
         "counterpart": counterpart,
     }
     for name, op in imaginary.items():
-        assert _quarter_turns(op.bands) == 1, name
+        assert op.turns == 1, name
     probes = smooth_probes(grid)
     for name, op in real.items():
-        assert _quarter_turns(op.bands) == 0, name
+        assert op.turns == 0, name
         assert interior_action(op, probes).dtype == np.float64, name
     assert interior_action(x, probes).dtype == np.complex128
     assert interior_action(p, probes + 0j).dtype == np.complex128
 
 
 def _assert_phase_kept(op):
-    # The stored phase is the one the complex bands show.
-    assert op.turns == _quarter_turns(op.bands)
+    # One stored form: contiguous float64 coefficients and 0 or 1 turns,
+    # the zero operator real.
+    assert op.turns in (0, 1) and (op.turns == 0 or len(op.coefficients))
     assert op.coefficients.dtype == np.float64
     assert op.coefficients.flags.c_contiguous
-    expect = op.coefficients * 1j if op.turns else op.coefficients
-    assert np.array_equal(op.bands, expect)
 
 
 @settings(max_examples=100, deadline=None)
@@ -342,12 +343,12 @@ def _assert_phase_kept(op):
     st.sampled_from([0.7, -2.5, 1.3j, -0.4j, 0.0]),
 )
 def test_results_keep_the_phase_and_the_complex_values(case, c):
-    # Every result's stored phase is the one its bands show, and its values
-    # are the all-complex ones: the mirror-paired product sums, and numpy's
+    # Every result keeps the stored form, and its dense matrix is the
+    # all-complex one: the mirror-paired product sums, and numpy's
     # complex sums, scalings and conjugate transposes (signs of exact zeros
     # aside, which array_equal does not see).
     grid, a, b = case
-    oa, ob = Operator(a, grid), Operator(b, grid)
+    oa, ob = _operator(a, grid), _operator(b, grid)
     product = op_product(oa, ob)
     reverse = op_product(ob, oa)
     results = {
@@ -372,41 +373,44 @@ def test_a_one_band_operand_gives_the_paired_kernel_values(case, left):
     # One band on either side: each entry is one term, the paired kernel's.
     grid, a, b = case
     one = np.diag(np.diag(a, 1), 1) if left else np.diag(np.diag(b, -2), -2)
-    oa, ob = (Operator(one, grid), Operator(b, grid)) if left else (
-        Operator(a, grid), Operator(one, grid))
+    oa, ob = (_operator(one, grid), _operator(b, grid)) if left else (
+        _operator(a, grid), _operator(one, grid))
     got = op_product(oa, ob)
     _assert_phase_kept(got)
     assert np.array_equal(got.entries, _paired_product(oa, ob))
 
 
 def test_stored_forms_are_read_only():
-    # The coefficients are read-only; the complex bands are a new array on
+    # The coefficients are read-only; the dense matrix is a new array on
     # every read, so writing one leaves the operator as it was.
     grid = Grid(9, 2.0, 0.25)
     real = Operator.diag(np.arange(1.0, 10.0), grid)
-    decided = Operator(np.eye(9) * 1j, grid)  # complex data, imaginary
-    for op in (real, decided, derivative_matrix(grid)):
+    imaginary = op_scale(1j, Operator(np.eye(9), grid))
+    for op in (real, imaginary, derivative_matrix(grid)):
         with pytest.raises(ValueError, match="read-only"):
             op.coefficients[0, 0] = 7.0
-        bands = op.bands
-        bands[0, 0] = 7.0
-        assert op.bands[0, 0] != 7.0
-    assert (real.turns, decided.turns) == (0, 1)
+        entries = op.entries
+        entries[0, 0] = 7.0
+        assert op.entries[0, 0] != 7.0
+    assert (real.turns, imaginary.turns) == (0, 1)
 
 
-def test_operands_that_are_neither_real_nor_imaginary_are_refused():
+def test_constructors_take_real_data_alone():
+    # Complex data is refused with no tolerance, a zero imaginary part and
+    # a single 1e-300j entry among it; i·A is op_scale(1j, A).
     grid = Grid(9, 2.0, 0.25)
-    mixed = np.eye(9) * (1 + 1j)
-    for build in (
-        lambda: Operator(mixed, grid),
-        lambda: Operator.from_bands(0, np.diag(mixed)[np.newaxis], grid),
-        lambda: Operator.diag(np.diag(mixed), grid),
-        lambda: _quarter_turns(mixed),
-    ):
-        with pytest.raises(ValueError, match="exactly real or exactly imaginary"):
-            build()
+    tiny = np.eye(9) + 0j
+    tiny[4, 4] += 1e-300j
+    for data in (np.eye(9) * (1 + 1j), np.eye(9) + 0j, tiny):
+        for build in (
+            lambda: Operator(data, grid),
+            lambda: Operator.from_bands(0, np.diag(data)[np.newaxis], grid),
+            lambda: Operator.diag(np.diag(data), grid),
+        ):
+            with pytest.raises(ValueError, match=r"op_scale\(1j, A\)"):
+                build()
     real = Operator.diag(np.arange(1.0, 10.0), grid)
-    imaginary = Operator.diag(1j * np.arange(1.0, 10.0), grid)
+    imaginary = op_scale(1j, real)
     with pytest.raises(ValueError, match="real and an exactly imaginary"):
         op_sum(real, imaginary)
     # A zero operand shares every phase.
@@ -414,42 +418,6 @@ def test_operands_that_are_neither_real_nor_imaginary_are_refused():
     assert op_sum(imaginary, zero).turns == op_sum(zero, imaginary).turns == 1
     with pytest.raises(ValueError, match="neither real nor imaginary"):
         op_scale(0.3 - 1.7j, real)
-    hermitian = Operator(1j * (np.eye(9, k=1) - np.eye(9, k=-1)), grid)
+    hermitian = op_scale(1j, Operator(np.eye(9, k=1) - np.eye(9, k=-1), grid))
     with pytest.raises(ValueError, match="not an imaginary one"):
         hermitian_matrix_function(hermitian, np.exp, np.eye(9))
-
-
-def test_a_verify_metric_job_builds_no_operator_from_complex_data(monkeypatch):
-    # Every operator of a 1025-point verify-metric job has its phase from
-    # its constructor, the shift diag(iħγ_t p) of the BF model at γ_t ≠ 0
-    # among them (i times a real diagonal), and so does the i·ħ target of
-    # the canonical commutator: no complex data is built into an operator,
-    # and no phase is tested.
-    tests, complex_built = [], []
-    test = qhm.gridops._quarter_turns
-    trimmed = Operator._trimmed.__func__
-
-    def counted_test(bands):
-        tests.append(bands.shape)
-        return test(bands)
-
-    def counted_trimmed(cls, lo, coef, grid, turns):
-        if np.iscomplexobj(coef) and len(coef):
-            complex_built.append(coef.shape)
-        return trimmed(cls, lo, coef, grid, turns)
-
-    monkeypatch.setattr(qhm.gridops, "_quarter_turns", counted_test)
-    monkeypatch.setattr(Operator, "_trimmed", classmethod(counted_trimmed))
-    cfg = parse_config(json.dumps({
-        "job": "verify-metric",
-        "grid": {"n_points": 1025, "p_max": 10.0},
-        "params": {"mu": 0.1, "tau": 0.01, "gamma_t": 0.05},
-        "metric": "ExpTheta(0.2)",
-    }))
-    doc = run_job(cfg)
-    assert doc["results"]["residuals"][0]["n_points"] == 1025
-    # The i·ħ target of the canonical commutator is built the same way.
-    pp = PhysParams(hbar=0.5)
-    x0, p0 = build_canonical_pair(Grid(33, 3.0), pp)
-    assert canonical_commutator_residual(x0, p0, pp) < 1e-14
-    assert complex_built == [] and tests == []

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,10 @@ from qhm.jobs import (
     serialize_report,
     validate_refinement,
 )
+
+
+# Nested past the recursion limit of Python's JSON decoder.
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 def _cfg(**overrides):
@@ -107,6 +112,15 @@ class TestParseConfig:
             parse_config(
                 json.dumps({"job": "compare-metrics", "metrics": ["BF"]})
             )
+
+    def test_compare_rejects_a_repeated_label(self):
+        # One label twice compares nothing: one residual, ratio 1, FAIL.
+        with pytest.raises(ConfigError, match="must differ"):
+            parse_config(json.dumps({"job": "compare-metrics", "metrics": ["BF", "BF"]}))
+
+    def test_too_deeply_nested_json_rejected(self):
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            parse_config(DEEP_JSON)
 
     def test_limit_sweep_requires_reference(self):
         with pytest.raises(ConfigError):
@@ -759,6 +773,30 @@ class TestCommandLine:
             "bound 1e+14\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"job": "verify-metric", "metric": "BF"}',  # not UTF-8
+        DEEP_JSON.encode(),
+        b'{"job": "compare-metrics", "metrics": ["BF", "BF"]}',
+    ], ids=["not-utf-8", "deep-nesting", "repeated-label"])
+    def test_a_refused_job_text_exits_two_with_one_line(self, tmp_path, content):
+        job = tmp_path / "job.json"
+        job.write_bytes(content)
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_the_readme_job_file_passes(self, tmp_path):
+        # The json block under README's "Command line" runs as documented.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        job = tmp_path / "job.json"
+        job.write_text(block)
+        proc = _run_cli(str(job), "--assert", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("compare-metrics: PASS")
 
     def test_missing_jobfile_exits_four(self, tmp_path):
         proc = _run_cli(str(tmp_path / "nope.json"))

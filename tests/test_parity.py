@@ -26,6 +26,7 @@ from qhm import (
     default_number_operator,
     hermitian_counterpart,
     hermitian_matrix_function,
+    op_scale,
     spectrum,
 )
 from qhm.gridops import _band_action, _dense_block, _parity_fold
@@ -63,8 +64,8 @@ def recording_solvers():
         yield calls
 
 
-def _random_even(n, seed, *, imaginary=False, band=None):
-    """An exactly even n x n matrix, real or imaginary; with ``band``,
+def _random_even(n, seed, *, band=None):
+    """An exactly even real n x n matrix; with ``band``,
     confined to that many diagonals each side of a confining p² diagonal,
     so states localize."""
     rng = np.random.default_rng(seed)
@@ -73,8 +74,7 @@ def _random_even(n, seed, *, imaginary=False, band=None):
         offsets = np.abs(np.arange(n)[:, np.newaxis] - np.arange(n)[np.newaxis, :])
         a = np.where(offsets <= band, a, 0.0)
         a = a + np.diag(np.linspace(-1.0, 1.0, n) ** 2 * n)
-    a = a + a[::-1, ::-1]  # exact: x + y == y + x
-    return 1j * a if imaginary else a
+    return a + a[::-1, ::-1]  # exact: x + y == y + x
 
 
 def _hermitian_even(n, seed, band=None):
@@ -132,7 +132,7 @@ def test_blocks_only_for_exactly_even_real_odd_sized_matrices():
     with pytest.raises(ValueError, match="exactly even"):
         _folded(bumped)
     with pytest.raises(ValueError, match="not an imaginary one"):
-        _folded(1j * a)
+        _parity_fold(op_scale(1j, Operator(a, Grid(9, 3.0))))
     with pytest.raises(ValueError, match="odd"):  # no grid, so no operator
         Grid(8, 3.0)
 
@@ -241,7 +241,9 @@ def test_fold_takes_a_matrix_exactly_when_it_is_even_and_real(
         if kind == "bumped":
             i, j = rng.integers(n, size=2)
             a[i, j] = np.nextafter(a[i, j], np.inf)
-    op = Operator(1j * a if imaginary else a, Grid(n, 3.0))
+    op = Operator(a, Grid(n, 3.0))
+    if imaginary:
+        op = op_scale(1j, op)
     if op.turns:  # the zero matrix counts as real
         with pytest.raises(ValueError, match="not an imaginary one"):
             _parity_fold(op)
@@ -338,7 +340,7 @@ def test_a_one_ulp_asymmetry_or_an_imaginary_operator_is_refused_before_any_solv
         with pytest.raises(ValueError, match="exactly even"):
             hermitian_matrix_function(Operator(h, grid), np.exp, np.eye(n))
         with pytest.raises(ValueError, match="not an imaginary one"):
-            spectrum(Operator(1j * _random_even(n, 4, band=2), grid), 4)
+            spectrum(op_scale(1j, Operator(_random_even(n, 4, band=2), grid)), 4)
     assert seen == []
 
 

@@ -149,37 +149,15 @@ def test_report_config_block_is_a_job_file_for_the_same_payload(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_no_job_forms_an_n_by_n_operator(name, monkeypatch):
-    # Every job kind, the q != 1 algebra check among them, works on bands
-    # and probe actions: converting between a dense matrix and bands fails.
+    # Every job kind, the JR spectrum and the q != 1 algebra check among
+    # them, works on the float64 coefficients and probe actions: converting
+    # a dense matrix into an operator, or an operator into its dense complex
+    # matrix (``Operator.entries``, the one dense or complex view), fails.
     def refuse(*args):
         raise AssertionError("a dense n x n operator was formed")
 
-    for conversion in ("_dense_to_bands", "_bands_to_dense"):
-        monkeypatch.setattr(gridops, conversion, refuse)
-    payload(CONFIGS[name])
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_no_job_reads_a_complex_view_of_an_operator(name, monkeypatch):
-    # Every job kind, the JR spectrum and the q != 1 algebra check among
-    # them, reads operators through their float64 coefficients: building the
-    # complex bands (``Operator.bands``, ``Operator.entries``) fails.
-    def refuse(*args):
-        raise AssertionError("a complex view of an operator was built")
-
-    monkeypatch.setattr(gridops, "_complex", refuse)
-    payload(CONFIGS[name])
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_no_job_builds_an_operator_from_complex_data(name, monkeypatch):
-    # Every operator a job builds has its phase from its constructor, the
-    # imaginary i·ħ targets and shifts among them (i times a real operator),
-    # so the phase of complex data is never tested.
-    def refuse(*args):
-        raise AssertionError("an operator was built from complex data")
-
-    monkeypatch.setattr(gridops, "_quarter_turns", refuse)
+    monkeypatch.setattr(gridops.Operator, "__init__", refuse)
+    monkeypatch.setattr(gridops.Operator, "entries", property(refuse))
     payload(CONFIGS[name])
 
 

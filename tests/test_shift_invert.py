@@ -184,7 +184,7 @@ def _gauge_similar(n):
     x, p = build_deformed_pair(grid, pp)
     h = build_swanson_bf(x, p, pp)
     s, s_inv = gauge_transform(pp, grid)
-    return Operator(s_inv.entries @ h.entries @ s.entries, grid)
+    return Operator((s_inv.entries @ h.entries @ s.entries).real, grid)
 
 
 def test_a_1025_point_spectrum_forms_no_dense_matrix():
@@ -271,7 +271,9 @@ def test_gauge_similar_operator_falls_back_to_the_dense_levels(caplog):
 def test_a_negative_level_takes_the_dense_solve(caplog):
     op = _operators(257, 0.1, 8.0)["BF"]
     shifted = Operator.from_bands(
-        op.lo, op.bands - 2.0 * (np.arange(len(op.bands)) == -op.lo)[:, None], op.grid
+        op.lo,
+        op.coefficients - 2.0 * (np.arange(len(op.coefficients)) == -op.lo)[:, None],
+        op.grid,
     )
     with caplog.at_level(logging.DEBUG, logger="qhm.verify"):
         got = spectrum(shifted, 6)

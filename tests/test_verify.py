@@ -347,7 +347,8 @@ class TestHermitianCounterpart:
         with pytest.raises(ValueError, match="float64 profile"):
             hermitian_counterpart(ham, bad)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_matrix_function(Operator.diag(bad, grid), np.sqrt, np.eye(grid.n_points))
+            imaginary = op_scale(1j, Operator.diag(bad.imag, grid))
+            hermitian_matrix_function(imaginary, np.sqrt, np.eye(grid.n_points))
 
 
 class TestSpectrum:
@@ -421,7 +422,7 @@ class TestFitDiagonalMetric:
         # then oscillates through zero.
         grid = Grid(513, 10.0, 0.25)
         pp = PhysParams(mu=0.1)
-        bad = Operator(1j * np.diag(grid.points**2), grid)
+        bad = op_scale(1j, Operator(np.diag(grid.points**2), grid))
         fit = fit_diagonal_metric(bad, pp)
         assert fit.status == "INVALID"
         assert fit.profile.min() < 0
@@ -429,7 +430,7 @@ class TestFitDiagonalMetric:
     def test_zero_operator_is_ambiguous(self):
         grid = Grid(513, 10.0, 0.25)
         pp = PhysParams(mu=0.1)
-        zero = Operator(np.zeros((513, 513), dtype=complex), grid)
+        zero = Operator(np.zeros((513, 513)), grid)
         fit = fit_diagonal_metric(zero, pp)
         assert fit.status == "AMBIGUOUS"
         assert fit.sigma_gap < 1e-8
@@ -461,7 +462,7 @@ class TestFitDiagonalMetric:
     def test_tiny_interior_rejected(self):
         grid = Grid(9, 2.0, 0.25)
         pp = PhysParams(mu=0.1)
-        ham = Operator(np.eye(9, dtype=complex), grid)
+        ham = Operator(np.eye(9), grid)
         with pytest.raises(ValueError):
             fit_diagonal_metric(ham, pp)
 
@@ -492,7 +493,7 @@ class TestModelEquality:
     def test_constant_shift_lands_on_identity_coefficient(self):
         grid, pp, ham = _bf_setup(n=257, p_max=8.0)
         x, p = build_deformed_pair(grid, pp)
-        shifted = Operator(ham.entries + 3.0 * np.eye(257), grid)
+        shifted = Operator((ham.entries + 3.0 * np.eye(257)).real, grid)
         report = model_equality_report(shifted, ham, x, p)
         assert report.coefficients["I"] == pytest.approx(3.0, abs=1e-10)
         assert report.unexplained < 1e-12
