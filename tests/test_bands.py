@@ -1,10 +1,13 @@
 """Banded operator storage: the band algebra against dense numpy references,
 and the band structure of the model operators."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhm.gridops
 from qhm import (
     Grid,
     MetricSpec,
@@ -13,11 +16,13 @@ from qhm import (
     action_residual,
     adjoint,
     anticommutator,
+    build_canonical_pair,
     build_deformed_pair,
     build_ladder,
     build_metric,
     build_swanson_bf,
     build_swanson_jr,
+    canonical_commutator_residual,
     commutator,
     default_number_operator,
     derivative_matrix,
@@ -31,6 +36,7 @@ from qhm import (
     smooth_probes,
 )
 from qhm.gridops import _band_action, _band_transpose, _trim
+from qhm.jobs import parse_config, run_job
 
 REL = 1e-13
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -409,6 +415,10 @@ def test_constructors_take_real_data_alone():
         ):
             with pytest.raises(ValueError, match=r"op_scale\(1j, A\)"):
                 build()
+
+
+def test_operands_that_are_neither_real_nor_imaginary_are_refused():
+    grid = Grid(9, 2.0, 0.25)
     real = Operator.diag(np.arange(1.0, 10.0), grid)
     imaginary = op_scale(1j, real)
     with pytest.raises(ValueError, match="real and an exactly imaginary"):
@@ -421,3 +431,40 @@ def test_constructors_take_real_data_alone():
     hermitian = op_scale(1j, Operator(np.eye(9, k=1) - np.eye(9, k=-1), grid))
     with pytest.raises(ValueError, match="not an imaginary one"):
         hermitian_matrix_function(hermitian, np.exp, np.eye(9))
+
+
+def test_a_verify_metric_job_builds_no_operator_from_complex_data(monkeypatch):
+    # Every operator of a 1025-point verify-metric job has its phase from
+    # the algebra, the shift diag(iħγ_t p) of the BF model at γ_t ≠ 0 among
+    # them (op_scale(1j, ·) of a real diagonal), and so does the i·ħ target
+    # of the canonical commutator: no complex array reaches a constructor's
+    # check or the unchecked store that products, sums and scalings use.
+    complex_data = []
+    real = qhm.gridops._real
+    trimmed = Operator._trimmed.__func__
+
+    def counted_real(arr):
+        if np.iscomplexobj(arr):
+            complex_data.append(arr.shape)
+        return real(arr)
+
+    def counted_trimmed(cls, lo, coef, grid, turns):
+        if np.iscomplexobj(coef) and len(coef):
+            complex_data.append(coef.shape)
+        return trimmed(cls, lo, coef, grid, turns)
+
+    monkeypatch.setattr(qhm.gridops, "_real", counted_real)
+    monkeypatch.setattr(Operator, "_trimmed", classmethod(counted_trimmed))
+    cfg = parse_config(json.dumps({
+        "job": "verify-metric",
+        "grid": {"n_points": 1025, "p_max": 10.0},
+        "params": {"mu": 0.1, "tau": 0.01, "gamma_t": 0.05},
+        "metric": "ExpTheta(0.2)",
+    }))
+    doc = run_job(cfg)
+    assert doc["results"]["residuals"][0]["n_points"] == 1025
+    # The i·ħ target of the canonical commutator is built the same way.
+    pp = PhysParams(hbar=0.5)
+    x0, p0 = build_canonical_pair(Grid(33, 3.0), pp)
+    assert canonical_commutator_residual(x0, p0, pp) < 1e-14
+    assert complex_data == []

@@ -15,6 +15,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhm
@@ -149,16 +150,52 @@ def test_report_config_block_is_a_job_file_for_the_same_payload(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_no_job_forms_an_n_by_n_operator(name, monkeypatch):
-    # Every job kind, the JR spectrum and the q != 1 algebra check among
-    # them, works on the float64 coefficients and probe actions: converting
-    # a dense matrix into an operator, or an operator into its dense complex
-    # matrix (``Operator.entries``, the one dense or complex view), fails.
+    # Every job kind, the q != 1 algebra check among them, works on bands
+    # and probe actions: converting a dense matrix into an operator fails.
     def refuse(*args):
         raise AssertionError("a dense n x n operator was formed")
 
     monkeypatch.setattr(gridops.Operator, "__init__", refuse)
+    payload(CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_job_reads_a_complex_view_of_an_operator(name, monkeypatch):
+    # Every job kind, the JR spectrum and the q != 1 algebra check among
+    # them, reads operators through their float64 coefficients: building the
+    # dense complex matrix (``Operator.entries``, the one complex view) fails.
+    def refuse(*args):
+        raise AssertionError("a complex view of an operator was built")
+
     monkeypatch.setattr(gridops.Operator, "entries", property(refuse))
     payload(CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_job_builds_an_operator_from_complex_data(name, monkeypatch):
+    # Every operator a job builds has its phase from the algebra, the
+    # imaginary i·ħ targets and shifts among them (op_scale(1j, ·) of a real
+    # operator): no complex array reaches a constructor's check, where a
+    # refusal could be caught as a ValueError, nor the unchecked store that
+    # products, sums and scalings use.
+    complex_data = []
+    real = gridops._real
+    store = gridops.Operator._store
+
+    def counted_real(arr):
+        if np.iscomplexobj(arr):
+            complex_data.append(arr.shape)
+        return real(arr)
+
+    def counted_store(self, lo, coef, grid, turns):
+        if np.iscomplexobj(coef):
+            complex_data.append(coef.shape)
+        store(self, lo, coef, grid, turns)
+
+    monkeypatch.setattr(gridops, "_real", counted_real)
+    monkeypatch.setattr(gridops.Operator, "_store", counted_store)
+    payload(CONFIGS[name])
+    assert complex_data == []
 
 
 def test_package_exports_are_the_module_exports():
