@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from .gridops import NumericGuardError
-from .jobs import ConfigError, parse_config, run_job, serialize_report, validate_refinement
+from .jobs import ConfigError, _refused, parse_config, run_job, serialize_report
+from .jobs import validate_refinement
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,10 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(text)
         if args.refine:
-            try:
-                sizes = [int(tok) for tok in args.refine.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"--refine entries must be integers: {exc}") from exc
+            sizes = [_refused(int, tok, prefix="--refine entries must be integers: ")
+                     for tok in args.refine.split(",") if tok.strip()]
             cfg = dataclasses.replace(
                 cfg, refinement=validate_refinement(sizes, cfg.grid)
             )

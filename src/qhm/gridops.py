@@ -512,11 +512,14 @@ def op_sum(a: Operator, b: Operator, *more: Operator) -> Operator:
 def op_scale(c: complex, a: Operator) -> Operator:
     """c·A for a real or an imaginary c: A's coefficients are scaled by c's
     real or imaginary part, and an imaginary c adds a quarter turn.  A c
-    with both parts nonzero is refused with ``ValueError``."""
+    with both parts nonzero is refused with ``ValueError``; c = 0 gives the
+    zero operator, even when A holds inf or NaN."""
     grid = _check_compatible(a)
     c = complex(c)
     if c.real and c.imag:
         raise ValueError(f"scalar {c} is neither real nor imaginary")
+    if not c:
+        return Operator._trimmed(0, np.zeros((0, grid.n_points)), grid, 0)
     part, turns = (c.imag, a.turns + 1) if c.imag else (c.real, a.turns)
     return _turned(a.lo, part * a.coefficients, grid, turns)
 
@@ -604,7 +607,7 @@ def _log_weight(kappa: float, tau: float, p: np.ndarray) -> np.ndarray:
 
 def _guarded(w: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``f(w)`` for the spectrum ``w``, after ``_check_dynamic_range``."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # refused just below
+    with np.errstate(all="ignore"):  # refused just below
         fw = np.asarray(f(w), dtype=float)
     _check_dynamic_range(fw, "matrix function")
     return fw
@@ -704,20 +707,26 @@ def smooth_probes(grid: Grid) -> np.ndarray:
     The first ``SMOOTH_PROBE_COUNT`` oscillator-like profiles of width
     ``SMOOTH_PROBE_WIDTH``, spanning the low-energy subspace on which
     continuum identities are compared.  Cached per grid, so the array is
-    shared and read-only.
+    shared and read-only.  Raises ``NumericGuardError`` when a profile is
+    not finite (the Hermite polynomials overflow from p_max ≈ 1e44 on).
     """
     t = grid.points / SMOOTH_PROBE_WIDTH
-    env = np.exp(-0.5 * t * t)
     cols = []
-    h_prev = np.zeros_like(t)
-    h_cur = np.ones_like(t)
-    for k in range(SMOOTH_PROBE_COUNT):
-        col = h_cur * env
-        nrm = np.linalg.norm(col)
-        cols.append(col / nrm if nrm > 0 else col)
-        h_next = 2.0 * t * h_cur - 2.0 * k * h_prev
-        h_prev, h_cur = h_cur, h_next
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        env = np.exp(-0.5 * t * t)
+        h_prev = np.zeros_like(t)
+        h_cur = np.ones_like(t)
+        for k in range(SMOOTH_PROBE_COUNT):
+            col = h_cur * env
+            nrm = np.linalg.norm(col)
+            cols.append(col / nrm if nrm > 0 else col)
+            h_next = 2.0 * t * h_cur - 2.0 * k * h_prev
+            h_prev, h_cur = h_cur, h_next
     out = np.stack(cols, axis=1)
+    if not np.isfinite(out).all():
+        raise NumericGuardError(
+            f"the smooth probes are not finite at p_max {grid.p_max:g}"
+        )
     out.flags.writeable = False
     return out
 

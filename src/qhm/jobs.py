@@ -125,10 +125,30 @@ _PARAM_KEYS = _config_keys(PhysParams)
 _QPARAM_KEYS = _config_keys(QDeformParams)
 
 
-def _reject_unknown(block: dict, allowed, where: str) -> None:
-    unknown = sorted(set(block).difference(allowed))
+def _block(value, where: str, allowed) -> dict:
+    """A job-file object with no key outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(value).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return value
+
+
+def _refused(call, *args, prefix: str = "", **kwargs):
+    """``call(*args, **kwargs)``; a ValueError it raises (a model's rule, an
+    unknown label) is raised again as a ConfigError, ``prefix`` first."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _optional_str(data: dict, key: str, what: str) -> str | None:
+    value = data.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string {what}")
+    return value
 
 
 def _finite_number(value, where: str) -> float:
@@ -162,10 +182,7 @@ def _build_grid(
         raise ConfigError(
             f"{prefix}n_points must be at most {MAX_POINTS}, got {n_points}"
         )
-    try:
-        grid = Grid(n_points, p_max, mask_fraction)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
+    grid = _refused(Grid, n_points, p_max, mask_fraction, prefix=prefix)
     # Every job but limit-sweep builds the derivative matrix; a limit sweep
     # on 3 points has a 3-point interior and is refused with the rest.
     if n_points < DERIVATIVE_MIN_POINTS:
@@ -190,19 +207,38 @@ def validate_refinement(values, grid: Grid) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _bf_params(pp: PhysParams) -> PhysParams:
+    """A model-equality job's BF parameters: its own μ, or the nominal
+    δ_t − λ when μ is 0; raises ValueError when that μ breaks a rule of
+    ``PhysParams``."""
+    return dataclasses.replace(pp, mu=pp.mu if pp.mu != 0.0 else pp.delta_t - pp.lam)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when it names a key twice (``json.loads``
+    would keep the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ConfigError(f"repeated key(s) in an object: {', '.join(repeated)}")
+    return obj
+
+
 def parse_config(text: str) -> JobConfig:
-    """Parse and validate a JSON job description (strict: no unknown keys)."""
+    """Parse and validate a JSON job description (strict: no unknown or
+    repeated keys)."""
 
     def _no_const(name: str):
         raise ConfigError(f"non-finite constant {name} is not allowed")
 
     try:
-        data = json.loads(text, parse_constant=_no_const)
+        data = json.loads(text, parse_constant=_no_const, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("job config must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "config")
+    _block(data, "config", _TOP_KEYS)
 
     job = data.get("job")
     if job not in JOB_KINDS:
@@ -210,44 +246,31 @@ def parse_config(text: str) -> JobConfig:
             f"unrecognized job kind {job!r}; expected one of {', '.join(JOB_KINDS)}"
         )
 
-    grid_block = data.get("grid", {})
-    if not isinstance(grid_block, dict):
-        raise ConfigError("grid must be an object")
-    _reject_unknown(grid_block, _GRID_KEYS, "grid")
+    grid_block = _block(data.get("grid", {}), "grid", _GRID_KEYS)
     n_points = _plain_int(grid_block.get("n_points", 257), "grid.n_points")
     p_max = _finite_number(grid_block.get("p_max", 8.0), "grid.p_max")
-    mask = _finite_number(grid_block.get("mask_fraction", 0.25), "grid.mask_fraction")
+    mask = _finite_number(
+        grid_block.get("mask_fraction", Grid.mask_fraction), "grid.mask_fraction"
+    )
     grid = _build_grid(n_points, p_max, mask, "grid: ")
     refinement = None
     if grid_block.get("refinement") is not None:
         refinement = validate_refinement(grid_block["refinement"], grid)
 
-    params_block = data.get("params", {})
-    if not isinstance(params_block, dict):
-        raise ConfigError("params must be an object")
-    _reject_unknown(params_block, _PARAM_KEYS, "params")
+    params_block = _block(data.get("params", {}), "params", _PARAM_KEYS)
     kwargs = {
         field: _finite_number(params_block[key], f"params.{key}")
         for key, field in _PARAM_KEYS.items()
         if key in params_block
     }
-    try:
-        params = PhysParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _refused(PhysParams, **kwargs)
 
-    metric = data.get("metric")
-    if metric is not None and not isinstance(metric, str):
-        raise ConfigError("metric must be a string label")
-    metrics_val = data.get("metrics", ["BF-composite", "JR-composite"])
-    if not isinstance(metrics_val, list) or not all(
-        isinstance(m, str) for m in metrics_val
-    ):
+    metric = _optional_str(data, "metric", "label")
+    metrics = data.get("metrics", ["BF-composite", "JR-composite"])
+    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
         raise ConfigError("metrics must be a list of string labels")
-    metrics = tuple(metrics_val)
-    reference = data.get("reference")
-    if reference is not None and not isinstance(reference, str):
-        raise ConfigError("reference must be a string label")
+    metrics = tuple(metrics)
+    reference = _optional_str(data, "reference", "label")
 
     # The labels the job evaluates at params.tau; a limit sweep evaluates its
     # own metric at each swept tau instead.
@@ -258,12 +281,9 @@ def parse_config(text: str) -> JobConfig:
         "limit-sweep": (reference,),
     }.get(job, ())
     for label in filter(None, (metric, reference, *metrics)):
-        try:
-            spec = spec_from_label(label)
-            if label in evaluated:
-                _require_defined(spec, params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = _refused(spec_from_label, label)
+        if label in evaluated:
+            _refused(_require_defined, spec, params)
 
     if job == "verify-metric" and metric is None:
         raise ConfigError("verify-metric requires a 'metric' label")
@@ -278,35 +298,22 @@ def parse_config(text: str) -> JobConfig:
     if not isinstance(tau_values, list) or not tau_values:
         raise ConfigError("tau_values must be a non-empty list")
     taus = tuple(_finite_number(t, "tau_values entry") for t in tau_values)
-    try:
-        _check_tau_values(taus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _refused(_check_tau_values, taus)
 
-    threshold = _finite_number(
-        data.get("threshold", _JOBS[job].threshold), "threshold"
-    )
+    threshold = _finite_number(data.get("threshold", _JOBS[job].threshold), "threshold")
 
-    q_block = data.get("q_params", {})
-    if not isinstance(q_block, dict):
-        raise ConfigError("q_params must be an object")
-    _reject_unknown(q_block, _QPARAM_KEYS, "q_params")
+    q_block = _block(data.get("q_params", {}), "q_params", _QPARAM_KEYS)
     q = _finite_number(q_block.get("q", 1.0), "q_params.q")
     if not math.isfinite(q * q):
         raise ConfigError("q_params.q is too large: q**2 overflows")
-    q_kwargs = {
-        "q": q,
-        "alpha": _finite_number(q_block.get("alpha", 1.0), "q_params.alpha"),
-        "beta": _finite_number(q_block.get("beta", 0.0), "q_params.beta"),
-        "gamma": _finite_number(
-            q_block.get("gamma", (q**2 + 1.0) / 4.0), "q_params.gamma"
-        ),
-        "delta": _finite_number(q_block.get("delta", 1.0), "q_params.delta"),
-    }
-    try:
-        q_params = QDeformParams(**q_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    q_params = _refused(
+        QDeformParams,
+        q=q,
+        alpha=_finite_number(q_block.get("alpha", 1.0), "q_params.alpha"),
+        beta=_finite_number(q_block.get("beta", 0.0), "q_params.beta"),
+        gamma=_finite_number(q_block.get("gamma", (q**2 + 1.0) / 4.0), "q_params.gamma"),
+        delta=_finite_number(q_block.get("delta", 1.0), "q_params.delta"),
+    )
 
     k = _plain_int(data.get("k", 6), "k")
     if k < 1:
@@ -316,9 +323,9 @@ def parse_config(text: str) -> JobConfig:
     if model not in ("BF", "JR"):
         raise ConfigError(f"model must be 'BF' or 'JR', got {model!r}")
 
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string path")
+    out_dir = _optional_str(data, "out_dir", "path")
+    if job == "model-equality":
+        _refused(_bf_params, params)
 
     return JobConfig(
         job=job,
@@ -442,10 +449,8 @@ def _limit_sweep(cfg: JobConfig, grids: list[Grid]):
 
 
 def _model_equality(cfg: JobConfig, grids: list[Grid]):
-    pp = cfg.params
-    mu_nominal = pp.delta_t - pp.lam
-    mu_in = pp.mu if pp.mu != 0.0 else mu_nominal
-    pp_bf = dataclasses.replace(pp, mu=mu_in)
+    pp, pp_bf = cfg.params, _bf_params(cfg.params)
+    mu_nominal, mu_in = pp.delta_t - pp.lam, pp_bf.mu
     for grid in grids:
         x, p = build_deformed_pair(grid, pp)
         ladder = build_ladder(x, p, pp)

@@ -262,6 +262,14 @@ def test_accepted_refinement_sizes_make_grids(refinement, mask_fraction, job):
                      "metric": "BF", "params": {"hbar": 1e160, "gamma_t": 1e160}}))
 @example(json.dumps({"job": "spectrum", "grid": {"n_points": 9, "p_max": 8},
                      "model": "BF", "params": {"tau": 1e307}}))
+# μ = 0: model-equality's BF side takes μ = δ_t − λ, whose BF exponent
+# overflows at ħ = 1e-300 (once a ValueError out of run_job, now refused by
+# the parser); and the BF Hamiltonian of an overflowing pair (once kept
+# imaginary by a NaN {X, P} scaled by μ = 0, and refused by op_sum).
+@example(json.dumps({"job": "model-equality", "grid": {"n_points": 7, "p_max": 1.0},
+                     "params": {"hbar": 1e-300, "lambda": 1e150}}))
+@example(json.dumps({"job": "spectrum", "grid": {"n_points": 17, "p_max": 8},
+                     "params": {"hbar": 1e300, "mass": 1e-300, "tau": 1e6}}))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_accepted_jobs_run_or_stop_at_a_numeric_guard(text):
     """No ValueError escapes run_job from a config that parse_config

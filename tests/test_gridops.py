@@ -1,4 +1,6 @@
 """Grid, elementary algebra, matrix functions, masked norms, probe measurements."""
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,17 @@ def test_adjoint_is_involution_and_antihomomorphism():
 def test_op_scale():
     a = Operator(np.eye(3), Grid(3, 1.0))
     assert np.allclose(op_scale(2.5j, a).entries, 2.5j * np.eye(3))
+
+
+@pytest.mark.parametrize("zero", [0, -0.0, 0j])
+def test_scaling_by_zero_gives_the_zero_operator(zero):
+    # Even for an imaginary operator holding inf and NaN, whose scaled
+    # coefficients would stay NaN and keep the quarter turn.
+    grid = Grid(3, 1.0)
+    data = np.array([[np.inf, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    scaled = op_scale(zero, op_scale(1j, Operator(data, grid)))
+    assert scaled.turns == 0 and scaled.coefficients.shape == (0, 3)
+    assert op_sum(scaled, Operator(np.eye(3), grid)).turns == 0
 
 
 # ---------------------------------------------------------------- derivative
@@ -469,6 +482,14 @@ def test_smooth_probes_shape_and_normalization():
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
     # profiles decay to negligible values at the window edge
     assert np.abs(v[0, :]).max() < 1e-8
+
+
+@pytest.mark.parametrize("p_max", [1e44, 1e150])
+def test_smooth_probes_that_overflow_are_refused(p_max):
+    # The Hermite polynomials overflow; once NaN probes, after RuntimeWarnings.
+    message = f"the smooth probes are not finite at p_max {p_max:g}"
+    with pytest.raises(NumericGuardError, match=re.escape(message)):
+        smooth_probes(Grid(17, p_max))
 
 
 def test_smooth_probes_are_cached_per_argument_set_and_read_only():

@@ -122,6 +122,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config(DEEP_JSON)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"job": "verify-metric", "job": "spectrum", "metric": "BF"}', "job"),
+        ('{"job": "spectrum", "grid": {"n_points": 129, "n_points": 33}}', "n_points"),
+        ('{"job": "spectrum", "params": {"mu": 0.1, "mu": 0.2}}', "mu"),
+        ('{"job": "algebra-check", "q_params": {"q": 1.0, "q": 1.05}}', "q"),
+    ], ids=["top-level", "grid", "params", "q_params"])
+    def test_a_repeated_key_is_rejected(self, text, key):
+        # json.loads alone keeps the last value of a repeated key.
+        with pytest.raises(ConfigError, match=f"repeated key.*: {key}$"):
+            parse_config(text)
+
+    def test_model_equality_checks_the_derived_bf_mu(self):
+        # mu = 0: the BF side takes mu = delta_t - lambda = -1e150, whose BF
+        # exponent overflows at hbar = 1e-300; once a ValueError in run_job.
+        text = json.dumps({"job": "model-equality", "grid": {"n_points": 7, "p_max": 1.0},
+                           "params": {"hbar": 1e-300, "lambda": 1e150}})
+        with pytest.raises(ConfigError, match="BF exponent"):
+            parse_config(text)
+        # Other jobs never build that BF side.
+        parse_config(text.replace("model-equality", "algebra-check"))
+
     def test_limit_sweep_requires_reference(self):
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"job": "limit-sweep", "metric": "JR-composite"}))
@@ -510,7 +531,11 @@ def _run_cli(*args, env_extra=None, cwd=None):
 # that names what overflowed: ħ·γ_t overflows the shift of X and τ·p² its
 # deformation (each once a plain ValueError out of run_job), the mass the
 # norms of the Dieudonné residual's probe actions, and ħ = 1e-300 the norm
-# of H1 − H2 in the model-equality fit.
+# of H1 − H2 in the model-equality fit.  At μ = 0 the NaN {X, P} of an
+# overflowing pair once kept the BF Hamiltonian imaginary, so op_sum refused
+# it before its guard could name it; p_max = 1e150 overflows the smooth
+# probes, and q = 100 the q^N of the algebra check (each once after numpy
+# RuntimeWarnings).
 OVERFLOW_GUARDS = {
     "gamma_t": (
         {"job": "verify-metric", "grid": {"n_points": 9, "p_max": 8}, "metric": "BF",
@@ -531,6 +556,21 @@ OVERFLOW_GUARDS = {
         {"job": "model-equality", "grid": {"n_points": 65, "p_max": 10},
          "params": {"hbar": 1e-300, "mu": 0.05, "lambda": 0.1, "delta_t": 0.5}},
         "the model-equality residual is not finite: a norm overflowed",
+    ),
+    "mu-zero": (
+        {"job": "spectrum", "grid": {"n_points": 17, "p_max": 8},
+         "params": {"hbar": 1e300, "mass": 1e-300, "tau": 1e6}},
+        "the BF Hamiltonian has non-finite entries (inf or NaN)",
+    ),
+    "probes": (
+        {"job": "fit-metric", "grid": {"n_points": 17, "p_max": 1e150},
+         "params": {"mu": 0.1}},
+        "the smooth probes are not finite at p_max 1e+150",
+    ),
+    "q": (
+        {"job": "algebra-check", "grid": {"n_points": 257, "p_max": 8},
+         "q_params": {"q": 100}},
+        "matrix function condition number inf exceeds the dynamic range bound 1e+14",
     ),
 }
 
@@ -778,7 +818,11 @@ class TestCommandLine:
         b'\xff\xfe{"job": "verify-metric", "metric": "BF"}',  # not UTF-8
         DEEP_JSON.encode(),
         b'{"job": "compare-metrics", "metrics": ["BF", "BF"]}',
-    ], ids=["not-utf-8", "deep-nesting", "repeated-label"])
+        b'{"job": "verify-metric", "job": "spectrum", "metric": "BF"}',
+        b'{"job": "model-equality", "grid": {"n_points": 7, "p_max": 1.0},'
+        b' "params": {"hbar": 1e-300, "lambda": 1e150}}',
+    ], ids=["not-utf-8", "deep-nesting", "repeated-label", "repeated-key",
+            "derived-bf-mu"])
     def test_a_refused_job_text_exits_two_with_one_line(self, tmp_path, content):
         job = tmp_path / "job.json"
         job.write_bytes(content)
