@@ -10,7 +10,6 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -18,8 +17,7 @@ import sys
 import numpy as np
 
 from .gridops import NumericGuardError
-from .jobs import ConfigError, _refused, parse_config, run_job, serialize_report
-from .jobs import validate_refinement
+from .jobs import ConfigError, parse_config, run_job, serialize_report, with_refinement
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,11 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(text)
         if args.refine:
-            sizes = [_refused(int, tok, prefix="--refine entries must be integers: ")
-                     for tok in args.refine.split(",") if tok.strip()]
-            cfg = dataclasses.replace(
-                cfg, refinement=validate_refinement(sizes, cfg.grid)
-            )
+            cfg = with_refinement(cfg, args.refine)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

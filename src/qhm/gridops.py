@@ -512,14 +512,11 @@ def op_sum(a: Operator, b: Operator, *more: Operator) -> Operator:
 def op_scale(c: complex, a: Operator) -> Operator:
     """c·A for a real or an imaginary c: A's coefficients are scaled by c's
     real or imaginary part, and an imaginary c adds a quarter turn.  A c
-    with both parts nonzero is refused with ``ValueError``; c = 0 gives the
-    zero operator, even when A holds inf or NaN."""
+    with both parts nonzero is refused with ``ValueError``."""
     grid = _check_compatible(a)
     c = complex(c)
     if c.real and c.imag:
         raise ValueError(f"scalar {c} is neither real nor imaginary")
-    if not c:
-        return Operator._trimmed(0, np.zeros((0, grid.n_points)), grid, 0)
     part, turns = (c.imag, a.turns + 1) if c.imag else (c.real, a.turns)
     return _turned(a.lo, part * a.coefficients, grid, turns)
 

@@ -87,7 +87,7 @@ class JobConfig:
 
     def __post_init__(self) -> None:
         # Checked here rather than in parse_config so that a refinement set
-        # later by dataclasses.replace (the CLI's --refine) is checked too.
+        # later by with_refinement (the CLI's --refine) is checked too.
         if self.job != "fit-metric":
             return
         sizes = {f"grid.n_points {self.grid.n_points}": self.grid.n_points}
@@ -179,9 +179,7 @@ def _build_grid(
     n_points: int, p_max: float, mask_fraction: float, prefix: str = ""
 ) -> Grid:
     if n_points > MAX_POINTS:
-        raise ConfigError(
-            f"{prefix}n_points must be at most {MAX_POINTS}, got {n_points}"
-        )
+        raise ConfigError(f"{prefix}n_points must be at most {MAX_POINTS}, got {n_points}")
     grid = _refused(Grid, n_points, p_max, mask_fraction, prefix=prefix)
     # Every job but limit-sweep builds the derivative matrix; a limit sweep
     # on 3 points has a 3-point interior and is refused with the rest.
@@ -205,6 +203,13 @@ def validate_refinement(values, grid: Grid) -> tuple[int, ...]:
     for n in out:
         _build_grid(n, grid.p_max, grid.mask_fraction, f"refinement entry {n}: ")
     return tuple(out)
+
+
+def with_refinement(cfg: JobConfig, text: str) -> JobConfig:
+    """``cfg`` with the refinement of ``--refine``'s comma-separated sizes."""
+    sizes = [_refused(int, tok, prefix="--refine entries must be integers: ")
+             for tok in text.split(",") if tok.strip()]
+    return dataclasses.replace(cfg, refinement=validate_refinement(sizes, cfg.grid))
 
 
 def _bf_params(pp: PhysParams) -> PhysParams:

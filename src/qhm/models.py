@@ -176,13 +176,16 @@ def _finite(op: Operator, what: str) -> Operator:
 
 
 def build_swanson_bf(x: Operator, p: Operator, pp: PhysParams) -> Operator:
-    """H = P^2/(2m) + (m*omega^2/2) X^2 + i*mu*{X, P}."""
+    """H = P^2/(2m) + (m*omega^2/2) X^2 + i*mu*{X, P}, with no {X, P} term at
+    mu = 0 (0·{X, P} would keep the NaN of an overflowing {X, P})."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        h = op_sum(
+        terms = [
             op_scale(1.0 / (2.0 * pp.mass), op_product(p, p)),
             op_scale(0.5 * pp.mass * pp.omega**2, op_product(x, x)),
-            op_scale(1j * pp.mu, anticommutator(x, p)),
-        )
+        ]
+        if pp.mu != 0.0:
+            terms.append(op_scale(1j * pp.mu, anticommutator(x, p)))
+        h = op_sum(*terms)
     return _finite(h, "the BF Hamiltonian")
 
 

@@ -183,17 +183,6 @@ def test_op_scale():
     assert np.allclose(op_scale(2.5j, a).entries, 2.5j * np.eye(3))
 
 
-@pytest.mark.parametrize("zero", [0, -0.0, 0j])
-def test_scaling_by_zero_gives_the_zero_operator(zero):
-    # Even for an imaginary operator holding inf and NaN, whose scaled
-    # coefficients would stay NaN and keep the quarter turn.
-    grid = Grid(3, 1.0)
-    data = np.array([[np.inf, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    scaled = op_scale(zero, op_scale(1j, Operator(data, grid)))
-    assert scaled.turns == 0 and scaled.coefficients.shape == (0, 3)
-    assert op_sum(scaled, Operator(np.eye(3), grid)).turns == 0
-
-
 # ---------------------------------------------------------------- derivative
 
 

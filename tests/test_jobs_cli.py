@@ -562,6 +562,12 @@ OVERFLOW_GUARDS = {
          "params": {"hbar": 1e300, "mass": 1e-300, "tau": 1e6}},
         "the BF Hamiltonian has non-finite entries (inf or NaN)",
     ),
+    # m·ω²/2 underflows to 0 while X·X overflows: 0·inf must reach the guard.
+    "underflow": (
+        {"job": "spectrum", "grid": {"n_points": 17, "p_max": 8},
+         "params": {"hbar": 1e300, "mass": 1e-10, "omega": 1e-157}},
+        "the BF Hamiltonian has non-finite entries (inf or NaN)",
+    ),
     "probes": (
         {"job": "fit-metric", "grid": {"n_points": 17, "p_max": 1e150},
          "params": {"mu": 0.1}},
