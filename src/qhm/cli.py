@@ -1,6 +1,7 @@
 """Command-line entry point: run one job file and write its reports.
 
-Usage: ``qhm <jobfile.json> [--assert] [--out DIR] [--refine 129,257,513]``.
+Usage: ``qhm <jobfile.json> [--assert] [--out DIR]``.  The job file is the
+whole job, grids included; ``--out`` only places its reports.
 
 Exit codes: 0 success (or PASS), 1 verdict FAIL under ``--assert``,
 2 configuration error, 3 runtime/numeric error (out of memory included),
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from .gridops import NumericGuardError
-from .jobs import ConfigError, parse_config, run_job, serialize_report, with_refinement
+from .jobs import ConfigError, parse_config, run_job, serialize_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,11 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 1 when the overall verdict is FAIL",
     )
     parser.add_argument("--out", metavar="DIR", help="output directory for reports")
-    parser.add_argument(
-        "--refine",
-        metavar="N1,N2,...",
-        help="comma-separated strictly increasing odd grid sizes",
-    )
     return parser
 
 
@@ -72,8 +68,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(text)
-        if args.refine:
-            cfg = with_refinement(cfg, args.refine)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -84,9 +78,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"run error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUN_ERROR
 
-    out_dir = args.out or cfg.out_dir or "."
     try:
-        report_path, csv_path = serialize_report(doc, out_dir)
+        report_path, csv_path = serialize_report(doc, args.out or ".")
     except OSError as exc:
         print(f"error: cannot write reports: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR

@@ -474,10 +474,7 @@ def op_product(a: Operator, b: Operator) -> Operator:
     kernel or thread count.  The reflection p → −p maps A's band q of an
     exactly even or odd A to band na − 1 − q, so the mirrored entries of a
     product of exactly even or odd operands sum the same pairs in the same
-    order: the product is exactly even or odd.  The terms and their order
-    are those of the ``complex128`` sums of the complex bands, so the values
-    are identical (for finite entries; only the signs of exact zeros can
-    differ).
+    order: the product is exactly even or odd.
     """
     grid = _check_compatible(a, b)
     ca, cb = a.coefficients, b.coefficients
@@ -732,9 +729,7 @@ def interior_action(a: Operator, vectors: np.ndarray) -> np.ndarray:
     """Interior rows of ``A @ vectors`` (vectors as columns), from the bands.
 
     The ``float64`` coefficients act on the vectors (a real array for real
-    vectors), and the result is multiplied by 1j when A is imaginary.  The
-    values are those of the complex bands' product; only the signs of zero
-    real parts can differ.
+    vectors), and the result is multiplied by 1j when A is imaginary.
     """
     grid = _check_compatible(a)
     v = np.asarray(vectors)

@@ -83,22 +83,6 @@ class JobConfig:
     q_params: QDeformParams
     k: int
     model: str
-    out_dir: str | None
-
-    def __post_init__(self) -> None:
-        # Checked here rather than in parse_config so that a refinement set
-        # later by with_refinement (the CLI's --refine) is checked too.
-        if self.job != "fit-metric":
-            return
-        sizes = {f"grid.n_points {self.grid.n_points}": self.grid.n_points}
-        sizes.update((f"refinement entry {n}", n) for n in self.refinement or ())
-        for where, n in sizes.items():
-            sl = Grid(n, self.grid.p_max, self.grid.mask_fraction).interior()
-            if sl.stop - sl.start < FIT_MIN_INTERIOR:
-                raise ConfigError(
-                    f"{where}: fit-metric needs at least {FIT_MIN_INTERIOR} "
-                    f"interior points, got {sl.stop - sl.start}"
-                )
 
 
 # ---------------------------------------------------------------- config keys
@@ -205,13 +189,6 @@ def validate_refinement(values, grid: Grid) -> tuple[int, ...]:
     return tuple(out)
 
 
-def with_refinement(cfg: JobConfig, text: str) -> JobConfig:
-    """``cfg`` with the refinement of ``--refine``'s comma-separated sizes."""
-    sizes = [_refused(int, tok, prefix="--refine entries must be integers: ")
-             for tok in text.split(",") if tok.strip()]
-    return dataclasses.replace(cfg, refinement=validate_refinement(sizes, cfg.grid))
-
-
 def _bf_params(pp: PhysParams) -> PhysParams:
     """A model-equality job's BF parameters: its own μ, or the nominal
     δ_t − λ when μ is 0; raises ValueError when that μ breaks a rule of
@@ -311,12 +288,18 @@ def parse_config(text: str) -> JobConfig:
     q = _finite_number(q_block.get("q", 1.0), "q_params.q")
     if not math.isfinite(q * q):
         raise ConfigError("q_params.q is too large: q**2 overflows")
+    alpha = _finite_number(q_block.get("alpha", 1.0), "q_params.alpha")
+    # The default gamma meets 4*alpha*gamma = q^2 + 1 wherever that gamma is
+    # a finite number; otherwise it is (q^2 + 1)/4 and the constraint refuses it.
+    gamma = (q**2 + 1.0) / 4.0
+    if alpha != 0.0 and math.isfinite(gamma / alpha):
+        gamma /= alpha
     q_params = _refused(
         QDeformParams,
         q=q,
-        alpha=_finite_number(q_block.get("alpha", 1.0), "q_params.alpha"),
+        alpha=alpha,
         beta=_finite_number(q_block.get("beta", 0.0), "q_params.beta"),
-        gamma=_finite_number(q_block.get("gamma", (q**2 + 1.0) / 4.0), "q_params.gamma"),
+        gamma=_finite_number(q_block.get("gamma", gamma), "q_params.gamma"),
         delta=_finite_number(q_block.get("delta", 1.0), "q_params.delta"),
     )
 
@@ -328,9 +311,18 @@ def parse_config(text: str) -> JobConfig:
     if model not in ("BF", "JR"):
         raise ConfigError(f"model must be 'BF' or 'JR', got {model!r}")
 
-    out_dir = _optional_str(data, "out_dir", "path")
     if job == "model-equality":
         _refused(_bf_params, params)
+    if job == "fit-metric":
+        sizes = [(f"grid.n_points {n_points}", n_points)]
+        sizes += [(f"refinement entry {n}", n) for n in refinement or ()]
+        for where, n in sizes:
+            sl = Grid(n, p_max, mask).interior()
+            if sl.stop - sl.start < FIT_MIN_INTERIOR:
+                raise ConfigError(
+                    f"{where}: fit-metric needs at least {FIT_MIN_INTERIOR} "
+                    f"interior points, got {sl.stop - sl.start}"
+                )
 
     return JobConfig(
         job=job,
@@ -345,7 +337,6 @@ def parse_config(text: str) -> JobConfig:
         q_params=q_params,
         k=k,
         model=model,
-        out_dir=out_dir,
     )
 
 
@@ -363,9 +354,8 @@ def _echo(obj) -> dict:
 
 
 def _config_echo(cfg: JobConfig) -> dict:
-    """The config as a job file that parses back to it (``out_dir`` aside)."""
+    """The config as a job file that parses back to it."""
     echo = _echo(cfg)
-    del echo["out_dir"]
     echo["grid"]["refinement"] = list(cfg.refinement) if cfg.refinement else None
     return echo
 

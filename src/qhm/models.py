@@ -192,10 +192,10 @@ def build_swanson_bf(x: Operator, p: Operator, pp: PhysParams) -> Operator:
 def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
     """H = omega*a_dag*a + lam*a^2 + delta_t*a_dag^2 + omega/2.
 
-    Hermitian whenever ``lam == delta_t`` (a warning notes the degenerate
-    choice); non-Hermitian otherwise.
+    Hermitian when ``lam == delta_t`` and ``tau == gamma_t == 0`` (a warning
+    notes the degenerate choice); non-Hermitian otherwise.
     """
-    if pp.lam == pp.delta_t:
+    if pp.lam == pp.delta_t and pp.tau == 0.0 and pp.gamma_t == 0.0:
         warnings.warn(
             "lam == delta_t: the ladder Hamiltonian is Hermitian",
             stacklevel=2,

@@ -76,7 +76,6 @@ def _docs(grid, numbers):
             "q_params": _block(["q", "alpha", "beta", "gamma", "delta"], numbers),
             "k": st.integers(),
             "model": st.sampled_from(["BF", "JR"]),
-            "out_dir": st.text(max_size=4),
         },
     )
 
@@ -139,7 +138,7 @@ OVERFLOW_JOBS = [json.dumps(dict(_OVERFLOW, **job)) for job in OVERFLOW_CASES.va
 
 BLOCKS = ("grid", "params", "q_params")
 KEYS = ("job", "metric", "metrics", "reference", "tau_values", "threshold", "k",
-        "model", "out_dir", *BLOCKS, "grid.n_points", "grid.refinement",
+        "model", *BLOCKS, "grid.n_points", "grid.refinement",
         "params.lambda", "params.omega", "q_params.q", "q_params.gamma", "unknown",
         "grid.unknown")
 

@@ -14,6 +14,7 @@ from qhm.gridops import (
     commutator,
     derivative_matrix,
     hermitian_matrix_function,
+    interior_action,
     masked_norm,
     op_product,
     op_scale,
@@ -118,6 +119,18 @@ def test_operator_diag_checks_and_copies_its_values():
         Operator.diag(np.eye(9), g)
     with pytest.raises(ValueError, match="n_points"):
         Operator.diag(np.ones(5), g)
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 1, 9)], ids=["1-D", "3-D"])
+def test_from_bands_refuses_bands_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match="bands must be 2-D"):
+        Operator.from_bands(0, np.ones(shape), Grid(9, 2.0, 0.25))
+
+
+def test_interior_action_checks_the_vectors_against_the_grid():
+    op = Operator.diag(np.arange(9.0), Grid(9, 2.0, 0.25))
+    with pytest.raises(ValueError, match="dimension mismatch: vectors 7, grid 9"):
+        interior_action(op, np.ones((7, 2)))
 
 
 # ---------------------------------------------------------------- algebra

@@ -147,6 +147,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"job": "limit-sweep", "metric": "JR-composite"}))
 
+    @pytest.mark.parametrize(
+        "taus", [[], 0.1, "0.1", {"tau": 0.1}], ids=["empty", "number", "string", "object"]
+    )
+    def test_tau_values_must_be_a_non_empty_list(self, taus):
+        with pytest.raises(ConfigError, match="^tau_values must be a non-empty list$"):
+            parse_config(_cfg(tau_values=taus))
+
+    @pytest.mark.parametrize("q, alpha", [(1.0, 1.0), (1.05, 1.0), (1.0, 2.0), (1.05, 0.3)])
+    def test_default_gamma_meets_the_constraint_for_any_alpha(self, q, alpha):
+        cfg = parse_config(
+            _cfg(job="algebra-check", metric=None, q_params={"q": q, "alpha": alpha})
+        )
+        assert cfg.q_params.gamma == (q**2 + 1.0) / 4.0 / alpha
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-320], ids=["zero", "quotient-overflows"])
+    def test_alpha_zero_or_too_small_keeps_the_constraint_error(self, alpha):
+        with pytest.raises(ConfigError, match="constraint violated"):
+            parse_config(_cfg(job="algebra-check", metric=None, q_params={"alpha": alpha}))
+
     def test_null_refinement_means_no_refinement(self):
         cfg = parse_config(_cfg(grid={"n_points": 129, "refinement": None}))
         assert cfg.refinement is None
@@ -276,6 +295,18 @@ class TestRunJob:
         check = doc["results"]["residuals"][0]
         assert check["residual_action"] == 0.0
         assert check["condition_number"] == 1.0
+
+    def test_a_non_finite_report_value_is_a_run_error(self, tmp_path, monkeypatch, capsys):
+        # Strict JSON has no inf: the entry is refused before any report is
+        # written, and the command line exits 3.
+        monkeypatch.setattr("qhm.jobs.metric_condition", lambda g: float("inf"))
+        doc = {"job": "verify-metric", "metric": "BF", "grid": {"n_points": 33}}
+        with pytest.raises(NumericGuardError, match="^a verify-metric report value is not finite$"):
+            run_job(parse_config(json.dumps(doc)))
+        job = _write_job(tmp_path, "job.json", doc)
+        assert cli_main([str(job), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "run error: a verify-metric report value is not finite\n"
+        assert not (tmp_path / "out").exists()
 
     def test_payload_is_deterministic(self):
         d1 = run_job(parse_config(_cfg()))
@@ -511,11 +542,12 @@ class TestSerializeReport:
 
 def _run_cli(*args, env_extra=None, cwd=None):
     # the child imports the same qhm as this process, installed or not, and
-    # turns a numpy RuntimeWarning into an error, as pytest does here
+    # turns a numpy RuntimeWarning or a UserWarning into an error, as pytest
+    # does here
     src = os.path.dirname(os.path.dirname(qhm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning,error::UserWarning"
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -670,27 +702,18 @@ class TestCommandLine:
         assert proc.stderr.startswith("config error: refinement entry")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("sizes", ["1,129", str(10**400 + 1)], ids=["one", "huge"])
-    def test_invalid_refine_flag_grid_exits_two(self, tmp_path, sizes):
-        job = _write_job(tmp_path, "job.json", {"job": "algebra-check"})
-        proc = _run_cli(str(job), "--refine", sizes, "--out", str(tmp_path / "out"))
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-
     @pytest.mark.parametrize(
-        "grid, refine",
+        "grid",
         [
-            ({"n_points": 402653185}, None),
-            ({"n_points": 129, "refinement": [129, 402653185]}, None),
-            ({"n_points": 129}, "129,402653185"),
+            {"n_points": 402653185},
+            {"n_points": 129, "refinement": [129, 402653185]},
         ],
-        ids=["grid", "refinement", "refine-flag"],
+        ids=["grid", "refinement"],
     )
-    def test_grid_past_the_size_cap_exits_two(self, tmp_path, grid, refine):
+    def test_grid_past_the_size_cap_exits_two(self, tmp_path, grid):
         doc = {"job": "verify-metric", "metric": "BF", "grid": grid}
         job = _write_job(tmp_path, "big.json", doc)
-        flags = ["--refine", refine] if refine else []
-        proc = _run_cli(str(job), *flags, "--out", str(tmp_path / "out"))
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ")
         assert f"at most {2**20 + 1}" in proc.stderr
@@ -713,23 +736,34 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "doc, refine",
+        "doc",
         [
-            ({"job": "algebra-check", "grid": {"n_points": 3}}, None),
-            ({"job": "algebra-check"}, "3,129"),
-            ({"job": "fit-metric", "grid": {"n_points": 13}}, None),
-            ({"job": "fit-metric", "grid": {"refinement": [13, 129]}}, None),
-            ({"job": "fit-metric"}, "13,129"),
+            {"job": "algebra-check", "grid": {"n_points": 3}},
+            {"job": "fit-metric", "grid": {"n_points": 13}},
+            {"job": "fit-metric", "grid": {"refinement": [13, 129]}},
         ],
-        ids=["three", "refine-three", "fit-interior", "fit-refinement", "refine-fit"],
+        ids=["three", "fit-interior", "fit-refinement"],
     )
-    def test_grid_too_small_for_the_job_exits_two(self, tmp_path, doc, refine):
+    def test_grid_too_small_for_the_job_exits_two(self, tmp_path, doc):
         job = _write_job(tmp_path, "small.json", doc)
-        flags = ["--refine", refine] if refine else []
-        proc = _run_cli(str(job), *flags, "--out", str(tmp_path / "out"))
+        proc = _run_cli(str(job), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_an_out_dir_key_exits_two_with_one_line(self, tmp_path, capsys):
+        # The output directory is set by --out alone.
+        doc = {"job": "verify-metric", "metric": "BF", "out_dir": str(tmp_path / "out")}
+        job = _write_job(tmp_path, "job.json", doc)
+        assert cli_main([str(job)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key(s) in config: out_dir\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_the_command_line_takes_only_the_job_file_assert_and_out(self):
+        # Every other setting of a run is in the job file.
+        parser = qhm.cli._build_parser()
+        names = [a.option_strings or [a.dest] for a in parser._actions]
+        assert names == [["-h", "--help"], ["jobfile"], ["--assert"], ["--out"]]
 
     def test_unknown_key_exits_two(self, tmp_path):
         job = _write_job(
@@ -860,31 +894,6 @@ class TestCommandLine:
         blocker.write_text("not a directory")
         proc = _run_cli(str(job), "--out", str(blocker / "sub"))
         assert proc.returncode == 4
-
-    def test_refine_flag_overrides_grid_schedule(self, tmp_path):
-        job = _write_job(
-            tmp_path,
-            "job.json",
-            {
-                "job": "verify-metric",
-                "metric": "ExpTheta(0.2)",
-                "grid": {"n_points": 129, "p_max": 10.0},
-                "params": {"mu": 0.1},
-            },
-        )
-        out = tmp_path / "out"
-        proc = _run_cli(str(job), "--refine", "129,257", "--out", str(out))
-        assert proc.returncode == 0
-        report = json.loads((out / "report.json").read_text())
-        counts = [c["n_points"] for c in report["results"]["residuals"]]
-        assert counts == [129, 257]
-
-    def test_bad_refine_flag_exits_two(self, tmp_path):
-        job = _write_job(
-            tmp_path, "job.json", {"job": "verify-metric", "metric": "BF"}
-        )
-        proc = _run_cli(str(job), "--refine", "129,256")
-        assert proc.returncode == 2
 
     def test_log_env_var_enables_info_logging(self, tmp_path):
         job = _write_job(

@@ -251,6 +251,19 @@ def test_ladder_model_hermitian_when_couplings_match():
     assert rel < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("deformation", [{"tau": 0.1}, {"gamma_t": 0.3}], ids=["tau", "gamma_t"])
+def test_deformed_ladder_model_with_matching_couplings_does_not_warn(deformation):
+    # lam == delta_t leaves H Hermitian only on the undeformed ladder: at
+    # tau = 0.1, or gamma_t = 0.3, H - H† is far from zero.
+    pp = PhysParams(lam=0.04, delta_t=0.04, **deformation)
+    x, p = build_deformed_pair(GRID, pp)
+    lad = build_ladder(x, p, pp)
+    h = build_swanson_jr(lad.a, lad.a_dag, pp)
+    rel = masked_norm(Operator((h.entries - adjoint(h).entries).real, GRID)) / masked_norm(h)
+    assert rel > 1e-2
+
+
 def test_ladder_model_ground_state_shift():
     # The grid realizes the n + 1/2 ladder for the bare model (lam=delta_t=0),
     # not n + 1: levels land on 0.5, 1.5, 2.5, 3.5 within 1e-2.

@@ -321,6 +321,22 @@ def test_failed_guards_return_the_dense_levels(make, k, reason, caplog):
     assert got.values == _dense(op, k).values
 
 
+def test_an_arpack_error_takes_the_dense_solve(caplog):
+    op = _operators(257, 0.1, 8.0)["BF"]
+
+    def failing_eigs(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    with caplog.at_level(logging.DEBUG, logger="qhm.verify"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy.sparse.linalg, "eigs", failing_eigs)
+            got = spectrum(op, 6)
+    assert got.solver == "dense"
+    assert got.fallback.startswith("ARPACK error")
+    assert "ARPACK error" in caplog.text
+    assert got.values == _dense(op).values
+
+
 def test_a_residual_above_the_bound_takes_the_dense_solve(caplog):
     op = _operators(257, 0.1, 8.0)["BF"]
     with caplog.at_level(logging.DEBUG, logger="qhm.verify"):

@@ -96,6 +96,15 @@ class TestDieudonneResidual:
         with pytest.warns(UserWarning):
             dieudonne_residual(ham, -np.ones(129))
 
+    def test_details_refuse_a_zero_hamiltonian(self):
+        # The probe residual of a zero H is 0, but the matrix residual has
+        # no norm of H to be relative to.
+        grid = Grid(33, 8.0, 0.25)
+        zero = Operator.diag(np.zeros(33), grid)
+        assert dieudonne_residual(zero, np.ones(33)) == 0.0
+        with pytest.raises(ValueError, match="relative normalization against a zero block"):
+            dieudonne_details(zero, np.ones(33))
+
 
 class TestGaussianLabelsAwayFromUnitMassAndFrequency:
     """``BF`` and ``BF-composite`` carry θ = 2μ/(ħmω²): at ω, m or ħ ≠ 1 they
