@@ -371,10 +371,7 @@ def _grids(cfg: JobConfig) -> list[Grid]:
 
 def _build_model(grid: Grid, pp: PhysParams, which: str) -> Operator:
     x, p = build_deformed_pair(grid, pp)
-    if which == "JR":
-        ladder = build_ladder(x, p, pp)
-        return build_swanson_jr(ladder.a, ladder.a_dag, pp)
-    return build_swanson_bf(x, p, pp)
+    return (build_swanson_jr if which == "JR" else build_swanson_bf)(x, p, pp)
 
 
 def _json_number(value: float) -> float | None:
@@ -448,8 +445,7 @@ def _model_equality(cfg: JobConfig, grids: list[Grid]):
     mu_nominal, mu_in = pp.delta_t - pp.lam, pp_bf.mu
     for grid in grids:
         x, p = build_deformed_pair(grid, pp)
-        ladder = build_ladder(x, p, pp)
-        h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        h_jr = build_swanson_jr(x, p, pp)
         h_bf = build_swanson_bf(x, p, pp_bf)
         report = model_equality_report(h_jr, h_bf, x, p)
         mu_fitted = mu_in + report.anticommutator_coefficient.imag
@@ -472,7 +468,7 @@ def _algebra_check(cfg: JobConfig, grids: list[Grid]):
     for grid in grids:
         x, p = build_deformed_pair(grid, pp)
         ladder = build_ladder(x, p, pp)
-        n_op = default_number_operator(ladder.a, ladder.a_dag)
+        n_op = default_number_operator(x, p, pp)
         residual = deformed_algebra_residual(x, p, n_op, qp, pp)
         yield {
             "q": qp.q,

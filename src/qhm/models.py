@@ -5,9 +5,13 @@ with ``x0 = i*hbar*D`` acting in momentum space, so that the commutator
 ``[X, P] = i*hbar*(1 + tau*P^2)`` holds exactly in action on stencil probes.
 Two quadratic non-Hermitian oscillators are built on top of the pair: one
 parameterized by a single anticommutator coupling ``mu``, one by ladder
-couplings ``(lambda, delta_t)``.  A diagonal gauge map removes the
-``gamma_t`` term up to second-order grid error.  The builders of X, the
-Hamiltonians and N raise ``NumericGuardError`` on an entry that is not finite.
+couplings ``(lambda, delta_t)``.  Both Hamiltonians, the number operator N
+and the q-algebra's quadratic term are one quadratic form in X and P
+(``_quadratic_form``), whose X^2 is ``_x_squared``; the ladder form is
+expanded in the ladder's quadratures, so no ladder operators are
+multiplied.  A diagonal gauge map removes the ``gamma_t`` term up to
+second-order grid error.  The builders of X, the Hamiltonians and N raise
+``NumericGuardError`` on an entry that is not finite.
 """
 from __future__ import annotations
 
@@ -154,13 +158,15 @@ def build_deformed_pair(grid: Grid, pp: PhysParams) -> tuple[Operator, Operator]
 
 
 def build_ladder(x: Operator, p: Operator, pp: PhysParams) -> LadderOps:
-    """Ladder pair a = (P - i*omega*X)/sqrt(2*m*hbar*omega), a_dag likewise."""
-    scale = 1.0 / np.sqrt(2.0 * pp.mass * pp.hbar * pp.omega)
-    # An overflow leaves a and a_dag non-finite, which the Hamiltonian and
-    # number-operator builders refuse (``_finite``).
+    """Ladder pair a = (P - i*omega*X)/sqrt(2*m*hbar*omega), a_dag likewise:
+    a = P' - i*X' and a_dag = P' + i*X' in the quadratures of
+    ``_quadratures``."""
+    # An overflow leaves a, a_dag and the adjoint defect non-finite; a job
+    # refuses the defect as a report value that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        a = op_scale(scale, op_sum(p, op_scale(-1j * pp.omega, x)))
-        a_dag = op_scale(scale, op_sum(p, op_scale(1j * pp.omega, x)))
+        xs, ps = _quadratures(x, p, pp)
+        a = op_sum(ps, op_scale(-1j, xs))
+        a_dag = op_sum(ps, op_scale(1j, xs))
         diff = op_sum(adjoint(a), op_scale(-1.0, a_dag))
         denom = masked_norm(a_dag)
         defect = masked_norm(diff) / denom if denom > 0 else 0.0
@@ -175,22 +181,52 @@ def _finite(op: Operator, what: str) -> Operator:
     return op
 
 
+def _x_squared(x: Operator) -> Operator:
+    """X·X: the one place an X is multiplied by itself."""
+    return op_product(x, x)
+
+
+def _quadratic_form(
+    x: Operator, p: Operator, c_pp: float, c_xx: float, c_a=0.0, c_c=0.0, c_0=0.0
+) -> Operator:
+    """c_pp·P^2 + c_xx·X^2 + i·c_a·{X, P} + i·c_c·[X, P] + c_0, summed in
+    that order.  The {X, P}, [X, P] and constant terms are left out at a zero
+    coefficient (0·{X, P} would keep the NaN of an overflowing {X, P}); the
+    X^2 term never is, so 0·inf = NaN still reaches the caller's guard.
+    i·c is ``complex(0, c)``: ``1j * inf`` is nan+inf·j, which ``op_scale``
+    refuses."""
+    terms = [op_scale(c_pp, op_product(p, p)), op_scale(c_xx, _x_squared(x))]
+    if c_a != 0.0:
+        terms.append(op_scale(complex(0.0, c_a), anticommutator(x, p)))
+    if c_c != 0.0:
+        terms.append(op_scale(complex(0.0, c_c), commutator(x, p)))
+    if c_0 != 0.0:
+        terms.append(Operator.diag(np.full(x.dim, c_0), x.grid))
+    return op_sum(*terms)
+
+
+def _quadratures(x: Operator, p: Operator, pp: PhysParams) -> tuple[Operator, Operator]:
+    """The ladder's quadratures X' = omega*X/sqrt(2*m*hbar*omega) and
+    P' = P/sqrt(2*m*hbar*omega): a = P' - i*X' and a_dag = P' + i*X'."""
+    scale = 1.0 / np.sqrt(2.0 * pp.mass * pp.hbar * pp.omega)
+    return op_scale(scale, op_scale(pp.omega, x)), op_scale(scale, p)
+
+
 def build_swanson_bf(x: Operator, p: Operator, pp: PhysParams) -> Operator:
     """H = P^2/(2m) + (m*omega^2/2) X^2 + i*mu*{X, P}, with no {X, P} term at
-    mu = 0 (0·{X, P} would keep the NaN of an overflowing {X, P})."""
+    mu = 0."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        terms = [
-            op_scale(1.0 / (2.0 * pp.mass), op_product(p, p)),
-            op_scale(0.5 * pp.mass * pp.omega**2, op_product(x, x)),
-        ]
-        if pp.mu != 0.0:
-            terms.append(op_scale(1j * pp.mu, anticommutator(x, p)))
-        h = op_sum(*terms)
+        h = _quadratic_form(
+            x, p, 1.0 / (2.0 * pp.mass), 0.5 * pp.mass * pp.omega**2, pp.mu
+        )
     return _finite(h, "the BF Hamiltonian")
 
 
-def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
-    """H = omega*a_dag*a + lam*a^2 + delta_t*a_dag^2 + omega/2.
+def build_swanson_jr(x: Operator, p: Operator, pp: PhysParams) -> Operator:
+    """H = omega*a_dag*a + lam*a^2 + delta_t*a_dag^2 + omega/2, expanded in
+    the quadratures X', P' of the ladder (``_quadratures``):
+    a_dag*a = P'^2 + X'^2 + i[X', P'] and
+    a^2, a_dag^2 = P'^2 - X'^2 -/+ i{X', P'}.
 
     Hermitian when ``lam == delta_t`` and ``tau == gamma_t == 0`` (a warning
     notes the degenerate choice); non-Hermitian otherwise.
@@ -200,20 +236,19 @@ def build_swanson_jr(a: Operator, a_dag: Operator, pp: PhysParams) -> Operator:
             "lam == delta_t: the ladder Hamiltonian is Hermitian",
             stacklevel=2,
         )
+    w, lam, dt = pp.omega, pp.lam, pp.delta_t
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        h = op_sum(
-            op_scale(pp.omega, op_product(a_dag, a)),
-            op_scale(pp.lam, op_product(a, a)),
-            op_scale(pp.delta_t, op_product(a_dag, a_dag)),
-            Operator.diag(np.full(a.dim, 0.5 * pp.omega), a.grid),
+        h = _quadratic_form(
+            *_quadratures(x, p, pp), w + lam + dt, w - lam - dt, dt - lam, w, 0.5 * w
         )
     return _finite(h, "the JR Hamiltonian")
 
 
-def default_number_operator(a: Operator, a_dag: Operator) -> Operator:
-    """Hermitian part of a_dag*a — the default N for the algebra check."""
+def default_number_operator(x: Operator, p: Operator, pp: PhysParams) -> Operator:
+    """Hermitian part of a_dag*a = P'^2 + X'^2 + i[X', P'] (``_quadratures``)
+    — the default N for the algebra check."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        nd = op_product(a_dag, a)
+        nd = _quadratic_form(*_quadratures(x, p, pp), 1.0, 1.0, 0.0, 1.0)
         n_op = op_scale(0.5, op_sum(nd, adjoint(nd)))
     return _finite(n_op, "the number operator N")
 
@@ -239,7 +274,10 @@ def deformed_algebra_residual(
     i*hbar*(q^2-1)/(alpha*delta + beta*gamma) *
     (delta*gamma*X^2 + alpha*beta*P^2 + i*alpha*delta*XP - i*beta*gamma*PX)``
     on stencil probes V, comparing the interior rows of both actions as
-    ``action_residual`` does.
+    ``action_residual`` does.  The quadratic term is built as the quadratic
+    form (``_quadratic_form``) with P^2, X^2, i{X, P} and i[X, P]
+    coefficients ``alpha*beta``, ``delta*gamma``,
+    ``(alpha*delta - beta*gamma)/2`` and ``(alpha*delta + beta*gamma)/2``.
 
     At q = 1 the matrix function is exactly the identity (``1.0 ** x == 1.0``
     for every x, inf and nan included) and the quadratic term vanishes, so
@@ -249,7 +287,8 @@ def deformed_algebra_residual(
     its guards from N's eigenvalues before it computes any eigenvector, and
     the quadratic term acts on V from its bands.
     """
-    combo = qp.alpha * qp.delta + qp.beta * qp.gamma
+    ad, bg = qp.alpha * qp.delta, qp.beta * qp.gamma
+    combo = ad + bg
     grid = x.grid
     probes = stencil_probes(grid)
     rhs = 1j * pp.hbar * combo * probes[grid.interior()]
@@ -257,11 +296,8 @@ def deformed_algebra_residual(
         _check_hermitian(n_op)
     else:
         qn = hermitian_matrix_function(n_op, lambda t: qp.q**t, probes)
-        quadratic = op_sum(
-            op_scale(qp.delta * qp.gamma, op_product(x, x)),
-            op_scale(qp.alpha * qp.beta, op_product(p, p)),
-            op_scale(1j * qp.alpha * qp.delta, op_product(x, p)),
-            op_scale(-1j * qp.beta * qp.gamma, op_product(p, x)),
+        quadratic = _quadratic_form(
+            x, p, qp.alpha * qp.beta, qp.delta * qp.gamma, (ad - bg) / 2, combo / 2
         )
         rhs = 1j * pp.hbar * combo * qn[grid.interior()] + interior_action(
             op_scale(1j * pp.hbar * (qp.q**2 - 1.0) / combo, quadratic), probes

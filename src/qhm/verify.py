@@ -51,7 +51,7 @@ from .gridops import (
     stencil_probes,
 )
 from .metrics import metric_profile, profile_distance, spec_from_label
-from .models import PhysParams
+from .models import PhysParams, _x_squared
 
 __all__ = [
     "SpectrumResult",
@@ -541,7 +541,7 @@ def model_equality_report(
     grid = _check_compatible(H1, H2, X, P)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         p2 = op_product(P, P)
-        x2 = op_product(X, X)
+        x2 = _x_squared(X)
         dictionary = {
             "I": Operator.diag(np.ones(grid.n_points), grid),
             "P": P,

@@ -15,8 +15,10 @@ from qhm.gridops import (
     masked_norm,
     op_product,
     op_scale,
+    op_sum,
     stencil_probes,
 )
+from qhm import models, verify
 from qhm.models import (
     PhysParams,
     QDeformParams,
@@ -31,7 +33,7 @@ from qhm.models import (
     gauge_conjugation_residual,
     gauge_transform,
 )
-from qhm.verify import spectrum
+from qhm.verify import model_equality_report, spectrum
 
 GRID = Grid(257, 8.0, 0.25)
 
@@ -244,9 +246,8 @@ def test_anticommutator_model_six_levels_at_default_spectra_grid():
 def test_ladder_model_hermitian_when_couplings_match():
     pp = PhysParams(lam=0.04, delta_t=0.04)
     x, p = build_deformed_pair(GRID, pp)
-    lad = build_ladder(x, p, pp)
     with pytest.warns(UserWarning, match="Hermitian"):
-        h = build_swanson_jr(lad.a, lad.a_dag, pp)
+        h = build_swanson_jr(x, p, pp)
     rel = masked_norm(Operator((h.entries - adjoint(h).entries).real, GRID)) / masked_norm(h)
     assert rel < 1e-10
 
@@ -258,8 +259,7 @@ def test_deformed_ladder_model_with_matching_couplings_does_not_warn(deformation
     # tau = 0.1, or gamma_t = 0.3, H - H† is far from zero.
     pp = PhysParams(lam=0.04, delta_t=0.04, **deformation)
     x, p = build_deformed_pair(GRID, pp)
-    lad = build_ladder(x, p, pp)
-    h = build_swanson_jr(lad.a, lad.a_dag, pp)
+    h = build_swanson_jr(x, p, pp)
     rel = masked_norm(Operator((h.entries - adjoint(h).entries).real, GRID)) / masked_norm(h)
     assert rel > 1e-2
 
@@ -269,9 +269,8 @@ def test_ladder_model_ground_state_shift():
     # not n + 1: levels land on 0.5, 1.5, 2.5, 3.5 within 1e-2.
     pp = PhysParams()
     x, p = build_deformed_pair(GRID, pp)
-    lad = build_ladder(x, p, pp)
     with pytest.warns(UserWarning):
-        h = build_swanson_jr(lad.a, lad.a_dag, pp)
+        h = build_swanson_jr(x, p, pp)
     s = spectrum(h, 4)
     for i, z in enumerate(s.values):
         assert abs(z.real - (i + 0.5)) < 1e-2
@@ -281,26 +280,117 @@ def test_ladder_model_ground_state_shift():
 def test_ladder_model_real_spectrum_off_diagonal_couplings():
     pp = PhysParams(lam=-0.05, delta_t=0.05)
     x, p = build_deformed_pair(GRID, pp)
-    lad = build_ladder(x, p, pp)
-    h = build_swanson_jr(lad.a, lad.a_dag, pp)
+    h = build_swanson_jr(x, p, pp)
     s = spectrum(h, 6)
     assert s.reality_measure < 1e-6
 
 
-# ---------------------------------------------------------------- q-algebra
+# ---------------------------------------------------------------- quadratic form
+
+# Undeformed, deformed, rescaled units, and the gamma_t term.
+FORM_PARAMS = [
+    {"lam": -0.05, "delta_t": 0.05},
+    {"mu": 0.1, "lam": -0.05, "delta_t": 0.05, "tau": 0.01},
+    {"hbar": 0.5, "mass": 2.0, "omega": 1.5, "mu": 0.07, "lam": 0.02, "delta_t": 0.09, "tau": 0.1},
+    {"mu": -0.03, "lam": 0.1, "delta_t": -0.02, "tau": 0.02, "gamma_t": 0.3},
+]
 
 
-def _number_op(grid, pp):
+def _gap(a: Operator, b: Operator) -> float:
+    """Largest |entry| of A − B over the largest |entry| of B."""
+    gap = np.abs(op_sum(a, op_scale(-1.0, b)).coefficients).max(initial=0.0)
+    return gap / np.abs(b.coefficients).max()
+
+
+@pytest.mark.parametrize("n", [257, 1025])
+@pytest.mark.parametrize("params", FORM_PARAMS, ids=["plain", "deformed", "units", "gamma_t"])
+def test_jr_and_n_equal_their_ladder_products(n, params):
+    # The builders expand the ladders into one quadratic form in X and P;
+    # the products of build_ladder's a and a_dag give the same operators, in
+    # the same band layout, to round-off.
+    grid = Grid(n, 8.0, 0.25)
+    pp = PhysParams(**params)
     x, p = build_deformed_pair(grid, pp)
     lad = build_ladder(x, p, pp)
-    return default_number_operator(lad.a, lad.a_dag)
+    nd = op_product(lad.a_dag, lad.a)
+    ladder_jr = op_sum(
+        op_scale(pp.omega, nd),
+        op_scale(pp.lam, op_product(lad.a, lad.a)),
+        op_scale(pp.delta_t, op_product(lad.a_dag, lad.a_dag)),
+        Operator.diag(np.full(n, 0.5 * pp.omega), grid),
+    )
+    ladder_n = op_scale(0.5, op_sum(nd, adjoint(nd)))
+    for built, ladder_form in (
+        (build_swanson_jr(x, p, pp), ladder_jr),
+        (default_number_operator(x, p, pp), ladder_n),
+    ):
+        assert (built.lo, built.turns) == (ladder_form.lo, ladder_form.turns)
+        assert built.coefficients.shape == ladder_form.coefficients.shape
+        assert _gap(built, ladder_form) <= 2e-15
+
+
+def test_every_x_squared_comes_from_one_function(monkeypatch):
+    # With _x_squared doubled, each builder gains exactly its c_xx·X^2, and
+    # model_equality_report's X2 column doubles, so its coefficient halves.
+    grid = Grid(65, 4.0, 0.25)
+    pp = PhysParams(**FORM_PARAMS[2])
+    qp = QDeformParams(q=1.02, alpha=1.0, beta=0.3, gamma=(1.02**2 + 1) / 4, delta=0.8)
+    x, p = build_deformed_pair(grid, pp)
+    x2 = op_product(x, x)
+    h1 = build_swanson_bf(x, p, pp)
+    h2 = build_swanson_bf(x, p, dataclasses.replace(pp, omega=1.0))
+    x2_gap = 0.5 * pp.mass * (pp.omega**2 - 1.0)  # h1 − h2 = x2_gap·X^2
+
+    def build_all() -> dict:
+        quadratics = []
+        form = models._quadratic_form
+
+        def recording(*args):
+            quadratics.append(form(*args))
+            return quadratics[-1]
+
+        n_op = default_number_operator(x, p, pp)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_quadratic_form", recording)
+            deformed_algebra_residual(x, p, n_op, qp, pp)
+        fit = model_equality_report(h1, h2, x, p)
+        assert len(quadratics) == 1 and fit.unexplained < 1e-13
+        return {
+            "BF": build_swanson_bf(x, p, pp),
+            "JR": build_swanson_jr(x, p, pp),
+            "N": n_op,
+            "q-algebra": quadratics[0],
+            "X2": fit.coefficients["X2"],
+        }
+
+    def doubled(op: Operator) -> Operator:
+        return op_scale(2.0, op_product(op, op))
+
+    before = build_all()
+    monkeypatch.setattr(models, "_x_squared", doubled)
+    monkeypatch.setattr(verify, "_x_squared", doubled)
+    after = build_all()
+    s = 1.0 / (2.0 * pp.mass * pp.hbar * pp.omega)
+    gained = {
+        "BF": op_scale(0.5 * pp.mass * pp.omega**2, x2),
+        "JR": op_scale(s * pp.omega**2 * (pp.omega - pp.lam - pp.delta_t), x2),
+        "N": op_scale(0.5 * s * pp.omega**2, op_sum(x2, adjoint(x2))),
+        "q-algebra": op_scale(qp.delta * qp.gamma, x2),
+    }
+    for name, term in gained.items():
+        assert _gap(op_sum(after[name], op_scale(-1.0, before[name])), term) < 1e-14, name
+    assert before["X2"].real == pytest.approx(x2_gap, rel=1e-12)
+    assert after["X2"].real == pytest.approx(x2_gap / 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------- q-algebra
 
 
 def test_algebra_q1_reduces_to_canonical():
     pp = PhysParams()
     qp = QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.5, delta=1.0)
     x, p = build_deformed_pair(GRID, pp)
-    r = deformed_algebra_residual(x, p, _number_op(GRID, pp), qp, pp)
+    r = deformed_algebra_residual(x, p, default_number_operator(x, p, pp), qp, pp)
     assert r < 1e-12
 
 
@@ -308,7 +398,7 @@ def test_algebra_q1_deformed_pair_residual_golden():
     pp = PhysParams(tau=0.1)
     qp = QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.5, delta=1.0)
     x, p = build_deformed_pair(GRID, pp)
-    r = deformed_algebra_residual(x, p, _number_op(GRID, pp), qp, pp)
+    r = deformed_algebra_residual(x, p, default_number_operator(x, p, pp), qp, pp)
     assert r == pytest.approx(0.4726624, rel=1e-5)
 
 
@@ -318,7 +408,8 @@ def test_algebra_q_above_one_golden():
     pp = PhysParams()
     q = 1.1
     qp = QDeformParams(q=q, alpha=1.0, beta=0.0, gamma=(q**2 + 1) / 4, delta=1.0)
-    r = deformed_algebra_residual(*build_deformed_pair(g, pp), _number_op(g, pp), qp, pp)
+    x, p = build_deformed_pair(g, pp)
+    r = deformed_algebra_residual(x, p, default_number_operator(x, p, pp), qp, pp)
     assert r == pytest.approx(0.240183, rel=1e-5)
 
 
@@ -328,7 +419,7 @@ def test_algebra_q_above_one_overflow_guard_on_wide_window():
     qp = QDeformParams(q=q, alpha=1.0, beta=0.0, gamma=(q**2 + 1) / 4, delta=1.0)
     x, p = build_deformed_pair(GRID, pp)
     with pytest.raises(NumericGuardError):
-        deformed_algebra_residual(x, p, _number_op(GRID, pp), qp, pp)
+        deformed_algebra_residual(x, p, default_number_operator(x, p, pp), qp, pp)
 
 
 def test_algebra_q1_still_rejects_a_non_hermitian_number_operator():
@@ -346,7 +437,7 @@ def test_algebra_rescale_invariance_at_q1():
     # constraint and alpha*delta + beta*gamma, so the residual is unchanged.
     pp = PhysParams()
     x, p = build_deformed_pair(GRID, pp)
-    n_op = _number_op(GRID, pp)
+    n_op = default_number_operator(x, p, pp)
     qp1 = QDeformParams(q=1.0, alpha=1.0, beta=0.0, gamma=0.5, delta=1.0)
     qp3 = QDeformParams(q=1.0, alpha=3.0, beta=0.0, gamma=0.5 / 3.0, delta=1.0 / 3.0)
     r1 = deformed_algebra_residual(x, p, n_op, qp1, pp)

@@ -26,6 +26,7 @@ from qhm import (
     default_number_operator,
     hermitian_counterpart,
     hermitian_matrix_function,
+    op_product,
     op_scale,
     spectrum,
 )
@@ -370,16 +371,19 @@ def test_bf_hamiltonian_and_counterpart_are_exactly_even(n, p_max, mu, tau, thet
 @pytest.mark.parametrize("n", [129, 257, 513, 1025])
 @pytest.mark.parametrize("p_max", [8.0, 10.0])
 def test_ladder_operators_are_exactly_even_on_the_job_grids(n, p_max):
-    # The diagonal of a†a sums three nonzero products; the mirror-paired
-    # order of op_product keeps each entry equal to its mirror.
+    # Products sum several nonzero terms per entry (three on the diagonal of
+    # a†a); the mirror-paired order of op_product keeps each entry equal to
+    # its mirror.
     grid = Grid(n, p_max, 0.25)
     pp = PhysParams()
-    ladder = build_ladder(*build_deformed_pair(grid, pp), pp)
+    x, p = build_deformed_pair(grid, pp)
+    ladder = build_ladder(x, p, pp)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        jr = build_swanson_jr(x, p, pp)
+    assert _even(op_product(ladder.a_dag, ladder.a).entries)
     assert _even(jr.entries)
-    assert _even(default_number_operator(ladder.a, ladder.a_dag).entries)
+    assert _even(default_number_operator(x, p, pp).entries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -388,8 +392,9 @@ def test_ladder_operators_are_exactly_even_on_the_job_grids(n, p_max):
     p_max=st.floats(1.0, 20.0),
     tau=st.floats(-7.0, -1.0).map(lambda e: 10.0**e),
 )
-# Grids on which sums in band order left a†a (and so JR H and N) one ulp
-# off exact parity: 20 of 1500 random grids of this strategy did.
+# Grids on which sums in band order left a†a one ulp off exact parity (and
+# with it JR H and N, when they were built from a†a): 20 of 1500 random
+# grids of this strategy did.
 @example(n=25, p_max=5.0, tau=1e-3)
 @example(n=147, p_max=8.0, tau=0.1)
 def test_model_operators_are_exactly_even_on_random_grids(n, p_max, tau):
@@ -398,9 +403,10 @@ def test_model_operators_are_exactly_even_on_random_grids(n, p_max, tau):
     x, p = build_deformed_pair(grid, pp)
     ladder = build_ladder(x, p, pp)
     ops = {
+        "a†a": op_product(ladder.a_dag, ladder.a),
         "BF": build_swanson_bf(x, p, pp),
-        "JR": build_swanson_jr(ladder.a, ladder.a_dag, pp),
-        "N": default_number_operator(ladder.a, ladder.a_dag),
+        "JR": build_swanson_jr(x, p, pp),
+        "N": default_number_operator(x, p, pp),
     }
     for op in ops.values():
         _parity_fold(op)  # refuses an operator that is not exactly even

@@ -24,7 +24,6 @@ from qhm import (
     Operator,
     PhysParams,
     build_deformed_pair,
-    build_ladder,
     build_metric,
     build_swanson_bf,
     build_swanson_jr,
@@ -56,8 +55,7 @@ def _operators(n, mu, p_max):
     rho = build_metric(spec_from_label(f"ExpTheta({2 * mu!r})"), grid, pp)
     counterpart, _ = hermitian_counterpart(bf, rho)
     pp_jr = PhysParams(lam=-mu, delta_t=mu)
-    ladder = build_ladder(*build_deformed_pair(grid, pp_jr), pp_jr)
-    jr = build_swanson_jr(ladder.a, ladder.a_dag, pp_jr)
+    jr = build_swanson_jr(*build_deformed_pair(grid, pp_jr), pp_jr)
     return {"BF": bf, "BF counterpart": counterpart, "JR": jr}
 
 

@@ -11,7 +11,6 @@ from qhm import (
     Operator,
     PhysParams,
     build_deformed_pair,
-    build_ladder,
     build_metric,
     build_swanson_bf,
     build_swanson_jr,
@@ -191,10 +190,9 @@ def _deformed_models(n):
     grid = Grid(n, 8.0, 0.25)
     pp = PhysParams(mu=0.1, tau=0.05, lam=-0.05, delta_t=0.05)
     x, p = build_deformed_pair(grid, pp)
-    ladder = build_ladder(x, p, pp)
     hams = {
         "BF": build_swanson_bf(x, p, pp),
-        "JR": build_swanson_jr(ladder.a, ladder.a_dag, pp),
+        "JR": build_swanson_jr(x, p, pp),
     }
     return grid, pp, x, hams
 
@@ -452,8 +450,7 @@ class TestFitDiagonalMetric:
         if model == "BF":
             ham = build_swanson_bf(x, p, pp)
         else:
-            ladder = build_ladder(x, p, pp)
-            ham = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+            ham = build_swanson_jr(x, p, pp)
         basis = _even_cheb_basis(grid.points, 7.0, 10)
         probes = smooth_probes(grid)
         hd = adjoint(ham)
@@ -508,13 +505,10 @@ class TestModelEquality:
         assert report.unexplained < 1e-12
 
     def test_cross_model_difference_is_a_weighted_anticommutator(self):
-        from qhm import build_ladder, build_swanson_jr
-
         grid = Grid(257, 8.0, 0.25)
         pp = PhysParams(mu=0.1, lam=-0.05, delta_t=0.05)
         x, p = build_deformed_pair(grid, pp)
-        ladder = build_ladder(x, p, pp)
-        h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        h_jr = build_swanson_jr(x, p, pp)
         h_bf = build_swanson_bf(x, p, pp)
         report = model_equality_report(h_jr, h_bf, x, p)
         assert report.unexplained < 1e-8
@@ -530,8 +524,7 @@ class TestModelEquality:
         grid = Grid(129, 8.0, 0.25)
         pp = PhysParams(mu=mu, tau=tau, lam=-0.05, delta_t=0.05)
         x, p = build_deformed_pair(grid, pp)
-        ladder = build_ladder(x, p, pp)
-        h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        h_jr = build_swanson_jr(x, p, pp)
         h_bf = build_swanson_bf(x, p, pp)
         report = model_equality_report(h_jr, h_bf, x, p)
         p2, x2 = op_product(p, p), op_product(x, x)
@@ -556,8 +549,7 @@ class TestModelEquality:
         grid = Grid(33, 1e80, 0.25)
         pp = PhysParams(mu=0.1, tau=0.01, lam=-0.05, delta_t=0.05)
         x, p = build_deformed_pair(grid, pp)
-        ladder = build_ladder(x, p, pp)
-        h_jr = build_swanson_jr(ladder.a, ladder.a_dag, pp)
+        h_jr = build_swanson_jr(x, p, pp)
         h_bf = build_swanson_bf(x, p, pp)
         with pytest.raises(NumericGuardError, match="column P4 has non-finite"):
             model_equality_report(h_jr, h_bf, x, p)
